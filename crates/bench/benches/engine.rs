@@ -1,32 +1,24 @@
 //! Engine-level wall-clock benchmark: active-set scheduling vs. the
-//! full-sweep reference schedule, and sequential vs. sharded-parallel
-//! execution, on the two extremes of the traffic spectrum.
+//! full-sweep reference schedule on the two extremes of the traffic
+//! spectrum, plus end-to-end solver and session rows.
 //!
 //! - **Idle-heavy sparse lane**: single-source BFS along an `n`-node
 //!   line. The frontier is O(1) nodes per round over Θ(n) rounds, so a
-//!   full sweep does Θ(n²) `on_round` calls while the active set does
+//!   full sweep does Θ(n²) `step_node` calls while the active set does
 //!   Θ(n) — this is the `Õ(n^{2/3} + D)`-protocol regime the paper's
 //!   Table 1 lives in, where almost every node is idle almost always.
-//!   Parallelism must *not* engage here (the work-per-round fallback),
-//!   so the multi-thread numbers must stay within noise of sequential.
-//! - **Dense broadcast / dense multi-BFS**: Lemma 2.4 with `M = n`
-//!   items and Lemma 5.5 with 64 sources on random graphs, where most
-//!   nodes stay busy most rounds. Active-set scheduling can at best
-//!   match the sweep here; the sharded step phase is what buys
-//!   wall-clock, scaling with threads at n ≥ 4096.
+//! - **Dense broadcast**: Lemma 2.4 with `M = n` items on random graphs,
+//!   where most nodes stay busy most rounds. Active-set scheduling can
+//!   at best match the sweep here.
 //!
 //! Besides the Criterion timings, the bench writes `BENCH_engine.json`
-//! at the repo root with rounds-per-second for both schedules and for
-//! thread counts {1, 2, 4, 8} so the perf trajectory is tracked across
-//! PRs; each section carries the measuring host's CPU count. A
-//! `work_balance` section sweeps degree-skewed topologies (star,
-//! power-law) where degree-balanced shard boundaries earn their keep.
-//! Set `BENCH_ENGINE_SMOKE=1` for a seconds-scale CI smoke run that
-//! exercises every measurement path but skips the JSON write. Since every protocol now runs on the sharded engine, the report
-//! also carries **end-to-end solver rows** (Theorem 1, 2-SiSP, and the
-//! MR24 baseline on Table 1-style planted-path workloads) — the perf
-//! trajectory measures what the paper measures, not just one kernel.
-//! All configurations are *bit-exact* in simulated rounds/messages (see
+//! at the repo root with rounds-per-second for both schedules, one
+//! **end-to-end solver row** per solver (Theorem 1, 2-SiSP, and the MR24
+//! baseline on one Table 1-style planted-path workload), and cold vs.
+//! warm session rows; each section carries the measuring host's CPU
+//! count. Set `BENCH_ENGINE_SMOKE=1` for a seconds-scale CI smoke run
+//! that exercises every measurement path but skips the JSON write. Both
+//! schedules are *bit-exact* in simulated rounds/messages (see
 //! `tests/engine_equivalence.rs`); only wall-clock differs.
 
 use std::time::Instant;
@@ -61,7 +53,6 @@ fn run_line_bfs(g: &DiGraph, full_sweep: bool) -> u64 {
     };
     let mut net = Network::new(g);
     net.set_full_sweep(full_sweep);
-    net.set_threads(1);
     let (_, stats) = multi_source_bfs(&mut net, &cfg, |_| true, "bfs", default_budget(1, n as u64))
         .expect("quiesces");
     stats.rounds
@@ -72,55 +63,9 @@ fn run_dense_broadcast(g: &DiGraph, full_sweep: bool) -> u64 {
     let n = g.node_count();
     let mut net = Network::new(g);
     net.set_full_sweep(full_sweep);
-    net.set_threads(1);
     let (tree, _) = build_bfs_tree(&mut net, 0).expect("connected");
     let items: Vec<Vec<u64>> = (0..n).map(|v| vec![v as u64]).collect();
     let (_, stats) = broadcast(&mut net, &tree, items, |_| 16, "bc");
-    stats.rounds
-}
-
-/// One M = n broadcast with `threads` workers (active-set schedule).
-fn run_broadcast_threads(g: &DiGraph, threads: usize) -> u64 {
-    let n = g.node_count();
-    let mut net = Network::new(g);
-    net.set_threads(threads);
-    let (tree, _) = build_bfs_tree(&mut net, 0).expect("connected");
-    let items: Vec<Vec<u64>> = (0..n).map(|v| vec![v as u64]).collect();
-    let (_, stats) = broadcast(&mut net, &tree, items, |_| 16, "bc");
-    stats.rounds
-}
-
-/// One 64-source hop-bounded BFS with `threads` workers.
-fn run_multi_bfs_threads(g: &DiGraph, threads: usize) -> u64 {
-    let n = g.node_count();
-    let sources: Vec<usize> = (0..64).map(|i| (i * 61 + 1) % n).collect();
-    let cfg = MultiBfsConfig {
-        sources: &sources,
-        max_dist: 256,
-        reverse: false,
-        delays: None,
-    };
-    let mut net = Network::new(g);
-    net.set_threads(threads);
-    let (_, stats) = multi_source_bfs(&mut net, &cfg, |_| true, "mbfs", default_budget(64, 256))
-        .expect("quiesces");
-    stats.rounds
-}
-
-/// Sparse line BFS with `threads` workers: the auto-fallback must keep
-/// this within noise of the sequential active-set engine.
-fn run_line_bfs_threads(g: &DiGraph, threads: usize) -> u64 {
-    let n = g.node_count();
-    let cfg = MultiBfsConfig {
-        sources: &[0],
-        max_dist: n as u64,
-        reverse: false,
-        delays: None,
-    };
-    let mut net = Network::new(g);
-    net.set_threads(threads);
-    let (_, stats) = multi_source_bfs(&mut net, &cfg, |_| true, "bfs", default_budget(1, n as u64))
-        .expect("quiesces");
     stats.rounds
 }
 
@@ -134,17 +79,13 @@ struct WorkloadReport {
     speedup: f64,
 }
 
+/// One end-to-end solve on the active-set engine.
 #[derive(Clone, Debug, Serialize)]
-struct ParallelReport {
+struct SolverReport {
     name: String,
     n: usize,
-    threads: usize,
     simulated_rounds: u64,
     rounds_per_sec: f64,
-    /// Speedup versus the sequential (1-thread) engine on the same
-    /// workload; the schedule (active set + dense-round sweeps) is
-    /// identical, only the thread count differs.
-    speedup_vs_sequential: f64,
 }
 
 /// A group of schedule-comparison rows, stamped with the CPUs that were
@@ -180,14 +121,12 @@ struct BatchSection {
     rows: Vec<BatchQueryReport>,
 }
 
-/// A group of thread-sweep rows, stamped with the measuring host's CPU
-/// count. Parallel speedups are bounded by it: on a 1-CPU host every
-/// thread count time-slices one core, so `speedup_vs_sequential` can
-/// only show the fan-out overhead, not the scaling.
+/// A group of end-to-end solver rows, stamped with the measuring host's
+/// CPUs.
 #[derive(Debug, Serialize)]
-struct ParallelSection {
+struct SolverSection {
     host_cpus: usize,
-    rows: Vec<ParallelReport>,
+    rows: Vec<SolverReport>,
 }
 
 #[derive(Debug, Serialize)]
@@ -197,14 +136,9 @@ struct EngineReport {
     /// they stay meaningful if re-recorded independently).
     host_cpus: usize,
     workloads: WorkloadSection,
-    parallel: ParallelSection,
-    /// Degree-skewed topologies (star, power-law): the workloads where
-    /// degree-balanced shard boundaries matter most — a node-count
-    /// split would strand nearly all traffic in one shard.
-    work_balance: ParallelSection,
-    /// End-to-end solver runs (all phases on the sharded engine): the
-    /// Table 1 quantities, per thread count.
-    end_to_end: ParallelSection,
+    /// End-to-end solver runs: the Table 1 quantities, one row per
+    /// solver.
+    end_to_end: SolverSection,
     /// Plan/execute sessions: cold vs. warm `solve_batch` over Q
     /// same-graph failed-edge queries — the amortization the session
     /// layer exists to buy.
@@ -218,31 +152,28 @@ fn host_cpus() -> usize {
 
 /// `BENCH_ENGINE_SMOKE=1` shrinks every workload to seconds-scale sizes
 /// and skips the `BENCH_engine.json` write — a CI-friendly check that
-/// the measurement paths (including the parallel fan-out) actually run.
+/// the measurement paths actually run.
 fn smoke() -> bool {
     std::env::var("BENCH_ENGINE_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// One full Theorem 1 solve; returns simulated rounds.
-fn run_unweighted_solve(inst: &Instance<'_>, params: &Params, threads: usize) -> u64 {
+fn run_unweighted_solve(inst: &Instance<'_>, params: &Params) -> u64 {
     let mut net = congest::Network::new(inst.graph);
-    net.set_threads(threads);
     let _ = unweighted::solve_on(&mut net, inst, params).expect("connected");
     net.metrics().rounds()
 }
 
 /// One full 2-SiSP solve (Theorem 1 + O(D) aggregation).
-fn run_sisp_solve(inst: &Instance<'_>, params: &Params, threads: usize) -> u64 {
+fn run_sisp_solve(inst: &Instance<'_>, params: &Params) -> u64 {
     let mut net = congest::Network::new(inst.graph);
-    net.set_threads(threads);
     let _ = sisp::solve_on(&mut net, inst, params).expect("connected");
     net.metrics().rounds()
 }
 
 /// One full MR24 baseline solve.
-fn run_mr24_solve(inst: &Instance<'_>, params: &Params, threads: usize) -> u64 {
+fn run_mr24_solve(inst: &Instance<'_>, params: &Params) -> u64 {
     let mut net = congest::Network::new(inst.graph);
-    net.set_threads(threads);
     let _ = baseline::mr24::solve_on(&mut net, inst, params).expect("connected");
     net.metrics().rounds()
 }
@@ -290,40 +221,17 @@ fn measure(name: &str, n: usize, reps: usize, run: impl Fn(bool) -> u64) -> Work
     report
 }
 
-/// Measures `run` across thread counts {1, 2, 4, 8}, reporting each
-/// configuration's rounds/sec and speedup over the 1-thread baseline.
-fn measure_parallel(
-    name: &str,
-    n: usize,
-    reps: usize,
-    run: impl Fn(usize) -> u64,
-) -> Vec<ParallelReport> {
-    let simulated_rounds = run(1);
-    let base = rounds_per_sec(|| run(1), reps);
-    [1usize, 2, 4, 8]
-        .iter()
-        .map(|&threads| {
-            let rps = if threads == 1 {
-                base
-            } else {
-                rounds_per_sec(|| run(threads), reps)
-            };
-            let report = ParallelReport {
-                name: name.to_string(),
-                n,
-                threads,
-                simulated_rounds,
-                rounds_per_sec: rps,
-                speedup_vs_sequential: rps / base,
-            };
-            println!(
-                "{name} (n={n}, threads={threads}): {rps:.0} rounds/s, \
-                 {:.2}x vs sequential",
-                report.speedup_vs_sequential
-            );
-            report
-        })
-        .collect()
+/// Measures one end-to-end solver run and returns its row.
+fn measure_solver(name: &str, n: usize, reps: usize, run: impl Fn() -> u64) -> SolverReport {
+    let simulated_rounds = run();
+    let rps = rounds_per_sec(&run, reps);
+    println!("{name} (n={n}): {rps:.0} rounds/s");
+    SolverReport {
+        name: name.to_string(),
+        n,
+        simulated_rounds,
+        rounds_per_sec: rps,
+    }
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -364,118 +272,29 @@ fn bench_engine(c: &mut Criterion) {
     }
     group.finish();
 
-    // Sharded-parallel speedups (all bit-exact with sequential runs).
-    let mut parallel = Vec::new();
-    let par_sizes: &[usize] = if smoke { &[256] } else { &[1024, 4096, 8192] };
-    let mut group = c.benchmark_group("engine_parallel_dense_broadcast");
-    group.sample_size(2);
-    for &n in par_sizes {
-        let g = random_digraph(n, 4 * n, 7);
-        if n == 4096 {
-            for &threads in &[1usize, 4] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("threads_{threads}"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| run_broadcast_threads(&g, threads));
-                    },
-                );
-            }
-        }
-        let reps = if n >= 8192 { 1 } else { 2 };
-        parallel.extend(measure_parallel("dense_broadcast", n, reps, |t| {
-            run_broadcast_threads(&g, t)
-        }));
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("engine_parallel_dense_multi_bfs");
-    group.sample_size(2);
-    for &n in par_sizes {
-        let g = random_digraph(n, 6 * n, 9);
-        if n == 4096 {
-            for &threads in &[1usize, 4] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("threads_{threads}"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| run_multi_bfs_threads(&g, threads));
-                    },
-                );
-            }
-        }
-        parallel.extend(measure_parallel("dense_multi_bfs", n, 2, |t| {
-            run_multi_bfs_threads(&g, t)
-        }));
-    }
-    group.finish();
-
-    // Sparse workloads with the auto-fallback: thread count must not
-    // regress the active-set engine.
-    let fb_sizes: &[usize] = if smoke { &[512] } else { &[4096, 8192] };
-    for &n in fb_sizes {
-        let g = line(n);
-        parallel.extend(measure_parallel("sparse_line_bfs_fallback", n, 3, |t| {
-            run_line_bfs_threads(&g, t)
-        }));
-    }
-
-    // Degree-skewed topologies: how well degree-balanced shard
-    // boundaries spread hub-heavy work across workers. On the star,
-    // every message touches node 0; on preferential attachment, a few
-    // early nodes carry most of the degree.
-    let mut work_balance = Vec::new();
-    let wb_n = if smoke { 256 } else { 4096 };
-    {
-        let g = graphkit::gen::star(wb_n);
-        work_balance.extend(measure_parallel("work_balance_star_mbfs", wb_n, 2, |t| {
-            run_multi_bfs_threads(&g, t)
-        }));
-        let g = graphkit::gen::power_law_digraph(wb_n, 11);
-        work_balance.extend(measure_parallel(
-            "work_balance_power_law_mbfs",
-            wb_n,
-            2,
-            |t| run_multi_bfs_threads(&g, t),
-        ));
-    }
-
-    // End-to-end solver rows on Table 1-style workloads: every phase of
-    // every solve now rides the sharded engine, so the thread sweep
-    // measures the composed pipeline, not one kernel.
+    // End-to-end solver rows on one Table 1-style workload; the MR24
+    // baseline (the algorithm the paper improves on) runs on the exact
+    // same instance as the paper's solvers.
     let mut end_to_end = Vec::new();
     let mut group = c.benchmark_group("engine_e2e_solvers");
     group.sample_size(2);
-    let e2e_sizes: &[usize] = if smoke { &[64] } else { &[128, 256, 512] };
-    for &n in e2e_sizes {
-        let case = random_case(n, n / 8, 5);
+    let e2e_n = if smoke { 64 } else { 256 };
+    {
+        let case = random_case(e2e_n, e2e_n / 8, 5);
         let inst = Instance::from_endpoints(&case.graph, case.s, case.t).expect("valid");
-        let params = bench_params(n, 5);
-        if n == 256 {
-            for &threads in &[1usize, 4] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("unweighted_threads_{threads}"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| run_unweighted_solve(&inst, &params, threads));
-                    },
-                );
-            }
-        }
-        end_to_end.extend(measure_parallel("e2e_unweighted_solve", n, 1, |t| {
-            run_unweighted_solve(&inst, &params, t)
+        let params = bench_params(e2e_n, 5);
+        group.bench_with_input(BenchmarkId::new("unweighted", e2e_n), &e2e_n, |b, _| {
+            b.iter(|| run_unweighted_solve(&inst, &params));
+        });
+        end_to_end.push(measure_solver("e2e_unweighted_solve", e2e_n, 1, || {
+            run_unweighted_solve(&inst, &params)
         }));
-        end_to_end.extend(measure_parallel("e2e_sisp_solve", n, 1, |t| {
-            run_sisp_solve(&inst, &params, t)
+        end_to_end.push(measure_solver("e2e_sisp_solve", e2e_n, 1, || {
+            run_sisp_solve(&inst, &params)
         }));
-        if n == 256 {
-            // The baseline comparison row (MR24 is the algorithm the
-            // paper improves on) at one representative size, on the
-            // exact same instance as the e2e rows above.
-            end_to_end.extend(measure_parallel("e2e_mr24_solve", n, 1, |t| {
-                run_mr24_solve(&inst, &params, t)
-            }));
-        }
+        end_to_end.push(measure_solver("e2e_mr24_solve", e2e_n, 1, || {
+            run_mr24_solve(&inst, &params)
+        }));
     }
     group.finish();
 
@@ -547,15 +366,7 @@ fn bench_engine(c: &mut Criterion) {
             host_cpus: cpus,
             rows: reports,
         },
-        parallel: ParallelSection {
-            host_cpus: cpus,
-            rows: parallel,
-        },
-        work_balance: ParallelSection {
-            host_cpus: cpus,
-            rows: work_balance,
-        },
-        end_to_end: ParallelSection {
+        end_to_end: SolverSection {
             host_cpus: cpus,
             rows: end_to_end,
         },

@@ -190,7 +190,8 @@ fn probe_until_spanning(
     max_probes: u32,
 ) -> (u32, u64, bool) {
     let mut net = Network::new(g);
-    net.set_fault_plan(Some(plan.clone()));
+    net.set_fault_plan(Some(plan.clone()))
+        .expect("campaign plans only target the topology's own spans");
     let mut probes = 0;
     loop {
         probes += 1;
@@ -200,7 +201,8 @@ fn probe_until_spanning(
         if probes >= max_probes {
             return (probes, net.metrics().rounds(), false);
         }
-        net.set_fault_plan(Some(plan.shifted(net.metrics().rounds())));
+        net.set_fault_plan(Some(plan.shifted(net.metrics().rounds())))
+            .expect("a shifted plan keeps the original's targets");
     }
 }
 

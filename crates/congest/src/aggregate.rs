@@ -11,7 +11,7 @@
 use graphkit::Dist;
 
 use crate::bfs_tree::BfsTree;
-use crate::network::{word_bits, Network, NodeCtx, Scheduling, ShardedProtocol};
+use crate::network::{word_bits, Network, NodeCtx, Protocol, Scheduling};
 
 /// The supported aggregation operators over [`Dist`] values.
 ///
@@ -69,8 +69,7 @@ struct AggShared<'t> {
     op: AggOp,
 }
 
-/// One node's convergecast/downcast state (sharded: the engine steps
-/// disjoint slices of these from worker threads).
+/// One node's convergecast/downcast state.
 struct AggNode {
     acc: Dist,
     waiting: usize,
@@ -84,7 +83,7 @@ struct Aggregate<'t> {
     nodes: Vec<AggNode>,
 }
 
-impl<'t> ShardedProtocol for Aggregate<'t> {
+impl<'t> Protocol for Aggregate<'t> {
     type Msg = AggMsg;
     type Node = AggNode;
     type Shared = AggShared<'t>;
@@ -94,10 +93,6 @@ impl<'t> ShardedProtocol for Aggregate<'t> {
             AggMsg::Up(d) | AggMsg::Down(d) => *d,
         };
         2 + word_bits(d.finite().unwrap_or(0))
-    }
-
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
@@ -148,9 +143,6 @@ impl<'t> ShardedProtocol for Aggregate<'t> {
 /// Aggregates `values` with `op` over `tree`; every node learns the
 /// result. `O(height)` rounds, charged to `net`.
 ///
-/// Runs on the sharded-parallel engine path; the result and stats are
-/// bit-identical at every thread count.
-///
 /// # Panics
 ///
 /// Panics if `values.len() != n` or the protocol fails to quiesce within
@@ -171,7 +163,7 @@ pub fn aggregate(net: &mut Network<'_>, tree: &BfsTree, op: AggOp, values: &[Dis
             })
             .collect(),
     };
-    net.run_until_quiet_par("aggregate", &mut proto, 8 * (tree.height + 2))
+    net.run_until_quiet("aggregate", &mut proto, 8 * (tree.height + 2))
         .expect("aggregation quiesces in O(height)");
     proto.nodes[tree.root]
         .result

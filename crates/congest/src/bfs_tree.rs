@@ -14,7 +14,7 @@ use std::fmt;
 
 use graphkit::NodeId;
 
-use crate::network::{word_bits, Network, NodeCtx, Scheduling, ShardedProtocol};
+use crate::network::{word_bits, Network, NodeCtx, Protocol, Scheduling};
 use crate::{EngineError, RunStats};
 
 /// The result of distributed BFS-tree construction.
@@ -96,8 +96,7 @@ struct TreeShared {
     root: NodeId,
 }
 
-/// One node's construction state (sharded: the engine steps disjoint
-/// slices of these from worker threads).
+/// One node's construction state.
 #[derive(Clone)]
 struct TreeNode {
     depth: Option<u32>,
@@ -110,7 +109,7 @@ struct TreeProtocol {
     nodes: Vec<TreeNode>,
 }
 
-impl ShardedProtocol for TreeProtocol {
+impl Protocol for TreeProtocol {
     type Msg = TreeMsg;
     type Node = TreeNode;
     type Shared = TreeShared;
@@ -120,10 +119,6 @@ impl ShardedProtocol for TreeProtocol {
             TreeMsg::Join { depth } => 1 + word_bits(*depth as u64),
             TreeMsg::Adopt => 1,
         }
-    }
-
-    fn shared(&self) -> &TreeShared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&TreeShared, &mut [TreeNode]) {
@@ -179,9 +174,6 @@ impl ShardedProtocol for TreeProtocol {
 /// Builds a BFS tree rooted at `root`, charging the rounds it takes
 /// (at most `ecc(root) + O(1)`).
 ///
-/// Runs on the sharded-parallel engine path; the tree and [`RunStats`]
-/// are bit-identical at every thread count.
-///
 /// # Errors
 ///
 /// Returns [`TreeError::Disconnected`] when some node is not in the
@@ -204,7 +196,7 @@ pub fn build_bfs_tree(
             n
         ],
     };
-    let stats = net.run_until_quiet_par("bfs-tree", &mut proto, 2 * n as u64 + 4)?;
+    let stats = net.run_until_quiet("bfs-tree", &mut proto, 2 * n as u64 + 4)?;
     let mut depth = Vec::with_capacity(n);
     let mut joined = 0usize;
     let mut witness = None;

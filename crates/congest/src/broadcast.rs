@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 
 use crate::bfs_tree::BfsTree;
-use crate::network::{Network, NodeCtx, Scheduling, ShardedProtocol};
+use crate::network::{Network, NodeCtx, Protocol, Scheduling};
 use crate::RunStats;
 
 #[derive(Clone, Debug)]
@@ -24,8 +24,7 @@ struct BcastShared<'t, F> {
     expected_total: usize,
 }
 
-/// One node's pipeline state (sharded: the engine steps disjoint slices
-/// of these from worker threads).
+/// One node's pipeline state.
 struct BcastNode<T> {
     /// Items waiting to move towards the root.
     up_queue: VecDeque<T>,
@@ -41,11 +40,7 @@ struct BroadcastProtocol<'t, T, F> {
     nodes: Vec<BcastNode<T>>,
 }
 
-impl<'t, T, F> ShardedProtocol for BroadcastProtocol<'t, T, F>
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T) -> u64 + Sync,
-{
+impl<'t, T: Clone, F: Fn(&T) -> u64> Protocol for BroadcastProtocol<'t, T, F> {
     type Msg = Flow<T>;
     type Node = BcastNode<T>;
     type Shared = BcastShared<'t, F>;
@@ -54,10 +49,6 @@ where
         match msg {
             Flow::Up(t) | Flow::Down(t) => 1 + (shared.bits)(t),
         }
-    }
-
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
@@ -126,19 +117,15 @@ where
 /// Round complexity is `O(M + height(tree))` where `M` is the total item
 /// count, matching Lemma 2.4; tests assert the constant.
 ///
-/// Runs on the sharded-parallel engine path: on dense instances the
-/// per-node pipeline steps are split across worker threads, with output
-/// and [`RunStats`] bit-identical to a sequential run.
-///
 /// # Panics
 ///
 /// Panics if the protocol fails to quiesce within `4(M + height) + 16`
 /// rounds, which would indicate an engine or tree bug.
-pub fn broadcast<T: Clone + Send + Sync>(
+pub fn broadcast<T: Clone>(
     net: &mut Network<'_>,
     tree: &BfsTree,
     items: Vec<Vec<T>>,
-    bits: impl Fn(&T) -> u64 + Sync,
+    bits: impl Fn(&T) -> u64,
     phase: &str,
 ) -> (Vec<Vec<T>>, RunStats) {
     let n = net.node_count();
@@ -161,7 +148,7 @@ pub fn broadcast<T: Clone + Send + Sync>(
     };
     let budget = 4 * (total as u64 + tree.height) + 16;
     let stats = net
-        .run_until_quiet_par(phase, &mut proto, budget)
+        .run_until_quiet(phase, &mut proto, budget)
         .expect("broadcast quiesces within O(M + D)");
     (
         proto.nodes.into_iter().map(|nd| nd.delivered).collect(),

@@ -4,9 +4,8 @@
 //! failures and recoveries, node crashes and restarts, and per-message
 //! probabilistic drop/delay. The engine applies the plan at **commit
 //! time** — the moment a round's staged sends become next-round inboxes
-//! — in both the sequential and the sharded-parallel round loops, so a
-//! protocol never observes *how* faults were evaluated, only which
-//! messages arrived.
+//! — so a protocol never observes *how* faults were evaluated, only
+//! which messages arrived.
 //!
 //! # Fault model
 //!
@@ -24,8 +23,8 @@
 //! - **Random drop** ([`FaultPlan::drop_messages`]): each surviving
 //!   message is dropped with probability `p`, decided by a hash of
 //!   `(seed, round, link, direction)` — *message identity*, never draw
-//!   order — so the decision is independent of thread count and
-//!   scheduling ([`FaultStats::dropped_random`]).
+//!   order — so the decision is independent of scheduling
+//!   ([`FaultStats::dropped_random`]).
 //! - **Random delay** ([`FaultPlan::delay_messages`]): each surviving
 //!   message is instead held for `1..=max_delay` extra rounds (again
 //!   hash-decided) and delivered at the start of its due round's commit,
@@ -46,29 +45,24 @@
 //!
 //! For a fixed plan (seed included), the delivered messages, their
 //! per-destination inbox order, the [`crate::RunStats`], and the
-//! [`FaultStats`] are bit-identical at any `CONGEST_THREADS` setting,
-//! any scheduling mode, and any shard geometry. This holds because every
-//! per-message decision is a pure function of `(seed, round, link,
-//! direction)` and the engine evaluates the plan against the same
-//! deterministic staged-send order the fault-free engine guarantees.
-//! `tests/engine_equivalence.rs` (chaos matrix) and the
-//! `primitives_properties.rs` proptests pin this; [`FaultStats`] is
-//! *included* in [`crate::Metrics`] equality — unlike
-//! [`crate::DispatchStats`] — precisely so those suites catch any
-//! divergence.
+//! [`FaultStats`] are bit-identical under either scheduling mode. This
+//! holds because every per-message decision is a pure function of
+//! `(seed, round, link, direction)` and the engine evaluates the plan
+//! against the same deterministic staged-send order the fault-free
+//! engine guarantees. `tests/engine_equivalence.rs` (chaos matrix) and
+//! the `primitives_properties.rs` proptests pin this; [`FaultStats`] is
+//! *included* in [`crate::Metrics`] equality precisely so those suites
+//! catch any divergence.
 //!
-//! # Interaction with adaptive dispatch
+//! # The commit hook
 //!
-//! When a plan is attached, parallel rounds still *step* shards on
-//! worker threads, but the fused derivation pass is skipped and the
-//! commit (fate evaluation, delay queue, accounting, counting sort)
-//! runs on the main thread over the ascending-shard concatenation of
-//! the shard stagings — the exact sequential send order. Fault
-//! injection is a robustness feature, not a throughput feature: it
-//! trades the parallel commit for a commit that is bit-identical by
-//! construction. The adaptive dispatcher's routing (and its
-//! [`crate::DispatchStats`]) is unaffected and, as always, never
-//! changes results.
+//! The engine has one commit path. It takes the drive's fault state as
+//! an optional hook: without a plan the hook is `None` and costs a
+//! branch per message; with one, each fresh send that passed the
+//! CONGEST checks is handed to the plan, and messages whose delay ends
+//! this round are moved in front of the round's fresh sends. A plan
+//! that never fires therefore yields exactly the [`crate::Metrics`] of
+//! a run without one.
 
 use graphkit::{EdgeId, NodeId};
 
@@ -338,26 +332,70 @@ impl FaultPlan {
         Fate::Deliver
     }
 
-    /// Panics if any fault targets an element outside the graph; called
-    /// by [`crate::Network::set_fault_plan`] so a misaddressed plan
-    /// fails loudly instead of silently never firing.
-    pub(crate) fn validate(&self, edges: usize, nodes: usize) {
-        for (i, iv) in self.links.iter().enumerate() {
-            assert!(
-                iv.target < edges,
-                "fault plan link fault #{i} targets edge {} but the graph has {edges} edges",
-                iv.target
-            );
+    /// Checks that every fault targets an element of a graph with
+    /// `edges` edges and `nodes` nodes, so a misaddressed plan is
+    /// rejected instead of silently never firing.
+    /// [`crate::Network::set_fault_plan`] runs this check.
+    ///
+    /// # Errors
+    ///
+    /// The [`FaultPlanError`] naming the first out-of-range fault.
+    pub fn validate(&self, edges: usize, nodes: usize) -> Result<(), FaultPlanError> {
+        let first_outside = |ivs: &[DownInterval], bound: usize| {
+            let fault = ivs.iter().position(|iv| iv.target >= bound)?;
+            Some((fault, ivs[fault].target))
+        };
+        if let Some((fault, link)) = first_outside(&self.links, edges) {
+            return Err(FaultPlanError::UnknownLink { fault, link, edges });
         }
-        for (i, iv) in self.nodes.iter().enumerate() {
-            assert!(
-                iv.target < nodes,
-                "fault plan node fault #{i} targets node {} but the graph has {nodes} nodes",
-                iv.target
-            );
+        if let Some((fault, node)) = first_outside(&self.nodes, nodes) {
+            return Err(FaultPlanError::UnknownNode { fault, node, nodes });
+        }
+        Ok(())
+    }
+}
+
+/// A [`FaultPlan`] names an edge or node its graph does not have.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FaultPlanError {
+    /// Link fault number `fault` (in registration order) targets `link`,
+    /// but the graph has only `edges` edges.
+    UnknownLink {
+        /// Index of the offending link fault.
+        fault: usize,
+        /// The edge it targets.
+        link: EdgeId,
+        /// The graph's edge count.
+        edges: usize,
+    },
+    /// Node fault number `fault` (in registration order) targets `node`,
+    /// but the graph has only `nodes` nodes.
+    UnknownNode {
+        /// Index of the offending node fault.
+        fault: usize,
+        /// The node it targets.
+        node: NodeId,
+        /// The graph's node count.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultPlanError::UnknownLink { fault, link, edges } => write!(
+                f,
+                "fault plan link fault #{fault} targets edge {link} but the graph has {edges} edges"
+            ),
+            FaultPlanError::UnknownNode { fault, node, nodes } => write!(
+                f,
+                "fault plan node fault #{fault} targets node {node} but the graph has {nodes} nodes"
+            ),
         }
     }
 }
+
+impl std::error::Error for FaultPlanError {}
 
 /// Separates the delay-length hash stream from the drop/delay decision
 /// stream (an arbitrary odd constant).
@@ -491,8 +529,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "targets edge 9")]
     fn validate_names_the_bad_edge() {
-        FaultPlan::new(0).fail_link(9, 0, None).validate(4, 10);
+        let plan = FaultPlan::new(0)
+            .fail_link(1, 0, None)
+            .fail_link(9, 0, None);
+        assert_eq!(
+            plan.validate(4, 10),
+            Err(FaultPlanError::UnknownLink {
+                fault: 1,
+                link: 9,
+                edges: 4
+            })
+        );
+        let plan = FaultPlan::new(0).crash_node(10, 0, Some(3));
+        assert_eq!(
+            plan.validate(4, 10),
+            Err(FaultPlanError::UnknownNode {
+                fault: 0,
+                node: 10,
+                nodes: 10
+            })
+        );
+        assert!(plan.validate(4, 11).is_ok());
     }
 }

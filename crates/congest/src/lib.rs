@@ -22,6 +22,15 @@
 //! accounting (bits crossing a labelled vertex cut — used by the
 //! Section 6 lower-bound experiments).
 //!
+//! A [`Protocol`] factors its state into a read-only shared part and
+//! one state slot per node. The engine steps a node with `&mut` to that
+//! node's slot alone, so the type system keeps every local step local:
+//! cross-node information can only travel in messages. All protocols
+//! run through the same two entry points — [`Network::run_rounds`] for
+//! fixed round schedules and [`Network::run_until_quiet`] for
+//! quiescence-driven ones — which share one round driver and one commit
+//! path.
+//!
 //! Internally the engine is built for the paper's regime — protocols
 //! whose rounds vastly outnumber their busy nodes:
 //!
@@ -45,57 +54,32 @@
 //!   monotonically increasing round generations instead of being
 //!   cleared, and all non-message buffers live on the [`Network`], reused
 //!   across rounds *and* phases.
-//! - **Deterministic sharded parallelism.** A protocol that factors its
-//!   state into a `Sync` shared part and a per-node slice
-//!   ([`ShardedProtocol`]) can be driven through
-//!   [`Network::run_rounds_par`] / [`Network::run_until_quiet_par`]:
-//!   worker threads (std scoped threads, no unsafe) execute a
-//!   three-phase pipeline over disjoint contiguous node shards whose
-//!   boundaries are degree-balanced (prefix sums of `1 + deg(v)`), so
-//!   hub-heavy topologies don't serialize on one hot shard. Workers
-//!   step their shards and derive all per-message bookkeeping
-//!   shard-locally — CONGEST checks, bit accounting, destination
-//!   histograms, and a shard-local counting sort; the main thread
-//!   merges histograms in ascending shard order (reproducing the exact
-//!   sequential first-touch destination order) and prefix-scans the
-//!   arena layout; workers then gather disjoint inbox ranges — so
-//!   per-destination inbox order is bit-identical by construction, not
-//!   by luck. Whether a round fans out at all is decided by an adaptive
-//!   cost model (EWMA of measured sequential vs parallel round cost,
-//!   reported as [`DispatchStats`]), so sparse active-set workloads
-//!   never regress; thread count comes from the `CONGEST_THREADS`
-//!   environment variable or [`Network::set_threads`].
 //!
-//! **Invariant:** scheduling and parallelism are wall-clock
-//! optimizations with no effect on the measured model quantities.
-//! Delivered messages, per-destination delivery order, round counts, and
-//! every [`RunStats`] field are bit-identical between `ActiveSet` and
-//! `FullSweep` runs and across all thread counts and shard geometries;
+//! Every round runs on the caller's thread. The simulator's cost on the
+//! paper's instances (n ≤ ~10³) is dominated by rounds with a handful
+//! of busy nodes, where handing work to other threads costs more than
+//! the round itself.
+//!
+//! **Invariant:** scheduling is a wall-clock optimization with no
+//! effect on the measured model quantities. Delivered messages,
+//! per-destination delivery order, round counts, and every [`RunStats`]
+//! field are bit-identical between `ActiveSet` and `FullSweep` runs;
 //! the differential suite in `tests/engine_equivalence.rs` asserts this
-//! for every primitive and every end-to-end solver, and a property test
-//! randomizes shard boundaries. Table 1 numbers depend only on the
-//! model, never on the schedule or the hardware.
+//! for every primitive and every end-to-end solver. Table 1 numbers
+//! depend only on the model, never on the schedule or the hardware.
 //!
 //! # Fault injection
 //!
 //! The invariant extends to *misbehaving* networks: a seeded
 //! [`FaultPlan`] ([`faults`]) attaches timed link failures, node
 //! crashes, and probabilistic message drop/delay to a [`Network`]
-//! ([`Network::set_fault_plan`]), applied at commit time in both the
-//! sequential and the sharded-parallel round loops. Every per-message
-//! decision hashes `(seed, round, link, direction)` — message identity,
-//! not draw order — so a fixed plan yields bit-identical delivery,
-//! [`RunStats`], and [`FaultStats`] at any `CONGEST_THREADS` setting;
-//! [`FaultStats`] is *included* in [`Metrics`] equality to pin that
-//! down (unlike [`DispatchStats`], which is excluded).
-//!
-//! **Coverage:** every protocol shipped by this crate — BFS-tree
-//! construction, broadcast, aggregation, multi-source BFS, and both
-//! pipelines — implements [`ShardedProtocol`] and is driven through the
-//! sharded-parallel entry points; there is no sequential-only protocol
-//! left. New protocols should implement [`ShardedProtocol`] directly
-//! (the blanket [`Protocol`] impl keeps them runnable on the sequential
-//! engine and in differential tests for free).
+//! ([`Network::set_fault_plan`], which rejects a plan naming elements
+//! outside the graph with a [`FaultPlanError`]). The plan is applied at
+//! commit time. Every per-message decision hashes `(seed, round, link,
+//! direction)` — message identity, not draw order — so a fixed plan
+//! yields bit-identical delivery, [`RunStats`], and [`FaultStats`]
+//! under either schedule; [`FaultStats`] is *included* in [`Metrics`]
+//! equality to pin that down.
 //!
 //! # Communication primitives
 //! - [`bfs_tree`]: distributed BFS tree over the underlying undirected
@@ -124,8 +108,6 @@ pub mod multi_bfs;
 mod network;
 pub mod pipeline;
 
-pub use faults::{Fate, FaultPlan};
+pub use faults::{Fate, FaultPlan, FaultPlanError};
 pub use metrics::{CacheStats, DispatchStats, FaultStats, Metrics, PhaseStats, RunStats};
-pub use network::{
-    word_bits, EngineError, Network, NodeCtx, Port, Protocol, Scheduling, ShardedProtocol, Side,
-};
+pub use network::{word_bits, EngineError, Network, NodeCtx, Port, Protocol, Scheduling, Side};

@@ -50,39 +50,34 @@ pub struct PhaseStats {
     pub stats: RunStats,
 }
 
-/// Telemetry from the engine's adaptive sequential/parallel dispatcher.
+/// Round-dispatch telemetry: always all-zero, since the engine has a
+/// single sequential round driver.
 ///
-/// Pure wall-clock bookkeeping: how rounds were routed and what the
-/// cost model currently believes. Unlike [`RunStats`], none of this is
-/// part of a run's deterministic outcome — two bit-identical runs at
-/// different thread counts legitimately dispatch differently — so
-/// [`Metrics`] equality deliberately ignores it.
+/// Kept only because the benchmark harness (`perfbench/`) reads every
+/// field; it goes with the next change to the benchmark. Excluded from
+/// [`Metrics`] equality.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct DispatchStats {
-    /// Rounds executed on the parallel three-phase pipeline.
+    /// Always 0.
     pub par_rounds: u64,
-    /// Contested rounds (at or above the work floor) the cost model
-    /// routed to the sequential path.
+    /// Always 0.
     pub seq_rounds: u64,
-    /// Rounds below the work floor, sequential without consulting the
-    /// cost model.
+    /// Always 0.
     pub floor_rounds: u64,
-    /// Latest EWMA estimate of sequential nanoseconds per unit of work
-    /// (0 when never measured).
+    /// Always 0.
     pub ewma_seq_ns_per_unit: f64,
-    /// Latest EWMA estimate of parallel nanoseconds per unit of work
-    /// (0 when never measured).
+    /// Always 0.
     pub ewma_par_ns_per_unit: f64,
 }
 
 /// Telemetry from an artifact cache consulted while producing a run's
 /// answers (see `rpaths_core::cache`).
 ///
-/// Like [`DispatchStats`], this is *not* part of a run's deterministic
-/// outcome: a warm cache legitimately answers with zero rounds where a
-/// cold one recomputes, and the accounting of the phases that *did* run
-/// is what [`Metrics`] equality pins. Cache telemetry is therefore
-/// deliberately excluded from equality.
+/// This is *not* part of a run's deterministic outcome: a warm cache
+/// legitimately answers with zero rounds where a cold one recomputes,
+/// and the accounting of the phases that *did* run is what [`Metrics`]
+/// equality pins. Cache telemetry is therefore deliberately excluded
+/// from equality.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -138,10 +133,10 @@ impl CacheStats {
 
 /// Telemetry from fault injection (see `congest::faults`).
 ///
-/// Unlike [`DispatchStats`], this *is* part of a run's deterministic
-/// outcome: a [`crate::FaultPlan`] decides every message's fate from
+/// This *is* part of a run's deterministic outcome: a
+/// [`crate::FaultPlan`] decides every message's fate from
 /// `(seed, round, link, direction)` alone, so two runs of the same plan
-/// at different thread counts must produce bit-identical `FaultStats` —
+/// under different schedules must produce bit-identical `FaultStats` —
 /// and [`Metrics`] equality deliberately includes it to pin that down.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
@@ -191,8 +186,7 @@ pub struct Metrics {
     pub total: RunStats,
     /// Per-phase breakdown, in execution order.
     pub phases: Vec<PhaseStats>,
-    /// Adaptive-dispatch telemetry (excluded from equality; see
-    /// [`DispatchStats`]).
+    /// Always all-zero (excluded from equality; see [`DispatchStats`]).
     pub dispatch: DispatchStats,
     /// Fault-injection telemetry (included in equality; see
     /// [`FaultStats`]).
@@ -203,8 +197,7 @@ pub struct Metrics {
 }
 
 /// Equality covers the deterministic accounting only (`total`, `phases`,
-/// and `faults`); [`Metrics::dispatch`] is wall-clock telemetry that may
-/// differ between bit-identical runs.
+/// and `faults`), not the cache and dispatch telemetry.
 impl PartialEq for Metrics {
     fn eq(&self, other: &Metrics) -> bool {
         self.total == other.total && self.phases == other.phases && self.faults == other.faults
@@ -221,21 +214,6 @@ impl Metrics {
             name: name.into(),
             stats,
         });
-    }
-
-    /// Accumulates dispatcher telemetry from one drive: round counters
-    /// add up, EWMA estimates are replaced by the latest measured
-    /// (non-zero) model state.
-    pub fn record_dispatch(&mut self, d: DispatchStats) {
-        self.dispatch.par_rounds += d.par_rounds;
-        self.dispatch.seq_rounds += d.seq_rounds;
-        self.dispatch.floor_rounds += d.floor_rounds;
-        if d.ewma_seq_ns_per_unit != 0.0 {
-            self.dispatch.ewma_seq_ns_per_unit = d.ewma_seq_ns_per_unit;
-        }
-        if d.ewma_par_ns_per_unit != 0.0 {
-            self.dispatch.ewma_par_ns_per_unit = d.ewma_par_ns_per_unit;
-        }
     }
 
     /// Accumulates fault-injection telemetry from one drive.
@@ -264,8 +242,6 @@ impl Metrics {
         self.total.absorb(&other.total);
         other.total = RunStats::default();
         self.phases.append(&mut other.phases);
-        self.record_dispatch(other.dispatch);
-        other.dispatch = DispatchStats::default();
         self.faults.absorb(&other.faults);
         other.faults = FaultStats::default();
         self.cache.absorb(&other.cache);
@@ -384,7 +360,7 @@ mod tests {
         };
         let d = later.delta_since(&c);
         assert_eq!((d.hits, d.misses, d.insertions, d.evictions), (2, 1, 1, 1));
-        // Equality ignores cache telemetry, like dispatch telemetry.
+        // Equality ignores cache telemetry.
         let mut a = Metrics::default();
         let mut b = Metrics::default();
         a.record_cache(later);

@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 
 use graphkit::{Dist, EdgeId, NodeId};
 
-use crate::network::{word_bits, Network, NodeCtx, Scheduling, ShardedProtocol};
+use crate::network::{word_bits, Network, NodeCtx, Protocol, Scheduling};
 use crate::{Port, RunStats};
 
 /// Configuration for a multi-source hop-bounded BFS.
@@ -62,8 +62,7 @@ struct MbfsShared<'c, F> {
     enabled: F,
 }
 
-/// One node's BFS state (sharded: the engine steps disjoint slices of
-/// these from worker threads).
+/// One node's BFS state.
 struct MbfsNode {
     /// best[src]; `u32::MAX` is the "unreached" sentinel (real
     /// distances are capped at `max_dist < u32::MAX`).
@@ -124,17 +123,13 @@ fn relax<F: Fn(EdgeId) -> bool>(
     }
 }
 
-impl<'c, F: Fn(EdgeId) -> bool + Sync> ShardedProtocol for MultiBfsProtocol<'c, F> {
+impl<'c, F: Fn(EdgeId) -> bool> Protocol for MultiBfsProtocol<'c, F> {
     type Msg = Announce;
     type Node = MbfsNode;
     type Shared = MbfsShared<'c, F>;
 
     fn msg_bits(_: &Self::Shared, msg: &Announce) -> u64 {
         word_bits(msg.src as u64) + word_bits(msg.dist as u64)
-    }
-
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
@@ -217,10 +212,6 @@ impl<'c, F: Fn(EdgeId) -> bool + Sync> ShardedProtocol for MultiBfsProtocol<'c, 
 /// comfortably above the theoretical `O(k + h)`; the returned stats tell
 /// you what was actually used.
 ///
-/// Runs on the sharded-parallel engine path: on traffic-dense rounds
-/// the per-node relaxations are split across worker threads, with
-/// distances and [`RunStats`] bit-identical to a sequential run.
-///
 /// # Errors
 ///
 /// Returns the engine error when the protocol fails to quiesce within
@@ -228,7 +219,7 @@ impl<'c, F: Fn(EdgeId) -> bool + Sync> ShardedProtocol for MultiBfsProtocol<'c, 
 pub fn multi_source_bfs(
     net: &mut Network<'_>,
     cfg: &MultiBfsConfig<'_>,
-    enabled: impl Fn(EdgeId) -> bool + Sync,
+    enabled: impl Fn(EdgeId) -> bool,
     phase: &str,
     max_rounds: u64,
 ) -> Result<(Vec<Vec<Dist>>, RunStats), crate::EngineError> {
@@ -255,7 +246,7 @@ pub fn multi_source_bfs(
             })
             .collect(),
     };
-    let stats = net.run_until_quiet_par(phase, &mut proto, max_rounds)?;
+    let stats = net.run_until_quiet(phase, &mut proto, max_rounds)?;
     let mut out = vec![vec![Dist::INF; n]; k];
     for (v, node) in proto.nodes.iter().enumerate() {
         for s in 0..k {

@@ -16,7 +16,7 @@
 
 use graphkit::{Dist, EdgeId, NodeId};
 
-use crate::network::{word_bits, Network, NodeCtx, Scheduling, ShardedProtocol};
+use crate::network::{word_bits, Network, NodeCtx, Protocol, Scheduling};
 use crate::RunStats;
 
 fn dist_bits(d: Dist) -> u64 {
@@ -92,13 +92,12 @@ struct DpShared<'a> {
     /// position of each node on the lane, usize::MAX if absent
     pos_of: Vec<usize>,
     send_ports: Vec<u32>,
-    input: &'a (dyn Fn(usize, u64) -> Dist + Sync),
+    input: &'a dyn Fn(usize, u64) -> Dist,
     rounds: u64,
     lane_len: usize,
 }
 
-/// One node's running DP value (sharded: the engine steps disjoint
-/// slices of these from worker threads).
+/// One node's running DP value.
 #[derive(Clone, Copy)]
 struct DpNode {
     cur: Dist,
@@ -109,17 +108,13 @@ struct DiagonalDp<'a> {
     nodes: Vec<DpNode>,
 }
 
-impl<'a> ShardedProtocol for DiagonalDp<'a> {
+impl<'a> Protocol for DiagonalDp<'a> {
     type Msg = Dist;
     type Node = DpNode;
     type Shared = DpShared<'a>;
 
     fn msg_bits(_: &Self::Shared, msg: &Dist) -> u64 {
         dist_bits(*msg)
-    }
-
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
@@ -170,14 +165,11 @@ impl<'a> ShardedProtocol for DiagonalDp<'a> {
 ///
 /// Every link carries exactly one message per round, so the protocol
 /// takes exactly `rounds + 1` engine rounds. Returns the final `cur`.
-///
-/// Runs on the sharded-parallel engine path; results and stats are
-/// bit-identical at every thread count.
 pub fn diagonal_dp(
     net: &mut Network<'_>,
     lane: &Lane,
     init: impl Fn(usize) -> Dist,
-    input: &(dyn Fn(usize, u64) -> Dist + Sync),
+    input: &dyn Fn(usize, u64) -> Dist,
     rounds: u64,
     phase: &str,
 ) -> (Vec<Dist>, RunStats) {
@@ -204,7 +196,7 @@ pub fn diagonal_dp(
         },
         nodes,
     };
-    let stats = net.run_rounds_par(phase, &mut proto, rounds + 1);
+    let stats = net.run_rounds(phase, &mut proto, rounds + 1);
     let cur = lane.nodes.iter().map(|&v| proto.nodes[v].cur).collect();
     (cur, stats)
 }
@@ -237,11 +229,10 @@ struct SweepShared<'a> {
     jobs: usize,
     /// Each node may sit on several lanes (checkpoints join segments).
     placements: Vec<Vec<Placement>>,
-    input: &'a (dyn Fn(usize, usize, usize) -> Dist + Sync),
+    input: &'a dyn Fn(usize, usize, usize) -> Dist,
 }
 
-/// One node's sweep state (sharded: the engine steps disjoint slices of
-/// these from worker threads).
+/// One node's sweep state.
 struct SweepNode {
     /// received[placement][job]: value arriving from that lane's
     /// predecessor.
@@ -253,17 +244,13 @@ struct PrefixSweep<'a> {
     nodes: Vec<SweepNode>,
 }
 
-impl<'a> ShardedProtocol for PrefixSweep<'a> {
+impl<'a> Protocol for PrefixSweep<'a> {
     type Msg = SweepMsg;
     type Node = SweepNode;
     type Shared = SweepShared<'a>;
 
     fn msg_bits(_: &Self::Shared, msg: &SweepMsg) -> u64 {
         word_bits(msg.job as u64) + dist_bits(msg.dist)
-    }
-
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
@@ -336,9 +323,6 @@ impl<'a> ShardedProtocol for PrefixSweep<'a> {
 /// Takes exactly `jobs + max_lane_len` engine rounds — the `O(|I| + J)`
 /// pipelining cost of Lemma 5.7.
 ///
-/// Runs on the sharded-parallel engine path; results and stats are
-/// bit-identical at every thread count.
-///
 /// # Panics
 ///
 /// Panics if two lanes share a link (that would violate the CONGEST
@@ -347,7 +331,7 @@ pub fn prefix_sweep(
     net: &mut Network<'_>,
     lanes: &[Lane],
     jobs: usize,
-    input: &(dyn Fn(usize, usize, usize) -> Dist + Sync),
+    input: &dyn Fn(usize, usize, usize) -> Dist,
     phase: &str,
 ) -> (Vec<Vec<Vec<Dist>>>, RunStats) {
     let n = net.node_count();
@@ -398,7 +382,7 @@ pub fn prefix_sweep(
         },
         nodes,
     };
-    let stats = net.run_rounds_par(phase, &mut proto, total_rounds);
+    let stats = net.run_rounds(phase, &mut proto, total_rounds);
     // Reassemble the per-lane tables from the per-node state, then
     // finalize locally: fold each position's own input into what arrived.
     let mut out: Vec<Vec<Vec<Dist>>> = lanes

@@ -14,9 +14,9 @@
 //! are totally ordered, and eviction always removes the entry with the
 //! smallest recency stamp. Two sessions that issue the same operations
 //! in the same order therefore hold the same entries, evict the same
-//! victims, and report the same [`CacheStats`] — on any machine, at any
-//! `CONGEST_THREADS` setting. The LRU proptests in
-//! `tests/session_differential.rs` pin this down against a naive model.
+//! victims, and report the same [`CacheStats`] on any machine. The LRU
+//! proptests in `tests/session_differential.rs` pin this down against a
+//! naive model.
 //!
 //! Cache telemetry deliberately stays *out* of [`congest::Metrics`]
 //! equality (like `DispatchStats`): hits change how fast an answer is

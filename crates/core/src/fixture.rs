@@ -3,8 +3,8 @@
 //! A fixture is one `rpaths-store` snapshot holding the full graph (a
 //! checksummed `TAG_GRAPH` section) plus a `TAG_BLOB` JSON document
 //! describing *one* differential check: which solver to run, with which
-//! [`Params`], at which engine thread counts, against which queries —
-//! and what the centralized oracle answered when the fixture was minted.
+//! [`Params`], against which queries — and what the centralized oracle
+//! answered when the fixture was minted.
 //!
 //! Replaying a fixture ([`Fixture::replay`]) first **recomputes** the
 //! oracle from the stored graph and cross-checks it against the minted
@@ -60,7 +60,6 @@ struct FixtureDoc {
     eps_num: u64,
     eps_den: u64,
     budget_factor: u64,
-    threads: Vec<u64>,
     queries: Vec<QueryDoc>,
     expected: Vec<u64>,
 }
@@ -91,8 +90,6 @@ pub struct Fixture {
     /// Solver parameters, reconstructed exactly (bit-exact
     /// `landmark_prob`).
     pub params: Params,
-    /// Engine thread counts to replay at.
-    pub threads: Vec<usize>,
     /// Batch queries (empty selects instance mode).
     pub queries: Vec<Query>,
     /// Minted oracle values (see mode description).
@@ -159,7 +156,6 @@ impl Fixture {
     /// # Panics
     ///
     /// Panics if `target` is unreachable from `source` (no instance).
-    #[allow(clippy::too_many_arguments)]
     pub fn instance_mode(
         name: impl Into<String>,
         origin: impl Into<String>,
@@ -168,7 +164,6 @@ impl Fixture {
         target: usize,
         params: Params,
         solver: FuzzSolver,
-        threads: Vec<usize>,
     ) -> Fixture {
         let inst = Instance::from_endpoints(&graph, source, target)
             .expect("fixture instance must be constructible");
@@ -181,7 +176,6 @@ impl Fixture {
             source,
             target,
             params,
-            threads,
             queries: Vec::new(),
             expected,
             graph,
@@ -196,7 +190,6 @@ impl Fixture {
         graph: DiGraph,
         params: Params,
         queries: Vec<Query>,
-        threads: Vec<usize>,
     ) -> Fixture {
         let expected = queries
             .iter()
@@ -213,7 +206,6 @@ impl Fixture {
             source: 0,
             target: 0,
             params,
-            threads,
             queries,
             expected,
             graph,
@@ -234,7 +226,6 @@ impl Fixture {
             eps_num: self.params.eps_num,
             eps_den: self.params.eps_den,
             budget_factor: self.params.budget_factor,
-            threads: self.threads.iter().map(|&t| t as u64).collect(),
             queries: self
                 .queries
                 .iter()
@@ -309,7 +300,6 @@ impl Fixture {
             source: doc.source as usize,
             target: doc.target as usize,
             params,
-            threads: doc.threads.iter().map(|&t| t as usize).collect(),
             queries: doc
                 .queries
                 .iter()
@@ -351,52 +341,23 @@ impl Fixture {
     }
 
     /// Replays the fixture: oracle re-verification, then the solver
-    /// differential at every thread count in `self.threads` (or only
-    /// `threads_override`), with bit-identity across thread counts in
-    /// batch mode.
+    /// differential.
     ///
     /// # Errors
     ///
     /// [`FixtureError::Diverged`] when the guarded regression has
     /// reappeared; [`FixtureError::StaleOracle`] when the fixture
     /// itself no longer self-validates.
-    pub fn replay(&self, threads_override: Option<usize>) -> Result<(), FixtureError> {
+    pub fn replay(&self) -> Result<(), FixtureError> {
         self.verify_oracle()?;
-        let threads: Vec<usize> = match threads_override {
-            Some(t) => vec![t],
-            None if self.threads.is_empty() => vec![1],
-            None => self.threads.clone(),
-        };
         if self.queries.is_empty() {
             let inst = Instance::from_endpoints(&self.graph, self.source, self.target)
                 .map_err(|e| FixtureError::StaleOracle(format!("instance: {e}")))?;
-            for &t in &threads {
-                oracle::check_instance(&inst, &self.params, self.solver, t)
-                    .map_err(FixtureError::Diverged)?;
-            }
+            oracle::check_instance(&inst, &self.params, self.solver)
         } else {
-            let mut first: Option<Vec<crate::Answer>> = None;
-            for &t in &threads {
-                let answers = oracle::check_batch(&self.graph, &self.params, &self.queries, t)
-                    .map_err(FixtureError::Diverged)?;
-                if let Some(prev) = &first {
-                    if *prev != answers {
-                        return Err(FixtureError::Diverged(Divergence {
-                            check: format!(
-                                "batch answers differ between {} and {t} threads",
-                                threads[0]
-                            ),
-                            index: None,
-                            got: format!("{answers:?}"),
-                            want: format!("{prev:?}"),
-                        }));
-                    }
-                } else {
-                    first = Some(answers);
-                }
-            }
+            oracle::check_batch(&self.graph, &self.params, &self.queries)
         }
-        Ok(())
+        .map_err(FixtureError::Diverged)
     }
 }
 
@@ -417,7 +378,6 @@ mod tests {
             t,
             params,
             FuzzSolver::Unweighted,
-            vec![1, 2],
         )
     }
 
@@ -431,10 +391,9 @@ mod tests {
         let back = Fixture::read(&path).unwrap();
         assert_eq!(back.name, "lane-8");
         assert_eq!(back.solver, FuzzSolver::Unweighted);
-        assert_eq!(back.threads, vec![1, 2]);
         assert_eq!(back.expected, fix.expected);
         assert_eq!(back.graph.fingerprint(), fix.graph.fingerprint());
-        back.replay(None).unwrap();
+        back.replay().unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -453,7 +412,6 @@ mod tests {
             g,
             Params::with_zeta(19, 4),
             queries,
-            vec![1, 2],
         );
         let dir = std::env::temp_dir().join(format!("rpfix-test-b-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -461,7 +419,7 @@ mod tests {
         fix.write(&p).unwrap();
         let back = Fixture::read(&p).unwrap();
         assert_eq!(back.queries, fix.queries);
-        back.replay(None).unwrap();
+        back.replay().unwrap();
         std::fs::remove_file(&p).ok();
     }
 
@@ -469,7 +427,7 @@ mod tests {
     fn injected_bug_replays_red() {
         let fix = lane_fixture();
         crate::testhooks::set_flip_unweighted_merge(true);
-        let replay = fix.replay(Some(1));
+        let replay = fix.replay();
         crate::testhooks::set_flip_unweighted_merge(false);
         assert!(
             matches!(replay, Err(FixtureError::Diverged(_))),

@@ -20,7 +20,7 @@
 
 use congest::bfs_tree::BfsTree;
 use congest::broadcast::broadcast;
-use congest::{word_bits, Network, NodeCtx, Scheduling, ShardedProtocol};
+use congest::{word_bits, Network, NodeCtx, Protocol, Scheduling};
 use graphkit::{Dist, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,22 +65,17 @@ struct WaveShared<'i> {
 
 struct WaveProtocol<'i> {
     shared: WaveShared<'i>,
-    /// One [`WaveState`] per *node* (meaningful only at path vertices);
-    /// sharded: the engine steps disjoint slices from worker threads.
+    /// One [`WaveState`] per *node* (meaningful only at path vertices).
     nodes: Vec<WaveState>,
 }
 
-impl<'i> ShardedProtocol for WaveProtocol<'i> {
+impl<'i> Protocol for WaveProtocol<'i> {
     type Msg = Wave;
     type Node = WaveState;
     type Shared = WaveShared<'i>;
 
     fn msg_bits(_: &Self::Shared, m: &Wave) -> u64 {
         word_bits(m.origin as u64) + word_bits(m.hops) + word_bits(m.weight)
-    }
-
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
@@ -210,7 +205,7 @@ pub fn acquire(
     for s in sampled.iter_mut().take(h).skip(1) {
         *s = rng.gen_bool(p_sample);
     }
-    // Phase 1: waves along P (on the sharded-parallel engine path).
+    // Phase 1: waves along P.
     let mut proto = WaveProtocol {
         shared: WaveShared {
             inst,
@@ -219,7 +214,7 @@ pub fn acquire(
         nodes: vec![WaveState::default(); n],
     };
     let budget = 4 * (h as u64 + 4) * params.budget_factor;
-    net.run_until_quiet_par("lemma2.5/waves", &mut proto, budget)
+    net.run_until_quiet("lemma2.5/waves", &mut proto, budget)
         .expect("waves terminate within the path length");
     // Per path position: the wave state of the vertex at that position.
     let state: Vec<WaveState> = (0..=h)

@@ -40,11 +40,11 @@
 //!
 //! Every phase of every solver — tree construction, knowledge waves,
 //! hop-BFS, multi-source BFS, pipelines, broadcasts, aggregations — runs
-//! on the `congest` crate's deterministic sharded-parallel engine, so
-//! whole solves are bit-identical at any `CONGEST_THREADS` setting
-//! (enforced end-to-end by `tests/engine_equivalence.rs`). Failure
-//! scenarios are first-class: solvers return [`SolveError`] (for
-//! example, on a partitioned communication graph) instead of panicking.
+//! on the `congest` crate's deterministic round engine, so whole solves
+//! are bit-identical under either scheduling mode (enforced end-to-end
+//! by `tests/engine_equivalence.rs`). Failure scenarios are first-class:
+//! solvers return [`SolveError`] (for example, on a partitioned
+//! communication graph) instead of panicking.
 //!
 //! # Quick example
 //!

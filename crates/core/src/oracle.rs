@@ -130,8 +130,8 @@ pub fn oracle_query(graph: &DiGraph, q: &Query) -> Dist {
     dist[q.target]
 }
 
-/// Runs `solver` on `inst` at `threads` engine threads and checks the
-/// answers against the centralized oracle.
+/// Runs `solver` on `inst` and checks the answers against the
+/// centralized oracle.
 ///
 /// # Errors
 ///
@@ -142,12 +142,9 @@ pub fn check_instance(
     inst: &Instance<'_>,
     params: &Params,
     solver: FuzzSolver,
-    threads: usize,
 ) -> Result<(), Divergence> {
     let run = |f: &mut dyn FnMut(&mut congest::Network<'_>) -> Result<(), Divergence>| {
-        let mut net = congest::Network::new(inst.graph);
-        net.set_threads(threads);
-        f(&mut net)
+        f(&mut congest::Network::new(inst.graph))
     };
     let solver_err = |e: crate::SolveError| Divergence {
         check: format!("{solver} failed to solve"),
@@ -265,25 +262,16 @@ pub fn check_answer(
     }
 }
 
-/// Runs a batch through a fresh [`crate::SolverSession`] at `threads`
-/// engine threads and checks every answer against [`oracle_query`].
+/// Runs a batch through a fresh [`crate::SolverSession`] and checks
+/// every answer against [`oracle_query`].
 /// Exact sessions (unweighted graphs) are held to exact equality
 /// (ε = 0); weighted sessions to the `(1+ε)` envelope from `params`.
-///
-/// Returns the answers so callers can cross-check bit-identity across
-/// thread counts and warm/cold paths.
 ///
 /// # Errors
 ///
 /// The first [`Divergence`], including session failures.
-pub fn check_batch(
-    graph: &DiGraph,
-    params: &Params,
-    queries: &[Query],
-    threads: usize,
-) -> Result<Vec<Answer>, Divergence> {
+pub fn check_batch(graph: &DiGraph, params: &Params, queries: &[Query]) -> Result<(), Divergence> {
     let mut session = crate::SolverSession::new(graph, params.clone());
-    session.set_threads(threads);
     let answers = session.solve_batch(queries).map_err(|e| Divergence {
         check: "solve_batch failed".into(),
         index: None,
@@ -298,7 +286,7 @@ pub fn check_batch(
     for (i, (q, a)) in queries.iter().zip(&answers).enumerate() {
         check_answer(graph, q, a, eps_num, eps_den, i)?;
     }
-    Ok(answers)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -321,7 +309,7 @@ mod tests {
             if solver.needs_unweighted() && !g.is_unweighted() {
                 continue;
             }
-            check_instance(&inst, &params, solver, 2).unwrap_or_else(|d| panic!("{solver}: {d}"));
+            check_instance(&inst, &params, solver).unwrap_or_else(|d| panic!("{solver}: {d}"));
         }
     }
 
@@ -334,8 +322,8 @@ mod tests {
         let inst = Instance::from_endpoints(&g, s, t).unwrap();
         let mut params = Params::with_zeta(24, 5);
         params.landmark_prob = 1.0;
-        check_instance(&inst, &params, FuzzSolver::Weighted, 1).unwrap();
-        check_instance(&inst, &params, FuzzSolver::Reachability, 1).unwrap();
+        check_instance(&inst, &params, FuzzSolver::Weighted).unwrap();
+        check_instance(&inst, &params, FuzzSolver::Reachability).unwrap();
     }
 
     #[test]
@@ -350,9 +338,7 @@ mod tests {
                 .find(|&e| !path.contains_edge(e))
                 .unwrap()
         }));
-        let a1 = check_batch(&g, &params, &queries, 1).unwrap();
-        let a2 = check_batch(&g, &params, &queries, 2).unwrap();
-        assert_eq!(a1, a2, "bit-identity across thread counts");
+        check_batch(&g, &params, &queries).unwrap();
     }
 
     #[test]
@@ -363,9 +349,9 @@ mod tests {
         let (g, s, t) = parallel_lane(12, 3, 2);
         let inst = Instance::from_endpoints(&g, s, t).unwrap();
         let params = lane_params(g.node_count());
-        check_instance(&inst, &params, FuzzSolver::Unweighted, 1).unwrap();
+        check_instance(&inst, &params, FuzzSolver::Unweighted).unwrap();
         crate::testhooks::set_flip_unweighted_merge(true);
-        let caught = check_instance(&inst, &params, FuzzSolver::Unweighted, 1);
+        let caught = check_instance(&inst, &params, FuzzSolver::Unweighted);
         crate::testhooks::set_flip_unweighted_merge(false);
         assert!(caught.is_err(), "flipped merge must diverge on a lane");
     }

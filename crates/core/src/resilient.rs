@@ -31,7 +31,7 @@
 //! not. Only a crashed source or exhausted retries are hard errors.
 
 use congest::bfs_tree::{build_bfs_tree, TreeError};
-use congest::{FaultPlan, Network};
+use congest::{FaultPlan, FaultPlanError, Network};
 use graphkit::{DiGraph, Dist, EdgeId, GraphBuilder, NodeId};
 
 use crate::weighted::ScaledAnswers;
@@ -186,6 +186,9 @@ pub struct Degraded<T> {
 /// Why recovery itself failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecoveryError {
+    /// The fault plan names a link or node outside the graph; nothing
+    /// was solved.
+    FaultPlan(FaultPlanError),
     /// The source node is crashed in the steady state: nothing can even
     /// pose the demand.
     SourceDown,
@@ -203,6 +206,7 @@ pub enum RecoveryError {
 impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RecoveryError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
             RecoveryError::SourceDown => write!(f, "source node is crashed in the steady state"),
             RecoveryError::Instance(e) => write!(f, "invalid demand: {e}"),
             RecoveryError::Exhausted { attempts, last } => {
@@ -229,14 +233,15 @@ impl std::error::Error for RecoveryError {}
 ///
 /// # Errors
 ///
+/// [`RecoveryError::FaultPlan`] when the plan targets links or nodes
+/// outside `graph` (checked before any work),
 /// [`RecoveryError::SourceDown`] when `s` is crashed in the steady
 /// state, [`RecoveryError::Instance`] when the demand was invalid before
 /// faults, [`RecoveryError::Exhausted`] when every attempt failed.
 ///
 /// # Panics
 ///
-/// Panics if `policy.max_attempts` or `policy.backoff` is zero, or if
-/// the plan targets links or nodes outside `graph`.
+/// Panics if `policy.max_attempts` or `policy.backoff` is zero.
 pub fn solve_with_recovery<S: RecoverableSolver>(
     graph: &DiGraph,
     s: NodeId,
@@ -247,6 +252,8 @@ pub fn solve_with_recovery<S: RecoverableSolver>(
 ) -> Result<Recovery<S::Output>, RecoveryError> {
     assert!(policy.max_attempts >= 1, "at least one attempt is needed");
     assert!(policy.backoff >= 1, "backoff must not shrink the budget");
+    plan.validate(graph.edge_count(), graph.node_count())
+        .map_err(RecoveryError::FaultPlan)?;
     let steady = plan.steady();
     let horizon = plan.horizon();
     if steady.node_down(s, horizon) {
@@ -267,7 +274,9 @@ pub fn solve_with_recovery<S: RecoverableSolver>(
     // probe is the distributed evidence, the local pass the ground
     // truth we re-plan from.
     let mut probe_net = Network::new(graph);
-    probe_net.set_fault_plan(Some(steady));
+    probe_net
+        .set_fault_plan(Some(steady))
+        .expect("the steady state keeps a subset of the validated plan's faults");
     let probe = build_bfs_tree(&mut probe_net, s);
     let component = surviving_component(graph, s, &downed_links, &crashed);
     match &probe {

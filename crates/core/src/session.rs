@@ -17,8 +17,8 @@
 //! [`Network`] per solve), so answers — and full
 //! [`Metrics`] equality (`total`/`phases`/`faults`) where phases run —
 //! are bit-identical between `solve_batch` and Q independent one-shot
-//! solves, at any `CONGEST_THREADS` setting. The differential suite in
-//! `tests/session_differential.rs` asserts this at threads {1, 2, 8}.
+//! solves. The differential suite in `tests/session_differential.rs`
+//! asserts this.
 //!
 //! **Persistence.** [`SolverSession::save`] writes the cache as typed
 //! `TAG_CACHE` sections of an `rpaths-store` snapshot;
@@ -180,7 +180,6 @@ pub struct SolverSession<'g> {
     fingerprint: u64,
     params: Params,
     solver: SolverKind,
-    threads: Option<usize>,
     cache: ArtifactCache,
     stats: SessionStats,
     metrics: Metrics,
@@ -208,7 +207,6 @@ impl<'g> SolverSession<'g> {
             fingerprint: graph.fingerprint(),
             params,
             solver,
-            threads: None,
             cache: ArtifactCache::new(capacity),
             stats: SessionStats::default(),
             metrics: Metrics::default(),
@@ -223,12 +221,6 @@ impl<'g> SolverSession<'g> {
     /// The bound graph's stable fingerprint (the cache key prefix).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Pins the engine thread count for every network the session
-    /// creates (otherwise `CONGEST_THREADS` applies).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = Some(threads);
     }
 
     /// Replaces the solver used for replacement answers.
@@ -257,14 +249,6 @@ impl<'g> SolverSession<'g> {
     /// Takes (and resets) the accumulated metrics.
     pub fn take_metrics(&mut self) -> Metrics {
         std::mem::take(&mut self.metrics)
-    }
-
-    fn fresh_network(&self) -> Network<'g> {
-        let mut net = Network::new(self.graph);
-        if let Some(t) = self.threads {
-            net.set_threads(t);
-        }
-        net
     }
 
     fn key(&self, kind: ArtifactKind) -> CacheKey {
@@ -314,7 +298,7 @@ impl<'g> SolverSession<'g> {
         if let Some(CacheValue::Tree(t)) = self.cache.get(&key) {
             return Ok(t);
         }
-        let mut net = self.fresh_network();
+        let mut net = Network::new(self.graph);
         let (tree, _) = build_bfs_tree(&mut net, root).map_err(SolveError::from)?;
         self.metrics.merge_from(&mut net.take_metrics());
         let arc = Arc::new(tree);
@@ -350,7 +334,7 @@ impl<'g> SolverSession<'g> {
                 return Ok((arc, Metrics::default()));
             }
         }
-        let mut net = self.fresh_network();
+        let mut net = Network::new(self.graph);
         let answers = run_cold(&mut net, inst, params, solver)?;
         let arc = Arc::new(answers);
         self.cache.insert(key, CacheValue::Replacement(arc.clone()));

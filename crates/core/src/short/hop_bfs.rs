@@ -22,7 +22,7 @@
 //! Section 7: an edge of delay `w` behaves like `w` unit hops, which the
 //! receiver models by holding the message `w - 1` extra rounds.
 
-use congest::{word_bits, Network, NodeCtx, Scheduling, ShardedProtocol};
+use congest::{word_bits, Network, NodeCtx, Protocol, Scheduling};
 use graphkit::EdgeId;
 
 use crate::Instance;
@@ -76,8 +76,7 @@ struct HopShared<'a, 'i> {
     cfg: &'a HopBfsConfig<'a>,
 }
 
-/// One node's BFS state (sharded: the engine steps disjoint slices of
-/// these from worker threads).
+/// One node's BFS state.
 struct HopNode {
     /// The value computed this round: f*_u(round).
     cur: Option<Token>,
@@ -118,17 +117,13 @@ fn offer(objective: Objective, node: &mut HopNode, t: Token) {
     }
 }
 
-impl<'a, 'i> ShardedProtocol for HopBfsProtocol<'a, 'i> {
+impl<'a, 'i> Protocol for HopBfsProtocol<'a, 'i> {
     type Msg = Token;
     type Node = HopNode;
     type Shared = HopShared<'a, 'i>;
 
     fn msg_bits(_: &Self::Shared, m: &Token) -> u64 {
         word_bits(m.idx as u64) + word_bits(m.aux)
-    }
-
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
@@ -228,10 +223,6 @@ fn step(shared: &HopShared<'_, '_>, node: &mut HopNode, ctx: &mut NodeCtx<'_, To
 
 /// Runs Lemma 4.2 (or its mirror) and returns the `f*` tables for all
 /// path vertices. Deterministic; charges exactly `ζ + 1` rounds.
-///
-/// Runs on the sharded-parallel engine path (every node is stepped
-/// every active round in dense instances); results are bit-identical
-/// to a sequential run.
 pub fn hop_constrained_bfs(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
@@ -262,7 +253,7 @@ pub fn hop_constrained_bfs(
             })
             .collect(),
     };
-    net.run_rounds_par(phase, &mut proto, cfg.zeta as u64 + 1);
+    net.run_rounds(phase, &mut proto, cfg.zeta as u64 + 1);
     // Assemble the per-position tables from the path vertices' records.
     let mut table = vec![vec![None; cfg.zeta + 1]; inst.hops() + 1];
     for (v, node) in proto.nodes.into_iter().enumerate() {

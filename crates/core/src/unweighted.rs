@@ -14,11 +14,9 @@ use crate::{knowledge, long, short, Instance, Params, RPathsOutput, SolveError};
 /// Solves unweighted directed RPaths (Definition 2.1) with high
 /// probability, exactly.
 ///
-/// Every phase runs on the sharded-parallel engine path, so the answers
-/// and the per-phase [`congest::RunStats`] are bit-identical at any
-/// `CONGEST_THREADS` setting. This is a thin wrapper over a fresh
-/// [`crate::SolverSession`]; batch workloads should hold a session and
-/// use [`crate::SolverSession::solve_batch`] to reuse artifacts across
+/// This is a thin wrapper over a fresh [`crate::SolverSession`]; batch
+/// workloads should hold a session and use
+/// [`crate::SolverSession::solve_batch`] to reuse artifacts across
 /// queries.
 ///
 /// # Errors
@@ -42,8 +40,9 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, Solve
 }
 
 /// Like [`solve`], but on a caller-provided network (so callers can
-/// pre-configure bandwidth, cut accounting, or thread counts — the
-/// Section 6 experiments and the engine-equivalence tests do all three).
+/// pre-configure bandwidth, cut accounting, or the full-sweep schedule —
+/// the Section 6 experiments and the engine-equivalence tests do all
+/// three).
 ///
 /// # Errors
 ///

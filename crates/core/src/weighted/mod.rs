@@ -95,10 +95,6 @@ impl ApxOutput {
 /// Theorem 3: `(1+ε)`-approximate RPaths for weighted directed graphs in
 /// `eO(n^{2/3} + D)` rounds, w.h.p.
 ///
-/// Every phase runs on the sharded-parallel engine path, so the answers
-/// and the per-phase [`congest::RunStats`] are bit-identical at any
-/// `CONGEST_THREADS` setting.
-///
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
@@ -116,8 +112,8 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ApxOutput, SolveErr
 }
 
 /// Like [`solve`], but on a caller-provided network (pre-configured
-/// bandwidth, cut accounting, or thread counts); metrics accumulate on
-/// `net`.
+/// bandwidth, cut accounting, or the full-sweep schedule); metrics
+/// accumulate on `net`.
 ///
 /// # Errors
 ///

@@ -6,11 +6,11 @@
 //! pods, layered DAG, metro ring, power law, weighted random) ×
 //! **solver** (every [`FuzzSolver`] surface, one-shot and
 //! `SolverSession::solve_batch`) × **fault plan** (none / transient /
-//! permanent) × **engine threads** ({1, 2, 8}) —
+//! permanent) —
 //!
 //! and holds every answer to the centralized `graphkit::alg` oracles
-//! through the [`rpaths_core::oracle`] adapters, plus bit-identity
-//! cross-checks (parallel vs sequential, warm vs cold batches).
+//! through the [`rpaths_core::oracle`] adapters, plus a warm vs cold
+//! batch bit-identity cross-check.
 //!
 //! Case costs are tiered so a single sweep spans five decades of `n`:
 //! the full distributed-solver differential runs at `n` up to ~10³
@@ -53,8 +53,6 @@ pub struct FuzzConfig {
     pub cases: usize,
     /// Largest graph any case may use.
     pub max_n: usize,
-    /// Engine thread counts to cross-check (each case picks two).
-    pub threads_pool: Vec<usize>,
     /// Enable the deliberate solver defect
     /// ([`rpaths_core::testhooks::set_flip_unweighted_merge`]) for this
     /// sweep, to validate the catch → minimize → fixture pipeline.
@@ -66,26 +64,24 @@ pub struct FuzzConfig {
 }
 
 impl FuzzConfig {
-    /// The full-scale profile: `n` up to 10⁵, threads {1, 2, 8}.
+    /// The full-scale profile: `n` up to 10⁵.
     pub fn full(seed: u64, cases: usize) -> FuzzConfig {
         FuzzConfig {
             seed,
             cases,
             max_n: 100_000,
-            threads_pool: vec![1, 2, 8],
             inject_tiebreak: false,
             minimize: true,
             out_dir: PathBuf::from("tests/regressions"),
         }
     }
 
-    /// The CI smoke profile: seconds-scale, `n ≤ 4096`, threads {1, 2}.
+    /// The CI smoke profile: seconds-scale, `n ≤ 4096`.
     pub fn smoke(seed: u64) -> FuzzConfig {
         FuzzConfig {
             seed,
             cases: 40,
             max_n: 4096,
-            threads_pool: vec![1, 2],
             inject_tiebreak: false,
             minimize: true,
             out_dir: PathBuf::from("tests/regressions"),
@@ -187,8 +183,8 @@ impl Family {
 pub enum CaseKind {
     /// Full distributed-solver differential vs the oracle (small `n`).
     InstanceDiff,
-    /// `SolverSession::solve_batch` differential with warm/cold and
-    /// cross-thread bit-identity (medium `n`).
+    /// `SolverSession::solve_batch` differential with warm/cold
+    /// bit-identity (medium `n`).
     BatchDiff,
     /// Fault injection through `resilient::solve_with_recovery`, with
     /// an independently reconstructed survivor-graph oracle.
@@ -221,8 +217,6 @@ pub struct CasePlan {
     pub n: usize,
     /// Solver under test (instance/fault tiers).
     pub solver: FuzzSolver,
-    /// The two engine thread counts to cross-check.
-    pub threads: (usize, usize),
     /// Per-case RNG seed.
     pub case_seed: u64,
 }
@@ -231,14 +225,12 @@ impl CasePlan {
     /// One-line description for logs and fixture provenance.
     pub fn describe(&self) -> String {
         format!(
-            "case {:>3} [{}] family={} n={} solver={} threads={}/{}",
+            "case {:>3} [{}] family={} n={} solver={}",
             self.index,
             self.kind.name(),
             self.family.name(),
             self.n,
             self.solver,
-            self.threads.0,
-            self.threads.1,
         )
     }
 }
@@ -370,21 +362,12 @@ pub fn plan_case(cfg: &FuzzConfig, index: usize) -> CasePlan {
         };
         pool[rng.gen_range(0..pool.len())]
     };
-    let pool = &cfg.threads_pool;
-    let t0 = pool[rng.gen_range(0..pool.len())];
-    let mut t1 = pool[rng.gen_range(0..pool.len())];
-    if t0 == t1 && pool.len() > 1 {
-        // Always cross-check two *different* thread counts when the
-        // pool allows it.
-        t1 = pool[(pool.iter().position(|&p| p == t0).unwrap() + 1) % pool.len()];
-    }
     CasePlan {
         index,
         kind,
         family,
         n,
         solver,
-        threads: (t0.min(t1), t0.max(t1)),
         case_seed: rng.gen_range(0..u64::MAX / 2),
     }
 }
@@ -522,15 +505,13 @@ fn run_instance_diff(plan: &CasePlan) -> CaseRun {
     if inst.hops() < 2 {
         return CaseRun::skip("demand path under 2 hops");
     }
-    for threads in [plan.threads.0, plan.threads.1] {
-        if let Err(d) = oracle::check_instance(&inst, &params, plan.solver, threads) {
-            drop(inst);
-            return CaseRun {
-                outcome: Err(d),
-                skip: None,
-                repro: Some((graph, s, t, params)),
-            };
-        }
+    if let Err(d) = oracle::check_instance(&inst, &params, plan.solver) {
+        drop(inst);
+        return CaseRun {
+            outcome: Err(d),
+            skip: None,
+            repro: Some((graph, s, t, params)),
+        };
     }
     CaseRun::pass()
 }
@@ -549,8 +530,8 @@ fn run_batch_diff(plan: &CasePlan) -> CaseRun {
     // when the graph is small enough for the diameter oracle), and
     // off-path avoids (answered from the path alone at any size).
     let mut queries = vec![Query::intact(s, t)];
-    // Each on-path avoid is a full solver run (times two thread counts
-    // plus the warm/cold session); ramp the budget down with n.
+    // Each on-path avoid is a full solver run (plus one for the
+    // warm/cold session); ramp the budget down with n.
     let on_path_budget = match graph.node_count() {
         0..=256 => 3,
         257..=640 => 2,
@@ -568,36 +549,9 @@ fn run_batch_diff(plan: &CasePlan) -> CaseRun {
             queries.push(Query::avoiding(s, t, e));
         }
     }
-    let a0 = match oracle::check_batch(&graph, &params, &queries, plan.threads.0) {
-        Ok(a) => a,
-        Err(d) => {
-            return CaseRun {
-                outcome: Err(d),
-                skip: None,
-                repro: None,
-            }
-        }
-    };
-    let a1 = match oracle::check_batch(&graph, &params, &queries, plan.threads.1) {
-        Ok(a) => a,
-        Err(d) => {
-            return CaseRun {
-                outcome: Err(d),
-                skip: None,
-                repro: None,
-            }
-        }
-    };
-    if a0 != a1 {
+    if let Err(d) = oracle::check_batch(&graph, &params, &queries) {
         return CaseRun {
-            outcome: Err(diverge(
-                format!(
-                    "batch bit-identity {} vs {} threads",
-                    plan.threads.0, plan.threads.1
-                ),
-                format!("{a1:?}"),
-                format!("{a0:?}"),
-            )),
+            outcome: Err(d),
             skip: None,
             repro: None,
         };
@@ -605,7 +559,6 @@ fn run_batch_diff(plan: &CasePlan) -> CaseRun {
     // Warm vs cold: a second identical batch in one session must come
     // back bit-identical from the cache.
     let mut session = rpaths_core::SolverSession::new(&graph, params.clone());
-    session.set_threads(plan.threads.0);
     let cold = session.solve_batch(&queries);
     let warm = session.solve_batch(&queries);
     match (cold, warm) {
@@ -853,7 +806,7 @@ fn run_scale_tier(plan: &CasePlan) -> CaseRun {
             queries.push(Query::avoiding(s, t, e));
         }
     }
-    if let Err(d) = oracle::check_batch(&graph, &params, &queries, plan.threads.0) {
+    if let Err(d) = oracle::check_batch(&graph, &params, &queries) {
         return CaseRun {
             outcome: Err(d),
             skip: None,
@@ -891,7 +844,6 @@ fn run_scale_tier(plan: &CasePlan) -> CaseRun {
     // still affordable on one host.
     if graph.node_count() <= 4096 {
         let mut net = Network::new(&graph);
-        net.set_threads(plan.threads.1.max(1));
         match build_bfs_tree(&mut net, s) {
             Ok((tree, _)) => {
                 let want = undirected_bfs_depths(&graph, s);
@@ -973,7 +925,7 @@ fn build_fixture(
 ) -> Fixture {
     let before = graph.node_count();
     let (graph, s, t) = if minimize {
-        minimize::minimize_instance(graph, s, t, &params, plan.solver, plan.threads.0)
+        minimize::minimize_instance(graph, s, t, &params, plan.solver)
     } else {
         (graph, s, t)
     };
@@ -992,7 +944,6 @@ fn build_fixture(
         t,
         params,
         plan.solver,
-        vec![plan.threads.0, plan.threads.1],
     )
 }
 
@@ -1081,7 +1032,6 @@ pub fn write_seed_corpus(out_dir: &Path) -> Result<Vec<PathBuf>, rpaths_store::S
         t,
         p,
         FuzzSolver::Unweighted,
-        vec![1, 2],
     ))?;
 
     // weighted: small weighted random graph under the (1+ε) envelope.
@@ -1096,7 +1046,6 @@ pub fn write_seed_corpus(out_dir: &Path) -> Result<Vec<PathBuf>, rpaths_store::S
         t,
         p,
         FuzzSolver::Weighted,
-        vec![1, 2],
     ))?;
 
     // sisp: the Theorem 2 family, whose 2-SiSP value is d + 1.
@@ -1110,7 +1059,6 @@ pub fn write_seed_corpus(out_dir: &Path) -> Result<Vec<PathBuf>, rpaths_store::S
         t2.t,
         p,
         FuzzSolver::Sisp,
-        vec![1, 2],
     ))?;
 
     // reachability: a planted path with unprotected tail edges.
@@ -1124,7 +1072,6 @@ pub fn write_seed_corpus(out_dir: &Path) -> Result<Vec<PathBuf>, rpaths_store::S
         t,
         p,
         FuzzSolver::Reachability,
-        vec![1, 2],
     ))?;
 
     // naive baseline: the new road grid.
@@ -1138,7 +1085,6 @@ pub fn write_seed_corpus(out_dir: &Path) -> Result<Vec<PathBuf>, rpaths_store::S
         t,
         p,
         FuzzSolver::Naive,
-        vec![1, 2],
     ))?;
 
     // mr24 baseline: the new octopus pods.
@@ -1153,7 +1099,6 @@ pub fn write_seed_corpus(out_dir: &Path) -> Result<Vec<PathBuf>, rpaths_store::S
         t,
         p,
         FuzzSolver::Mr24,
-        vec![1, 2],
     ))?;
 
     Ok(written)

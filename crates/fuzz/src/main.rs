@@ -26,8 +26,8 @@ OPTIONS:
     --seed N               Master seed (default 1); the sweep is a pure
                            function of it
     --cases N              Cases to run (default 200; smoke profile: 40)
-    --smoke                CI smoke profile: n <= 4096, threads {1,2},
-                           40 cases, seconds-scale
+    --smoke                CI smoke profile: n <= 4096, 40 cases,
+                           seconds-scale
     --max-n N              Cap the largest graph (default 100000)
     --out-dir PATH         Fixture output directory
                            (default tests/regressions)
@@ -151,11 +151,10 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "rpaths-fuzz: seed={} cases={} max_n={} threads={:?}{}{}",
+        "rpaths-fuzz: seed={} cases={} max_n={}{}{}",
         cli.cfg.seed,
         cli.cfg.cases,
         cli.cfg.max_n,
-        cli.cfg.threads_pool,
         if cli.cfg.inject_tiebreak {
             " [INJECTED TIE-BREAK BUG]"
         } else {

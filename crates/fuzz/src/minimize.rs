@@ -25,16 +25,9 @@ use rpaths_core::{Instance, Params};
 const CHECK_BUDGET: usize = 600;
 
 /// Does the case still fail? (Unposeable candidates count as "no".)
-fn still_fails(
-    graph: &DiGraph,
-    s: NodeId,
-    t: NodeId,
-    params: &Params,
-    solver: FuzzSolver,
-    threads: usize,
-) -> bool {
+fn still_fails(graph: &DiGraph, s: NodeId, t: NodeId, params: &Params, solver: FuzzSolver) -> bool {
     match Instance::from_endpoints(graph, s, t) {
-        Ok(inst) => inst.hops() >= 1 && check_instance(&inst, params, solver, threads).is_err(),
+        Ok(inst) => inst.hops() >= 1 && check_instance(&inst, params, solver).is_err(),
         Err(_) => false,
     }
 }
@@ -87,7 +80,6 @@ pub fn minimize_instance(
     t: NodeId,
     params: &Params,
     solver: FuzzSolver,
-    threads: usize,
 ) -> (DiGraph, NodeId, NodeId) {
     let mut cur = (graph, s, t);
     let mut checks = 0usize;
@@ -106,7 +98,7 @@ pub fn minimize_instance(
             if let Some((g2, s2, t2)) = induced(&cur.0, &keep, cur.1, cur.2) {
                 if g2.node_count() < cur.0.node_count() {
                     checks += 1;
-                    if still_fails(&g2, s2, t2, params, solver, threads) {
+                    if still_fails(&g2, s2, t2, params, solver) {
                         cur = (g2, s2, t2);
                         progressed = true;
                         // Restart the scan on the shrunken graph.
@@ -140,7 +132,7 @@ pub fn minimize_instance(
             let g2 = without_edges(&cur.0, &keep);
             if g2.edge_count() < m {
                 checks += 1;
-                if still_fails(&g2, cur.1, cur.2, params, solver, threads) {
+                if still_fails(&g2, cur.1, cur.2, params, solver) {
                     cur = (g2, cur.1, cur.2);
                     progressed = true;
                     break;
@@ -170,7 +162,7 @@ pub fn minimize_instance(
     has_edge[cur.2] = true;
     if has_edge.iter().any(|&k| !k) {
         if let Some((g2, s2, t2)) = induced(&cur.0, &has_edge, cur.1, cur.2) {
-            if still_fails(&g2, s2, t2, params, solver, threads) {
+            if still_fails(&g2, s2, t2, params, solver) {
                 cur = (g2, s2, t2);
             }
         }
@@ -195,15 +187,15 @@ mod tests {
             let (g, s, t) = planted_path_digraph(60, 12, 150, seed);
             let mut params = Params::with_zeta(60, 4).with_seed(seed);
             params.landmark_prob = 1.0;
-            if still_fails(&g, s, t, &params, FuzzSolver::Unweighted, 1) {
+            if still_fails(&g, s, t, &params, FuzzSolver::Unweighted) {
                 found = Some((g, s, t, params));
                 break;
             }
         }
         let (g, s, t, params) = found.expect("some seed must trip the injected bug");
         let before = g.node_count();
-        let (g2, s2, t2) = minimize_instance(g, s, t, &params, FuzzSolver::Unweighted, 1);
-        let still = still_fails(&g2, s2, t2, &params, FuzzSolver::Unweighted, 1);
+        let (g2, s2, t2) = minimize_instance(g, s, t, &params, FuzzSolver::Unweighted);
+        let still = still_fails(&g2, s2, t2, &params, FuzzSolver::Unweighted);
         testhooks::set_flip_unweighted_merge(false);
         assert!(still, "minimized repro must still fail");
         assert!(
@@ -218,6 +210,6 @@ mod tests {
         let (g, s, t) = planted_path_digraph(30, 8, 60, 1);
         let mut params = Params::with_zeta(30, 4);
         params.landmark_prob = 1.0;
-        assert!(!still_fails(&g, s, t, &params, FuzzSolver::Unweighted, 1));
+        assert!(!still_fails(&g, s, t, &params, FuzzSolver::Unweighted));
     }
 }

@@ -237,8 +237,8 @@ pub fn layered_dag(
 /// Spoke arcs alternate orientation (hub→spoke for even spokes,
 /// spoke→hub for odd) so both arc directions occur without changing the
 /// topology. The undirected graph is connected with diameter 2 and the
-/// hub has undirected degree `n - 1` — the most extreme single-shard
-/// hot spot a degree-oblivious node partition can hit.
+/// hub has undirected degree `n - 1` — the most extreme single-node
+/// hot spot a graph can have.
 ///
 /// # Panics
 ///
@@ -259,10 +259,8 @@ pub fn star(n: usize) -> DiGraph {
 /// Two linked hubs (`0` and `1`) with spokes `2..n` alternating between
 /// them.
 ///
-/// Splits the star's hot spot in half: the natural two-shard cut either
-/// isolates each hub (balanced) or lumps both into one shard
-/// (maximally skewed), exercising shard-boundary placement around
-/// adjacent heavy nodes.
+/// Splits the star's hot spot in half between two adjacent heavy
+/// nodes.
 ///
 /// # Panics
 ///

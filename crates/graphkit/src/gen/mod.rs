@@ -23,7 +23,7 @@
 //!   Theorem 2 (two parallel `s`-`t` paths of lengths `D` and `D+1`).
 //! - [`star`], [`two_hub`], [`power_law_digraph`]: degree-skewed
 //!   topologies (one hub, two adjacent hubs, preferential attachment)
-//!   that stress degree-aware shard balancing in the parallel engine.
+//!   whose hub inboxes receive most of a round's messages.
 //! - [`metro_ring`]: a bidirectional cycle of points of presence — the
 //!   2-edge-connected carrier topology the fault-injection campaigns
 //!   degrade one span at a time.

@@ -15,32 +15,41 @@ use graphkit::gen::random_digraph;
 
 /// Every node floods the largest node id it has heard; after `D` rounds
 /// everyone agrees on the maximum id — the leader.
+///
+/// A protocol's state is one slot per node (here: the best id heard).
+/// The engine hands each step `&mut` to its own node's slot only, so
+/// the only way to learn anything about another node is a message.
 struct LeaderElection {
     best: Vec<u64>,
 }
 
 impl Protocol for LeaderElection {
     type Msg = u64;
+    type Node = u64;
+    type Shared = ();
 
-    fn msg_bits(&self, id: &u64) -> u64 {
+    fn msg_bits(_: &(), id: &u64) -> u64 {
         congest::word_bits(*id)
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        let v = ctx.node;
+    fn split(&mut self) -> (&(), &mut [u64]) {
+        (&(), &mut self.best)
+    }
+
+    fn step_node(_: &(), best: &mut u64, ctx: &mut NodeCtx<'_, u64>) {
         // Round 0: announce yourself. Later: forward improvements only —
         // that is what keeps the message count at O(m·D) worst case and
         // the protocol quiescent once opinions stabilize.
         let mut improved = ctx.round == 0;
         for &(_, id) in ctx.inbox() {
-            if id > self.best[v] {
-                self.best[v] = id;
+            if id > *best {
+                *best = id;
                 improved = true;
             }
         }
         if improved {
             for p in 0..ctx.ports().len() as u32 {
-                ctx.send(p, self.best[v]);
+                ctx.send(p, *best);
             }
         }
     }

@@ -106,7 +106,8 @@ fn main() {
     // re-anchors the plan to the rounds already burned, and the build
     // succeeds once the PoP restarts.
     let mut net = Network::new(&ring);
-    net.set_fault_plan(Some(plan.clone()));
+    net.set_fault_plan(Some(plan.clone()))
+        .expect("the outage script targets ring links and PoPs");
     let mut probes = 0;
     loop {
         probes += 1;
@@ -115,7 +116,8 @@ fn main() {
             Err(e) => println!("  probe {probes}: {e}"),
         }
         assert!(probes < 16, "the outage script recovers by round 30");
-        net.set_fault_plan(Some(plan.shifted(net.metrics().rounds())));
+        net.set_fault_plan(Some(plan.shifted(net.metrics().rounds())))
+            .expect("a shifted plan keeps the original's targets");
     }
     let faults = net.metrics().faults;
     println!(

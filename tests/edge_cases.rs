@@ -1,7 +1,9 @@
 //! Adversarial edge cases aimed at specific code paths of the
 //! distributed algorithms: ties, parallel edges, detours that revisit
-//! path vertices, minimal instances, and boundary thresholds.
+//! path vertices, minimal instances, boundary thresholds, and malformed
+//! fault plans.
 
+use congest::{FaultPlan, FaultPlanError};
 use graphkit::alg::replacement_lengths;
 use graphkit::{Dist, GraphBuilder, StPath};
 use rpaths_core::oracle::oracle_query;
@@ -337,5 +339,53 @@ fn graphs_round_trip_through_serde() {
             g.successors(v).collect::<Vec<_>>(),
             g2.successors(v).collect::<Vec<_>>()
         );
+    }
+}
+
+#[test]
+fn out_of_range_fault_plans_are_typed_errors() {
+    // A plan naming a link or node the graph does not have is rejected
+    // before any work, whether its faults are all transient (the
+    // recovery layer never attaches such a plan to a network) or
+    // include permanent ones (probed under the steady state).
+    use rpaths_core::resilient::{solve_with_recovery, RecoveryError, RecoveryPolicy, Unweighted};
+    let g = graphkit::gen::metro_ring(8);
+    let (m, n) = (g.edge_count(), g.node_count());
+    let unknown_link = |link| FaultPlanError::UnknownLink {
+        fault: 0,
+        link,
+        edges: m,
+    };
+    let unknown_node = |node| FaultPlanError::UnknownNode {
+        fault: 0,
+        node,
+        nodes: n,
+    };
+    for (plan, want) in [
+        (FaultPlan::new(1).fail_link(m, 0, Some(5)), unknown_link(m)),
+        (
+            FaultPlan::new(2).fail_link(m + 3, 0, None),
+            unknown_link(m + 3),
+        ),
+        (
+            FaultPlan::new(3)
+                .crash_node(n, 1, Some(4))
+                .drop_messages(0.1),
+            unknown_node(n),
+        ),
+        (
+            FaultPlan::new(4).crash_node(n + 1, 0, None),
+            unknown_node(n + 1),
+        ),
+    ] {
+        let got = solve_with_recovery::<Unweighted>(
+            &g,
+            0,
+            4,
+            &plan,
+            &Params::for_n(n),
+            &RecoveryPolicy::default(),
+        );
+        assert_eq!(got.unwrap_err(), RecoveryError::FaultPlan(want));
     }
 }

@@ -1,32 +1,32 @@
-//! Differential property tests for the active-set round engine and its
-//! sharded-parallel execution path.
+//! Differential tests for the round engine: active-set scheduling
+//! against the full-sweep reference schedule, plus the engine contract
+//! of the single commit path.
 //!
-//! The engine's activation contract (`Protocol::scheduling`), flat
-//! mailbox arenas, and sharded parallelism are wall-clock optimizations
-//! only: for every protocol in the workspace, an active-set run must
-//! produce *bit-identical* [`congest::RunStats`] (rounds, messages,
-//! bits, cut bits, max message size) and identical outputs to the
-//! full-sweep reference schedule (`Network::set_full_sweep`), and a
-//! parallel run must be bit-identical to a sequential one at every
-//! thread count. These tests drive all five communication primitives,
-//! the Lemma 4.2 hop-BFS, and the end-to-end Theorem 1 solver across
-//! random topologies under both schedules, run every migrated
-//! sharded protocol through the full
-//! `{sequential, 2 threads, 8 threads} × {active-set, full-sweep} ×
-//! {sparse, dense}` matrix plus the degree-skewed star / two-hub /
-//! power-law families (the adversarial inputs for degree-balanced shard
-//! boundaries), and extend the same matrix to *every public solver* —
-//! `unweighted`, `weighted`, `sisp`, `reachability`, and both
-//! baselines — across graph families, so end-to-end answers and the full
-//! per-phase metrics log are pinned bit-identical at any
-//! `CONGEST_THREADS` setting.
+//! The engine's activation contract (`Protocol::scheduling`) and flat
+//! mailbox arenas are wall-clock optimizations only: for every protocol
+//! in the workspace, an active-set run must produce *bit-identical*
+//! [`congest::RunStats`] (rounds, messages, bits, cut bits, max message
+//! size) and identical outputs to the full-sweep reference schedule
+//! (`Network::set_full_sweep`). These tests drive all five
+//! communication primitives, the Lemma 4.2 hop-BFS, and *every public
+//! solver* — `unweighted`, `weighted`, `sisp`, `reachability`, and both
+//! baselines — across random, sparse/dense, and degree-skewed (star,
+//! two-hub, power-law) topologies, pinning end-to-end answers and the
+//! full per-phase metrics log; the chaos matrix extends this to seeded
+//! fault plans. The `parallel_*` and `*_thread_invariant` test names
+//! are kept so test ids stay stable; each compares the two schedules.
+//!
+//! The engine-contract tests pin what the commit path guarantees: an
+//! inert fault plan changes nothing, CONGEST violations panic, delayed
+//! messages keep `run_until_quiet` awake, and a blown round budget
+//! reports its final-round snapshot.
 
 use congest::aggregate::{aggregate, AggOp};
 use congest::bfs_tree::build_bfs_tree;
 use congest::broadcast::broadcast;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
-use congest::{FaultPlan, Network, NodeCtx, RunStats, Scheduling, ShardedProtocol, Side};
+use congest::{EngineError, FaultPlan, Network, NodeCtx, Protocol, RunStats, Scheduling, Side};
 use graphkit::gen::{planted_path_digraph, random_digraph};
 use graphkit::{Dist, GraphBuilder};
 use proptest::prelude::*;
@@ -200,35 +200,18 @@ proptest! {
     }
 }
 
-/// Runs `f` once on the sequential engine (the reference) and then
-/// under every configuration of the parallel matrix — thread counts
-/// {2, 8} × schedules {active-set, forced full sweep} — with the
-/// work-threshold fallback disabled so parallelism engages even on
-/// test-sized graphs. Asserts every result is bit-identical to the
-/// reference.
-fn parallel_matrix<T: PartialEq + std::fmt::Debug>(
+/// Runs `f` under both schedules on fresh networks, asserts the results
+/// are bit-identical, and returns the active-set one.
+fn schedule_invariant<T: PartialEq + std::fmt::Debug>(
     g: &graphkit::DiGraph,
-    mut f: impl FnMut(&mut Network<'_>) -> T,
-) {
-    let mut reference_net = Network::new(g);
-    reference_net.set_threads(1);
-    let reference = f(&mut reference_net);
-    for threads in [2usize, 8] {
-        for sweep in [false, true] {
-            let mut net = Network::new(g);
-            net.set_threads(threads);
-            net.set_parallel_threshold(0);
-            net.set_full_sweep(sweep);
-            let out = f(&mut net);
-            assert_eq!(
-                out, reference,
-                "diverged at threads = {threads}, full_sweep = {sweep}"
-            );
-        }
-    }
+    f: impl FnMut(&mut Network<'_>) -> T,
+) -> T {
+    let (active, swept) = both(g, f);
+    assert_eq!(active, swept, "active-set run diverged from the full sweep");
+    active
 }
 
-/// Sparse and dense topologies for the parallel matrix.
+/// Sparse and dense topologies for the kernel differentials.
 fn matrix_graphs() -> Vec<graphkit::DiGraph> {
     vec![
         random_digraph(41, 45, 11),  // sparse: active set stays small
@@ -243,7 +226,7 @@ fn parallel_broadcast_matches_sequential_bitwise() {
         let items: Vec<Vec<u64>> = (0..n)
             .map(|v| (0..1 + v % 3).map(|j| (v * 16 + j) as u64).collect())
             .collect();
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let (tree, tree_stats) = build_bfs_tree(net, 0).unwrap();
             let (out, stats) = broadcast(net, &tree, items.clone(), |_| 16, "bc");
             (out, stats, tree_stats)
@@ -264,7 +247,7 @@ fn parallel_multi_bfs_matches_sequential_bitwise() {
                 reverse,
                 delays: with_delays.then_some(delays.as_slice()),
             };
-            parallel_matrix(&g, |net| {
+            schedule_invariant(&g, |net| {
                 multi_source_bfs(net, &cfg, |_| true, "mbfs", 8 * default_budget(5, 25))
                     .expect("quiesces")
             });
@@ -274,9 +257,9 @@ fn parallel_multi_bfs_matches_sequential_bitwise() {
 
 /// Degree-skewed topologies: the star and two-hub families put almost
 /// all edge work on one or two nodes, and preferential attachment gives
-/// a smooth power-law profile. These are the adversarial inputs for
-/// degree-balanced shard boundaries — a node-count split would strand
-/// nearly all message traffic in a single shard.
+/// a smooth power-law profile — hub inboxes hold nearly every message
+/// of a round, which stresses the counting sort's per-destination
+/// order.
 fn skewed_graphs() -> Vec<graphkit::DiGraph> {
     use graphkit::gen::{power_law_digraph, star, two_hub};
     vec![star(49), two_hub(50), power_law_digraph(96, 5)]
@@ -292,7 +275,7 @@ fn parallel_skewed_kernels_match_sequential_bitwise() {
         let items: Vec<Vec<u64>> = (0..n)
             .map(|v| (0..1 + v % 2).map(|j| (v * 9 + j) as u64).collect())
             .collect();
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let (tree, tree_stats) = build_bfs_tree(net, n - 1).unwrap();
             let (out, stats) = broadcast(net, &tree, items.clone(), |_| 16, "bc");
             (out, stats, tree_stats)
@@ -306,14 +289,14 @@ fn parallel_skewed_kernels_match_sequential_bitwise() {
             reverse: false,
             delays: None,
         };
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             multi_source_bfs(net, &cfg, |_| true, "mbfs", 8 * default_budget(4, 20))
                 .expect("quiesces")
         });
 
         // Min-aggregation over a hub-rooted tree.
         let values: Vec<Dist> = (0..n).map(|v| Dist::new((v as u64 * 37) % 251)).collect();
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let (tree, _) = build_bfs_tree(net, 0).unwrap();
             let result = aggregate(net, &tree, AggOp::Min, &values);
             (result, net.metrics().total)
@@ -337,7 +320,7 @@ fn parallel_hop_bfs_matches_sequential_bitwise() {
                 delays: None,
                 aux: &aux,
             };
-            parallel_matrix(&g, |net| {
+            schedule_invariant(&g, |net| {
                 let fstar = hop_constrained_bfs(net, &inst, &cfg, "hop-bfs");
                 (fstar.table, net.metrics().total)
             });
@@ -346,10 +329,9 @@ fn parallel_hop_bfs_matches_sequential_bitwise() {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end solver matrices: every public solver, threads {1, 2, 8} ×
-// {active-set, full-sweep}, across graph families. Results AND the full
-// per-phase metrics log (phase names, rounds, messages, bits) must be
-// bit-identical to the sequential reference.
+// End-to-end solver matrices: every public solver under both schedules,
+// across graph families. Results AND the full per-phase metrics log
+// (phase names, rounds, messages, bits) must be bit-identical.
 // ---------------------------------------------------------------------
 
 /// Unweighted instance families: sparse planted path, dense planted
@@ -372,7 +354,7 @@ fn parallel_unweighted_solver_matches_sequential_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let replacement = rpaths_core::unweighted::solve_on(net, &inst, &params).unwrap();
             (replacement, net.metrics().clone())
         });
@@ -384,7 +366,7 @@ fn parallel_sisp_solver_matches_sequential_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let value = rpaths_core::sisp::solve_on(net, &inst, &params).unwrap();
             (value, net.metrics().clone())
         });
@@ -396,7 +378,7 @@ fn parallel_reachability_matches_sequential_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let survivable = rpaths_core::reachability::solve_on(net, &inst, &params).unwrap();
             (survivable, net.metrics().clone())
         });
@@ -408,7 +390,7 @@ fn parallel_naive_baseline_matches_sequential_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let replacement = rpaths_core::baseline::naive::solve_on(net, &inst, &params).unwrap();
             (replacement, net.metrics().clone())
         });
@@ -420,7 +402,7 @@ fn parallel_mr24_baseline_matches_sequential_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let replacement = rpaths_core::baseline::mr24::solve_on(net, &inst, &params).unwrap();
             (replacement, net.metrics().clone())
         });
@@ -446,7 +428,7 @@ fn parallel_weighted_solver_matches_sequential_bitwise() {
             .with_seed(seed)
             .with_eps(1, 2);
         params.landmark_prob = 1.0;
-        parallel_matrix(&g, |net| {
+        schedule_invariant(&g, |net| {
             let out = rpaths_core::weighted::solve_on(net, &inst, &params).unwrap();
             (out.scaled, out.den, net.metrics().clone())
         });
@@ -459,11 +441,11 @@ fn parallel_weighted_solver_matches_sequential_bitwise() {
 }
 
 // ---------------------------------------------------------------------
-// Chaos matrix: deterministic fault injection under the parallel
-// engine. A fixed FaultPlan seed must produce bit-identical delivery
-// logs, RunStats, and FaultStats at every thread count and schedule,
-// because every per-message fate is a pure function of
-// (seed, round, link, direction) — never of worker interleaving.
+// Chaos matrix: deterministic fault injection. A fixed FaultPlan seed
+// must produce bit-identical delivery logs, RunStats, and FaultStats
+// under both schedules, because every per-message fate is a pure
+// function of (seed, round, link, direction) — never of which nodes the
+// engine happened to step.
 // ---------------------------------------------------------------------
 
 /// Dense traffic generator that logs its inbox verbatim: every node
@@ -484,17 +466,13 @@ struct ChaosRecorder {
     nodes: Vec<ChaosNode>,
 }
 
-impl ShardedProtocol for ChaosRecorder {
+impl Protocol for ChaosRecorder {
     type Msg = u64;
     type Node = ChaosNode;
     type Shared = ChaosShared;
 
     fn msg_bits(_: &ChaosShared, _: &u64) -> u64 {
         48
-    }
-
-    fn shared(&self) -> &ChaosShared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&ChaosShared, &mut [ChaosNode]) {
@@ -559,14 +537,14 @@ fn chaos_run(
     net: &mut Network<'_>,
 ) -> (Vec<Vec<(u64, u32, u64)>>, RunStats, congest::Metrics) {
     let send_rounds = 6;
-    net.set_fault_plan(Some(plan.clone()));
+    net.set_fault_plan(Some(plan.clone())).unwrap();
     let mut proto = ChaosRecorder {
         shared: ChaosShared { send_rounds },
         nodes: (0..g.node_count())
             .map(|_| ChaosNode { log: Vec::new() })
             .collect(),
     };
-    let stats = net.run_rounds_par("chaos", &mut proto, send_rounds + 4);
+    let stats = net.run_rounds("chaos", &mut proto, send_rounds + 4);
     (
         proto.nodes.into_iter().map(|nd| nd.log).collect(),
         stats,
@@ -581,19 +559,142 @@ fn chaos_matrix_is_thread_invariant() {
         for (name, plan) in chaos_plans() {
             // Metrics equality includes FaultStats, so this pins the
             // fault accounting as well as the delivery log.
-            parallel_matrix(&g, |net| chaos_run(&g, &plan, net));
+            let (_, _, metrics) = schedule_invariant(&g, |net| chaos_run(&g, &plan, net));
 
             // The matrix would pass vacuously if the plan never fired;
             // make sure the traffic actually met the faults.
-            let mut net = Network::new(&g);
-            net.set_threads(1);
-            let (_, _, metrics) = chaos_run(&g, &plan, &mut net);
             assert!(
                 !metrics.faults.is_zero(),
                 "plan {name} fired no faults on this graph"
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Engine contract of the commit path.
+// ---------------------------------------------------------------------
+
+#[test]
+fn inert_fault_plan_changes_nothing() {
+    // The fault hook must be a bit-exact stand-in for no hook when the
+    // plan never fires: same answers, same Metrics (FaultStats included).
+    let (g, s, t) = planted_path_digraph(40, 12, 40, 21);
+    let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
+    let params = solver_params(inst.n());
+    let solve = |plan: Option<FaultPlan>| {
+        let mut net = Network::new(&g);
+        net.set_fault_plan(plan).unwrap();
+        let replacement = rpaths_core::unweighted::solve_on(&mut net, &inst, &params).unwrap();
+        (replacement, net.metrics().clone())
+    };
+    let plain = solve(None);
+    let inert = solve(Some(FaultPlan::new(42)));
+    assert!(inert.1.faults.is_zero());
+    assert_eq!(plain, inert);
+}
+
+/// Node 0 sends `burst.0` messages of `burst.1` declared bits on port 0
+/// in round 0 — a CONGEST violation when it sends two or oversizes one.
+struct Burst {
+    burst: (usize, u64),
+    nodes: Vec<()>,
+}
+
+impl Protocol for Burst {
+    type Msg = ();
+    type Node = ();
+    type Shared = (usize, u64);
+
+    fn msg_bits(&(_, bits): &(usize, u64), _: &()) -> u64 {
+        bits
+    }
+
+    fn split(&mut self) -> (&(usize, u64), &mut [()]) {
+        (&self.burst, &mut self.nodes)
+    }
+
+    fn step_node(&(copies, _): &(usize, u64), _: &mut (), ctx: &mut NodeCtx<'_, ()>) {
+        if ctx.node == 0 && ctx.round == 0 {
+            for _ in 0..copies {
+                ctx.send(0, ());
+            }
+        }
+    }
+}
+
+fn run_burst(copies: usize, bits: u64) {
+    let mut b = GraphBuilder::new(2);
+    b.add_arc(0, 1);
+    let g = b.build();
+    let mut proto = Burst {
+        burst: (copies, bits),
+        nodes: vec![(); 2],
+    };
+    Network::new(&g).run_rounds("burst", &mut proto, 2);
+}
+
+#[test]
+#[should_panic(expected = "CONGEST violation: two messages on link 0 direction 0 in round 0")]
+fn two_messages_on_one_direction_panic() {
+    run_burst(2, 1);
+}
+
+#[test]
+#[should_panic(expected = "exceeds bandwidth")]
+fn oversized_message_panics() {
+    run_burst(1, 1 << 20);
+}
+
+#[test]
+fn delayed_messages_keep_run_until_quiet_awake() {
+    // Every message is delayed by exactly one round. The tree flood's
+    // protocol is always idle, so only the in-flight delayed messages
+    // keep `run_until_quiet` from declaring quiescence in round 0; the
+    // flood must still span, with the same tree and message count, one
+    // extra round per hop, and every delay accounted as a late delivery.
+    let g = random_digraph(30, 60, 3);
+    let (tree, stats) = build_bfs_tree(&mut Network::new(&g), 0).unwrap();
+    let mut net = Network::new(&g);
+    net.set_fault_plan(Some(FaultPlan::new(11).delay_messages(1.0, 1)))
+        .unwrap();
+    let (late_tree, late_stats) = build_bfs_tree(&mut net, 0).expect("the delayed flood spans");
+    assert_eq!(late_tree.parent, tree.parent);
+    assert_eq!(late_tree.depth, tree.depth);
+    assert_eq!(late_stats.messages, stats.messages);
+    assert!(late_stats.rounds > stats.rounds);
+    let fs = net.metrics().faults;
+    assert!(fs.delayed > 0);
+    assert_eq!(fs.delayed, fs.delivered_late);
+    assert_eq!(fs.total_dropped(), 0);
+}
+
+#[test]
+fn round_limit_error_carries_the_final_round_snapshot() {
+    // A single-source BFS down a 10-node line moves its frontier one
+    // node per round; a 3-round budget stops it mid-flight, and the
+    // error must say so: one node stepped, one message on the wire.
+    let mut b = GraphBuilder::new(10);
+    for i in 0..9 {
+        b.add_arc(i, i + 1);
+    }
+    let g = b.build();
+    let cfg = MultiBfsConfig {
+        sources: &[0],
+        max_dist: 20,
+        reverse: false,
+        delays: None,
+    };
+    let err = multi_source_bfs(&mut Network::new(&g), &cfg, |_| true, "mbfs", 3).unwrap_err();
+    assert_eq!(
+        err,
+        EngineError::RoundLimitExceeded {
+            max_rounds: 3,
+            rounds: 3,
+            last_active: 1,
+            last_messages: 1,
+        }
+    );
 }
 
 /// Component-wise difference of two cumulative stats snapshots.

@@ -7,7 +7,7 @@ use congest::bfs_tree::build_bfs_tree;
 use congest::broadcast::broadcast;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
-use congest::{FaultPlan, Metrics, Network, NodeCtx, RunStats, Scheduling, ShardedProtocol};
+use congest::{FaultPlan, Metrics, Network, NodeCtx, Protocol, RunStats, Scheduling};
 use graphkit::alg::bfs_hop_bounded;
 use graphkit::gen::random_digraph;
 use graphkit::{DiGraph, Dist, GraphBuilder};
@@ -16,8 +16,8 @@ use proptest::prelude::*;
 /// A traffic generator that records exactly what the engine delivers:
 /// every node sends on a pseudo-random subset of its ports each round
 /// and logs its inbox verbatim (round, port, payload). Any change to
-/// delivery contents *or order* — the quantities the sharded-parallel
-/// engine must preserve — shows up as a log difference.
+/// delivery contents *or order* — the quantities the active-set
+/// schedule must preserve — shows up as a log difference.
 struct RecShared {
     seed: u64,
     send_rounds: u64,
@@ -32,17 +32,13 @@ struct Recorder {
     nodes: Vec<RecNode>,
 }
 
-impl ShardedProtocol for Recorder {
+impl Protocol for Recorder {
     type Msg = u64;
     type Node = RecNode;
     type Shared = RecShared;
 
     fn msg_bits(_: &RecShared, _: &u64) -> u64 {
         32
-    }
-
-    fn shared(&self) -> &RecShared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&RecShared, &mut [RecNode]) {
@@ -69,46 +65,27 @@ impl ShardedProtocol for Recorder {
     }
 }
 
-/// Drives the recorder for `send_rounds + 1` rounds under `configure`
-/// and returns (per-node logs, stats).
-fn run_recorder(
-    g: &DiGraph,
-    seed: u64,
-    send_rounds: u64,
-    configure: impl FnOnce(&mut Network<'_>),
-) -> (Vec<Vec<(u64, u32, u64)>>, RunStats) {
-    let mut net = Network::new(g);
-    configure(&mut net);
-    let mut proto = Recorder {
-        shared: RecShared { seed, send_rounds },
-        nodes: (0..g.node_count())
-            .map(|_| RecNode { log: Vec::new() })
-            .collect(),
-    };
-    let stats = net.run_rounds_par("recorder", &mut proto, send_rounds + 1);
-    (proto.nodes.into_iter().map(|nd| nd.log).collect(), stats)
-}
-
-/// [`run_recorder`] under a fault plan, with a longer drain window so
-/// delayed messages land; also returns the full metrics log so that
+/// Drives the recorder under a fault plan, with a drain window long
+/// enough for delayed messages to land, on the chosen schedule; returns
+/// the per-node logs, the stats, and the full metrics log so that
 /// `FaultStats` parity is part of the comparison.
 fn run_recorder_faulty(
     g: &DiGraph,
     seed: u64,
     send_rounds: u64,
     plan: &FaultPlan,
-    configure: impl FnOnce(&mut Network<'_>),
+    full_sweep: bool,
 ) -> (Vec<Vec<(u64, u32, u64)>>, RunStats, Metrics) {
     let mut net = Network::new(g);
-    configure(&mut net);
-    net.set_fault_plan(Some(plan.clone()));
+    net.set_full_sweep(full_sweep);
+    net.set_fault_plan(Some(plan.clone())).unwrap();
     let mut proto = Recorder {
         shared: RecShared { seed, send_rounds },
         nodes: (0..g.node_count())
             .map(|_| RecNode { log: Vec::new() })
             .collect(),
     };
-    let stats = net.run_rounds_par("recorder", &mut proto, send_rounds + 5);
+    let stats = net.run_rounds("recorder", &mut proto, send_rounds + 5);
     (
         proto.nodes.into_iter().map(|nd| nd.log).collect(),
         stats,
@@ -257,54 +234,17 @@ proptest! {
     }
 
     #[test]
-    fn shard_geometry_never_changes_delivery(
-        n in 8usize..48,
-        density in 1usize..4,
-        threads in 2usize..9,
-        nsplits in 1usize..6,
-        seed in 0u64..1000,
-    ) {
-        let g = random_digraph(n, density * n + n / 2, seed);
-        let (ref_logs, ref_stats) =
-            run_recorder(&g, seed, 6, |net| net.set_threads(1));
-        // Random interior shard split points, derived deterministically
-        // from the generated inputs.
-        let mut splits: Vec<usize> = (0..nsplits)
-            .map(|i| 1 + ((seed as usize)
-                .wrapping_mul(31)
-                .wrapping_add(i * 7 + threads) % (n - 1)))
-            .collect();
-        splits.sort_unstable();
-        splits.dedup();
-        let (par_logs, par_stats) = run_recorder(&g, seed, 6, |net| {
-            net.set_threads(threads);
-            net.set_parallel_threshold(0);
-            net.set_shard_bounds(Some(splits.clone()));
-        });
-        prop_assert_eq!(par_stats, ref_stats, "splits {:?}", &splits);
-        prop_assert_eq!(par_logs, ref_logs, "splits {:?}", &splits);
-        // Even chunking (no explicit bounds) must agree too.
-        let (even_logs, even_stats) = run_recorder(&g, seed, 6, |net| {
-            net.set_threads(threads);
-            net.set_parallel_threshold(0);
-        });
-        prop_assert_eq!(even_stats, ref_stats);
-        prop_assert_eq!(even_logs, ref_logs);
-    }
-
-    #[test]
     fn fault_plans_never_break_shard_parity(
         n in 3usize..40,
         density in 1usize..4,
-        threads in 2usize..9,
         seed in 0u64..500,
         fseed in 0u64..1000,
     ) {
         // Random fault plans mixing every failure mode (timed link
         // faults, crash/restart, probabilistic drop and delay) must be
-        // invisible to shard geometry: per-message fates are pure
-        // functions of (seed, round, link, direction), so sequential
-        // and parallel runs agree on the delivery log, the RunStats,
+        // invisible to the schedule: per-message fates are pure
+        // functions of (seed, round, link, direction), so active-set
+        // and full-sweep runs agree on the delivery log, the RunStats,
         // and the FaultStats.
         let g = random_digraph(n, density * n, seed);
         prop_assert!(g.edge_count() > 0);
@@ -314,143 +254,13 @@ proptest! {
             .crash_node((fseed as usize * 5 + 2) % n, 1 + fseed % 2, Some(4))
             .drop_messages((fseed % 4) as f64 * 0.08)
             .delay_messages((fseed % 5) as f64 * 0.07, 1 + fseed % 3);
-        let (ref_logs, ref_stats, ref_metrics) =
-            run_recorder_faulty(&g, seed, 6, &plan, |net| net.set_threads(1));
-        let (par_logs, par_stats, par_metrics) =
-            run_recorder_faulty(&g, seed, 6, &plan, |net| {
-                net.set_threads(threads);
-                net.set_parallel_threshold(0);
-            });
-        prop_assert_eq!(par_stats, ref_stats, "threads {}", threads);
-        prop_assert_eq!(par_logs, ref_logs, "threads {}", threads);
-        prop_assert_eq!(par_metrics, ref_metrics, "threads {}", threads);
-    }
-
-    #[test]
-    fn degree_balanced_bounds_never_change_delivery(
-        family in 0usize..3,
-        n in 10usize..64,
-        threads in 2usize..9,
-        seed in 0u64..1000,
-    ) {
-        // The default (no explicit `set_shard_bounds`) geometry is now
-        // degree-balanced: boundaries come from prefix sums of
-        // `1 + deg(v)`, so they shift with the topology and the thread
-        // count. On the most skewed families we have — star, two-hub,
-        // power-law — that geometry must still be invisible: logs and
-        // RunStats bit-identical to the sequential reference.
-        let g = match family {
-            0 => graphkit::gen::star(n),
-            1 => graphkit::gen::two_hub(n),
-            _ => graphkit::gen::power_law_digraph(n, seed),
-        };
-        let (ref_logs, ref_stats) =
-            run_recorder(&g, seed, 6, |net| net.set_threads(1));
-        let (par_logs, par_stats) = run_recorder(&g, seed, 6, |net| {
-            net.set_threads(threads);
-            net.set_parallel_threshold(0);
-        });
-        prop_assert_eq!(par_stats, ref_stats, "family {} threads {}", family, threads);
-        prop_assert_eq!(par_logs, ref_logs, "family {} threads {}", family, threads);
-    }
-
-    #[test]
-    fn until_quiet_parallel_agrees_on_quiescence_and_stats(
-        n in 4usize..40,
-        density in 1usize..4,
-        threads in 2usize..9,
-        seed in 0u64..500,
-    ) {
-        // `run_until_quiet` (threads = 1 is the sequential drive) and
-        // `run_until_quiet_par` must agree on the quiescence round and
-        // every RunStats field for the newly migrated quiescence-driven
-        // protocols: BFS-tree construction and tree aggregation. Sparse
-        // densities also cover the disconnected case, where both paths
-        // must report the identical recoverable error.
-        let g = random_digraph(n, density * n, seed);
-        let root = seed as usize % n;
-        let mut seq_net = Network::new(&g);
-        seq_net.set_threads(1);
-        let mut par_net = Network::new(&g);
-        par_net.set_threads(threads);
-        par_net.set_parallel_threshold(0);
-        match (
-            build_bfs_tree(&mut seq_net, root),
-            build_bfs_tree(&mut par_net, root),
-        ) {
-            (Ok((ts, ss)), Ok((tp, sp))) => {
-                prop_assert_eq!(ss, sp); // rounds = the quiescence round
-                prop_assert_eq!(&ts.depth, &tp.depth);
-                prop_assert_eq!(&ts.parent, &tp.parent);
-                prop_assert_eq!(&ts.child_ports, &tp.child_ports);
-                let values: Vec<Dist> = (0..n)
-                    .map(|v| {
-                        if (v + seed as usize).is_multiple_of(5) {
-                            Dist::INF
-                        } else {
-                            Dist::new((v as u64 * 13 + seed) % 257)
-                        }
-                    })
-                    .collect();
-                for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
-                    let rs = aggregate(&mut seq_net, &ts, op, &values);
-                    let rp = aggregate(&mut par_net, &tp, op, &values);
-                    prop_assert_eq!(rs, rp);
-                }
-                // The cumulative logs pin every phase's rounds/messages/
-                // bits — quiescence rounds included.
-                prop_assert_eq!(seq_net.metrics(), par_net.metrics());
-            }
-            (Err(es), Err(ep)) => prop_assert_eq!(es, ep),
-            (seq, par) => {
-                return Err(TestCaseError(format!(
-                    "engines disagree on connectivity: seq ok = {}, par ok = {}",
-                    seq.is_ok(),
-                    par.is_ok()
-                )));
-            }
-        }
-    }
-
-    #[test]
-    fn migrated_pipelines_have_parallel_parity(
-        len in 2usize..16,
-        jobs in 1usize..6,
-        threads in 2usize..9,
-        seed in 0u64..500,
-    ) {
-        // The newly migrated pipeline protocols (prefix sweeps and the
-        // systolic DP) must produce bit-identical outputs and stats on
-        // the parallel path at any thread count.
-        let mut b = GraphBuilder::new(len);
-        let links: Vec<usize> = (0..len - 1).map(|i| b.add_arc(i, i + 1)).collect();
-        let g = b.build();
-        let lane = Lane::forward((0..len).collect(), links);
-        let val = |pos: usize, job: usize| ((pos as u64 * 11 + job as u64 * 5 + seed) % 43) + 1;
-        let run = |t: usize| {
-            let mut net = Network::new(&g);
-            net.set_threads(t);
-            if t > 1 {
-                net.set_parallel_threshold(0);
-            }
-            let sweep = prefix_sweep(
-                &mut net,
-                std::slice::from_ref(&lane),
-                jobs,
-                &|_, pos, job| Dist::new(val(pos, job)),
-                "sweep",
-            );
-            let dp = diagonal_dp(
-                &mut net,
-                &lane,
-                |p| Dist::new(val(p, 0)),
-                &|p, r| Dist::new(val(p, r as usize)),
-                jobs as u64,
-                "dp",
-            );
-            (sweep, dp, net.metrics().clone())
-        };
-        prop_assert_eq!(run(1), run(threads));
+        let (swept_logs, swept_stats, swept_metrics) =
+            run_recorder_faulty(&g, seed, 6, &plan, true);
+        let (active_logs, active_stats, active_metrics) =
+            run_recorder_faulty(&g, seed, 6, &plan, false);
+        prop_assert_eq!(active_stats, swept_stats);
+        prop_assert_eq!(active_logs, swept_logs);
+        prop_assert_eq!(active_metrics, swept_metrics);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Differential tests for the solver-session layer: cached answers must
 //! be *bit-identical* to one-shot solves — answers and, where phases
 //! actually run, full `Metrics` equality (`total`/`phases`/`faults`) —
-//! at every thread count, and the deterministic LRU cache must behave
-//! exactly like its naive model.
+//! and the deterministic LRU cache must behave exactly like its naive
+//! model.
 //!
 //! Acceptance criteria pinned here:
 //! - a batch of Q same-graph failed-edge queries through
 //!   `SolverSession::solve_batch` reports a nonzero cache hit rate and
-//!   answers bit-identical to Q independent one-shot solves, at threads
-//!   {1, 2, 8};
+//!   answers bit-identical to Q independent one-shot solves;
 //! - a snapshot-persisted cache warm-boots with **zero** recomputed
 //!   artifacts (no solver runs, no rounds) for repeated queries;
 //! - corruption of persisted cache sections degrades to a cold cache,
@@ -23,8 +22,6 @@ use proptest::prelude::*;
 use rpaths_core::{
     unweighted, weighted, ArtifactCache, CacheKey, Instance, Params, Query, SolverSession,
 };
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 fn unweighted_case() -> (graphkit::DiGraph, usize, usize, Params) {
     let (g, s, t) = planted_path_digraph(40, 12, 100, 7);
@@ -47,50 +44,44 @@ fn batch_is_bit_identical_to_one_shot_solves_across_threads() {
     let oracle = replacement_lengths(&g, &inst.path);
     assert_eq!(reference.replacement, oracle);
 
-    for threads in THREADS {
-        let mut session = SolverSession::new(&g, params.clone());
-        session.set_threads(threads);
-        let mut queries: Vec<Query> = inst
-            .path
-            .edges()
-            .iter()
-            .map(|&e| Query::avoiding(s, t, e))
-            .collect();
-        queries.push(Query::intact(s, t));
+    let mut session = SolverSession::new(&g, params.clone());
+    let mut queries: Vec<Query> = inst
+        .path
+        .edges()
+        .iter()
+        .map(|&e| Query::avoiding(s, t, e))
+        .collect();
+    queries.push(Query::intact(s, t));
 
-        let answers = session.solve_batch(&queries).unwrap();
-        for (i, a) in answers[..inst.hops()].iter().enumerate() {
-            assert_eq!(
-                a.scaled, reference.replacement[i],
-                "threads {threads} edge {i}"
-            );
-            assert_eq!(a.den, 1);
-        }
-        assert_eq!(
-            answers[inst.hops()].scaled,
-            Dist::new(inst.hops() as u64),
-            "intact query answers |P|"
-        );
-
-        // Full Metrics equality where phases ran: the batch executed
-        // exactly one cold solve, and the one-shot reference is that
-        // same cold solve. (`Metrics` equality covers total/phases/
-        // faults; cache and dispatch telemetry are excluded by design.)
-        let cold = session.take_metrics();
-        assert_eq!(cold, reference.metrics, "threads {threads}");
-        assert_eq!(session.stats().solver_runs, 1);
-
-        // The warm repeat: bit-identical answers, zero new phases, and
-        // a nonzero hit rate reported in CacheStats.
-        let again = session.solve_batch(&queries).unwrap();
-        assert_eq!(again, answers, "threads {threads} warm");
-        let warm = session.take_metrics();
-        assert_eq!(warm.rounds(), 0, "warm batch ran no rounds");
-        assert!(warm.phases.is_empty(), "warm batch ran no phases");
-        assert!(warm.cache.hits > 0, "warm batch must hit the cache");
-        assert!(warm.cache.hit_rate() > 0.0);
-        assert_eq!(session.stats().solver_runs, 1, "no recomputation");
+    let answers = session.solve_batch(&queries).unwrap();
+    for (i, a) in answers[..inst.hops()].iter().enumerate() {
+        assert_eq!(a.scaled, reference.replacement[i], "edge {i}");
+        assert_eq!(a.den, 1);
     }
+    assert_eq!(
+        answers[inst.hops()].scaled,
+        Dist::new(inst.hops() as u64),
+        "intact query answers |P|"
+    );
+
+    // Full Metrics equality where phases ran: the batch executed exactly
+    // one cold solve, and the one-shot reference is that same cold solve.
+    // (`Metrics` equality covers total/phases/faults; cache and dispatch
+    // telemetry are excluded by design.)
+    let cold = session.take_metrics();
+    assert_eq!(cold, reference.metrics);
+    assert_eq!(session.stats().solver_runs, 1);
+
+    // The warm repeat: bit-identical answers, zero new phases, and a
+    // nonzero hit rate reported in CacheStats.
+    let again = session.solve_batch(&queries).unwrap();
+    assert_eq!(again, answers, "warm");
+    let warm = session.take_metrics();
+    assert_eq!(warm.rounds(), 0, "warm batch ran no rounds");
+    assert!(warm.phases.is_empty(), "warm batch ran no phases");
+    assert!(warm.cache.hits > 0, "warm batch must hit the cache");
+    assert!(warm.cache.hit_rate() > 0.0);
+    assert_eq!(session.stats().solver_runs, 1, "no recomputation");
 }
 
 #[test]
@@ -103,31 +94,24 @@ fn weighted_batch_is_bit_identical_to_one_shot_solves() {
     params.landmark_prob = 1.0;
     let reference = weighted::solve(&inst, &params).unwrap();
 
-    for threads in THREADS {
-        let mut session = SolverSession::new(&g, params.clone());
-        session.set_threads(threads);
-        let queries: Vec<Query> = inst
-            .path
-            .edges()
-            .iter()
-            .map(|&e| Query::avoiding(s, t, e))
-            .collect();
-        let answers = session.solve_batch(&queries).unwrap();
-        for (i, a) in answers.iter().enumerate() {
-            assert_eq!(a.scaled, reference.scaled[i], "threads {threads} edge {i}");
-            assert_eq!(a.den, reference.den, "threads {threads} edge {i}");
-        }
-        assert_eq!(
-            session.take_metrics(),
-            reference.metrics,
-            "threads {threads}"
-        );
-
-        let again = session.solve_batch(&queries).unwrap();
-        assert_eq!(again, answers);
-        assert_eq!(session.metrics().rounds(), 0);
-        assert!(session.stats().cache.hit_rate() > 0.0);
+    let mut session = SolverSession::new(&g, params.clone());
+    let queries: Vec<Query> = inst
+        .path
+        .edges()
+        .iter()
+        .map(|&e| Query::avoiding(s, t, e))
+        .collect();
+    let answers = session.solve_batch(&queries).unwrap();
+    for (i, a) in answers.iter().enumerate() {
+        assert_eq!(a.scaled, reference.scaled[i], "edge {i}");
+        assert_eq!(a.den, reference.den, "edge {i}");
     }
+    assert_eq!(session.take_metrics(), reference.metrics);
+
+    let again = session.solve_batch(&queries).unwrap();
+    assert_eq!(again, answers);
+    assert_eq!(session.metrics().rounds(), 0);
+    assert!(session.stats().cache.hit_rate() > 0.0);
 }
 
 #[test]

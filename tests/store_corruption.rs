@@ -14,8 +14,7 @@
 //! - Unknown section tags are skipped (forward compatibility), and
 //!   corruption in an *artifact* section never takes the graph with it.
 //! - A graph reloaded from a snapshot drives the solver to the same
-//!   answers and the same round/message accounting as the original —
-//!   at any `CONGEST_THREADS` (CI runs this suite at 1 and 8).
+//!   answers and the same round/message accounting as the original.
 
 use graphkit::gen::{metro_ring, random_digraph};
 use graphkit::DiGraph;
@@ -253,8 +252,7 @@ fn empty_garbage_and_wrong_version_are_structured() {
 fn snapshot_graph_drives_identical_solves() {
     // The acceptance criterion: a solve on a graph loaded from a
     // snapshot is indistinguishable — answers *and* metrics — from a
-    // solve on the original. Runs at whatever CONGEST_THREADS the
-    // environment sets; CI pins 1 and 8.
+    // solve on the original.
     for (g, s, t) in [
         (metro_ring(10), 0usize, 5usize),
         (random_digraph(30, 90, 4), 0, 17),
