@@ -50,7 +50,7 @@ use graphkit::Dist;
 use graphkit::{DiGraph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rpaths_core::resilient::{solve_with_recovery, Recovery, RecoveryPolicy, Unweighted};
+use rpaths_core::resilient::{solve_with_recovery, Recovery, RecoveryError, Unweighted};
 use rpaths_core::{Params, Query, SolverSession};
 use rpaths_store::{atomic_write, Artifact, Loaded, Snapshot};
 use serde::{Deserialize, Serialize};
@@ -116,8 +116,6 @@ struct ScenarioRecord {
     /// `full`, `degraded-answered`, `partitioned`, `source-down`, or
     /// `error`.
     outcome: String,
-    /// Solve attempts consumed by the recovery wrapper.
-    attempts: u32,
     /// Nodes severed from the source (0 when connected).
     unreachable: usize,
     /// Detection probes until a spanning BFS tree built (live plan).
@@ -251,13 +249,11 @@ fn verify_pristine(
 
 fn run_scenario(topo: &Topology, sc: &Scenario, session: &mut SolverSession<'_>) -> ScenarioRecord {
     let params = Params::for_n(topo.graph.node_count());
-    let policy = RecoveryPolicy::default();
-    let rec =
-        solve_with_recovery::<Unweighted>(&topo.graph, topo.s, topo.t, &sc.plan, &params, &policy);
-    let (outcome, attempts, unreachable) = match &rec {
-        Ok(Recovery::Full { output, attempts }) => match verify_pristine(session, topo, output) {
-            Ok(()) => ("full".to_string(), *attempts, 0),
-            Err(e) => (format!("error: {e}"), *attempts, 0),
+    let rec = solve_with_recovery::<Unweighted>(&topo.graph, topo.s, topo.t, &sc.plan, &params);
+    let (outcome, unreachable) = match &rec {
+        Ok(Recovery::Full { output }) => match verify_pristine(session, topo, output) {
+            Ok(()) => ("full".to_string(), 0),
+            Err(e) => (format!("error: {e}"), 0),
         },
         Ok(Recovery::Degraded(d)) => (
             if d.answered.is_some() {
@@ -265,15 +261,14 @@ fn run_scenario(topo: &Topology, sc: &Scenario, session: &mut SolverSession<'_>)
             } else {
                 "partitioned".to_string()
             },
-            d.attempts,
             d.unreachable.len(),
         ),
-        Err(rpaths_core::resilient::RecoveryError::SourceDown) => ("source-down".to_string(), 0, 0),
-        Err(e) => (format!("error: {e}"), 0, 0),
+        Err(RecoveryError::SourceDown) => ("source-down".to_string(), 0),
+        Err(e) => (format!("error: {e}"), 0),
     };
     let (probes, probe_rounds, spanned) = probe_until_spanning(&topo.graph, &sc.plan, topo.s, 8);
     println!(
-        "  {:<16} {:<18} k={} spans=[{}] -> {} ({} attempts, {} probes / {} rounds)",
+        "  {:<16} {:<18} k={} spans=[{}] -> {} ({} probes / {} rounds)",
         topo.name,
         sc.kind,
         sc.spans.len(),
@@ -283,7 +278,6 @@ fn run_scenario(topo: &Topology, sc: &Scenario, session: &mut SolverSession<'_>)
             .collect::<Vec<_>>()
             .join(","),
         outcome,
-        attempts,
         probes,
         probe_rounds,
     );
@@ -297,7 +291,6 @@ fn run_scenario(topo: &Topology, sc: &Scenario, session: &mut SolverSession<'_>)
             .map(|&i| format!("{}-{}", topo.endpoints[i].0, topo.endpoints[i].1))
             .collect(),
         outcome,
-        attempts,
         unreachable,
         probes,
         probe_rounds,

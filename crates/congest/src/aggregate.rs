@@ -210,6 +210,15 @@ mod tests {
     }
 
     #[test]
+    fn min_of_all_infinite_is_infinity() {
+        let (g, _) = setup(20, 2);
+        let values = vec![Dist::INF; 20];
+        let mut net = Network::new(&g);
+        let (tree, _) = build_bfs_tree(&mut net, 3).unwrap();
+        assert_eq!(aggregate(&mut net, &tree, AggOp::Min, &values), Dist::INF);
+    }
+
+    #[test]
     fn max_ignores_infinite_inputs() {
         // Regression: a single ∞ input used to absorb the whole Max
         // aggregate; "maximum of finite values" must skip it.

@@ -70,14 +70,14 @@ pub struct DispatchStats {
     pub ewma_par_ns_per_unit: f64,
 }
 
-/// Telemetry from an artifact cache consulted while producing a run's
-/// answers (see `rpaths_core::cache`).
+/// Cumulative counters of a solver session's artifact cache (see
+/// `rpaths_core::cache`), reported through `rpaths_core::SessionStats`.
 ///
-/// This is *not* part of a run's deterministic outcome: a warm cache
-/// legitimately answers with zero rounds where a cold one recomputes,
-/// and the accounting of the phases that *did* run is what [`Metrics`]
-/// equality pins. Cache telemetry is therefore deliberately excluded
-/// from equality.
+/// Cache counters are not run accounting: a warm cache answers with
+/// zero rounds where a cold one recomputes, so they stay out of
+/// [`Metrics`] altogether. The type lives here rather than in
+/// `rpaths_core` because the benchmark harness (`perfbench/`) imports
+/// it from this crate.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -91,14 +91,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Accumulates another cache's telemetry into this one.
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-    }
-
     /// Total lookups (hits plus misses).
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
@@ -112,22 +104,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / self.lookups() as f64
         }
-    }
-
-    /// The counter increments since `earlier` (a snapshot taken from the
-    /// same monotonically growing stats).
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            insertions: self.insertions - earlier.insertions,
-            evictions: self.evictions - earlier.evictions,
-        }
-    }
-
-    /// `true` when no cache activity was recorded at all.
-    pub fn is_zero(&self) -> bool {
-        self.lookups() == 0 && self.insertions == 0 && self.evictions == 0
     }
 }
 
@@ -191,13 +167,10 @@ pub struct Metrics {
     /// Fault-injection telemetry (included in equality; see
     /// [`FaultStats`]).
     pub faults: FaultStats,
-    /// Artifact-cache telemetry (excluded from equality; see
-    /// [`CacheStats`]).
-    pub cache: CacheStats,
 }
 
 /// Equality covers the deterministic accounting only (`total`, `phases`,
-/// and `faults`), not the cache and dispatch telemetry.
+/// and `faults`), not the dispatch telemetry.
 impl PartialEq for Metrics {
     fn eq(&self, other: &Metrics) -> bool {
         self.total == other.total && self.phases == other.phases && self.faults == other.faults
@@ -221,11 +194,6 @@ impl Metrics {
         self.faults.absorb(&f);
     }
 
-    /// Accumulates artifact-cache telemetry from one solve.
-    pub fn record_cache(&mut self, c: CacheStats) {
-        self.cache.absorb(&c);
-    }
-
     /// Total rounds across all phases.
     pub fn rounds(&self) -> u64 {
         self.total.rounds
@@ -244,8 +212,6 @@ impl Metrics {
         self.phases.append(&mut other.phases);
         self.faults.absorb(&other.faults);
         other.faults = FaultStats::default();
-        self.cache.absorb(&other.cache);
-        other.cache = CacheStats::default();
     }
 
     /// Looks up the accumulated stats of all phases whose name contains
@@ -343,31 +309,14 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_rates_and_deltas() {
+    fn cache_stats_rates() {
         let mut c = CacheStats::default();
-        assert!(c.is_zero());
         assert_eq!(c.hit_rate(), 0.0);
         c.hits = 3;
         c.misses = 1;
         c.insertions = 1;
         assert_eq!(c.lookups(), 4);
         assert_eq!(c.hit_rate(), 0.75);
-        let later = CacheStats {
-            hits: 5,
-            misses: 2,
-            insertions: 2,
-            evictions: 1,
-        };
-        let d = later.delta_since(&c);
-        assert_eq!((d.hits, d.misses, d.insertions, d.evictions), (2, 1, 1, 1));
-        // Equality ignores cache telemetry.
-        let mut a = Metrics::default();
-        let mut b = Metrics::default();
-        a.record_cache(later);
-        assert_eq!(a, b);
-        b.merge_from(&mut a);
-        assert_eq!(b.cache.hits, 5);
-        assert!(a.cache.is_zero());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use graphkit::Dist;
 use crate::long::dists::min_plus_closure;
 use crate::long::landmarks;
 use crate::short::combine::pipeline_dp;
-use crate::{Instance, Params, RPathsOutput, SolveError};
+use crate::{with_network, Instance, Params, RPathsOutput, SolveError};
 
 /// MR24's threshold: `ζ' = max(ζ, ⌈√(n·h_st)⌉)`.
 pub fn mr_zeta(n: usize, h: usize, zeta: usize) -> usize {
@@ -41,11 +41,9 @@ pub fn mr_zeta(n: usize, h: usize, zeta: usize) -> usize {
 /// Returns [`SolveError::Partitioned`] when the communication graph is
 /// disconnected.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, SolveError> {
-    let mut session = crate::SolverSession::new(inst.graph, params.clone());
-    let (answers, mut metrics) = session.solve_instance(inst, params, crate::SolverKind::Mr24)?;
-    metrics.record_cache(session.stats().cache);
+    let (replacement, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(RPathsOutput {
-        replacement: answers.scaled.clone(),
+        replacement,
         metrics,
     })
 }

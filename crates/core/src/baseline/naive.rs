@@ -13,7 +13,7 @@ use congest::multi_bfs::{multi_source_bfs, MultiBfsConfig};
 use congest::{word_bits, Network};
 use graphkit::Dist;
 
-use crate::{Instance, Params, RPathsOutput, SolveError};
+use crate::{with_network, Instance, Params, RPathsOutput, SolveError};
 
 /// Runs the naive per-edge-BFS algorithm. Exact; `O(h_st · T_BFS + D)`
 /// rounds.
@@ -23,11 +23,9 @@ use crate::{Instance, Params, RPathsOutput, SolveError};
 /// Returns [`SolveError::Partitioned`] when the communication graph is
 /// disconnected.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, SolveError> {
-    let mut session = crate::SolverSession::new(inst.graph, params.clone());
-    let (answers, mut metrics) = session.solve_instance(inst, params, crate::SolverKind::Naive)?;
-    metrics.record_cache(session.stats().cache);
+    let (replacement, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(RPathsOutput {
-        replacement: answers.scaled.clone(),
+        replacement,
         metrics,
     })
 }

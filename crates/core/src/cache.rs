@@ -1,12 +1,14 @@
 //! A size-bounded, deterministic LRU cache for solver artifacts.
 //!
 //! Sessions ([`crate::session`]) answer many queries against one
-//! immutable graph; the expensive intermediates — BFS trees, shortest
-//! paths, the undirected diameter, and whole per-path-edge replacement
-//! answers — are pure functions of `(graph, artifact kind, params)`,
-//! so they are cached here keyed by the graph's stable
+//! immutable graph; the expensive intermediates — shortest paths, the
+//! undirected diameter, and whole per-path-edge replacement answers —
+//! are pure functions of `(graph, artifact kind, params)`, so they are
+//! cached here keyed by the graph's stable
 //! [`fingerprint`](graphkit::DiGraph::fingerprint) plus a typed
-//! [`ArtifactKind`].
+//! [`ArtifactKind`]. These entries are also the only solver artifacts
+//! that persist: `crate::artifacts` encodes each one as a `TAG_CACHE`
+//! snapshot section.
 //!
 //! **Determinism contract.** The cache is an ordinary sequential data
 //! structure driven only by the session's call sequence: recency is a
@@ -18,14 +20,14 @@
 //! proptests in `tests/session_differential.rs` pin this down against a
 //! naive model.
 //!
-//! Cache telemetry deliberately stays *out* of [`congest::Metrics`]
-//! equality (like `DispatchStats`): hits change how fast an answer is
-//! produced, never the answer.
+//! Cache counters stay *out* of [`congest::Metrics`]: hits change how
+//! fast an answer is produced, never the answer or the rounds a cold
+//! run takes. Sessions report them through
+//! [`crate::SessionStats::cache`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use congest::bfs_tree::BfsTree;
 use congest::CacheStats;
 use graphkit::{NodeId, StPath};
 
@@ -94,11 +96,6 @@ pub enum ArtifactKind {
         /// Path target.
         target: NodeId,
     },
-    /// The BFS tree rooted at `root`.
-    Tree {
-        /// Tree root.
-        root: NodeId,
-    },
     /// Per-path-edge replacement answers for one solved instance.
     Replacement {
         /// Instance source.
@@ -137,8 +134,6 @@ pub enum CacheValue {
     /// Value for [`ArtifactKind::Path`]; `None` records that the target
     /// is unreachable (negative results are worth caching too).
     Path(Option<StPath>),
-    /// Value for [`ArtifactKind::Tree`].
-    Tree(Arc<BfsTree>),
     /// Value for [`ArtifactKind::Replacement`].
     Replacement(Arc<ScaledAnswers>),
 }
@@ -152,9 +147,7 @@ struct Entry {
 /// The deterministic LRU artifact cache.
 ///
 /// See the [module docs](self) for the determinism contract. Stats are
-/// cumulative over the cache's lifetime; callers wanting per-batch
-/// deltas snapshot [`ArtifactCache::stats`] and use
-/// [`CacheStats::delta_since`].
+/// cumulative over the cache's lifetime.
 #[derive(Clone, Debug)]
 pub struct ArtifactCache {
     capacity: usize,
@@ -283,7 +276,10 @@ mod tests {
     fn key(i: u64) -> CacheKey {
         CacheKey {
             fingerprint: 0xfeed,
-            kind: ArtifactKind::Tree { root: i as NodeId },
+            kind: ArtifactKind::Path {
+                source: i as NodeId,
+                target: 0,
+            },
         }
     }
 

@@ -18,9 +18,8 @@
 //! - [`resilient`] — recovering wrappers around all of the above:
 //!   [`resilient::solve_with_recovery`] detects the permanent faults of
 //!   a `congest::FaultPlan`, re-poses the demand on the source's
-//!   surviving component, and retries with exponential round-budget
-//!   backoff, returning a structured degraded answer instead of
-//!   all-or-nothing failure.
+//!   surviving component, and solves it there once, returning a
+//!   structured degraded answer instead of all-or-nothing failure.
 //! - [`baseline`] — what the paper compares against: the trivial
 //!   `O(h_st · T_SSSP)` algorithm and the `eO(n^{2/3} + √(n·h_st) + D)`
 //!   algorithm of Manoharan and Ramachandran (SIROCCO 2024).
@@ -28,15 +27,15 @@
 //! The entry point for problem instances is [`Instance`]; algorithm knobs
 //! (the short/long threshold ζ, the landmark sampling rate, seeds, ε)
 //! live in [`Params`]. Every solver returns both the answers and the
-//! full round/message/bit accounting of its run.
+//! full round/message/bit accounting of its run. Each one-shot `solve`
+//! is its network-level `solve_on` run through [`with_network`] on a
+//! fresh network.
 //!
 //! For answering *many* queries against one graph, [`SolverSession`]
 //! ([`session`]) is the plan/execute layer: it batches failed-edge
-//! queries, shares the expensive phases across them, and caches every
-//! intermediate artifact in a deterministic LRU ([`cache`]) that
-//! persists through `rpaths-store` snapshots. The one-shot entry points
-//! above are thin wrappers over a fresh session, so their signatures
-//! and answers are unchanged.
+//! queries, runs at most one cold `solve_on` per distinct instance, and
+//! caches its artifacts in a deterministic LRU ([`cache`]) that persists
+//! through `rpaths-store` snapshots ([`artifacts`] holds the codec).
 //!
 //! Every phase of every solver — tree construction, knowledge waves,
 //! hop-BFS, multi-source BFS, pipelines, broadcasts, aggregations — runs
@@ -90,8 +89,8 @@ pub use session::{Answer, Query, SessionError, SessionStats, SolverSession};
 use std::fmt;
 
 use congest::bfs_tree::TreeError;
-use congest::Metrics;
-use graphkit::Dist;
+use congest::{Metrics, Network};
+use graphkit::{DiGraph, Dist};
 
 /// Why a solver could not produce an answer.
 ///
@@ -170,6 +169,22 @@ impl RPathsOutput {
     pub fn sisp(&self) -> Dist {
         self.replacement.iter().copied().min().unwrap_or(Dist::INF)
     }
+}
+
+/// Runs `f` on a fresh network over `graph` and pairs its result with
+/// the network's metrics: the one implementation of the `Network::new`
+/// / `solve_on` / `take_metrics` sequence behind every one-shot `solve`.
+///
+/// # Errors
+///
+/// Whatever `f` reports.
+pub fn with_network<'g, T>(
+    graph: &'g DiGraph,
+    f: impl FnOnce(&mut Network<'g>) -> Result<T, SolveError>,
+) -> Result<(T, Metrics), SolveError> {
+    let mut net = Network::new(graph);
+    let out = f(&mut net)?;
+    Ok((out, net.take_metrics()))
 }
 
 #[cfg(test)]

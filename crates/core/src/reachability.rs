@@ -10,7 +10,7 @@
 
 use congest::{Metrics, Network};
 
-use crate::{unweighted, weighted, Instance, Params, SolveError};
+use crate::{unweighted, weighted, with_network, Instance, Params, SolveError};
 
 /// Output of the replacement-reachability computation.
 #[derive(Clone, Debug)]
@@ -45,16 +45,9 @@ impl ReachabilityOutput {
 /// Returns [`SolveError::Partitioned`] when the communication graph is
 /// disconnected.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ReachabilityOutput, SolveError> {
-    let kind = if inst.graph.is_unweighted() {
-        crate::SolverKind::Unweighted
-    } else {
-        crate::SolverKind::Weighted
-    };
-    let mut session = crate::SolverSession::new(inst.graph, params.clone());
-    let (answers, mut metrics) = session.solve_instance(inst, params, kind)?;
-    metrics.record_cache(session.stats().cache);
+    let (survivable, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(ReachabilityOutput {
-        survivable: answers.scaled.iter().map(|d| d.is_finite()).collect(),
+        survivable,
         metrics,
     })
 }

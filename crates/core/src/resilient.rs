@@ -1,5 +1,5 @@
-//! Recovering solvers: fault-aware, bounded-retry wrappers around the
-//! paper's algorithms.
+//! Recovering solvers: fault-aware wrappers around the paper's
+//! algorithms.
 //!
 //! The solvers in this crate are all-or-nothing: a partitioned
 //! communication graph or an exhausted round budget is a [`SolveError`]
@@ -20,15 +20,17 @@
 //!    component: crashed nodes and downed links are removed, surviving
 //!    nodes are remapped in ascending order (so the sub-solve is as
 //!    deterministic as the original), and the demand is re-posed there.
-//! 3. **Retry.** Each solve attempt runs with an exponentially growing
-//!    [`Params::budget_factor`] ([`RecoveryPolicy::backoff`]), so an
-//!    engine budget exhausted by fault-stretched phases gets more
-//!    headroom instead of failing the campaign.
+//! 3. **Solve once.** The re-posed instance is pristine — the faults
+//!    were planned away, not injected — so it is solved exactly once,
+//!    with the caller's [`Params`]. A solver error there is a real
+//!    failure, returned as [`RecoveryError::Solve`]; no retry could
+//!    change it.
 //!
 //! The result is a structured [`Recovery`]: [`Recovery::Full`] when the
 //! steady state is fault-free, [`Recovery::Degraded`] — with the partial
 //! answer, the surviving route, and the unreachable nodes — when it is
-//! not. Only a crashed source or exhausted retries are hard errors.
+//! not. Only an invalid plan or demand, a crashed source, or a failed
+//! solve are hard errors.
 
 use congest::bfs_tree::{build_bfs_tree, TreeError};
 use congest::{FaultPlan, FaultPlanError, Network};
@@ -39,7 +41,7 @@ use crate::{
     reachability, sisp, unweighted, weighted, Instance, InstanceError, Params, SolveError,
 };
 
-/// A solver that can be retried on a (re-posed) instance.
+/// A solver that can run on a (re-posed) instance.
 ///
 /// Implementations are unit structs selecting one of the crate's
 /// algorithms; the output is the answer alone — recovery is about
@@ -48,15 +50,12 @@ pub trait RecoverableSolver {
     /// The solver's answer.
     type Output;
 
-    /// Human-readable solver name, used in campaign records.
-    const NAME: &'static str;
-
-    /// Runs one attempt on a healthy instance.
+    /// Solves a healthy instance.
     ///
     /// # Errors
     ///
     /// Propagates the wrapped solver's [`SolveError`].
-    fn attempt(inst: &Instance<'_>, params: &Params) -> Result<Self::Output, SolveError>;
+    fn solve(inst: &Instance<'_>, params: &Params) -> Result<Self::Output, SolveError>;
 }
 
 /// Theorem 1: exact unweighted replacement lengths, per path edge.
@@ -64,9 +63,8 @@ pub struct Unweighted;
 
 impl RecoverableSolver for Unweighted {
     type Output = Vec<Dist>;
-    const NAME: &'static str = "unweighted";
 
-    fn attempt(inst: &Instance<'_>, params: &Params) -> Result<Vec<Dist>, SolveError> {
+    fn solve(inst: &Instance<'_>, params: &Params) -> Result<Vec<Dist>, SolveError> {
         unweighted::solve(inst, params).map(|o| o.replacement)
     }
 }
@@ -76,9 +74,8 @@ pub struct Weighted;
 
 impl RecoverableSolver for Weighted {
     type Output = ScaledAnswers;
-    const NAME: &'static str = "weighted";
 
-    fn attempt(inst: &Instance<'_>, params: &Params) -> Result<ScaledAnswers, SolveError> {
+    fn solve(inst: &Instance<'_>, params: &Params) -> Result<ScaledAnswers, SolveError> {
         weighted::solve(inst, params).map(|o| ScaledAnswers {
             scaled: o.scaled,
             den: o.den,
@@ -91,9 +88,8 @@ pub struct Sisp;
 
 impl RecoverableSolver for Sisp {
     type Output = Dist;
-    const NAME: &'static str = "sisp";
 
-    fn attempt(inst: &Instance<'_>, params: &Params) -> Result<Dist, SolveError> {
+    fn solve(inst: &Instance<'_>, params: &Params) -> Result<Dist, SolveError> {
         sisp::solve(inst, params).map(|o| o.value)
     }
 }
@@ -103,29 +99,9 @@ pub struct Reachability;
 
 impl RecoverableSolver for Reachability {
     type Output = Vec<bool>;
-    const NAME: &'static str = "reachability";
 
-    fn attempt(inst: &Instance<'_>, params: &Params) -> Result<Vec<bool>, SolveError> {
+    fn solve(inst: &Instance<'_>, params: &Params) -> Result<Vec<bool>, SolveError> {
         reachability::solve(inst, params).map(|o| o.survivable)
-    }
-}
-
-/// Retry and backoff knobs for [`solve_with_recovery`].
-#[derive(Clone, Debug)]
-pub struct RecoveryPolicy {
-    /// Solve attempts per instance before giving up (at least 1).
-    pub max_attempts: u32,
-    /// Round-budget multiplier applied after each budget-exhausted
-    /// attempt (exponential backoff; at least 1).
-    pub backoff: u64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            max_attempts: 3,
-            backoff: 2,
-        }
     }
 }
 
@@ -137,8 +113,6 @@ pub enum Recovery<T> {
     Full {
         /// The solver's answer.
         output: T,
-        /// Attempts consumed (1 = first try succeeded).
-        attempts: u32,
     },
     /// Permanent faults changed the instance; the answer (if any) is for
     /// the demand re-posed on the source's surviving component.
@@ -149,7 +123,7 @@ impl<T> Recovery<T> {
     /// The answer, full or degraded, when one was produced.
     pub fn answered(&self) -> Option<&T> {
         match self {
-            Recovery::Full { output, .. } => Some(output),
+            Recovery::Full { output } => Some(output),
             Recovery::Degraded(d) => d.answered.as_ref(),
         }
     }
@@ -157,14 +131,6 @@ impl<T> Recovery<T> {
     /// `true` for [`Recovery::Degraded`].
     pub fn is_degraded(&self) -> bool {
         matches!(self, Recovery::Degraded(_))
-    }
-
-    /// Solve attempts consumed (0 when the partition made a solve moot).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            Recovery::Full { attempts, .. } => *attempts,
-            Recovery::Degraded(d) => d.attempts,
-        }
     }
 }
 
@@ -179,8 +145,6 @@ pub struct Degraded<T> {
     /// Nodes outside the source's surviving component (original ids,
     /// ascending; includes crashed nodes).
     pub unreachable: Vec<NodeId>,
-    /// Solve attempts consumed (0 when the target was unreachable).
-    pub attempts: u32,
 }
 
 /// Why recovery itself failed.
@@ -194,13 +158,8 @@ pub enum RecoveryError {
     SourceDown,
     /// The demand was invalid before any fault was applied.
     Instance(InstanceError),
-    /// Every attempt failed; `last` is the final solver error.
-    Exhausted {
-        /// Attempts consumed.
-        attempts: u32,
-        /// The last attempt's error.
-        last: SolveError,
-    },
+    /// The solver failed on the (possibly re-posed) instance.
+    Solve(SolveError),
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -209,9 +168,7 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
             RecoveryError::SourceDown => write!(f, "source node is crashed in the steady state"),
             RecoveryError::Instance(e) => write!(f, "invalid demand: {e}"),
-            RecoveryError::Exhausted { attempts, last } => {
-                write!(f, "recovery exhausted after {attempts} attempts: {last}")
-            }
+            RecoveryError::Solve(e) => write!(f, "solve failed: {e}"),
         }
     }
 }
@@ -227,9 +184,7 @@ impl std::error::Error for RecoveryError {}
 /// are detected with a distributed BFS-tree probe under
 /// [`FaultPlan::steady`], the demand is re-posed on the source's
 /// surviving component, and the result comes back as
-/// [`Recovery::Degraded`]. Budget-exhausted attempts are retried up to
-/// [`RecoveryPolicy::max_attempts`] times with exponentially growing
-/// round budgets.
+/// [`Recovery::Degraded`]. Either way the solver runs at most once.
 ///
 /// # Errors
 ///
@@ -237,21 +192,14 @@ impl std::error::Error for RecoveryError {}
 /// outside `graph` (checked before any work),
 /// [`RecoveryError::SourceDown`] when `s` is crashed in the steady
 /// state, [`RecoveryError::Instance`] when the demand was invalid before
-/// faults, [`RecoveryError::Exhausted`] when every attempt failed.
-///
-/// # Panics
-///
-/// Panics if `policy.max_attempts` or `policy.backoff` is zero.
+/// faults, [`RecoveryError::Solve`] when the solver itself failed.
 pub fn solve_with_recovery<S: RecoverableSolver>(
     graph: &DiGraph,
     s: NodeId,
     t: NodeId,
     plan: &FaultPlan,
     params: &Params,
-    policy: &RecoveryPolicy,
 ) -> Result<Recovery<S::Output>, RecoveryError> {
-    assert!(policy.max_attempts >= 1, "at least one attempt is needed");
-    assert!(policy.backoff >= 1, "backoff must not shrink the budget");
     plan.validate(graph.edge_count(), graph.node_count())
         .map_err(RecoveryError::FaultPlan)?;
     let steady = plan.steady();
@@ -264,8 +212,8 @@ pub fn solve_with_recovery<S: RecoverableSolver>(
     if downed_links.is_empty() && crashed.is_empty() {
         // Transient faults only: the steady-state graph *is* the graph.
         let inst = Instance::from_endpoints(graph, s, t).map_err(RecoveryError::Instance)?;
-        let (output, attempts) = retry::<S>(&inst, params, policy)?;
-        return Ok(Recovery::Full { output, attempts });
+        let output = S::solve(&inst, params).map_err(RecoveryError::Solve)?;
+        return Ok(Recovery::Full { output });
     }
 
     // Distributed detection: a BFS-tree probe under the steady-state
@@ -295,7 +243,6 @@ pub fn solve_with_recovery<S: RecoverableSolver>(
             answered: None,
             path: None,
             unreachable,
-            attempts: 0,
         }));
     }
 
@@ -323,51 +270,17 @@ pub fn solve_with_recovery<S: RecoverableSolver>(
                 answered: None,
                 path: None,
                 unreachable,
-                attempts: 0,
             }));
         }
         Err(e) => return Err(RecoveryError::Instance(e)),
     };
     let path: Vec<NodeId> = inst.path.nodes().iter().map(|&v| component[v]).collect();
-    let (output, attempts) = retry::<S>(&inst, params, policy)?;
+    let output = S::solve(&inst, params).map_err(RecoveryError::Solve)?;
     Ok(Recovery::Degraded(Degraded {
         answered: Some(output),
         path: Some(path),
         unreachable,
-        attempts,
     }))
-}
-
-/// The retry loop: only engine budget exhaustion is retried (with the
-/// budget factor multiplied by `policy.backoff` each time); a
-/// partitioned network will not heal with more rounds.
-fn retry<S: RecoverableSolver>(
-    inst: &Instance<'_>,
-    params: &Params,
-    policy: &RecoveryPolicy,
-) -> Result<(S::Output, u32), RecoveryError> {
-    let mut factor = params.budget_factor;
-    let mut last = None;
-    for attempt in 1..=policy.max_attempts {
-        let p = params.clone().with_budget_factor(factor);
-        match S::attempt(inst, &p) {
-            Ok(out) => return Ok((out, attempt)),
-            Err(e @ SolveError::Engine(_)) => {
-                last = Some(e);
-                factor = factor.saturating_mul(policy.backoff);
-            }
-            Err(e) => {
-                return Err(RecoveryError::Exhausted {
-                    attempts: attempt,
-                    last: e,
-                })
-            }
-        }
-    }
-    Err(RecoveryError::Exhausted {
-        attempts: policy.max_attempts,
-        last: last.expect("loop ran at least once"),
-    })
 }
 
 /// The source's component in the undirected surviving graph: downed
@@ -419,19 +332,10 @@ mod tests {
     fn transient_faults_give_a_full_answer() {
         let g = metro_ring(8);
         let plan = FaultPlan::new(3).drop_messages(0.2);
-        let rec = solve_with_recovery::<Unweighted>(
-            &g,
-            0,
-            4,
-            &plan,
-            &params_for(&g),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        let Recovery::Full { output, attempts } = rec else {
+        let rec = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &params_for(&g)).unwrap();
+        let Recovery::Full { output } = rec else {
             panic!("transient faults must not degrade the instance");
         };
-        assert_eq!(attempts, 1);
         let inst = Instance::from_endpoints(&g, 0, 4).unwrap();
         assert_eq!(output, replacement_lengths(&g, &inst.path));
     }
@@ -444,15 +348,7 @@ mod tests {
         let plan = FaultPlan::new(5)
             .fail_link(2, 0, None)
             .fail_link(3, 0, None);
-        let rec = solve_with_recovery::<Unweighted>(
-            &g,
-            0,
-            4,
-            &plan,
-            &params_for(&g),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let rec = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &params_for(&g)).unwrap();
         let Recovery::Degraded(d) = rec else {
             panic!("a permanent failure must report as degraded");
         };
@@ -475,15 +371,7 @@ mod tests {
             .fail_link(1, 0, None)
             .fail_link(8, 0, None)
             .fail_link(9, 0, None);
-        let rec = solve_with_recovery::<Unweighted>(
-            &g,
-            0,
-            4,
-            &plan,
-            &params_for(&g),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let rec = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &params_for(&g)).unwrap();
         let Recovery::Degraded(d) = rec else {
             panic!("a partition must report as degraded");
         };
@@ -495,15 +383,7 @@ mod tests {
     fn crashed_target_is_unreachable_not_an_error() {
         let g = metro_ring(6);
         let plan = FaultPlan::new(9).crash_node(3, 0, None);
-        let rec = solve_with_recovery::<Reachability>(
-            &g,
-            0,
-            3,
-            &plan,
-            &params_for(&g),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let rec = solve_with_recovery::<Reachability>(&g, 0, 3, &plan, &params_for(&g)).unwrap();
         let Recovery::Degraded(d) = rec else {
             panic!("a crashed target must report as degraded");
         };
@@ -515,15 +395,7 @@ mod tests {
     fn crashed_source_is_a_hard_error() {
         let g = metro_ring(6);
         let plan = FaultPlan::new(11).crash_node(0, 0, None);
-        let err = solve_with_recovery::<Sisp>(
-            &g,
-            0,
-            3,
-            &plan,
-            &params_for(&g),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = solve_with_recovery::<Sisp>(&g, 0, 3, &plan, &params_for(&g)).unwrap_err();
         assert_eq!(err, RecoveryError::SourceDown);
     }
 
@@ -535,15 +407,7 @@ mod tests {
         let plan = FaultPlan::new(13)
             .fail_link(2, 0, Some(10))
             .crash_node(6, 2, Some(5));
-        let rec = solve_with_recovery::<Sisp>(
-            &g,
-            0,
-            4,
-            &plan,
-            &params_for(&g),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let rec = solve_with_recovery::<Sisp>(&g, 0, 4, &plan, &params_for(&g)).unwrap();
         assert!(!rec.is_degraded());
         // Both ways round the ring have 4 hops: the second simple
         // shortest path has length 4 as well.

@@ -7,11 +7,11 @@
 //! Proposition 6.1 direction).
 
 use congest::aggregate::{aggregate, AggOp};
-use congest::bfs_tree::{build_bfs_tree, BfsTree};
+use congest::bfs_tree::build_bfs_tree;
 use congest::Network;
 use graphkit::Dist;
 
-use crate::{unweighted, weighted, Instance, Params, SolveError};
+use crate::{unweighted, weighted, with_network, Instance, Params, SolveError};
 
 /// Result of a 2-SiSP computation.
 #[derive(Clone, Debug)]
@@ -22,13 +22,6 @@ pub struct SispOutput {
     pub metrics: congest::Metrics,
 }
 
-/// Aggregates the global minimum of per-node values over the BFS tree in
-/// `O(height)` rounds; afterwards every node knows it. (A thin wrapper
-/// around [`congest::aggregate`] with [`AggOp::Min`].)
-pub fn aggregate_min(net: &mut Network<'_>, tree: &BfsTree, values: &[Dist]) -> Dist {
-    aggregate(net, tree, AggOp::Min, values)
-}
-
 /// Solves 2-SiSP for an unweighted instance: Theorem 1's RPaths plus an
 /// `O(D)`-round aggregation.
 ///
@@ -37,8 +30,7 @@ pub fn aggregate_min(net: &mut Network<'_>, tree: &BfsTree, values: &[Dist]) -> 
 /// Returns [`SolveError::Partitioned`] when the communication graph is
 /// disconnected.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<SispOutput, SolveError> {
-    let (value, metrics) =
-        crate::session::with_network(inst.graph, |net| solve_on(net, inst, params))?;
+    let (value, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(SispOutput { value, metrics })
 }
 
@@ -60,7 +52,7 @@ pub fn solve_weighted(
     for i in 0..inst.hops() {
         values[inst.path.node(i)] = apx.scaled[i];
     }
-    let (value, mut agg) = crate::session::with_network(inst.graph, |net| {
+    let (value, mut agg) = with_network(inst.graph, |net| {
         let (tree, _) = build_bfs_tree(net, inst.s())?;
         Ok(aggregate(net, &tree, AggOp::Min, &values))
     })?;
@@ -89,8 +81,9 @@ pub fn solve_on(
     for i in 0..inst.hops() {
         values[inst.path.node(i)] = replacement[i];
     }
+    // Every node learns the minimum over the BFS tree in `O(D)` rounds.
     let (tree, _) = build_bfs_tree(net, inst.s())?;
-    Ok(aggregate_min(net, &tree, &values))
+    Ok(aggregate(net, &tree, AggOp::Min, &values))
 }
 
 #[cfg(test)]
@@ -98,26 +91,6 @@ mod tests {
     use super::*;
     use graphkit::alg::second_simple_shortest;
     use graphkit::gen::{parallel_lane, planted_path_digraph, theorem2_family};
-
-    #[test]
-    fn aggregate_min_finds_global_minimum() {
-        let (g, _, _) = planted_path_digraph(40, 10, 80, 1);
-        let mut net = Network::new(&g);
-        let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-        let mut values = vec![Dist::INF; 40];
-        values[17] = Dist::new(5);
-        values[31] = Dist::new(3);
-        assert_eq!(aggregate_min(&mut net, &tree, &values), Dist::new(3));
-    }
-
-    #[test]
-    fn aggregate_min_all_infinite() {
-        let (g, _, _) = planted_path_digraph(20, 5, 30, 2);
-        let mut net = Network::new(&g);
-        let (tree, _) = build_bfs_tree(&mut net, 3).unwrap();
-        let values = vec![Dist::INF; 20];
-        assert_eq!(aggregate_min(&mut net, &tree, &values), Dist::INF);
-    }
 
     #[test]
     fn sisp_matches_oracle() {

@@ -9,14 +9,13 @@
 use congest::bfs_tree::build_bfs_tree;
 use congest::Network;
 
-use crate::{knowledge, long, short, Instance, Params, RPathsOutput, SolveError};
+use crate::{knowledge, long, short, with_network, Instance, Params, RPathsOutput, SolveError};
 
 /// Solves unweighted directed RPaths (Definition 2.1) with high
-/// probability, exactly.
+/// probability, exactly, on a fresh network.
 ///
-/// This is a thin wrapper over a fresh [`crate::SolverSession`]; batch
-/// workloads should hold a session and use
-/// [`crate::SolverSession::solve_batch`] to reuse artifacts across
+/// Batch workloads should hold a [`crate::SolverSession`] and use
+/// [`crate::SolverSession::solve_batch`] to reuse answers across
 /// queries.
 ///
 /// # Errors
@@ -29,12 +28,9 @@ use crate::{knowledge, long, short, Instance, Params, RPathsOutput, SolveError};
 /// Panics if the graph is weighted — use [`crate::weighted::solve`] for
 /// the `(1+ε)` algorithm of Theorem 3.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, SolveError> {
-    let mut session = crate::SolverSession::new(inst.graph, params.clone());
-    let (answers, mut metrics) =
-        session.solve_instance(inst, params, crate::SolverKind::Unweighted)?;
-    metrics.record_cache(session.stats().cache);
+    let (replacement, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(RPathsOutput {
-        replacement: answers.scaled.clone(),
+        replacement,
         metrics,
     })
 }

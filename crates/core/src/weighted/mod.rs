@@ -24,7 +24,7 @@ use congest::bfs_tree::build_bfs_tree;
 use congest::{Metrics, Network};
 use graphkit::Dist;
 
-use crate::{knowledge, Instance, Params, SolveError};
+use crate::{knowledge, with_network, Instance, Params, SolveError};
 
 /// Output of the approximate solver: per-edge values `x` with
 /// `|st ⋄ e| ≤ x ≤ (1+ε)·|st ⋄ e|`.
@@ -100,12 +100,9 @@ impl ApxOutput {
 /// Returns [`SolveError::Partitioned`] when the communication graph is
 /// disconnected.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ApxOutput, SolveError> {
-    let mut session = crate::SolverSession::new(inst.graph, params.clone());
-    let (answers, mut metrics) =
-        session.solve_instance(inst, params, crate::SolverKind::Weighted)?;
-    metrics.record_cache(session.stats().cache);
+    let (answers, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(ApxOutput {
-        scaled: answers.scaled.clone(),
+        scaled: answers.scaled,
         den: answers.den,
         metrics,
     })

@@ -31,6 +31,7 @@
 
 pub mod minimize;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use congest::bfs_tree::build_bfs_tree;
@@ -41,7 +42,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpaths_core::fixture::{Fixture, FIXTURE_EXT};
 use rpaths_core::oracle::{self, Divergence, FuzzSolver};
-use rpaths_core::resilient::{self, Recovery, RecoveryPolicy};
+use rpaths_core::resilient::{self, Recovery};
 use rpaths_core::{Instance, Params, Query};
 
 /// Sweep configuration (every knob the CLI exposes).
@@ -590,7 +591,6 @@ fn run_fault_tier(plan: &CasePlan) -> CaseRun {
         return CaseRun::skip("no reachable demand pair");
     };
     let params = params_for(graph.node_count(), &mut rng);
-    let policy = RecoveryPolicy::default();
     let plan_seed = rng.gen_range(0..u64::MAX / 2);
     let transient = rng.gen_bool(0.5);
     let fault_plan = if transient {
@@ -611,16 +611,10 @@ fn run_fault_tier(plan: &CasePlan) -> CaseRun {
         }
         p
     };
-    let recovery = resilient::solve_with_recovery::<resilient::Unweighted>(
-        &graph,
-        s,
-        t,
-        &fault_plan,
-        &params,
-        &policy,
-    );
+    let recovery =
+        resilient::solve_with_recovery::<resilient::Unweighted>(&graph, s, t, &fault_plan, &params);
     match recovery {
-        Ok(Recovery::Full { output, .. }) => {
+        Ok(Recovery::Full { output }) => {
             if !transient {
                 return CaseRun {
                     outcome: Err(diverge(
@@ -660,11 +654,6 @@ fn run_fault_tier(plan: &CasePlan) -> CaseRun {
                 repro: None,
             },
         },
-        Err(resilient::RecoveryError::Exhausted { .. }) if transient => {
-            // Heavy message loss can legitimately outlast the retry
-            // budget; that is a campaign finding, not a correctness bug.
-            CaseRun::skip("transient faults exhausted the retry budget")
-        }
         Err(e) => CaseRun {
             outcome: Err(diverge("recovery failed", e.to_string(), "an answer")),
             skip: None,
@@ -880,12 +869,34 @@ fn run_scale_tier(plan: &CasePlan) -> CaseRun {
 /// Runs one planned case; `minimize` controls whether divergent repros
 /// are ddmin-shrunk before being minted as fixtures.
 pub fn run_case(plan: &CasePlan, minimize: bool) -> (CaseOutcome, usize) {
-    let run = match plan.kind {
+    run_guarded(plan, minimize, |plan| match plan.kind {
         CaseKind::InstanceDiff => run_instance_diff(plan),
         CaseKind::BatchDiff => run_batch_diff(plan),
         CaseKind::FaultTier => run_fault_tier(plan),
         CaseKind::ScaleTier => run_scale_tier(plan),
-    };
+    })
+}
+
+/// Runs `run` on `plan` and turns its result into an outcome. A panic
+/// anywhere in the case is a divergence naming the panic message, not
+/// the end of the sweep.
+fn run_guarded(
+    plan: &CasePlan,
+    minimize: bool,
+    run: impl FnOnce(&CasePlan) -> CaseRun,
+) -> (CaseOutcome, usize) {
+    let run = catch_unwind(AssertUnwindSafe(|| run(plan))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        CaseRun {
+            outcome: Err(diverge("case panicked", message, "no panic")),
+            skip: None,
+            repro: None,
+        }
+    });
     let n = plan.n;
     match (run.outcome, run.skip) {
         (Ok(()), None) => (CaseOutcome::Pass, n),
@@ -1107,6 +1118,29 @@ pub fn write_seed_corpus(out_dir: &Path) -> Result<Vec<PathBuf>, rpaths_store::S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_case_is_a_divergence_naming_the_panic() {
+        let plan = plan_case(&FuzzConfig::smoke(1), 0);
+        let (outcome, n_used) = run_guarded(&plan, false, |_| panic!("boom at round 7"));
+        match outcome {
+            CaseOutcome::Diverged {
+                divergence,
+                fixture,
+            } => {
+                assert_eq!(divergence.check, "case panicked");
+                assert_eq!(divergence.got, "boom at round 7");
+                assert!(fixture.is_none());
+            }
+            other => panic!("expected a divergence, got {other:?}"),
+        }
+        assert_eq!(n_used, plan.n);
+        // Formatted messages arrive as `String` payloads.
+        let (outcome, _) = run_guarded(&plan, false, |p| panic!("case {}", p.index));
+        assert!(
+            matches!(outcome, CaseOutcome::Diverged { ref divergence, .. } if divergence.got == "case 0")
+        );
+    }
 
     #[test]
     fn planner_is_deterministic() {

@@ -19,11 +19,13 @@
 //! ```
 //!
 //! Section tags: [`TAG_GRAPH`] (payload is
-//! `graphkit::DiGraph::to_snapshot`), [`TAG_DISTS`], [`TAG_TREE`],
-//! [`TAG_BLOB`], and [`TAG_CACHE`] (artifact sections: a
-//! length-prefixed UTF-8 key, then a kind-specific body — the typed
-//! codecs live in `rpaths_core::artifacts`). Exactly one graph section
-//! is required; artifact sections are optional and ordered.
+//! `graphkit::DiGraph::to_snapshot`), [`TAG_BLOB`], and [`TAG_CACHE`]
+//! (artifact sections: a length-prefixed UTF-8 key, then a
+//! kind-specific body — the session-cache codec lives in
+//! `rpaths_core::artifacts`). Exactly one graph section is required;
+//! artifact sections are optional and ordered. Tags 2 and 3 held raw
+//! distance arrays and BFS trees in older files; like any unknown tag
+//! they are now skipped on load.
 //!
 //! # Durability contract
 //!
@@ -65,10 +67,6 @@ pub const FOOTER_MAGIC: [u8; 4] = *b"RPFT";
 
 /// Section tag: the graph payload (`DiGraph::to_snapshot` bytes).
 pub const TAG_GRAPH: u32 = 1;
-/// Section tag: a keyed distance-array artifact.
-pub const TAG_DISTS: u32 = 2;
-/// Section tag: a keyed BFS-tree artifact.
-pub const TAG_TREE: u32 = 3;
 /// Section tag: a keyed opaque-blob artifact (forward-compatible).
 pub const TAG_BLOB: u32 = 4;
 /// Section tag: one solver-session cache entry (see
@@ -226,12 +224,12 @@ impl From<io::Error> for StoreError {
 /// A keyed, typed artifact riding in the snapshot next to the graph.
 ///
 /// The store frames and checksums artifacts but treats their bodies as
-/// opaque; the typed encode/decode for distance arrays and BFS trees
-/// lives in `rpaths_core::artifacts`.
+/// opaque; the typed encode/decode for session-cache entries lives in
+/// `rpaths_core::artifacts`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Artifact {
-    /// Section tag this artifact is written under ([`TAG_DISTS`],
-    /// [`TAG_TREE`], [`TAG_BLOB`], or [`TAG_CACHE`]).
+    /// Section tag this artifact is written under ([`TAG_BLOB`] or
+    /// [`TAG_CACHE`]).
     pub kind: u32,
     /// Caller-chosen identity, e.g. `"unweighted/replacement"`.
     pub key: String,
@@ -521,14 +519,12 @@ impl Snapshot {
                         }
                     }
                 }
-                TAG_DISTS | TAG_TREE | TAG_BLOB | TAG_CACHE => {
-                    match decode_artifact(tag, payload) {
-                        Ok(a) => artifacts.push(a),
-                        Err(detail) => {
-                            fail_or_drop!(tag, StoreError::Malformed { section, detail })
-                        }
+                TAG_BLOB | TAG_CACHE => match decode_artifact(tag, payload) {
+                    Ok(a) => artifacts.push(a),
+                    Err(detail) => {
+                        fail_or_drop!(tag, StoreError::Malformed { section, detail })
                     }
-                }
+                },
                 unknown => skipped_unknown.push(unknown),
             }
             pos = frame_end;
@@ -668,7 +664,7 @@ mod tests {
         let mut s = Snapshot::new(metro_ring(6));
         s.artifacts.push(Artifact::blob("alpha", vec![1, 2, 3]));
         s.artifacts.push(Artifact {
-            kind: TAG_DISTS,
+            kind: TAG_CACHE,
             key: "beta".into(),
             body: vec![9; 24],
         });

@@ -7,7 +7,9 @@ use congest::{FaultPlan, FaultPlanError};
 use graphkit::alg::replacement_lengths;
 use graphkit::{Dist, GraphBuilder, StPath};
 use rpaths_core::oracle::oracle_query;
-use rpaths_core::{unweighted, weighted, Instance, Params, Query, SolverSession};
+use rpaths_core::{
+    unweighted, weighted, Answer, Instance, Params, Query, SessionStats, SolverSession,
+};
 
 fn full_params(n: usize, zeta: usize) -> Params {
     let mut p = Params::with_zeta(n, zeta);
@@ -213,9 +215,13 @@ fn runs_are_fully_deterministic() {
     assert_eq!(a.metrics.phases.len(), b.metrics.phases.len());
 }
 
-/// Answers `queries` through a fresh [`SolverSession`] and checks every
-/// answer against the centralized replacement oracle.
-fn assert_session_matches_oracle(g: &graphkit::DiGraph, queries: &[Query]) {
+/// Answers `queries` through a fresh [`SolverSession`], checks every
+/// answer against the centralized replacement oracle, and hands back
+/// the answers and the session's telemetry.
+fn assert_session_matches_oracle(
+    g: &graphkit::DiGraph,
+    queries: &[Query],
+) -> (Vec<Answer>, SessionStats) {
     let mut session = SolverSession::new(g, full_params(g.node_count(), 4));
     let answers = session.solve_batch(queries).expect("batch must solve");
     for (q, a) in queries.iter().zip(&answers) {
@@ -227,6 +233,24 @@ fn assert_session_matches_oracle(g: &graphkit::DiGraph, queries: &[Query]) {
         );
         assert_eq!(a.den, 1, "unweighted answers must be exact");
     }
+    (answers, session.stats())
+}
+
+#[test]
+fn unreachable_pairs_answer_infinity_without_a_solver_run() {
+    // A one-way chain 0 -> 1 -> 2 -> 3: weakly connected, so the
+    // communication graph is fine, but no directed path runs 3 -> 0.
+    // The reverse pair answers ∞ whether or not an edge fails, and the
+    // session learns that from the (cached) missing path alone.
+    let mut b = GraphBuilder::new(4);
+    b.add_arc(0, 1); // e0
+    b.add_arc(1, 2); // e1
+    b.add_arc(2, 3); // e2
+    let g = b.build();
+    let (answers, stats) =
+        assert_session_matches_oracle(&g, &[Query::intact(3, 0), Query::avoiding(3, 0, 1)]);
+    assert_eq!(answers, vec![Answer::unreachable(); 2]);
+    assert_eq!(stats.solver_runs, 0, "an unreachable pair never solves");
 }
 
 #[test]
@@ -348,7 +372,7 @@ fn out_of_range_fault_plans_are_typed_errors() {
     // before any work, whether its faults are all transient (the
     // recovery layer never attaches such a plan to a network) or
     // include permanent ones (probed under the steady state).
-    use rpaths_core::resilient::{solve_with_recovery, RecoveryError, RecoveryPolicy, Unweighted};
+    use rpaths_core::resilient::{solve_with_recovery, RecoveryError, Unweighted};
     let g = graphkit::gen::metro_ring(8);
     let (m, n) = (g.edge_count(), g.node_count());
     let unknown_link = |link| FaultPlanError::UnknownLink {
@@ -378,14 +402,7 @@ fn out_of_range_fault_plans_are_typed_errors() {
             unknown_node(n + 1),
         ),
     ] {
-        let got = solve_with_recovery::<Unweighted>(
-            &g,
-            0,
-            4,
-            &plan,
-            &Params::for_n(n),
-            &RecoveryPolicy::default(),
-        );
+        let got = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &Params::for_n(n));
         assert_eq!(got.unwrap_err(), RecoveryError::FaultPlan(want));
     }
 }

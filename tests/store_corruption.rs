@@ -16,32 +16,36 @@
 //! - A graph reloaded from a snapshot drives the solver to the same
 //!   answers and the same round/message accounting as the original.
 
+use graphkit::alg::shortest_st_path;
 use graphkit::gen::{metro_ring, random_digraph};
 use graphkit::DiGraph;
-use rpaths_core::artifacts::{cache_artifact, dists_artifact, tree_artifact};
+use rpaths_core::artifacts::cache_artifact;
 use rpaths_core::{unweighted, ArtifactKind, CacheValue, Instance, Params};
 use rpaths_store::{crc32, Artifact, Loaded, Snapshot, StoreError};
 use std::sync::Arc;
 
-/// A representative snapshot: a real graph plus tree, dists, blob, and
-/// session-cache artifacts, so flips land in every section type the
-/// format has ([`TAG_CACHE`] included).
+/// A representative snapshot: a real graph plus session-cache and blob
+/// artifacts, so flips land in every section type the format has
+/// (graph, [`TAG_CACHE`], blob).
 fn sample() -> (Vec<u8>, Vec<u8>) {
     let g = random_digraph(24, 60, 9);
-    let mut net = congest::Network::new(&g);
-    let (tree, _) = congest::bfs_tree::build_bfs_tree(&mut net, 0).expect("spanning");
     let fp = g.fingerprint();
     let graph_bytes = g.to_snapshot();
+    let path = shortest_st_path(&g, 0, 5);
     let mut snap = Snapshot::new(g);
-    snap.artifacts.push(tree_artifact("bfs/0", &tree));
-    snap.artifacts.push(dists_artifact(
-        "dists",
-        &[graphkit::Dist::new(5), graphkit::Dist::INF],
+    // Three persisted session-cache entries, as SolverSession::save
+    // writes them: a shortest path, a cheap scalar, and a full
+    // replacement-answers vector, with a blob among them.
+    snap.artifacts.push(cache_artifact(
+        fp,
+        &ArtifactKind::Path {
+            source: 0,
+            target: 5,
+        },
+        &CacheValue::Path(path),
     ));
     snap.artifacts
         .push(Artifact::blob("notes", b"free-form payload".to_vec()));
-    // Two persisted session-cache entries, as SolverSession::save writes
-    // them: a cheap scalar and a full replacement-answers vector.
     snap.artifacts.push(cache_artifact(
         fp,
         &ArtifactKind::Diameter,
@@ -158,7 +162,7 @@ fn corrupting_each_artifact_drops_only_artifacts() {
         pos = payload + len + 4;
         section += 1;
     }
-    assert!(section >= 6, "expected graph + 5 artifact sections");
+    assert!(section >= 5, "expected graph + 4 artifact sections");
 }
 
 #[test]
@@ -175,7 +179,7 @@ fn corrupt_cache_sections_degrade_to_partial_cold_cache() {
         .filter(|(_, w)| *w == b"cache/")
         .map(|(i, _)| i)
         .collect();
-    assert_eq!(positions.len(), 2, "sample persists two cache sections");
+    assert_eq!(positions.len(), 3, "sample persists three cache sections");
     for pos in positions {
         let mut mutated = bytes.clone();
         mutated[pos] ^= 0xff;
@@ -198,35 +202,38 @@ fn corrupt_cache_sections_degrade_to_partial_cold_cache() {
 #[test]
 fn unknown_sections_round_past_known_ones() {
     let (bytes, graph_bytes) = sample();
-    // Splice an unknown section (tag 0x7001) between graph and the
-    // first artifact, rebuilding the footer.
     let mut pos = 12;
     let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
     pos += 12 + len + 4; // end of graph section
-    let mut spliced = bytes[..pos].to_vec();
-    let tag: u32 = 0x7001;
-    let body = b"opaque future payload";
-    spliced.extend_from_slice(&tag.to_le_bytes());
-    spliced.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    spliced.extend_from_slice(body);
-    let mut framed = tag.to_le_bytes().to_vec();
-    framed.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    framed.extend_from_slice(body);
-    spliced.extend_from_slice(&crc32(&framed).to_le_bytes());
-    spliced.extend_from_slice(&bytes[pos..bytes.len() - 8]);
-    let crc = crc32(&spliced);
-    spliced.extend_from_slice(b"RPFT");
-    spliced.extend_from_slice(&crc.to_le_bytes());
-    match Snapshot::decode(&spliced) {
-        Ok(Loaded::Complete {
-            snapshot,
-            skipped_unknown,
-        }) => {
-            assert_eq!(skipped_unknown, vec![0x7001]);
-            assert_eq!(snapshot.graph.to_snapshot(), graph_bytes);
-            assert_eq!(snapshot.artifacts.len(), 5);
+                         // Tags 2 and 3 held raw distance arrays and BFS trees in older
+                         // files; they now skip like any tag from the future.
+    for tag in [2u32, 3, 0x7001] {
+        // Splice the unknown section between graph and the first
+        // artifact, rebuilding the footer.
+        let mut spliced = bytes[..pos].to_vec();
+        let body = b"opaque payload of a retired or future kind";
+        spliced.extend_from_slice(&tag.to_le_bytes());
+        spliced.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        spliced.extend_from_slice(body);
+        let mut framed = tag.to_le_bytes().to_vec();
+        framed.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        framed.extend_from_slice(body);
+        spliced.extend_from_slice(&crc32(&framed).to_le_bytes());
+        spliced.extend_from_slice(&bytes[pos..bytes.len() - 8]);
+        let crc = crc32(&spliced);
+        spliced.extend_from_slice(b"RPFT");
+        spliced.extend_from_slice(&crc.to_le_bytes());
+        match Snapshot::decode(&spliced) {
+            Ok(Loaded::Complete {
+                snapshot,
+                skipped_unknown,
+            }) => {
+                assert_eq!(skipped_unknown, vec![tag]);
+                assert_eq!(snapshot.graph.to_snapshot(), graph_bytes);
+                assert_eq!(snapshot.artifacts.len(), 4);
+            }
+            other => panic!("tag {tag}: expected Complete with a skip, got {other:?}"),
         }
-        other => panic!("expected Complete with a skip, got {other:?}"),
     }
 }
 
