@@ -24,10 +24,10 @@ fn bench_broadcast(c: &mut Criterion) {
                     let items: Vec<Vec<u64>> = (0..n)
                         .map(|v| if v < m_items { vec![v as u64] } else { vec![] })
                         .collect();
-                    let (out, stats) = broadcast(&mut net, &tree, items, |_| 16, "bc");
+                    let (stream, stats) = broadcast(&mut net, &tree, items, |_| 16, "bc");
                     // Lemma 2.4: O(M + D) rounds.
                     assert!(stats.rounds <= 3 * (m_items as u64 + tree.height) + 8);
-                    out[0].len()
+                    stream.len()
                 });
             },
         );

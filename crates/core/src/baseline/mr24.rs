@@ -193,15 +193,14 @@ pub fn solve_on(
                 }
             }
         }
-        let (streams, _) = broadcast(net, &tree, items, bits, "mr24/fat-broadcast");
-        let stream = &streams[inst.s()];
+        let (stream, _) = broadcast(net, &tree, items, bits, "mr24/fat-broadcast");
 
         // Everything below is local at every vertex.
         let mut pairs = vec![vec![Dist::INF; k]; k];
         let mut path_to = vec![vec![Dist::INF; k]; h + 1];
         let mut path_from = vec![vec![Dist::INF; k]; h + 1];
         for it in stream {
-            match *it {
+            match it {
                 Item::Pair(a, b, d) => {
                     let c = &mut pairs[a as usize][b as usize];
                     *c = (*c).min(Dist::new(d));

@@ -246,16 +246,15 @@ pub fn acquire(
             });
         }
     }
-    let (delivered, _) = broadcast(net, tree, items, chain_item_bits, "lemma2.5/broadcast");
+    let (stream, _) = broadcast(net, tree, items, chain_item_bits, "lemma2.5/broadcast");
 
     // Phase 3: local reconstruction at each path vertex. All vertices
-    // received the same stream; reconstruct once and read off per-vertex
+    // received the same items; reconstruct once and read off per-vertex
     // values (each step uses only information local to that vertex).
-    let stream = &delivered[inst.s()];
     let mut source = None;
     let mut next_link = std::collections::HashMap::new();
     for item in stream {
-        match *item {
+        match item {
             ChainItem::Source(v) => source = Some(v),
             ChainItem::Target(_) => {}
             ChainItem::Link {

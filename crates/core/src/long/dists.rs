@@ -119,20 +119,22 @@ pub fn compose_from_tables(
             }
         }
     }
-    broadcast(
+    let (stream, _) = broadcast(
         net,
         tree,
         items,
         |&(j, kk, d)| word_bits(j as u64) + word_bits(kk as u64) + word_bits(d),
         "long/broadcast-landmark-pairs",
     );
-    // All nodes now hold the same stream; build the closure once.
+    // Every node received the same pairs; build the closure once, from
+    // what the broadcast delivered.
     let mut pairs = vec![vec![Dist::INF; k]; k];
-    for (j, row) in fwd_hb.iter().enumerate() {
-        pairs[j][j] = Dist::ZERO;
-        for (kk, &lk) in landmarks.iter().enumerate() {
-            pairs[j][kk] = pairs[j][kk].min(row[lk]);
-        }
+    for (j, row) in pairs.iter_mut().enumerate() {
+        row[j] = Dist::ZERO;
+    }
+    for (j, kk, d) in stream {
+        let cell = &mut pairs[j as usize][kk as usize];
+        *cell = (*cell).min(Dist::new(d));
     }
     let closure = min_plus_closure(pairs);
 
@@ -194,6 +196,9 @@ mod tests {
         let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
         let ld = landmark_distances(&mut net, &inst, &params, &landmarks, &tree);
         let (fwd, bwd) = exact_tables(&inst, &landmarks);
+        // Landmark k is vertex k, so the closure built from the delivered
+        // pairs is the exact distance matrix itself.
+        assert_eq!(ld.closure, fwd);
         assert_eq!(ld.from_landmark, fwd);
         assert_eq!(ld.to_landmark, bwd);
     }

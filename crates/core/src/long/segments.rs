@@ -89,12 +89,11 @@ pub fn distances_from_s(
             }
         }
     }
-    let (streams, _) = broadcast(net, tree, items, bits_of_summary, "long/broadcast-from-s");
-    let stream = &streams[inst.s()];
+    let (stream, _) = broadcast(net, tree, items, bits_of_summary, "long/broadcast-from-s");
     // best_before[x][j] = min over segments < x of the broadcast summary.
     let ell = lanes.len();
     let mut summary = vec![vec![Dist::INF; k]; ell];
-    for &(seg, j, d) in stream {
+    for (seg, j, d) in stream {
         let cell = &mut summary[seg as usize][j as usize];
         *cell = (*cell).min(Dist::new(d));
     }
@@ -151,10 +150,9 @@ pub fn distances_to_t(
             }
         }
     }
-    let (streams, _) = broadcast(net, tree, items, bits_of_summary, "long/broadcast-to-t");
-    let stream = &streams[inst.s()];
+    let (stream, _) = broadcast(net, tree, items, bits_of_summary, "long/broadcast-to-t");
     let mut summary = vec![vec![Dist::INF; k]; ell];
-    for &(seg, j, d) in stream {
+    for (seg, j, d) in stream {
         let cell = &mut summary[seg as usize][j as usize];
         *cell = (*cell).min(Dist::new(d));
     }

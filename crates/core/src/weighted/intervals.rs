@@ -160,16 +160,15 @@ pub fn solve_short_apx(
             }
         }
     }
-    let (streams, _) = broadcast(
+    let (stream, _) = broadcast(
         net,
         tree,
         items,
         |&(q, k, d)| word_bits(q as u64) + word_bits(k as u64) + word_bits(d),
         "apx/broadcast-intervals",
     );
-    let stream = &streams[inst.s()];
     let mut summary = vec![vec![Dist::INF; ell]; ell];
-    for &(q, k, d) in stream {
+    for (q, k, d) in stream {
         let cell = &mut summary[q as usize][k as usize];
         *cell = (*cell).min(Dist::new(d));
     }

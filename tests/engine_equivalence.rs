@@ -13,8 +13,9 @@
 //! baselines — across random, sparse/dense, and degree-skewed (star,
 //! two-hub, power-law) topologies, pinning end-to-end answers and the
 //! full per-phase metrics log; the chaos matrix extends this to seeded
-//! fault plans. The `parallel_*` and `*_thread_invariant` test names
-//! are kept so test ids stay stable; each compares the two schedules.
+//! fault plans. The remaining `parallel_*` and `*_thread_invariant`
+//! test names predate the single-threaded engine and are kept so test
+//! ids stay stable; each compares the two schedules.
 //!
 //! The engine-contract tests pin what the commit path guarantees: an
 //! inert fault plan changes nothing, CONGEST violations panic, delayed
@@ -220,7 +221,7 @@ fn matrix_graphs() -> Vec<graphkit::DiGraph> {
 }
 
 #[test]
-fn parallel_broadcast_matches_sequential_bitwise() {
+fn broadcast_matches_full_sweep_bitwise() {
     for g in matrix_graphs() {
         let n = g.node_count();
         let items: Vec<Vec<u64>> = (0..n)
@@ -266,7 +267,7 @@ fn skewed_graphs() -> Vec<graphkit::DiGraph> {
 }
 
 #[test]
-fn parallel_skewed_kernels_match_sequential_bitwise() {
+fn skewed_kernels_match_full_sweep_bitwise() {
     for g in skewed_graphs() {
         let n = g.node_count();
 

@@ -93,6 +93,18 @@ fn run_recorder_faulty(
     )
 }
 
+/// `per_node` distinct items at every node.
+fn numbered_items(n: usize, per_node: usize) -> Vec<Vec<u64>> {
+    (0..n)
+        .map(|v| (0..per_node).map(|j| (v * 10 + j) as u64).collect())
+        .collect()
+}
+
+fn sorted(mut items: Vec<u64>) -> Vec<u64> {
+    items.sort_unstable();
+    items
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -105,24 +117,40 @@ proptest! {
         let g = random_digraph(n, 2 * n, seed);
         let mut net = Network::new(&g);
         let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-        let items: Vec<Vec<u64>> = (0..n)
-            .map(|v| (0..per_node).map(|j| (v * 10 + j) as u64).collect())
-            .collect();
+        let items = numbered_items(n, per_node);
         let total: usize = items.iter().map(|i| i.len()).sum();
-        let (out, stats) = broadcast(&mut net, &tree, items, |_| 16, "bc");
-        for v in 0..n {
-            prop_assert_eq!(out[v].len(), total);
-            prop_assert_eq!(&out[v], &out[0], "node {} diverged", v);
-        }
-        let mut sorted = out[0].clone();
-        sorted.sort_unstable();
-        let mut expect: Vec<u64> = (0..n)
-            .flat_map(|v| (0..per_node).map(move |j| (v * 10 + j) as u64))
-            .collect();
-        expect.sort_unstable();
-        prop_assert_eq!(sorted, expect);
+        // Each item climbs from its origin to the root, then crosses every
+        // tree link downwards once.
+        let upcast: u64 = (0..n).map(|v| tree.depth[v] * per_node as u64).sum();
+        let (stream, stats) = broadcast(&mut net, &tree, items.clone(), |_| 16, "bc");
+        // The root's stream is a permutation of all items.
+        prop_assert_eq!(sorted(stream), sorted(items.concat()));
+        prop_assert_eq!(stats.messages, upcast + (total * (n - 1)) as u64);
         // Lemma 2.4's O(M + D) with an explicit constant.
         prop_assert!(stats.rounds <= 3 * (total as u64 + tree.height) + 8);
+    }
+
+    #[test]
+    fn broadcast_under_delays_delivers_the_fault_free_multiset(
+        n in 4usize..50,
+        per_node in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        let g = random_digraph(n, 2 * n, seed);
+        let items = numbered_items(n, per_node);
+        let run = |plan: Option<FaultPlan>| {
+            let mut net = Network::new(&g);
+            let (tree, _) = build_bfs_tree(&mut net, seed as usize % n).unwrap();
+            net.set_fault_plan(plan).unwrap();
+            broadcast(&mut net, &tree, items.clone(), |_| 16, "bc")
+        };
+        let (clean, clean_stats) = run(None);
+        // A delayed item can land alongside the next one; relays queue it
+        // rather than send two items on one link in one round.
+        let (delayed, delayed_stats) = run(Some(FaultPlan::new(seed).delay_messages(0.35, 3)));
+        prop_assert_eq!(delayed.len(), n * per_node);
+        prop_assert_eq!(sorted(delayed), sorted(clean));
+        prop_assert_eq!(delayed_stats.messages, clean_stats.messages);
     }
 
     #[test]
@@ -442,4 +470,47 @@ proptest! {
             prop_assert_eq!(tree.depth[v] as usize, dist[v]);
         }
     }
+}
+
+#[test]
+fn broadcast_from_one_origin_under_a_nonzero_root_keeps_its_order() {
+    let g = random_digraph(25, 50, 3);
+    let mut net = Network::new(&g);
+    let (tree, _) = build_bfs_tree(&mut net, 5).unwrap();
+    let mut items: Vec<Vec<u64>> = vec![vec![]; 25];
+    items[13] = (0..40).collect();
+    let (stream, _) = broadcast(&mut net, &tree, items, |_| 16, "bc");
+    assert_eq!(stream, (0..40).collect::<Vec<u64>>());
+}
+
+#[test]
+fn empty_broadcast_is_cheap() {
+    let g = random_digraph(20, 30, 1);
+    let mut net = Network::new(&g);
+    let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
+    let (stream, stats) = broadcast(&mut net, &tree, vec![vec![]; 20], |_: &u64| 8, "bc");
+    assert!(stream.is_empty());
+    assert!(stats.rounds <= 2);
+}
+
+#[test]
+#[should_panic(expected = "broadcast quiesces")]
+fn broadcast_past_a_cut_tree_link_never_returns() {
+    // A leaf with no items of its own behind a link that is down for the
+    // whole run: the root still serializes every item, but the leaf never
+    // receives any, so its receive count must keep the run from
+    // quiescing.
+    let n = 30;
+    let g = random_digraph(n, 2 * n, 2);
+    let mut net = Network::new(&g);
+    let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
+    let leaf = (1..n)
+        .find(|&v| tree.child_ports[v].is_empty())
+        .expect("a tree on 30 nodes has a non-root leaf");
+    let link = net.ports(leaf)[tree.parent_port[leaf].unwrap() as usize].link;
+    net.set_fault_plan(Some(FaultPlan::new(1).fail_link(link, 0, None)))
+        .unwrap();
+    let mut items = numbered_items(n, 1);
+    items[leaf].clear();
+    broadcast(&mut net, &tree, items, |_| 16, "bc");
 }
