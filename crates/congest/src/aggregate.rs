@@ -11,7 +11,7 @@
 use graphkit::Dist;
 
 use crate::bfs_tree::BfsTree;
-use crate::network::{word_bits, Network, NodeCtx, Protocol, Scheduling};
+use crate::network::{word_bits, Network, NodeCtx, Protocol};
 
 /// The supported aggregation operators over [`Dist`] values.
 ///
@@ -63,12 +63,6 @@ enum AggMsg {
     Down(Dist),
 }
 
-/// Read-only state every node consults: the tree and the operator.
-struct AggShared<'t> {
-    tree: &'t BfsTree,
-    op: AggOp,
-}
-
 /// One node's convergecast/downcast state.
 struct AggNode {
     acc: Dist,
@@ -78,33 +72,33 @@ struct AggNode {
     result: Option<Dist>,
 }
 
+/// The convergecast and downcast of `op` over `tree`.
+///
+/// Leaves fire in round 0 (stepped by the activation base case); every
+/// later transition — the last child report arriving, the downcast value
+/// arriving — happens in the round a message is delivered.
 struct Aggregate<'t> {
-    shared: AggShared<'t>,
-    nodes: Vec<AggNode>,
+    tree: &'t BfsTree,
+    op: AggOp,
 }
 
-impl<'t> Protocol for Aggregate<'t> {
+impl Protocol for Aggregate<'_> {
     type Msg = AggMsg;
     type Node = AggNode;
-    type Shared = AggShared<'t>;
 
-    fn msg_bits(_: &Self::Shared, m: &AggMsg) -> u64 {
+    fn msg_bits(&self, m: &AggMsg) -> u64 {
         let d = match m {
             AggMsg::Up(d) | AggMsg::Down(d) => *d,
         };
         2 + word_bits(d.finite().unwrap_or(0))
     }
 
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &Self::Shared, node: &mut AggNode, ctx: &mut NodeCtx<'_, AggMsg>) {
+    fn step_node(&self, node: &mut AggNode, ctx: &mut NodeCtx<'_, AggMsg>) {
         let v = ctx.node;
         for &(_, msg) in ctx.inbox() {
             match msg {
                 AggMsg::Up(d) => {
-                    node.acc = shared.op.fold(node.acc, d);
+                    node.acc = self.op.fold(node.acc, d);
                     node.waiting -= 1;
                 }
                 AggMsg::Down(d) => node.result = Some(d),
@@ -112,7 +106,7 @@ impl<'t> Protocol for Aggregate<'t> {
         }
         if node.waiting == 0 && !node.sent_up {
             node.sent_up = true;
-            match shared.tree.parent_port[v] {
+            match self.tree.parent_port[v] {
                 Some(pp) => ctx.send(pp, AggMsg::Up(node.acc)),
                 None => node.result = Some(node.acc),
             }
@@ -120,23 +114,15 @@ impl<'t> Protocol for Aggregate<'t> {
         if let Some(d) = node.result {
             if !node.sent_down {
                 node.sent_down = true;
-                for &cp in &shared.tree.child_ports[v] {
+                for &cp in &self.tree.child_ports[v] {
                     ctx.send(cp, AggMsg::Down(d));
                 }
             }
         }
     }
 
-    fn idle(&self) -> bool {
-        self.nodes.iter().all(|nd| nd.result.is_some())
-    }
-
-    // Leaves fire in round 0 (stepped by the activation base case);
-    // every later transition — the last child report arriving, the
-    // downcast value arriving — happens in the round a message is
-    // delivered.
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
+    fn idle(&self, nodes: &[AggNode]) -> bool {
+        nodes.iter().all(|nd| nd.result.is_some())
     }
 }
 
@@ -151,23 +137,23 @@ impl<'t> Protocol for Aggregate<'t> {
 pub fn aggregate(net: &mut Network<'_>, tree: &BfsTree, op: AggOp, values: &[Dist]) -> Dist {
     let n = net.node_count();
     assert_eq!(values.len(), n);
-    let mut proto = Aggregate {
-        shared: AggShared { tree, op },
-        nodes: (0..n)
-            .map(|v| AggNode {
-                acc: op.fold(op.identity(), values[v]),
-                waiting: tree.child_ports[v].len(),
-                sent_up: false,
-                sent_down: false,
-                result: None,
-            })
-            .collect(),
-    };
-    net.run_until_quiet("aggregate", &mut proto, 8 * (tree.height + 2))
-        .expect("aggregation quiesces in O(height)");
-    proto.nodes[tree.root]
-        .result
-        .expect("root folded the result")
+    let mut nodes: Vec<AggNode> = (0..n)
+        .map(|v| AggNode {
+            acc: op.fold(op.identity(), values[v]),
+            waiting: tree.child_ports[v].len(),
+            sent_up: false,
+            sent_down: false,
+            result: None,
+        })
+        .collect();
+    net.run_until_quiet(
+        "aggregate",
+        &Aggregate { tree, op },
+        &mut nodes,
+        8 * (tree.height + 2),
+    )
+    .expect("aggregation quiesces in O(height)");
+    nodes[tree.root].result.expect("root folded the result")
 }
 
 #[cfg(test)]

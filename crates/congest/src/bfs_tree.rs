@@ -14,7 +14,7 @@ use std::fmt;
 
 use graphkit::NodeId;
 
-use crate::network::{word_bits, Network, NodeCtx, Protocol, Scheduling};
+use crate::network::{word_bits, Network, NodeCtx, Protocol};
 use crate::{EngineError, RunStats};
 
 /// The result of distributed BFS-tree construction.
@@ -91,11 +91,6 @@ enum TreeMsg {
     Adopt,
 }
 
-/// Read-only state every node consults: the root id.
-struct TreeShared {
-    root: NodeId,
-}
-
 /// One node's construction state.
 #[derive(Clone)]
 struct TreeNode {
@@ -104,28 +99,24 @@ struct TreeNode {
     child_ports: Vec<u32>,
 }
 
+/// The BFS flood from `root`. Joins and adoptions happen only on
+/// receipt (or at the root in round 0), so no step needs a wake.
 struct TreeProtocol {
-    shared: TreeShared,
-    nodes: Vec<TreeNode>,
+    root: NodeId,
 }
 
 impl Protocol for TreeProtocol {
     type Msg = TreeMsg;
     type Node = TreeNode;
-    type Shared = TreeShared;
 
-    fn msg_bits(_: &TreeShared, msg: &TreeMsg) -> u64 {
+    fn msg_bits(&self, msg: &TreeMsg) -> u64 {
         match msg {
             TreeMsg::Join { depth } => 1 + word_bits(*depth as u64),
             TreeMsg::Adopt => 1,
         }
     }
 
-    fn split(&mut self) -> (&TreeShared, &mut [TreeNode]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &TreeShared, node: &mut TreeNode, ctx: &mut NodeCtx<'_, TreeMsg>) {
+    fn step_node(&self, node: &mut TreeNode, ctx: &mut NodeCtx<'_, TreeMsg>) {
         let v = ctx.node;
         // Record adoption replies.
         for &(port, msg) in ctx.inbox() {
@@ -133,7 +124,7 @@ impl Protocol for TreeProtocol {
                 node.child_ports.push(port);
             }
         }
-        let newly_joined = if ctx.round == 0 && v == shared.root {
+        let newly_joined = if ctx.round == 0 && v == self.root {
             node.depth = Some(0);
             true
         } else if node.depth.is_none() {
@@ -163,12 +154,6 @@ impl Protocol for TreeProtocol {
             }
         }
     }
-
-    // Joins and adoptions happen only on receipt (or at the root in
-    // round 0), so the protocol is sweep-agnostic as-is.
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
-    }
 }
 
 /// Builds a BFS tree rooted at `root`, charging the rounds it takes
@@ -185,22 +170,24 @@ pub fn build_bfs_tree(
     root: NodeId,
 ) -> Result<(BfsTree, RunStats), TreeError> {
     let n = net.node_count();
-    let mut proto = TreeProtocol {
-        shared: TreeShared { root },
-        nodes: vec![
-            TreeNode {
-                depth: None,
-                parent_port: None,
-                child_ports: Vec::new(),
-            };
-            n
-        ],
-    };
-    let stats = net.run_until_quiet("bfs-tree", &mut proto, 2 * n as u64 + 4)?;
+    let mut nodes = vec![
+        TreeNode {
+            depth: None,
+            parent_port: None,
+            child_ports: Vec::new(),
+        };
+        n
+    ];
+    let stats = net.run_until_quiet(
+        "bfs-tree",
+        &TreeProtocol { root },
+        &mut nodes,
+        2 * n as u64 + 4,
+    )?;
     let mut depth = Vec::with_capacity(n);
     let mut joined = 0usize;
     let mut witness = None;
-    for (v, node) in proto.nodes.iter().enumerate() {
+    for (v, node) in nodes.iter().enumerate() {
         match node.depth {
             Some(d) => {
                 joined += 1;
@@ -223,14 +210,9 @@ pub fn build_bfs_tree(
     }
     let height = depth.iter().copied().max().unwrap_or(0);
     let parent = (0..n)
-        .map(|v| {
-            proto.nodes[v]
-                .parent_port
-                .map(|p| net.ports(v)[p as usize].peer)
-        })
+        .map(|v| nodes[v].parent_port.map(|p| net.ports(v)[p as usize].peer))
         .collect();
-    let (parent_port, child_ports) = proto
-        .nodes
+    let (parent_port, child_ports) = nodes
         .into_iter()
         .map(|nd| (nd.parent_port, nd.child_ports))
         .unzip();

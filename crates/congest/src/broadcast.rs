@@ -18,22 +18,16 @@
 //! run quiesces only once every node has received all `M` items.
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 use crate::bfs_tree::BfsTree;
-use crate::network::{Network, NodeCtx, Protocol, Scheduling};
+use crate::network::{Network, NodeCtx, Protocol};
 use crate::RunStats;
 
 #[derive(Clone, Debug)]
 enum Flow<T> {
     Up(T),
     Down(T),
-}
-
-/// Read-only state every node consults: the tree and the item sizing.
-struct BcastShared<'t, F> {
-    tree: &'t BfsTree,
-    bits: F,
-    expected_total: usize,
 }
 
 /// The downcast half of one node's pipeline state.
@@ -73,13 +67,19 @@ impl<T> BcastNode<T> {
     }
 }
 
+/// The pipeline over `tree`; every node consults the tree and the item
+/// sizing.
 struct BroadcastProtocol<'t, T, F> {
-    shared: BcastShared<'t, F>,
-    nodes: Vec<BcastNode<T>>,
+    tree: &'t BfsTree,
+    bits: F,
+    expected_total: usize,
+    /// `T` appears only in the node slots and `bits`'s bound.
+    item: PhantomData<fn(&T)>,
 }
 
 impl<'t, T, F> BroadcastProtocol<'t, T, F> {
-    fn new(tree: &'t BfsTree, items: Vec<Vec<T>>, bits: F) -> Self {
+    /// The protocol and its node slots, node `v` starting with `items[v]`.
+    fn new(tree: &'t BfsTree, items: Vec<Vec<T>>, bits: F) -> (Self, Vec<BcastNode<T>>) {
         let expected_total = items.iter().map(|i| i.len()).sum();
         let nodes = items
             .into_iter()
@@ -99,35 +99,29 @@ impl<'t, T, F> BroadcastProtocol<'t, T, F> {
                 },
             })
             .collect();
-        BroadcastProtocol {
-            shared: BcastShared {
-                tree,
-                bits,
-                expected_total,
-            },
-            nodes,
-        }
+        let proto = BroadcastProtocol {
+            tree,
+            bits,
+            expected_total,
+            item: PhantomData,
+        };
+        (proto, nodes)
     }
 }
 
 impl<'t, T: Clone, F: Fn(&T) -> u64> Protocol for BroadcastProtocol<'t, T, F> {
     type Msg = Flow<T>;
     type Node = BcastNode<T>;
-    type Shared = BcastShared<'t, F>;
 
-    fn msg_bits(shared: &Self::Shared, msg: &Flow<T>) -> u64 {
+    fn msg_bits(&self, msg: &Flow<T>) -> u64 {
         match msg {
-            Flow::Up(t) | Flow::Down(t) => 1 + (shared.bits)(t),
+            Flow::Up(t) | Flow::Down(t) => 1 + (self.bits)(t),
         }
     }
 
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &Self::Shared, node: &mut BcastNode<T>, ctx: &mut NodeCtx<'_, Flow<T>>) {
+    fn step_node(&self, node: &mut BcastNode<T>, ctx: &mut NodeCtx<'_, Flow<T>>) {
         let v = ctx.node;
-        let tree = shared.tree;
+        let tree = self.tree;
         let BcastNode { up_queue, down } = node;
         for (_, msg) in ctx.inbox() {
             match (msg, &mut *down) {
@@ -176,13 +170,8 @@ impl<'t, T: Clone, F: Fn(&T) -> u64> Protocol for BroadcastProtocol<'t, T, F> {
         }
     }
 
-    fn idle(&self) -> bool {
-        let total = self.shared.expected_total;
-        self.nodes.iter().all(|nd| nd.done(total))
-    }
-
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
+    fn idle(&self, nodes: &[BcastNode<T>]) -> bool {
+        nodes.iter().all(|nd| nd.done(self.expected_total))
     }
 }
 
@@ -213,12 +202,12 @@ pub fn broadcast<T: Clone>(
     phase: &str,
 ) -> (Vec<T>, RunStats) {
     assert_eq!(items.len(), net.node_count());
-    let mut proto = BroadcastProtocol::new(tree, items, bits);
-    let budget = 4 * (proto.shared.expected_total as u64 + tree.height) + 16;
+    let (proto, mut nodes) = BroadcastProtocol::new(tree, items, bits);
+    let budget = 4 * (proto.expected_total as u64 + tree.height) + 16;
     let stats = net
-        .run_until_quiet(phase, &mut proto, budget)
+        .run_until_quiet(phase, &proto, &mut nodes, budget)
         .expect("broadcast quiesces within O(M + D)");
-    let Downcast::Root { stream, .. } = proto.nodes.swap_remove(tree.root).down else {
+    let Downcast::Root { stream, .. } = nodes.swap_remove(tree.root).down else {
         unreachable!("the tree root holds the stream")
     };
     (stream, stats)
@@ -235,43 +224,30 @@ mod tests {
     /// The broadcast protocol, instrumented to record the most unsent
     /// items any relay held at the end of its step.
     struct Probe<'t> {
-        shared: (BcastShared<'t, fn(&u64) -> u64>, Cell<usize>),
-        nodes: Vec<BcastNode<u64>>,
+        inner: Inner<'t>,
+        max_backlog: Cell<usize>,
     }
 
     type Inner<'t> = BroadcastProtocol<'t, u64, fn(&u64) -> u64>;
 
-    impl<'t> Protocol for Probe<'t> {
+    impl Protocol for Probe<'_> {
         type Msg = Flow<u64>;
         type Node = BcastNode<u64>;
-        type Shared = (BcastShared<'t, fn(&u64) -> u64>, Cell<usize>);
 
-        fn msg_bits(shared: &Self::Shared, msg: &Flow<u64>) -> u64 {
-            Inner::msg_bits(&shared.0, msg)
+        fn msg_bits(&self, msg: &Flow<u64>) -> u64 {
+            self.inner.msg_bits(msg)
         }
 
-        fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
-            (&self.shared, &mut self.nodes)
-        }
-
-        fn step_node(
-            shared: &Self::Shared,
-            node: &mut BcastNode<u64>,
-            ctx: &mut NodeCtx<'_, Flow<u64>>,
-        ) {
-            Inner::step_node(&shared.0, node, ctx);
+        fn step_node(&self, node: &mut BcastNode<u64>, ctx: &mut NodeCtx<'_, Flow<u64>>) {
+            self.inner.step_node(node, ctx);
             if let Downcast::Relay { queue, .. } = &node.down {
-                shared.1.set(shared.1.get().max(queue.len()));
+                self.max_backlog
+                    .set(self.max_backlog.get().max(queue.len()));
             }
         }
 
-        fn idle(&self) -> bool {
-            let total = self.shared.0.expected_total;
-            self.nodes.iter().all(|nd| nd.done(total))
-        }
-
-        fn scheduling(&self) -> Scheduling {
-            Scheduling::ActiveSet
+        fn idle(&self, nodes: &[BcastNode<u64>]) -> bool {
+            self.inner.idle(nodes)
         }
     }
 
@@ -283,14 +259,14 @@ mod tests {
         let (tree, _) = build_bfs_tree(&mut net, 3).unwrap();
         net.set_fault_plan(plan).unwrap();
         let items: Vec<Vec<u64>> = (0..40).map(|v| vec![v, 100 + v]).collect();
-        let inner: Inner<'_> = BroadcastProtocol::new(&tree, items, |_| 16);
-        let mut probe = Probe {
-            shared: (inner.shared, Cell::new(0)),
-            nodes: inner.nodes,
+        let (inner, mut nodes): (Inner<'_>, _) = BroadcastProtocol::new(&tree, items, |_| 16);
+        let probe = Probe {
+            inner,
+            max_backlog: Cell::new(0),
         };
-        net.run_until_quiet("probe", &mut probe, 4 * (80 + tree.height) + 16)
+        net.run_until_quiet("probe", &probe, &mut nodes, 4 * (80 + tree.height) + 16)
             .expect("probe quiesces");
-        probe.shared.1.get()
+        probe.max_backlog.get()
     }
 
     #[test]

@@ -22,31 +22,30 @@
 //! accounting (bits crossing a labelled vertex cut — used by the
 //! Section 6 lower-bound experiments).
 //!
-//! A [`Protocol`] factors its state into a read-only shared part and
-//! one state slot per node. The engine steps a node with `&mut` to that
-//! node's slot alone, so the type system keeps every local step local:
-//! cross-node information can only travel in messages. All protocols
-//! run through the same two entry points — [`Network::run_rounds`] for
-//! fixed round schedules and [`Network::run_until_quiet`] for
-//! quiescence-driven ones — which share one round driver and one commit
-//! path.
+//! A [`Protocol`] value is the read-only state every node consults;
+//! the caller owns one state slot per node and lends the slice to the
+//! run. The engine steps a node with `&mut` to that node's slot alone,
+//! so the type system keeps every local step local: cross-node
+//! information can only travel in messages. All protocols run through
+//! the same two entry points — [`Network::run_rounds`] for fixed round
+//! schedules and [`Network::run_until_quiet`] for quiescence-driven
+//! ones — which share one round driver and one commit path.
 //!
 //! Internally the engine is built for the paper's regime — protocols
 //! whose rounds vastly outnumber their busy nodes:
 //!
-//! - **Active-set scheduling.** A protocol declares its scheduling
-//!   contract via [`Protocol::scheduling`]. Under
-//!   [`Scheduling::ActiveSet`], a node is stepped only when it is in
-//!   round 0, received a message this round, or re-armed itself with
-//!   [`NodeCtx::wake`] in the previous round; senders implicitly arm
-//!   their receivers. Protocols with self-driven work (send queues,
-//!   delayed deliveries, systolic round schedules) call `wake` to stay
-//!   scheduled. [`Scheduling::FullSweep`] — the default, and forceable
-//!   network-wide with [`Network::set_full_sweep`] — steps every node
-//!   every round and is correct for any protocol. On traffic-dense
-//!   rounds the engine automatically falls back to sweeping (stepping a
-//!   superset of the active set is always exact), so active-set
-//!   bookkeeping never loses to the sweep it replaces.
+//! - **Active-set scheduling.** Every protocol runs under one schedule:
+//!   a node is stepped only when it is in round 0, received a message
+//!   this round, or re-armed itself with [`NodeCtx::wake`] in the
+//!   previous round; senders implicitly arm their receivers. Protocols
+//!   with self-driven work (send queues, delayed deliveries, systolic
+//!   round schedules) call `wake` to stay scheduled, and every protocol
+//!   must be sweep-agnostic (the activation contract on [`Protocol`]).
+//!   [`Network::set_full_sweep`] selects the reference schedule instead,
+//!   which steps every node every round. On traffic-dense rounds the
+//!   engine automatically falls back to sweeping (stepping a superset
+//!   of the active set is always exact), so active-set bookkeeping never
+//!   loses to the sweep it replaces.
 //! - **Flat mailbox arenas.** Sends are staged in one flat buffer and
 //!   counting-sorted by destination into a CSR-bucketed arena at the end
 //!   of each round; per-node inboxes are slices of that arena. Arena
@@ -63,7 +62,7 @@
 //! **Invariant:** scheduling is a wall-clock optimization with no
 //! effect on the measured model quantities. Delivered messages,
 //! per-destination delivery order, round counts, and every [`RunStats`]
-//! field are bit-identical between `ActiveSet` and `FullSweep` runs;
+//! field are bit-identical between active-set and full-sweep runs;
 //! the differential suite in `tests/engine_equivalence.rs` asserts this
 //! for every primitive and every end-to-end solver. Table 1 numbers
 //! depend only on the model, never on the schedule or the hardware.
@@ -111,4 +110,4 @@ pub mod pipeline;
 
 pub use faults::{Fate, FaultPlan, FaultPlanError};
 pub use metrics::{CacheStats, DispatchStats, FaultStats, Metrics, PhaseStats, RunStats};
-pub use network::{word_bits, EngineError, Network, NodeCtx, Port, Protocol, Scheduling, Side};
+pub use network::{word_bits, EngineError, Network, NodeCtx, Port, Protocol, Side};

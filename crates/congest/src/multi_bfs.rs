@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 
 use graphkit::{Dist, EdgeId, NodeId};
 
-use crate::network::{word_bits, Network, NodeCtx, Protocol, Scheduling};
+use crate::network::{word_bits, Network, NodeCtx, Protocol};
 use crate::{Port, RunStats};
 
 /// Configuration for a multi-source hop-bounded BFS.
@@ -56,15 +56,9 @@ struct Announce {
     dist: u32,
 }
 
-/// Read-only per-run state shared by every node.
-struct MbfsShared<'c, F> {
-    cfg: &'c MultiBfsConfig<'c>,
-    enabled: F,
-}
-
 /// One node's BFS state.
 struct MbfsNode {
-    /// best[src]; `u32::MAX` is the "unreached" sentinel (real
+    /// `best[src]`; `u32::MAX` is the "unreached" sentinel (real
     /// distances are capped at `max_dist < u32::MAX`).
     best: Vec<u32>,
     /// Per port: announcements waiting for this link, smallest distance
@@ -79,9 +73,10 @@ struct MbfsNode {
     pending: u64,
 }
 
+/// The BFS of one configuration over the edges `enabled` admits.
 struct MultiBfsProtocol<'c, F> {
-    shared: MbfsShared<'c, F>,
-    nodes: Vec<MbfsNode>,
+    cfg: &'c MultiBfsConfig<'c>,
+    enabled: F,
 }
 
 fn delay_of(cfg: &MultiBfsConfig<'_>, e: EdgeId) -> u64 {
@@ -91,72 +86,63 @@ fn delay_of(cfg: &MultiBfsConfig<'_>, e: EdgeId) -> u64 {
     }
 }
 
-/// Try to improve `node.best[src]` to `dist`; on success enqueue
-/// announcements on every sending port.
-fn relax<F: Fn(EdgeId) -> bool>(
-    shared: &MbfsShared<'_, F>,
-    node: &mut MbfsNode,
-    src: u32,
-    dist: u32,
-    ports: &[Port],
-) {
-    let cfg = shared.cfg;
-    if dist as u64 > cfg.max_dist || dist >= node.best[src as usize] {
-        return;
-    }
-    node.best[src as usize] = dist;
-    for (pi, port) in ports.iter().enumerate() {
-        let sends_here = if cfg.reverse {
-            !port.outgoing
-        } else {
-            port.outgoing
-        };
-        if !sends_here || !(shared.enabled)(port.link) {
-            continue;
+impl<F: Fn(EdgeId) -> bool> MultiBfsProtocol<'_, F> {
+    /// Try to improve `node.best[src]` to `dist`; on success enqueue
+    /// announcements on every sending port.
+    fn relax(&self, node: &mut MbfsNode, src: u32, dist: u32, ports: &[Port]) {
+        let cfg = self.cfg;
+        if dist as u64 > cfg.max_dist || dist >= node.best[src as usize] {
+            return;
         }
-        let w = delay_of(cfg, port.link);
-        if w == 0 || dist as u64 + w > cfg.max_dist {
-            continue;
+        node.best[src as usize] = dist;
+        for (pi, port) in ports.iter().enumerate() {
+            let sends_here = if cfg.reverse {
+                !port.outgoing
+            } else {
+                port.outgoing
+            };
+            if !sends_here || !(self.enabled)(port.link) {
+                continue;
+            }
+            let w = delay_of(cfg, port.link);
+            if w == 0 || dist as u64 + w > cfg.max_dist {
+                continue;
+            }
+            node.queues[pi].push(Reverse((dist, src)));
+            node.pending += 1;
         }
-        node.queues[pi].push(Reverse((dist, src)));
-        node.pending += 1;
     }
 }
 
-impl<'c, F: Fn(EdgeId) -> bool> Protocol for MultiBfsProtocol<'c, F> {
+impl<F: Fn(EdgeId) -> bool> Protocol for MultiBfsProtocol<'_, F> {
     type Msg = Announce;
     type Node = MbfsNode;
-    type Shared = MbfsShared<'c, F>;
 
-    fn msg_bits(_: &Self::Shared, msg: &Announce) -> u64 {
+    fn msg_bits(&self, msg: &Announce) -> u64 {
         word_bits(msg.src as u64) + word_bits(msg.dist as u64)
     }
 
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &Self::Shared, node: &mut MbfsNode, ctx: &mut NodeCtx<'_, Announce>) {
+    fn step_node(&self, node: &mut MbfsNode, ctx: &mut NodeCtx<'_, Announce>) {
         let v = ctx.node;
         let ports = ctx.ports();
         // Initial relaxations.
         if ctx.round == 0 {
-            for (i, &s) in shared.cfg.sources.iter().enumerate() {
+            for (i, &s) in self.cfg.sources.iter().enumerate() {
                 if s == v {
-                    relax(shared, node, i as u32, 0, ports);
+                    self.relax(node, i as u32, 0, ports);
                 }
             }
         }
         // Receive: apply unit-delay announcements now, hold delayed ones.
         for &(port_idx, ann) in ctx.inbox() {
             let port = ports[port_idx as usize];
-            let w = delay_of(shared.cfg, port.link);
+            let w = delay_of(self.cfg, port.link);
             debug_assert!(w >= 1, "received over a disabled edge");
             // The sender only forwards when dist + w <= max_dist, so
             // the sum fits u32 (max_dist < u32::MAX is asserted).
             let arrived = (ann.dist as u64 + w) as u32;
             if w == 1 {
-                relax(shared, node, ann.src, arrived, ports);
+                self.relax(node, ann.src, arrived, ports);
             } else {
                 // Engine already charged 1 round; the rest of the
                 // subdivided path costs w - 1 more.
@@ -174,7 +160,7 @@ impl<'c, F: Fn(EdgeId) -> bool> Protocol for MultiBfsProtocol<'c, F> {
             }
         });
         for (src, dist) in matured {
-            relax(shared, node, src, dist, ports);
+            self.relax(node, src, dist, ports);
         }
         // Send: one announcement per port, smallest distance first,
         // skipping entries superseded by a later improvement.
@@ -195,14 +181,8 @@ impl<'c, F: Fn(EdgeId) -> bool> Protocol for MultiBfsProtocol<'c, F> {
         }
     }
 
-    fn idle(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|nd| nd.pending == 0 && nd.held.is_empty())
-    }
-
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
+    fn idle(&self, nodes: &[MbfsNode]) -> bool {
+        nodes.iter().all(|nd| nd.pending == 0 && nd.held.is_empty())
     }
 }
 
@@ -233,22 +213,20 @@ pub fn multi_source_bfs(
     // Each port queue holds at most one live announcement per source and
     // each held list at most one delayed arrival per source, so `k` is
     // the natural pre-reservation for both.
-    let mut proto = MultiBfsProtocol {
-        shared: MbfsShared { cfg, enabled },
-        nodes: (0..n)
-            .map(|v| MbfsNode {
-                best: vec![u32::MAX; k],
-                queues: (0..net.ports(v).len())
-                    .map(|_| BinaryHeap::with_capacity(k))
-                    .collect(),
-                held: Vec::with_capacity(k),
-                pending: 0,
-            })
-            .collect(),
-    };
-    let stats = net.run_until_quiet(phase, &mut proto, max_rounds)?;
+    let mut nodes: Vec<MbfsNode> = (0..n)
+        .map(|v| MbfsNode {
+            best: vec![u32::MAX; k],
+            queues: (0..net.ports(v).len())
+                .map(|_| BinaryHeap::with_capacity(k))
+                .collect(),
+            held: Vec::with_capacity(k),
+            pending: 0,
+        })
+        .collect();
+    let proto = MultiBfsProtocol { cfg, enabled };
+    let stats = net.run_until_quiet(phase, &proto, &mut nodes, max_rounds)?;
     let mut out = vec![vec![Dist::INF; n]; k];
-    for (v, node) in proto.nodes.iter().enumerate() {
+    for (v, node) in nodes.iter().enumerate() {
         for s in 0..k {
             if node.best[s] != u32::MAX {
                 out[s][v] = Dist::new(node.best[s] as u64);

@@ -3,11 +3,12 @@
 //! Two engine-level optimizations keep simulation wall-clock
 //! proportional to *traffic* rather than `Θ(n · rounds)`:
 //!
-//! - **Active-set scheduling**: protocols that opt in via
-//!   [`Protocol::scheduling`] are stepped only at nodes that can act —
-//!   nodes that received a message, nodes in round 0, and nodes that
-//!   explicitly re-armed themselves with [`NodeCtx::wake`]. Other
-//!   protocols keep the full-sweep behavior.
+//! - **Active-set scheduling**: every protocol is stepped only at nodes
+//!   that can act — nodes that received a message, nodes in round 0, and
+//!   nodes that explicitly re-armed themselves with [`NodeCtx::wake`]
+//!   (the activation contract on [`Protocol`]).
+//!   [`Network::set_full_sweep`] selects the reference schedule instead,
+//!   which steps every node every round.
 //! - **Flat mailbox arenas**: instead of per-node `Vec<Vec<_>>` inboxes
 //!   and a reallocated outbox, one staging buffer is counting-sorted by
 //!   destination into a CSR-bucketed arena each round. Occupancy and
@@ -116,26 +117,6 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// How the engine decides which nodes to step each round.
-///
-/// This is part of the [`Protocol`] contract, declared via
-/// [`Protocol::scheduling`]. It affects only which
-/// [`Protocol::step_node`] calls are made — never what is delivered, in
-/// which order, or what is charged to [`RunStats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Every node is stepped every round (the default, and the reference
-    /// semantics). Correct for any protocol.
-    FullSweep,
-    /// A node is stepped only when it (a) is in round 0, (b) received a
-    /// message delivered this round, or (c) called [`NodeCtx::wake`] in
-    /// the previous round. Protocols opting in must uphold the
-    /// *sweep-agnostic* contract: stepping a node with an empty inbox
-    /// that did not wake itself is a no-op (no sends, no externally
-    /// visible state change).
-    ActiveSet,
-}
-
 /// A staged send: `(sender, port index at the sender, message)`. The
 /// message is an `Option` so the commit can move it into the delivery
 /// arena (or the delay queue) without cloning.
@@ -178,8 +159,7 @@ impl<'a, M> NodeCtx<'a, M> {
     ///
     /// The engine enforces the CONGEST constraint when the round is
     /// committed: at most one message per link per direction per round.
-    /// Sending also schedules the receiver for the next round under
-    /// [`Scheduling::ActiveSet`].
+    /// Sending also schedules the receiver for the next round.
     #[inline]
     pub fn send(&mut self, port: u32, msg: M) {
         debug_assert!((port as usize) < self.ports.len(), "port out of range");
@@ -187,12 +167,13 @@ impl<'a, M> NodeCtx<'a, M> {
     }
 
     /// Marks this node active for the next round even if it receives no
-    /// message (the explicit arm of the [`Scheduling::ActiveSet`]
-    /// activation contract).
+    /// message (the explicit arm of the activation contract; see
+    /// [`Protocol`]).
     ///
     /// Use it for self-driven work: pending send queues, held/delayed
     /// messages, or systolic schedules that fire on round numbers rather
-    /// than on receipt. A no-op under [`Scheduling::FullSweep`].
+    /// than on receipt. A no-op under the full-sweep reference schedule
+    /// ([`Network::set_full_sweep`]), which steps every node anyway.
     #[inline]
     pub fn wake(&mut self) {
         *self.woke = true;
@@ -201,12 +182,11 @@ impl<'a, M> NodeCtx<'a, M> {
 
 /// A distributed algorithm driven by the engine.
 ///
-/// A protocol factors its state into
-///
-/// - [`Protocol::Shared`] — configuration and topology read by every
-///   node, immutable during a round, and
-/// - [`Protocol::Node`] — one state value per node, stored contiguously
-///   in node-id order and exposed via [`Protocol::split`].
+/// A protocol value is the state every node may read: configuration and
+/// topology, immutable for the whole run. Per-node state lives in a slice
+/// of [`Protocol::Node`] slots that the caller owns and lends to
+/// [`Network::run_rounds`] or [`Network::run_until_quiet`] (`len == n`,
+/// indexed by `NodeId`), and reads its results from afterwards.
 ///
 /// The engine calls [`Protocol::step_node`] once per scheduled node per
 /// round with `&mut` to that node's slot alone, so a step cannot touch
@@ -214,44 +194,40 @@ impl<'a, M> NodeCtx<'a, M> {
 /// messages, which is exactly the locality discipline the CONGEST model
 /// asks for. The engine enforces the bandwidth constraints on everything
 /// that is sent.
+///
+/// # The activation contract
+///
+/// The engine steps a node only when it (a) is in round 0, (b) received
+/// a message delivered this round, or (c) called [`NodeCtx::wake`] in
+/// the previous round. Every implementation must therefore be
+/// *sweep-agnostic*: stepping a node with an empty inbox that did not
+/// wake itself is a no-op (no sends, no externally visible state
+/// change). Work that fires on round numbers rather than on receipt —
+/// send queues, held messages, systolic schedules — re-arms itself with
+/// `wake`. [`Network::set_full_sweep`] selects the reference schedule,
+/// which steps every node every round; a sweep-agnostic protocol
+/// delivers bit-identical messages and [`RunStats`] under both.
 pub trait Protocol {
     /// The message type. Its size in bits is declared via
     /// [`Protocol::msg_bits`] and checked against the network bandwidth.
     type Msg;
 
-    /// Per-node state, stored contiguously in node-id order.
+    /// Per-node state, one slot per node in node-id order.
     type Node;
-
-    /// State shared read-only by all nodes within a round.
-    type Shared;
 
     /// Declared size of a message in bits; must be `O(log n)` (fit the
     /// network's bandwidth).
-    fn msg_bits(shared: &Self::Shared, msg: &Self::Msg) -> u64;
-
-    /// Splits the protocol into its shared state and the per-node state
-    /// slice (`len == n`, indexed by `NodeId`).
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]);
+    fn msg_bits(&self, msg: &Self::Msg) -> u64;
 
     /// Executes one round at `ctx.node`: read `ctx.inbox()`, update
     /// `node` (that node's state slot), send messages.
-    fn step_node(shared: &Self::Shared, node: &mut Self::Node, ctx: &mut NodeCtx<'_, Self::Msg>);
+    fn step_node(&self, node: &mut Self::Node, ctx: &mut NodeCtx<'_, Self::Msg>);
 
     /// `false` while the protocol has internal pending work even though no
     /// messages are in flight (e.g. delayed deliveries or staggered
-    /// starts). Quiescence requires `idle()` *and* an empty network.
-    fn idle(&self) -> bool {
+    /// starts). Quiescence requires `idle` *and* an empty network.
+    fn idle(&self, _nodes: &[Self::Node]) -> bool {
         true
-    }
-
-    /// The scheduling contract this protocol upholds; defaults to the
-    /// always-correct [`Scheduling::FullSweep`]. Override to
-    /// [`Scheduling::ActiveSet`] once `step_node` is sweep-agnostic (see
-    /// [`Scheduling`]) — the engine then skips idle nodes, which is the
-    /// difference between `Θ(n · rounds)` and `Θ(traffic)` simulation
-    /// cost on sparse workloads.
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::FullSweep
     }
 }
 
@@ -278,7 +254,8 @@ struct EngineScratch {
     count_stamp: Vec<u64>,
     /// Per node: generation for which the node is already queued to step.
     active_stamp: Vec<u64>,
-    /// Nodes to step this round (ascending ids), under `ActiveSet`.
+    /// Nodes to step this round (ascending ids), under active-set
+    /// scheduling.
     active: Vec<u32>,
     /// Nodes queued for the next round (unsorted until the round ends).
     next_active: Vec<u32>,
@@ -338,7 +315,7 @@ pub struct Network<'g> {
     cut: Option<Vec<Side>>,
     metrics: Metrics,
     scratch: EngineScratch,
-    force_full_sweep: bool,
+    full_sweep: bool,
     /// Optional fault-injection schedule applied at commit time; see
     /// [`crate::faults`].
     fault_plan: Option<FaultPlan>,
@@ -387,7 +364,7 @@ impl<'g> Network<'g> {
             cut: None,
             metrics: Metrics::default(),
             scratch: EngineScratch::new(n, graph.edge_count()),
-            force_full_sweep: false,
+            full_sweep: false,
             fault_plan: None,
         }
     }
@@ -399,14 +376,16 @@ impl<'g> Network<'g> {
         self
     }
 
-    /// Forces every protocol onto the [`Scheduling::FullSweep`] reference
-    /// schedule regardless of its declared contract.
+    /// Switches every later run on this network to the full-sweep
+    /// reference schedule, which steps every node every round, or back
+    /// to active-set scheduling (the default).
     ///
     /// The differential tests use this to check that active-set runs are
     /// bit-exact with full sweeps; it is also a debugging aid when a
-    /// protocol is suspected of violating the sweep-agnostic contract.
+    /// protocol is suspected of violating the activation contract (see
+    /// [`Protocol`]).
     pub fn set_full_sweep(&mut self, on: bool) {
-        self.force_full_sweep = on;
+        self.full_sweep = on;
     }
 
     /// The number of threads that step nodes: always 1, since every
@@ -513,23 +492,30 @@ impl<'g> Network<'g> {
         self.metrics.record(name, stats);
     }
 
-    /// Runs `proto` for exactly `rounds` rounds (deterministic schedules
-    /// with known round bounds, e.g. the ζ-round hop-BFS).
+    /// Runs `proto` over the node slots `nodes` for exactly `rounds`
+    /// rounds (deterministic schedules with known round bounds, e.g. the
+    /// ζ-round hop-BFS).
     ///
     /// # Panics
     ///
-    /// Panics if the protocol violates the CONGEST constraints (two
-    /// messages on one link direction in a round, or an oversized
-    /// message).
-    pub fn run_rounds<P: Protocol>(&mut self, name: &str, proto: &mut P, rounds: u64) -> RunStats {
-        let out = self.drive(proto, Budget::Exact(rounds));
+    /// Panics if `nodes.len()` is not the node count, or if the protocol
+    /// violates the CONGEST constraints (two messages on one link
+    /// direction in a round, or an oversized message).
+    pub fn run_rounds<P: Protocol>(
+        &mut self,
+        name: &str,
+        proto: &P,
+        nodes: &mut [P::Node],
+        rounds: u64,
+    ) -> RunStats {
+        let out = self.drive(proto, nodes, Budget::Exact(rounds));
         self.metrics.record(name, out.stats);
         self.metrics.record_faults(out.faults);
         out.stats
     }
 
-    /// Runs `proto` until quiescence (no messages in flight and
-    /// `proto.idle()`), up to `max_rounds`.
+    /// Runs `proto` over the node slots `nodes` until quiescence (no
+    /// messages in flight and `proto.idle(nodes)`), up to `max_rounds`.
     ///
     /// # Errors
     ///
@@ -538,15 +524,16 @@ impl<'g> Network<'g> {
     ///
     /// # Panics
     ///
-    /// Panics on CONGEST constraint violations, as in
-    /// [`Network::run_rounds`].
+    /// Panics on a node-slot count mismatch or a CONGEST constraint
+    /// violation, as in [`Network::run_rounds`].
     pub fn run_until_quiet<P: Protocol>(
         &mut self,
         name: &str,
-        proto: &mut P,
+        proto: &P,
+        nodes: &mut [P::Node],
         max_rounds: u64,
     ) -> Result<RunStats, EngineError> {
-        let out = self.drive(proto, Budget::UntilQuiet(max_rounds));
+        let out = self.drive(proto, nodes, Budget::UntilQuiet(max_rounds));
         if !out.quiesced {
             return Err(out.round_limit_error(max_rounds));
         }
@@ -557,9 +544,19 @@ impl<'g> Network<'g> {
 
     /// The round driver behind [`Network::run_rounds`] and
     /// [`Network::run_until_quiet`].
-    fn drive<P: Protocol>(&mut self, proto: &mut P, budget: Budget) -> DriveOutcome {
+    fn drive<P: Protocol>(
+        &mut self,
+        proto: &P,
+        nodes: &mut [P::Node],
+        budget: Budget,
+    ) -> DriveOutcome {
         let n = self.graph.node_count();
-        let full_sweep = self.force_full_sweep || proto.scheduling() == Scheduling::FullSweep;
+        assert_eq!(
+            nodes.len(),
+            n,
+            "a protocol run needs one state slot per node"
+        );
+        let full_sweep = self.full_sweep;
         let mut stats = RunStats::default();
         // The only per-drive (message-typed) buffers; both are filled and
         // drained wholesale, so they stabilize at peak traffic size after
@@ -580,8 +577,8 @@ impl<'g> Network<'g> {
         let mut quiesced = false;
         let mut last_active: u64 = 0;
         let mut last_sent: u64 = 0;
-        // Round 0 sweeps everyone even under ActiveSet (the activation
-        // contract's base case).
+        // Round 0 sweeps everyone even under active-set scheduling (the
+        // activation contract's base case).
         let mut step_all_next = true;
         loop {
             match budget {
@@ -596,12 +593,6 @@ impl<'g> Network<'g> {
             let g = sc.generation;
             let step_all = full_sweep || step_all_next;
             let step_count = if step_all { n } else { sc.active.len() };
-            let (shared, nodes) = proto.split();
-            assert_eq!(
-                nodes.len(),
-                n,
-                "Protocol::split must expose exactly one state per node"
-            );
             for i in 0..step_count {
                 let v = if step_all { i } else { sc.active[i] as usize };
                 let inbox: &[(u32, P::Msg)] = if sc.inbox_stamp[v] == g {
@@ -619,7 +610,7 @@ impl<'g> Network<'g> {
                     outbox: &mut staging,
                     woke: &mut woke,
                 };
-                P::step_node(shared, &mut nodes[v], &mut ctx);
+                proto.step_node(&mut nodes[v], &mut ctx);
                 if woke && !full_sweep && sc.active_stamp[v] != g + 1 {
                     sc.active_stamp[v] = g + 1;
                     sc.next_active.push(v as u32);
@@ -638,14 +629,14 @@ impl<'g> Network<'g> {
                 full_sweep,
                 round,
                 g,
-                |m| P::msg_bits(shared, m),
+                |m| proto.msg_bits(m),
             );
             last_active = step_count as u64;
             last_sent = sent;
             round += 1;
             if !full_sweep {
                 // Stepping a superset of the active set is always exact
-                // (the sweep-agnostic contract), so on traffic-dense
+                // (the activation contract), so on traffic-dense
                 // rounds skip the sort and sweep everyone — active-set
                 // bookkeeping then costs nothing when it cannot win.
                 step_all_next = 8 * sc.next_active.len() >= n;
@@ -658,7 +649,7 @@ impl<'g> Network<'g> {
                 }
                 sc.next_active.clear();
             }
-            if matches!(budget, Budget::UntilQuiet(_)) && sent == 0 && proto.idle() {
+            if matches!(budget, Budget::UntilQuiet(_)) && sent == 0 && proto.idle(nodes) {
                 quiesced = true;
                 break;
             }
@@ -926,34 +917,19 @@ mod tests {
 
     /// Floods a token from node 0; each node records the round it heard it.
     ///
-    /// Message-driven, so it upholds the `ActiveSet` contract with no
+    /// Message-driven, so it upholds the activation contract with no
     /// explicit wakes.
-    struct Flood {
-        heard: Vec<Option<u64>>,
-    }
-
-    impl Flood {
-        fn new(n: usize) -> Flood {
-            Flood {
-                heard: vec![None; n],
-            }
-        }
-    }
+    struct Flood;
 
     impl Protocol for Flood {
         type Msg = ();
         type Node = Option<u64>;
-        type Shared = ();
 
-        fn msg_bits(_: &(), _: &()) -> u64 {
+        fn msg_bits(&self, _: &()) -> u64 {
             1
         }
 
-        fn split(&mut self) -> (&(), &mut [Option<u64>]) {
-            (&(), &mut self.heard)
-        }
-
-        fn step_node(_: &(), heard: &mut Option<u64>, ctx: &mut NodeCtx<'_, ()>) {
+        fn step_node(&self, heard: &mut Option<u64>, ctx: &mut NodeCtx<'_, ()>) {
             let newly = if ctx.round == 0 && ctx.node == 0 {
                 *heard = Some(0);
                 true
@@ -969,10 +945,6 @@ mod tests {
                 }
             }
         }
-
-        fn scheduling(&self) -> Scheduling {
-            Scheduling::ActiveSet
-        }
     }
 
     fn line(n: usize) -> DiGraph {
@@ -987,9 +959,11 @@ mod tests {
     fn flood_reaches_everyone_in_ecc_rounds() {
         let g = line(6);
         let mut net = Network::new(&g);
-        let mut p = Flood::new(6);
-        let stats = net.run_until_quiet("flood", &mut p, 100).unwrap();
-        for (v, h) in p.heard.iter().enumerate() {
+        let mut heard = vec![None; 6];
+        let stats = net
+            .run_until_quiet("flood", &Flood, &mut heard, 100)
+            .unwrap();
+        for (v, h) in heard.iter().enumerate() {
             assert_eq!(*h, Some(v as u64), "node {v}");
         }
         // 5 hops to the far end, +1 round to observe quiescence.
@@ -1005,17 +979,17 @@ mod tests {
         b.add_arc(2, 1);
         let g = b.build();
         let mut net = Network::new(&g);
-        let mut p = Flood::new(3);
-        net.run_until_quiet("flood", &mut p, 100).unwrap();
-        assert!(p.heard.iter().all(|h| h.is_some()));
+        let mut heard = vec![None; 3];
+        net.run_until_quiet("flood", &Flood, &mut heard, 100)
+            .unwrap();
+        assert!(heard.iter().all(|h| h.is_some()));
     }
 
     #[test]
     fn exact_budget_charges_full_rounds() {
         let g = line(4);
         let mut net = Network::new(&g);
-        let mut p = Flood::new(4);
-        let stats = net.run_rounds("flood", &mut p, 50);
+        let stats = net.run_rounds("flood", &Flood, &mut [None; 4], 50);
         assert_eq!(stats.rounds, 50);
     }
 
@@ -1024,72 +998,19 @@ mod tests {
         for n in [2usize, 5, 9, 16] {
             let g = line(n);
             let mut active = Network::new(&g);
-            let mut pa = Flood::new(n);
-            let sa = active.run_until_quiet("flood", &mut pa, 100).unwrap();
+            let mut ha = vec![None; n];
+            let sa = active
+                .run_until_quiet("flood", &Flood, &mut ha, 100)
+                .unwrap();
             let mut swept = Network::new(&g);
             swept.set_full_sweep(true);
-            let mut ps = Flood::new(n);
-            let ss = swept.run_until_quiet("flood", &mut ps, 100).unwrap();
+            let mut hs = vec![None; n];
+            let ss = swept
+                .run_until_quiet("flood", &Flood, &mut hs, 100)
+                .unwrap();
             assert_eq!(sa, ss, "stats diverged at n = {n}");
-            assert_eq!(pa.heard, ps.heard, "results diverged at n = {n}");
+            assert_eq!(ha, hs, "results diverged at n = {n}");
         }
-    }
-
-    /// A protocol whose only activity is self-driven: node 0 wakes itself
-    /// and sends one message every `period` rounds, with no inbox traffic
-    /// to reactivate it. Each node counts the ticks it heard.
-    struct Metronome {
-        period: u64,
-        ticks: Vec<u64>,
-    }
-
-    impl Metronome {
-        fn new(period: u64, n: usize) -> Metronome {
-            Metronome {
-                period,
-                ticks: vec![0; n],
-            }
-        }
-    }
-
-    impl Protocol for Metronome {
-        type Msg = ();
-        type Node = u64;
-        type Shared = u64;
-
-        fn msg_bits(_: &u64, _: &()) -> u64 {
-            1
-        }
-
-        fn split(&mut self) -> (&u64, &mut [u64]) {
-            (&self.period, &mut self.ticks)
-        }
-
-        fn step_node(period: &u64, ticks: &mut u64, ctx: &mut NodeCtx<'_, ()>) {
-            if ctx.node == 0 {
-                if ctx.round.is_multiple_of(*period) {
-                    ctx.send(0, ());
-                }
-                ctx.wake();
-            } else if !ctx.inbox().is_empty() {
-                *ticks += 1;
-            }
-        }
-
-        fn scheduling(&self) -> Scheduling {
-            Scheduling::ActiveSet
-        }
-    }
-
-    #[test]
-    fn wake_keeps_a_quiet_node_scheduled() {
-        let g = line(2);
-        let mut net = Network::new(&g);
-        let mut p = Metronome::new(3, 2);
-        let stats = net.run_rounds("metronome", &mut p, 10);
-        // Sends at rounds 0, 3, 6, 9; the round-9 send is not observed.
-        assert_eq!(stats.messages, 4);
-        assert_eq!(p.ticks[1], 3);
     }
 
     #[test]
@@ -1098,80 +1019,15 @@ mod tests {
         // leak the first run's final-round messages into the second.
         let g = line(5);
         let mut net = Network::new(&g);
-        let mut p1 = Flood::new(5);
-        net.run_until_quiet("first", &mut p1, 100).unwrap();
-        let mut p2 = Flood::new(5);
-        let stats2 = net.run_until_quiet("second", &mut p2, 100).unwrap();
-        assert_eq!(p2.heard, (0..5).map(|v| Some(v as u64)).collect::<Vec<_>>());
+        net.run_until_quiet("first", &Flood, &mut [None; 5], 100)
+            .unwrap();
+        let mut heard = vec![None; 5];
+        let stats2 = net
+            .run_until_quiet("second", &Flood, &mut heard, 100)
+            .unwrap();
+        assert_eq!(heard, (0..5).map(|v| Some(v as u64)).collect::<Vec<_>>());
         // Same topology, same protocol: both phases cost the same.
         assert_eq!(net.metrics().phase_total("first"), stats2);
-    }
-
-    #[test]
-    fn opposite_directions_share_a_link() {
-        // Both endpoints may use the same link in the same round.
-        struct PingPong(Vec<()>);
-        impl Protocol for PingPong {
-            type Msg = ();
-            type Node = ();
-            type Shared = ();
-            fn msg_bits(_: &(), _: &()) -> u64 {
-                1
-            }
-            fn split(&mut self) -> (&(), &mut [()]) {
-                (&(), &mut self.0)
-            }
-            fn step_node(_: &(), _: &mut (), ctx: &mut NodeCtx<'_, ()>) {
-                if ctx.round == 0 {
-                    ctx.send(0, ());
-                }
-            }
-        }
-        let g = line(2);
-        let mut net = Network::new(&g);
-        let stats = net.run_rounds("pingpong", &mut PingPong(vec![(); 2]), 2);
-        assert_eq!(stats.messages, 2);
-    }
-
-    #[test]
-    fn inbox_order_groups_by_sender_id() {
-        // Three spokes send to a hub in one round; the hub's inbox must
-        // list them in ascending sender id (the full-sweep send order),
-        // regardless of scheduling.
-        struct Spokes {
-            seen: Vec<Vec<u32>>,
-        }
-        impl Protocol for Spokes {
-            type Msg = u32;
-            type Node = Vec<u32>;
-            type Shared = ();
-            fn msg_bits(_: &(), _: &u32) -> u64 {
-                8
-            }
-            fn split(&mut self) -> (&(), &mut [Vec<u32>]) {
-                (&(), &mut self.seen)
-            }
-            fn step_node(_: &(), seen: &mut Vec<u32>, ctx: &mut NodeCtx<'_, u32>) {
-                if ctx.round == 0 && ctx.node != 0 {
-                    ctx.send(0, ctx.node as u32);
-                }
-                seen.extend(ctx.inbox().iter().map(|&(_, m)| m));
-            }
-            fn scheduling(&self) -> Scheduling {
-                Scheduling::ActiveSet
-            }
-        }
-        let mut b = GraphBuilder::new(4);
-        b.add_arc(3, 0);
-        b.add_arc(1, 0);
-        b.add_arc(2, 0);
-        let g = b.build();
-        let mut net = Network::new(&g);
-        let mut p = Spokes {
-            seen: vec![Vec::new(); 4],
-        };
-        net.run_rounds("spokes", &mut p, 2);
-        assert_eq!(p.seen[0], vec![1, 2, 3]);
     }
 
     #[test]
@@ -1179,8 +1035,9 @@ mod tests {
         let g = line(4);
         let mut net = Network::new(&g);
         net.set_cut(vec![Side::Alice, Side::Alice, Side::Bob, Side::Bob]);
-        let mut p = Flood::new(4);
-        let stats = net.run_until_quiet("flood", &mut p, 100).unwrap();
+        let stats = net
+            .run_until_quiet("flood", &Flood, &mut [None; 4], 100)
+            .unwrap();
         // Only link 1<->2 crosses; flooding sends once in each direction
         // eventually, but node 2 hears before sending back, so exactly the
         // forward message plus node 2's echo cross.
@@ -1205,32 +1062,15 @@ mod tests {
         let mut net = Network::new(&g);
         net.set_fault_plan(Some(FaultPlan::new(7).fail_link(2, 0, None)))
             .unwrap();
-        let mut p = Flood::new(6);
-        net.run_until_quiet("flood", &mut p, 100).unwrap();
-        assert_eq!(p.heard[..3], [Some(0), Some(1), Some(2)]);
-        assert_eq!(p.heard[3..], [None, None, None]);
+        let mut heard = vec![None; 6];
+        net.run_until_quiet("flood", &Flood, &mut heard, 100)
+            .unwrap();
+        assert_eq!(heard[..3], [Some(0), Some(1), Some(2)]);
+        assert_eq!(heard[3..], [None, None, None]);
         let fs = net.metrics().faults;
         assert_eq!(fs.dropped_link_down, 1);
         assert_eq!(fs.total_dropped(), 1);
         assert_eq!(fs.faulty_rounds, 1);
-    }
-
-    #[test]
-    fn crashed_node_is_silent_until_restart() {
-        // Node 1 is down for rounds [0, 4): the metronome's sends at
-        // rounds 0 and 3 vanish, the round-6 send lands after restart.
-        let g = line(2);
-        let mut net = Network::new(&g);
-        net.set_fault_plan(Some(FaultPlan::new(9).crash_node(1, 0, Some(4))))
-            .unwrap();
-        let mut p = Metronome::new(3, 2);
-        let stats = net.run_rounds("metronome", &mut p, 10);
-        assert_eq!(p.ticks[1], 1);
-        // Rounds 6 and 9 sends are delivered (the round-9 one unobserved).
-        assert_eq!(stats.messages, 2);
-        let fs = net.metrics().faults;
-        assert_eq!(fs.dropped_node_down, 2);
-        assert_eq!(fs.faulty_rounds, 2);
     }
 
     #[test]
@@ -1247,9 +1087,9 @@ mod tests {
         let run = |plan: FaultPlan| {
             let mut net = Network::new(&g);
             net.set_fault_plan(Some(plan)).unwrap();
-            let mut p = Flood::new(8);
-            net.run_rounds("flood", &mut p, 20);
-            (p.heard, net.metrics().clone())
+            let mut heard = vec![None; 8];
+            net.run_rounds("flood", &Flood, &mut heard, 20);
+            (heard, net.metrics().clone())
         };
         let (h1, m1) = run(mk());
         let (h2, m2) = run(mk());

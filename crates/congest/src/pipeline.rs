@@ -16,7 +16,7 @@
 
 use graphkit::{Dist, EdgeId, NodeId};
 
-use crate::network::{word_bits, Network, NodeCtx, Protocol, Scheduling};
+use crate::network::{word_bits, Network, NodeCtx, Protocol};
 use crate::RunStats;
 
 fn dist_bits(d: Dist) -> u64 {
@@ -87,8 +87,8 @@ impl Lane {
 // Systolic diagonal DP (Lemma 4.4).
 // ---------------------------------------------------------------------
 
-/// Read-only lane geometry and the step-input function.
-struct DpShared<'a> {
+/// The systolic recurrence: lane geometry and the step-input function.
+struct DiagonalDp<'a> {
     /// position of each node on the lane, usize::MAX if absent
     pos_of: Vec<usize>,
     send_ports: Vec<u32>,
@@ -103,26 +103,16 @@ struct DpNode {
     cur: Dist,
 }
 
-struct DiagonalDp<'a> {
-    shared: DpShared<'a>,
-    nodes: Vec<DpNode>,
-}
-
-impl<'a> Protocol for DiagonalDp<'a> {
+impl Protocol for DiagonalDp<'_> {
     type Msg = Dist;
     type Node = DpNode;
-    type Shared = DpShared<'a>;
 
-    fn msg_bits(_: &Self::Shared, msg: &Dist) -> u64 {
+    fn msg_bits(&self, msg: &Dist) -> u64 {
         dist_bits(*msg)
     }
 
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &Self::Shared, node: &mut DpNode, ctx: &mut NodeCtx<'_, Dist>) {
-        let pos = shared.pos_of[ctx.node];
+    fn step_node(&self, node: &mut DpNode, ctx: &mut NodeCtx<'_, Dist>) {
+        let pos = self.pos_of[ctx.node];
         if pos == usize::MAX {
             return;
         }
@@ -130,27 +120,23 @@ impl<'a> Protocol for DiagonalDp<'a> {
         // (position 0 never receives anything): every lane vertex stays
         // armed until the last fold step. Off-lane nodes fall out of the
         // active set after round 0.
-        if ctx.round < shared.rounds {
+        if ctx.round < self.rounds {
             ctx.wake();
         }
         // Step r: fold the predecessor's value (sent in round r-1) and the
         // local term for step r, then forward.
         if ctx.round > 0 {
             let step = ctx.round;
-            if step > shared.rounds {
+            if step > self.rounds {
                 return;
             }
             let received = ctx.inbox().first().map(|&(_, d)| d).unwrap_or(Dist::INF);
-            let local = (shared.input)(pos, step);
+            let local = (self.input)(pos, step);
             node.cur = if pos == 0 { local } else { received.min(local) };
         }
-        if ctx.round < shared.rounds && pos + 1 < shared.lane_len {
-            ctx.send(shared.send_ports[pos], node.cur);
+        if ctx.round < self.rounds && pos + 1 < self.lane_len {
+            ctx.send(self.send_ports[pos], node.cur);
         }
-    }
-
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
     }
 }
 
@@ -186,18 +172,15 @@ pub fn diagonal_dp(
     for (i, &v) in lane.nodes.iter().enumerate() {
         nodes[v].cur = init(i);
     }
-    let mut proto = DiagonalDp {
-        shared: DpShared {
-            pos_of,
-            send_ports,
-            input,
-            rounds,
-            lane_len: lane.nodes.len(),
-        },
-        nodes,
+    let proto = DiagonalDp {
+        pos_of,
+        send_ports,
+        input,
+        rounds,
+        lane_len: lane.nodes.len(),
     };
-    let stats = net.run_rounds(phase, &mut proto, rounds + 1);
-    let cur = lane.nodes.iter().map(|&v| proto.nodes[v].cur).collect();
+    let stats = net.run_rounds(phase, &proto, &mut nodes, rounds + 1);
+    let cur = lane.nodes.iter().map(|&v| nodes[v].cur).collect();
     (cur, stats)
 }
 
@@ -224,8 +207,9 @@ struct Placement {
     send_port: u32,
 }
 
-/// Read-only sweep geometry and the per-cell input function.
-struct SweepShared<'a> {
+/// The staggered sweeps: lane placements and the per-cell input
+/// function.
+struct PrefixSweep<'a> {
     jobs: usize,
     /// Each node may sit on several lanes (checkpoints join segments).
     placements: Vec<Vec<Placement>>,
@@ -234,32 +218,22 @@ struct SweepShared<'a> {
 
 /// One node's sweep state.
 struct SweepNode {
-    /// received[placement][job]: value arriving from that lane's
+    /// `received[placement][job]`: value arriving from that lane's
     /// predecessor.
     received: Vec<Vec<Dist>>,
 }
 
-struct PrefixSweep<'a> {
-    shared: SweepShared<'a>,
-    nodes: Vec<SweepNode>,
-}
-
-impl<'a> Protocol for PrefixSweep<'a> {
+impl Protocol for PrefixSweep<'_> {
     type Msg = SweepMsg;
     type Node = SweepNode;
-    type Shared = SweepShared<'a>;
 
-    fn msg_bits(_: &Self::Shared, msg: &SweepMsg) -> u64 {
+    fn msg_bits(&self, msg: &SweepMsg) -> u64 {
         word_bits(msg.job as u64) + dist_bits(msg.dist)
     }
 
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &Self::Shared, node: &mut SweepNode, ctx: &mut NodeCtx<'_, SweepMsg>) {
+    fn step_node(&self, node: &mut SweepNode, ctx: &mut NodeCtx<'_, SweepMsg>) {
         let v = ctx.node;
-        let placements = &shared.placements[v];
+        let placements = &self.placements[v];
         if placements.is_empty() {
             return;
         }
@@ -280,17 +254,17 @@ impl<'a> Protocol for PrefixSweep<'a> {
             // The staggered schedule is round-driven (job j departs at
             // round j + pos whether or not anything arrived), so the
             // node re-arms itself until its last departure round.
-            if shared.jobs > 0 && r < pos as u64 + shared.jobs as u64 - 1 {
+            if self.jobs > 0 && r < pos as u64 + self.jobs as u64 - 1 {
                 ctx.wake();
             }
             if r < pos as u64 {
                 continue;
             }
             let job = (r - pos as u64) as usize;
-            if job >= shared.jobs {
+            if job >= self.jobs {
                 continue;
             }
-            let acc = node.received[pi][job].min((shared.input)(lane_idx, pos, job));
+            let acc = node.received[pi][job].min((self.input)(lane_idx, pos, job));
             if acc.is_finite() {
                 ctx.send(
                     pl.send_port,
@@ -301,14 +275,6 @@ impl<'a> Protocol for PrefixSweep<'a> {
                 );
             }
         }
-    }
-
-    fn idle(&self) -> bool {
-        true
-    }
-
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
     }
 }
 
@@ -366,7 +332,7 @@ pub fn prefix_sweep(
             });
         }
     }
-    let nodes: Vec<SweepNode> = placements
+    let mut nodes: Vec<SweepNode> = placements
         .iter()
         .map(|pls| SweepNode {
             received: vec![vec![Dist::INF; jobs]; pls.len()],
@@ -374,23 +340,19 @@ pub fn prefix_sweep(
         .collect();
     let max_len = lanes.iter().map(|l| l.nodes.len()).max().unwrap_or(0) as u64;
     let total_rounds = jobs as u64 + max_len;
-    let mut proto = PrefixSweep {
-        shared: SweepShared {
-            jobs,
-            placements,
-            input,
-        },
-        nodes,
+    let proto = PrefixSweep {
+        jobs,
+        placements,
+        input,
     };
-    let stats = net.run_rounds(phase, &mut proto, total_rounds);
+    let stats = net.run_rounds(phase, &proto, &mut nodes, total_rounds);
     // Reassemble the per-lane tables from the per-node state, then
     // finalize locally: fold each position's own input into what arrived.
     let mut out: Vec<Vec<Vec<Dist>>> = lanes
         .iter()
         .map(|lane| vec![vec![Dist::INF; jobs]; lane.nodes.len()])
         .collect();
-    let PrefixSweep { shared, nodes } = proto;
-    for (pls, node) in shared.placements.iter().zip(nodes) {
+    for (pls, node) in proto.placements.iter().zip(nodes) {
         for (pl, row) in pls.iter().zip(node.received) {
             out[pl.lane as usize][pl.pos as usize] = row;
         }

@@ -20,6 +20,13 @@ pub enum InstanceError {
     /// The communication graph is disconnected; the CONGEST model (and
     /// the paper's `D`) requires connectivity.
     Disconnected,
+    /// An endpoint of the demand is not a node of the graph.
+    UnknownNode {
+        /// The requested endpoint.
+        node: NodeId,
+        /// Nodes in the graph.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for InstanceError {
@@ -32,6 +39,9 @@ impl fmt::Display for InstanceError {
             InstanceError::Disconnected => {
                 write!(f, "underlying undirected graph must be connected")
             }
+            InstanceError::UnknownNode { node, nodes } => {
+                write!(f, "endpoint {node} is not a node of the {nodes}-node graph")
+            }
         }
     }
 }
@@ -41,6 +51,22 @@ impl std::error::Error for InstanceError {}
 impl From<PathError> for InstanceError {
     fn from(e: PathError) -> InstanceError {
         InstanceError::BadPath(e)
+    }
+}
+
+/// Checks that both endpoints of an `s`-`t` demand are nodes of `graph`,
+/// so the shortest-path search that poses the demand cannot index past
+/// the graph.
+///
+/// # Errors
+///
+/// [`InstanceError::UnknownNode`] naming the first endpoint (`s`, then
+/// `t`) outside the graph.
+pub(crate) fn check_endpoints(graph: &DiGraph, s: NodeId, t: NodeId) -> Result<(), InstanceError> {
+    let nodes = graph.node_count();
+    match [s, t].into_iter().find(|&v| v >= nodes) {
+        Some(node) => Err(InstanceError::UnknownNode { node, nodes }),
+        None => Ok(()),
     }
 }
 
@@ -113,11 +139,19 @@ impl<'g> Instance<'g> {
     }
 
     /// Builds an instance by extracting a shortest `s`-`t` path.
+    ///
+    /// # Errors
+    ///
+    /// [`InstanceError::UnknownNode`] when `s` or `t` is not a node of
+    /// `graph`, [`InstanceError::Unreachable`] when no `s`-`t` path
+    /// exists, [`InstanceError::Disconnected`] when the communication
+    /// graph is disconnected.
     pub fn from_endpoints(
         graph: &'g DiGraph,
         s: NodeId,
         t: NodeId,
     ) -> Result<Instance<'g>, InstanceError> {
+        check_endpoints(graph, s, t)?;
         let path = shortest_st_path(graph, s, t).ok_or(InstanceError::Unreachable { s, t })?;
         Instance::new(graph, path)
     }

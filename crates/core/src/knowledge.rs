@@ -20,7 +20,7 @@
 
 use congest::bfs_tree::BfsTree;
 use congest::broadcast::broadcast;
-use congest::{word_bits, Network, NodeCtx, Protocol, Scheduling};
+use congest::{word_bits, Network, NodeCtx, Protocol};
 use graphkit::{Dist, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,35 +56,28 @@ struct WaveState {
     forward_left: Option<Wave>,
 }
 
-/// Read-only state every node consults: the instance and the sampled
-/// positions.
-struct WaveShared<'i> {
-    inst: &'i Instance<'i>,
-    sampled: Vec<bool>,
-}
-
+/// The waves along `P`: every node consults the instance and the
+/// sampled positions; its [`WaveState`] slot is meaningful only at path
+/// vertices.
+///
+/// Waves are seeded in round 0 and then advance strictly on receipt
+/// (forwarded the same round they arrive), so no step needs a wake.
 struct WaveProtocol<'i> {
-    shared: WaveShared<'i>,
-    /// One [`WaveState`] per *node* (meaningful only at path vertices).
-    nodes: Vec<WaveState>,
+    inst: &'i Instance<'i>,
+    sampled: &'i [bool],
 }
 
-impl<'i> Protocol for WaveProtocol<'i> {
+impl Protocol for WaveProtocol<'_> {
     type Msg = Wave;
     type Node = WaveState;
-    type Shared = WaveShared<'i>;
 
-    fn msg_bits(_: &Self::Shared, m: &Wave) -> u64 {
+    fn msg_bits(&self, m: &Wave) -> u64 {
         word_bits(m.origin as u64) + word_bits(m.hops) + word_bits(m.weight)
     }
 
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &Self::Shared, node: &mut WaveState, ctx: &mut NodeCtx<'_, Wave>) {
+    fn step_node(&self, node: &mut WaveState, ctx: &mut NodeCtx<'_, Wave>) {
         let v = ctx.node;
-        let inst = shared.inst;
+        let inst = self.inst;
         let Some(pos) = inst.path_index[v] else {
             return;
         };
@@ -109,18 +102,18 @@ impl<'i> Protocol for WaveProtocol<'i> {
             };
             if Some(link) == left_link {
                 node.from_left = Some(arrived);
-                if !shared.sampled[pos] {
+                if !self.sampled[pos] {
                     node.forward_right = Some(arrived);
                 }
             } else if Some(link) == right_link {
                 node.from_right = Some(arrived);
-                if !shared.sampled[pos] {
+                if !self.sampled[pos] {
                     node.forward_left = Some(arrived);
                 }
             }
         }
         // Kick off waves from sampled vertices.
-        if ctx.round == 0 && shared.sampled[pos] {
+        if ctx.round == 0 && self.sampled[pos] {
             let seed = Wave {
                 origin: v,
                 hops: 0,
@@ -140,13 +133,6 @@ impl<'i> Protocol for WaveProtocol<'i> {
                 ctx.send(port_for(ctx, link), wave);
             }
         }
-    }
-
-    // Waves are seeded in round 0 and then advance strictly on receipt
-    // (forwarded the same round they arrive), so receipt-driven stepping
-    // is exact.
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
     }
 }
 
@@ -206,20 +192,16 @@ pub fn acquire(
         *s = rng.gen_bool(p_sample);
     }
     // Phase 1: waves along P.
-    let mut proto = WaveProtocol {
-        shared: WaveShared {
-            inst,
-            sampled: sampled.clone(),
-        },
-        nodes: vec![WaveState::default(); n],
+    let mut nodes = vec![WaveState::default(); n];
+    let proto = WaveProtocol {
+        inst,
+        sampled: &sampled,
     };
     let budget = 4 * (h as u64 + 4) * params.budget_factor;
-    net.run_until_quiet("lemma2.5/waves", &mut proto, budget)
+    net.run_until_quiet("lemma2.5/waves", &proto, &mut nodes, budget)
         .expect("waves terminate within the path length");
     // Per path position: the wave state of the vertex at that position.
-    let state: Vec<WaveState> = (0..=h)
-        .map(|pos| proto.nodes[inst.path.node(pos)])
-        .collect();
+    let state: Vec<WaveState> = (0..=h).map(|pos| nodes[inst.path.node(pos)]).collect();
 
     // Phase 2: sampled vertices publish their chain links.
     let mut items: Vec<Vec<ChainItem>> = vec![Vec::new(); n];

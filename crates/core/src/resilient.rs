@@ -36,6 +36,7 @@ use congest::bfs_tree::{build_bfs_tree, TreeError};
 use congest::{FaultPlan, FaultPlanError, Network};
 use graphkit::{DiGraph, Dist, EdgeId, GraphBuilder, NodeId};
 
+use crate::instance::check_endpoints;
 use crate::weighted::ScaledAnswers;
 use crate::{
     reachability, sisp, unweighted, weighted, Instance, InstanceError, Params, SolveError,
@@ -192,7 +193,8 @@ impl std::error::Error for RecoveryError {}
 /// outside `graph` (checked before any work),
 /// [`RecoveryError::SourceDown`] when `s` is crashed in the steady
 /// state, [`RecoveryError::Instance`] when the demand was invalid before
-/// faults, [`RecoveryError::Solve`] when the solver itself failed.
+/// faults (an endpoint outside `graph` is checked right after the plan),
+/// [`RecoveryError::Solve`] when the solver itself failed.
 pub fn solve_with_recovery<S: RecoverableSolver>(
     graph: &DiGraph,
     s: NodeId,
@@ -202,6 +204,7 @@ pub fn solve_with_recovery<S: RecoverableSolver>(
 ) -> Result<Recovery<S::Output>, RecoveryError> {
     plan.validate(graph.edge_count(), graph.node_count())
         .map_err(RecoveryError::FaultPlan)?;
+    check_endpoints(graph, s, t).map_err(RecoveryError::Instance)?;
     let steady = plan.steady();
     let horizon = plan.horizon();
     if steady.node_down(s, horizon) {

@@ -43,6 +43,7 @@ use rpaths_store::{Snapshot, StoreError};
 
 use crate::artifacts::{cache_artifact, cache_entry_from};
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, CacheValue, SolverKind};
+use crate::instance::check_endpoints;
 use crate::weighted::ScaledAnswers;
 use crate::{baseline, unweighted, weighted, Instance, InstanceError, Params, SolveError};
 
@@ -330,10 +331,15 @@ impl<'g> SolverSession<'g> {
     ///
     /// # Errors
     ///
-    /// [`SessionError`] when the communication graph is disconnected or
-    /// a solver fails; unreachable `(source, target)` pairs are *not*
+    /// [`SessionError::Instance`] when a query's endpoint is not a node
+    /// of the graph (checked for every query before any work) or the
+    /// communication graph is disconnected; [`SessionError::Solve`] when
+    /// a solver fails. Unreachable `(source, target)` pairs are *not*
     /// errors — they answer [`Answer::unreachable`].
     pub fn solve_batch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, SessionError> {
+        for q in queries {
+            check_endpoints(self.graph, q.source, q.target)?;
+        }
         self.stats.batches += 1;
         self.stats.queries += queries.len() as u64;
         let params = self.params.clone();

@@ -22,7 +22,7 @@
 //! Section 7: an edge of delay `w` behaves like `w` unit hops, which the
 //! receiver models by holding the message `w - 1` extra rounds.
 
-use congest::{word_bits, Network, NodeCtx, Protocol, Scheduling};
+use congest::{word_bits, Network, NodeCtx, Protocol};
 use graphkit::EdgeId;
 
 use crate::Instance;
@@ -70,12 +70,6 @@ struct Token {
     aux: u64,
 }
 
-/// Read-only per-run state shared by every node.
-struct HopShared<'a, 'i> {
-    inst: &'i Instance<'i>,
-    cfg: &'a HopBfsConfig<'a>,
-}
-
 /// One node's BFS state.
 struct HopNode {
     /// The value computed this round: f*_u(round).
@@ -89,9 +83,10 @@ struct HopNode {
     record: Vec<Option<(usize, u64)>>,
 }
 
+/// The ζ-level BFS of one configuration from every path vertex.
 struct HopBfsProtocol<'a, 'i> {
-    shared: HopShared<'a, 'i>,
-    nodes: Vec<HopNode>,
+    inst: &'i Instance<'i>,
+    cfg: &'a HopBfsConfig<'a>,
 }
 
 fn delay_of(cfg: &HopBfsConfig<'_>, e: EdgeId) -> u64 {
@@ -117,38 +112,29 @@ fn offer(objective: Objective, node: &mut HopNode, t: Token) {
     }
 }
 
-impl<'a, 'i> Protocol for HopBfsProtocol<'a, 'i> {
+impl Protocol for HopBfsProtocol<'_, '_> {
     type Msg = Token;
     type Node = HopNode;
-    type Shared = HopShared<'a, 'i>;
 
-    fn msg_bits(_: &Self::Shared, m: &Token) -> u64 {
+    fn msg_bits(&self, m: &Token) -> u64 {
         word_bits(m.idx as u64) + word_bits(m.aux)
     }
 
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &Self::Shared, node: &mut HopNode, ctx: &mut NodeCtx<'_, Token>) {
-        step(shared, node, ctx);
+    fn step_node(&self, node: &mut HopNode, ctx: &mut NodeCtx<'_, Token>) {
+        step(self, node, ctx);
         // Held (delayed-edge) candidates mature on round numbers, not on
         // receipt: stay armed until they are all released.
         if !node.held.is_empty() {
             ctx.wake();
         }
     }
-
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
-    }
 }
 
-fn step(shared: &HopShared<'_, '_>, node: &mut HopNode, ctx: &mut NodeCtx<'_, Token>) {
+fn step(proto: &HopBfsProtocol<'_, '_>, node: &mut HopNode, ctx: &mut NodeCtx<'_, Token>) {
     let v = ctx.node;
     let round = ctx.round;
-    let cfg = shared.cfg;
-    let inst = shared.inst;
+    let cfg = proto.cfg;
+    let inst = proto.inst;
     if round > cfg.zeta as u64 {
         return;
     }
@@ -238,25 +224,23 @@ pub fn hop_constrained_bfs(
     if let Some(d) = cfg.delays {
         assert_eq!(d.len(), inst.graph.edge_count());
     }
-    let mut proto = HopBfsProtocol {
-        shared: HopShared { inst, cfg },
-        nodes: (0..n)
-            .map(|v| HopNode {
-                cur: None,
-                gather: None,
-                held: Vec::new(),
-                record: if inst.path_index[v].is_some() {
-                    vec![None; cfg.zeta + 1]
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect(),
-    };
-    net.run_rounds(phase, &mut proto, cfg.zeta as u64 + 1);
+    let mut nodes: Vec<HopNode> = (0..n)
+        .map(|v| HopNode {
+            cur: None,
+            gather: None,
+            held: Vec::new(),
+            record: if inst.path_index[v].is_some() {
+                vec![None; cfg.zeta + 1]
+            } else {
+                Vec::new()
+            },
+        })
+        .collect();
+    let proto = HopBfsProtocol { inst, cfg };
+    net.run_rounds(phase, &proto, &mut nodes, cfg.zeta as u64 + 1);
     // Assemble the per-position tables from the path vertices' records.
     let mut table = vec![vec![None; cfg.zeta + 1]; inst.hops() + 1];
-    for (v, node) in proto.nodes.into_iter().enumerate() {
+    for (v, node) in nodes.into_iter().enumerate() {
         if let Some(pos) = inst.path_index[v] {
             table[pos] = node.record;
         }

@@ -10,33 +10,33 @@
 //!
 //! Run with: `cargo run --release -p rpaths --example congest_primer`
 
-use congest::{Network, NodeCtx, Protocol, Scheduling};
+use congest::{Network, NodeCtx, Protocol};
 use graphkit::gen::random_digraph;
 
 /// Every node floods the largest node id it has heard; after `D` rounds
 /// everyone agrees on the maximum id — the leader.
 ///
-/// A protocol's state is one slot per node (here: the best id heard).
-/// The engine hands each step `&mut` to its own node's slot only, so
-/// the only way to learn anything about another node is a message.
-struct LeaderElection {
-    best: Vec<u64>,
-}
+/// A protocol value holds what every node may read (here: nothing). The
+/// per-node state — one slot per node, here the best id heard — belongs
+/// to the caller, who lends the slots to the run and reads the results
+/// from them afterwards. The engine hands each step `&mut` to its own
+/// node's slot only, so the only way to learn anything about another
+/// node is a message.
+struct LeaderElection;
 
 impl Protocol for LeaderElection {
     type Msg = u64;
     type Node = u64;
-    type Shared = ();
 
-    fn msg_bits(_: &(), id: &u64) -> u64 {
+    fn msg_bits(&self, id: &u64) -> u64 {
         congest::word_bits(*id)
     }
 
-    fn split(&mut self) -> (&(), &mut [u64]) {
-        (&(), &mut self.best)
-    }
-
-    fn step_node(_: &(), best: &mut u64, ctx: &mut NodeCtx<'_, u64>) {
+    // The engine steps a node only in round 0, when a message arrives,
+    // or after it called `ctx.wake()`. Opinions only change on receipt,
+    // so no step needs a wake: simulation cost tracks the number of
+    // opinion changes instead of n · rounds.
+    fn step_node(&self, best: &mut u64, ctx: &mut NodeCtx<'_, u64>) {
         // Round 0: announce yourself. Later: forward improvements only —
         // that is what keeps the message count at O(m·D) worst case and
         // the protocol quiescent once opinions stabilize.
@@ -53,13 +53,6 @@ impl Protocol for LeaderElection {
             }
         }
     }
-
-    // Opinions only change on receipt, so the engine can skip settled
-    // nodes: with the active-set schedule, simulation cost tracks the
-    // number of opinion changes instead of n · rounds.
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
-    }
 }
 
 fn main() {
@@ -68,15 +61,13 @@ fn main() {
     let mut net = Network::new(&g);
     println!("network: {net:?}");
 
-    let mut proto = LeaderElection {
-        best: (0..n as u64).collect(), // node v's id is v
-    };
+    let mut best: Vec<u64> = (0..n as u64).collect(); // node v's id is v
     let stats = net
-        .run_until_quiet("leader-election", &mut proto, 10 * n as u64)
+        .run_until_quiet("leader-election", &LeaderElection, &mut best, 10 * n as u64)
         .expect("flooding quiesces");
 
-    let leader = proto.best[0];
-    assert!(proto.best.iter().all(|&b| b == leader), "disagreement!");
+    let leader = best[0];
+    assert!(best.iter().all(|&b| b == leader), "disagreement!");
     println!(
         "elected leader {leader} in {} rounds ({} messages, {} bits)",
         stats.rounds, stats.messages, stats.bits

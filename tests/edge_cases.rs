@@ -1,14 +1,15 @@
 //! Adversarial edge cases aimed at specific code paths of the
 //! distributed algorithms: ties, parallel edges, detours that revisit
-//! path vertices, minimal instances, boundary thresholds, and malformed
-//! fault plans.
+//! path vertices, minimal instances, boundary thresholds, malformed
+//! fault plans, and endpoints outside the graph.
 
 use congest::{FaultPlan, FaultPlanError};
 use graphkit::alg::replacement_lengths;
 use graphkit::{Dist, GraphBuilder, StPath};
 use rpaths_core::oracle::oracle_query;
 use rpaths_core::{
-    unweighted, weighted, Answer, Instance, Params, Query, SessionStats, SolverSession,
+    unweighted, weighted, Answer, Instance, InstanceError, Params, Query, SessionError,
+    SessionStats, SolverSession,
 };
 
 fn full_params(n: usize, zeta: usize) -> Params {
@@ -404,5 +405,68 @@ fn out_of_range_fault_plans_are_typed_errors() {
     ] {
         let got = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &Params::for_n(n));
         assert_eq!(got.unwrap_err(), RecoveryError::FaultPlan(want));
+    }
+}
+
+/// An endpoint id past the last node of the lane the tests below build.
+const FAR: usize = 10_000;
+
+#[test]
+fn out_of_range_endpoints_are_typed_instance_errors() {
+    let (g, s, t) = graphkit::gen::parallel_lane(6, 2, 1);
+    let unknown = InstanceError::UnknownNode {
+        node: FAR,
+        nodes: g.node_count(),
+    };
+    for (src, dst) in [(FAR, t), (s, FAR)] {
+        let err = Instance::from_endpoints(&g, src, dst).unwrap_err();
+        assert_eq!(err, unknown, "demand {src} -> {dst}");
+    }
+    assert_eq!(
+        unknown.to_string(),
+        format!(
+            "endpoint {FAR} is not a node of the {}-node graph",
+            g.node_count()
+        )
+    );
+}
+
+#[test]
+fn session_batches_reject_out_of_range_endpoints() {
+    // Every query is checked before any work: one foreign endpoint
+    // anywhere in the batch rejects it without a solver run.
+    let (g, s, t) = graphkit::gen::parallel_lane(6, 2, 1);
+    let unknown = SessionError::Instance(InstanceError::UnknownNode {
+        node: FAR,
+        nodes: g.node_count(),
+    });
+    let mut session = SolverSession::new(&g, full_params(g.node_count(), 3));
+    for bad in [Query::intact(FAR, t), Query::intact(s, FAR)] {
+        let batch = [Query::intact(s, t), bad];
+        assert_eq!(session.solve_batch(&batch).unwrap_err(), unknown);
+    }
+    assert_eq!(session.stats().solver_runs, 0);
+    assert_eq!(session.metrics().rounds(), 0);
+}
+
+#[test]
+fn recovery_rejects_out_of_range_endpoints() {
+    // Both recovery paths: a transient plan solves the demand as posed,
+    // a permanent one re-poses it on the surviving component.
+    use rpaths_core::resilient::{solve_with_recovery, RecoveryError, Unweighted};
+    let (g, s, t) = graphkit::gen::parallel_lane(6, 2, 1);
+    let unknown = RecoveryError::Instance(InstanceError::UnknownNode {
+        node: FAR,
+        nodes: g.node_count(),
+    });
+    let params = Params::for_n(g.node_count());
+    for plan in [
+        FaultPlan::new(5).fail_link(0, 0, Some(3)),
+        FaultPlan::new(6).fail_link(0, 0, None),
+    ] {
+        for (src, dst) in [(FAR, t), (s, FAR)] {
+            let got = solve_with_recovery::<Unweighted>(&g, src, dst, &plan, &params);
+            assert_eq!(got.unwrap_err(), unknown, "demand {src} -> {dst}");
+        }
     }
 }

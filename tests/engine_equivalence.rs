@@ -2,7 +2,7 @@
 //! against the full-sweep reference schedule, plus the engine contract
 //! of the single commit path.
 //!
-//! The engine's activation contract (`Protocol::scheduling`) and flat
+//! The engine's activation contract (see `congest::Protocol`) and flat
 //! mailbox arenas are wall-clock optimizations only: for every protocol
 //! in the workspace, an active-set run must produce *bit-identical*
 //! [`congest::RunStats`] (rounds, messages, bits, cut bits, max message
@@ -13,21 +13,22 @@
 //! baselines — across random, sparse/dense, and degree-skewed (star,
 //! two-hub, power-law) topologies, pinning end-to-end answers and the
 //! full per-phase metrics log; the chaos matrix extends this to seeded
-//! fault plans. The remaining `parallel_*` and `*_thread_invariant`
-//! test names predate the single-threaded engine and are kept so test
-//! ids stay stable; each compares the two schedules.
+//! fault plans.
 //!
-//! The engine-contract tests pin what the commit path guarantees: an
-//! inert fault plan changes nothing, CONGEST violations panic, delayed
-//! messages keep `run_until_quiet` awake, and a blown round budget
-//! reports its final-round snapshot.
+//! The engine-contract tests pin what the round driver and the commit
+//! path guarantee under both schedules: `NodeCtx::wake` keeps a quiet
+//! node scheduled, inboxes list senders in ascending id order, both
+//! directions of a link are usable in one round, crashed nodes are
+//! silent until restart, an inert fault plan changes nothing, CONGEST
+//! violations panic, delayed messages keep `run_until_quiet` awake, and
+//! a blown round budget reports its final-round snapshot.
 
 use congest::aggregate::{aggregate, AggOp};
 use congest::bfs_tree::build_bfs_tree;
 use congest::broadcast::broadcast;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
-use congest::{EngineError, FaultPlan, Network, NodeCtx, Protocol, RunStats, Scheduling, Side};
+use congest::{EngineError, FaultPlan, Network, NodeCtx, Protocol, RunStats, Side};
 use graphkit::gen::{planted_path_digraph, random_digraph};
 use graphkit::{Dist, GraphBuilder};
 use proptest::prelude::*;
@@ -236,7 +237,7 @@ fn broadcast_matches_full_sweep_bitwise() {
 }
 
 #[test]
-fn parallel_multi_bfs_matches_sequential_bitwise() {
+fn multi_bfs_matches_full_sweep_bitwise() {
     for g in matrix_graphs() {
         let n = g.node_count();
         let sources: Vec<usize> = (0..5).map(|i| (i * 13 + 1) % n).collect();
@@ -306,7 +307,7 @@ fn skewed_kernels_match_full_sweep_bitwise() {
 }
 
 #[test]
-fn parallel_hop_bfs_matches_sequential_bitwise() {
+fn hop_bfs_matches_full_sweep_bitwise() {
     use rpaths_core::short::hop_bfs::{hop_constrained_bfs, HopBfsConfig, Objective};
     for (extra, seed) in [(30usize, 3u64), (400, 4)] {
         let (g, s, t) = planted_path_digraph(44, 12, extra, seed);
@@ -351,7 +352,7 @@ fn solver_params(n: usize) -> rpaths_core::Params {
 }
 
 #[test]
-fn parallel_unweighted_solver_matches_sequential_bitwise() {
+fn unweighted_solver_matches_full_sweep_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
@@ -363,7 +364,7 @@ fn parallel_unweighted_solver_matches_sequential_bitwise() {
 }
 
 #[test]
-fn parallel_sisp_solver_matches_sequential_bitwise() {
+fn sisp_solver_matches_full_sweep_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
@@ -375,7 +376,7 @@ fn parallel_sisp_solver_matches_sequential_bitwise() {
 }
 
 #[test]
-fn parallel_reachability_matches_sequential_bitwise() {
+fn reachability_matches_full_sweep_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
@@ -387,7 +388,7 @@ fn parallel_reachability_matches_sequential_bitwise() {
 }
 
 #[test]
-fn parallel_naive_baseline_matches_sequential_bitwise() {
+fn naive_baseline_matches_full_sweep_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
@@ -399,7 +400,7 @@ fn parallel_naive_baseline_matches_sequential_bitwise() {
 }
 
 #[test]
-fn parallel_mr24_baseline_matches_sequential_bitwise() {
+fn mr24_baseline_matches_full_sweep_bitwise() {
     for (g, s, t) in solver_instances() {
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
         let params = solver_params(inst.n());
@@ -411,7 +412,7 @@ fn parallel_mr24_baseline_matches_sequential_bitwise() {
 }
 
 #[test]
-fn parallel_weighted_solver_matches_sequential_bitwise() {
+fn weighted_solver_matches_full_sweep_bitwise() {
     use graphkit::gen::random_weighted_digraph;
     let mut tested = 0;
     for seed in 0..10 {
@@ -454,47 +455,31 @@ fn parallel_weighted_solver_matches_sequential_bitwise() {
 /// plan can express (link down, node down, drop, delay) has traffic to
 /// act on, and any divergence in delivery contents *or order* shows up
 /// as a log difference.
-struct ChaosShared {
-    send_rounds: u64,
-}
-
-struct ChaosNode {
-    log: Vec<(u64, u32, u64)>,
-}
-
+///
+/// Each node's slot is its log of `(round, port, payload)` deliveries.
 struct ChaosRecorder {
-    shared: ChaosShared,
-    nodes: Vec<ChaosNode>,
+    send_rounds: u64,
 }
 
 impl Protocol for ChaosRecorder {
     type Msg = u64;
-    type Node = ChaosNode;
-    type Shared = ChaosShared;
+    type Node = Vec<(u64, u32, u64)>;
 
-    fn msg_bits(_: &ChaosShared, _: &u64) -> u64 {
+    fn msg_bits(&self, _: &u64) -> u64 {
         48
     }
 
-    fn split(&mut self) -> (&ChaosShared, &mut [ChaosNode]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &ChaosShared, node: &mut ChaosNode, ctx: &mut NodeCtx<'_, u64>) {
+    fn step_node(&self, log: &mut Vec<(u64, u32, u64)>, ctx: &mut NodeCtx<'_, u64>) {
         for &(port, msg) in ctx.inbox() {
-            node.log.push((ctx.round, port, msg));
+            log.push((ctx.round, port, msg));
         }
-        if ctx.round < shared.send_rounds {
+        if ctx.round < self.send_rounds {
             let v = ctx.node as u64;
             for p in 0..ctx.ports().len() as u32 {
                 ctx.send(p, (v << 24) | (ctx.round << 8) | p as u64);
             }
             ctx.wake();
         }
-    }
-
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
     }
 }
 
@@ -539,22 +524,18 @@ fn chaos_run(
 ) -> (Vec<Vec<(u64, u32, u64)>>, RunStats, congest::Metrics) {
     let send_rounds = 6;
     net.set_fault_plan(Some(plan.clone())).unwrap();
-    let mut proto = ChaosRecorder {
-        shared: ChaosShared { send_rounds },
-        nodes: (0..g.node_count())
-            .map(|_| ChaosNode { log: Vec::new() })
-            .collect(),
-    };
-    let stats = net.run_rounds("chaos", &mut proto, send_rounds + 4);
-    (
-        proto.nodes.into_iter().map(|nd| nd.log).collect(),
-        stats,
-        net.metrics().clone(),
-    )
+    let mut logs = vec![Vec::new(); g.node_count()];
+    let stats = net.run_rounds(
+        "chaos",
+        &ChaosRecorder { send_rounds },
+        &mut logs,
+        send_rounds + 4,
+    );
+    (logs, stats, net.metrics().clone())
 }
 
 #[test]
-fn chaos_matrix_is_thread_invariant() {
+fn chaos_matrix_is_schedule_invariant() {
     use graphkit::gen::{metro_ring, power_law_digraph, star};
     for g in [star(33), metro_ring(24), power_law_digraph(48, 5)] {
         for (name, plan) in chaos_plans() {
@@ -573,8 +554,148 @@ fn chaos_matrix_is_thread_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// Engine contract of the commit path.
+// Engine contract of the round driver and the commit path, each case
+// asserted under both schedules.
 // ---------------------------------------------------------------------
+
+/// A path `0 - 1 - ... - (n-1)`.
+fn line(n: usize) -> graphkit::DiGraph {
+    let mut b = GraphBuilder::new(n);
+    for i in 0..n - 1 {
+        b.add_arc(i, i + 1);
+    }
+    b.build()
+}
+
+/// A protocol whose only activity is self-driven: node 0 wakes itself
+/// and sends one message every `period` rounds, with no inbox traffic
+/// to reactivate it. Each node's slot counts the ticks it heard.
+struct Metronome {
+    period: u64,
+}
+
+impl Protocol for Metronome {
+    type Msg = ();
+    type Node = u64;
+
+    fn msg_bits(&self, _: &()) -> u64 {
+        1
+    }
+
+    fn step_node(&self, ticks: &mut u64, ctx: &mut NodeCtx<'_, ()>) {
+        if ctx.node == 0 {
+            if ctx.round.is_multiple_of(self.period) {
+                ctx.send(0, ());
+            }
+            ctx.wake();
+        } else if !ctx.inbox().is_empty() {
+            *ticks += 1;
+        }
+    }
+}
+
+/// Runs the metronome (period 3) for 10 rounds on a 2-node line under
+/// `plan`; returns the messages delivered, the ticks node 1 heard, and
+/// the metrics.
+fn run_metronome(net: &mut Network<'_>, plan: Option<FaultPlan>) -> (u64, u64, congest::Metrics) {
+    net.set_fault_plan(plan).unwrap();
+    let mut ticks = vec![0; 2];
+    let stats = net.run_rounds("metronome", &Metronome { period: 3 }, &mut ticks, 10);
+    (stats.messages, ticks[1], net.metrics().clone())
+}
+
+#[test]
+fn wake_keeps_a_quiet_node_scheduled() {
+    let (active, swept) = both(&line(2), |net| run_metronome(net, None));
+    for (messages, ticks, _) in [active, swept] {
+        // Sends at rounds 0, 3, 6, 9; the round-9 send is not observed.
+        assert_eq!(messages, 4);
+        assert_eq!(ticks, 3);
+    }
+}
+
+#[test]
+fn crashed_node_is_silent_until_restart() {
+    // Node 1 is down for rounds [0, 4): the metronome's sends at
+    // rounds 0 and 3 vanish, the round-6 send lands after restart.
+    let plan = FaultPlan::new(9).crash_node(1, 0, Some(4));
+    let (active, swept) = both(&line(2), |net| run_metronome(net, Some(plan.clone())));
+    for (messages, ticks, metrics) in [active, swept] {
+        assert_eq!(ticks, 1);
+        // Rounds 6 and 9 sends are delivered (the round-9 one unobserved).
+        assert_eq!(messages, 2);
+        assert_eq!(metrics.faults.dropped_node_down, 2);
+        assert_eq!(metrics.faults.faulty_rounds, 2);
+    }
+}
+
+/// Every node except the hub sends its id to port 0 in round 0; each
+/// node's slot lists the ids it received, in inbox order.
+struct Spokes;
+
+impl Protocol for Spokes {
+    type Msg = u32;
+    type Node = Vec<u32>;
+
+    fn msg_bits(&self, _: &u32) -> u64 {
+        8
+    }
+
+    fn step_node(&self, seen: &mut Vec<u32>, ctx: &mut NodeCtx<'_, u32>) {
+        if ctx.round == 0 && ctx.node != 0 {
+            ctx.send(0, ctx.node as u32);
+        }
+        seen.extend(ctx.inbox().iter().map(|&(_, m)| m));
+    }
+}
+
+#[test]
+fn inbox_order_groups_by_sender_id() {
+    // Three spokes send to a hub in one round; the hub's inbox must list
+    // them in ascending sender id (the full-sweep send order), whichever
+    // schedule runs.
+    let mut b = GraphBuilder::new(4);
+    b.add_arc(3, 0);
+    b.add_arc(1, 0);
+    b.add_arc(2, 0);
+    let g = b.build();
+    let (active, swept) = both(&g, |net| {
+        let mut seen = vec![Vec::new(); 4];
+        net.run_rounds("spokes", &Spokes, &mut seen, 2);
+        seen.swap_remove(0)
+    });
+    assert_eq!(active, [1, 2, 3]);
+    assert_eq!(swept, [1, 2, 3]);
+}
+
+/// Every node sends one message on its first port in round 0.
+struct PingPong;
+
+impl Protocol for PingPong {
+    type Msg = ();
+    type Node = ();
+
+    fn msg_bits(&self, _: &()) -> u64 {
+        1
+    }
+
+    fn step_node(&self, _: &mut (), ctx: &mut NodeCtx<'_, ()>) {
+        if ctx.round == 0 {
+            ctx.send(0, ());
+        }
+    }
+}
+
+#[test]
+fn opposite_directions_share_a_link() {
+    // Both endpoints may use the same link in the same round.
+    let (active, swept) = both(&line(2), |net| {
+        net.run_rounds("pingpong", &PingPong, &mut [(); 2], 2)
+            .messages
+    });
+    assert_eq!(active, 2);
+    assert_eq!(swept, 2);
+}
 
 #[test]
 fn inert_fault_plan_changes_nothing() {
@@ -595,29 +716,24 @@ fn inert_fault_plan_changes_nothing() {
     assert_eq!(plain, inert);
 }
 
-/// Node 0 sends `burst.0` messages of `burst.1` declared bits on port 0
-/// in round 0 — a CONGEST violation when it sends two or oversizes one.
+/// Node 0 sends `copies` messages of `bits` declared bits on port 0 in
+/// round 0 — a CONGEST violation when it sends two or oversizes one.
 struct Burst {
-    burst: (usize, u64),
-    nodes: Vec<()>,
+    copies: usize,
+    bits: u64,
 }
 
 impl Protocol for Burst {
     type Msg = ();
     type Node = ();
-    type Shared = (usize, u64);
 
-    fn msg_bits(&(_, bits): &(usize, u64), _: &()) -> u64 {
-        bits
+    fn msg_bits(&self, _: &()) -> u64 {
+        self.bits
     }
 
-    fn split(&mut self) -> (&(usize, u64), &mut [()]) {
-        (&self.burst, &mut self.nodes)
-    }
-
-    fn step_node(&(copies, _): &(usize, u64), _: &mut (), ctx: &mut NodeCtx<'_, ()>) {
+    fn step_node(&self, _: &mut (), ctx: &mut NodeCtx<'_, ()>) {
         if ctx.node == 0 && ctx.round == 0 {
-            for _ in 0..copies {
+            for _ in 0..self.copies {
                 ctx.send(0, ());
             }
         }
@@ -625,14 +741,7 @@ impl Protocol for Burst {
 }
 
 fn run_burst(copies: usize, bits: u64) {
-    let mut b = GraphBuilder::new(2);
-    b.add_arc(0, 1);
-    let g = b.build();
-    let mut proto = Burst {
-        burst: (copies, bits),
-        nodes: vec![(); 2],
-    };
-    Network::new(&g).run_rounds("burst", &mut proto, 2);
+    Network::new(&line(2)).run_rounds("burst", &Burst { copies, bits }, &mut [(); 2], 2);
 }
 
 #[test]
@@ -675,11 +784,7 @@ fn round_limit_error_carries_the_final_round_snapshot() {
     // A single-source BFS down a 10-node line moves its frontier one
     // node per round; a 3-round budget stops it mid-flight, and the
     // error must say so: one node stepped, one message on the wire.
-    let mut b = GraphBuilder::new(10);
-    for i in 0..9 {
-        b.add_arc(i, i + 1);
-    }
-    let g = b.build();
+    let g = line(10);
     let cfg = MultiBfsConfig {
         sources: &[0],
         max_dist: 20,

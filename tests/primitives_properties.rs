@@ -7,7 +7,7 @@ use congest::bfs_tree::build_bfs_tree;
 use congest::broadcast::broadcast;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
-use congest::{FaultPlan, Metrics, Network, NodeCtx, Protocol, RunStats, Scheduling};
+use congest::{FaultPlan, Metrics, Network, NodeCtx, Protocol, RunStats};
 use graphkit::alg::bfs_hop_bounded;
 use graphkit::gen::random_digraph;
 use graphkit::{DiGraph, Dist, GraphBuilder};
@@ -17,51 +17,34 @@ use proptest::prelude::*;
 /// every node sends on a pseudo-random subset of its ports each round
 /// and logs its inbox verbatim (round, port, payload). Any change to
 /// delivery contents *or order* — the quantities the active-set
-/// schedule must preserve — shows up as a log difference.
-struct RecShared {
+/// schedule must preserve — shows up as a log difference. Each node's
+/// slot is its log of `(round, port, payload)` deliveries.
+struct Recorder {
     seed: u64,
     send_rounds: u64,
 }
 
-struct RecNode {
-    log: Vec<(u64, u32, u64)>,
-}
-
-struct Recorder {
-    shared: RecShared,
-    nodes: Vec<RecNode>,
-}
-
 impl Protocol for Recorder {
     type Msg = u64;
-    type Node = RecNode;
-    type Shared = RecShared;
+    type Node = Vec<(u64, u32, u64)>;
 
-    fn msg_bits(_: &RecShared, _: &u64) -> u64 {
+    fn msg_bits(&self, _: &u64) -> u64 {
         32
     }
 
-    fn split(&mut self) -> (&RecShared, &mut [RecNode]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn step_node(shared: &RecShared, node: &mut RecNode, ctx: &mut NodeCtx<'_, u64>) {
+    fn step_node(&self, log: &mut Vec<(u64, u32, u64)>, ctx: &mut NodeCtx<'_, u64>) {
         for &(port, msg) in ctx.inbox() {
-            node.log.push((ctx.round, port, msg));
+            log.push((ctx.round, port, msg));
         }
-        if ctx.round < shared.send_rounds {
+        if ctx.round < self.send_rounds {
             let v = ctx.node as u64;
             for p in 0..ctx.ports().len() as u32 {
-                if (v * 31 + ctx.round * 17 + p as u64 * 7 + shared.seed).is_multiple_of(3) {
+                if (v * 31 + ctx.round * 17 + p as u64 * 7 + self.seed).is_multiple_of(3) {
                     ctx.send(p, (v << 32) | (ctx.round << 16) | p as u64);
                 }
             }
             ctx.wake();
         }
-    }
-
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::ActiveSet
     }
 }
 
@@ -79,18 +62,14 @@ fn run_recorder_faulty(
     let mut net = Network::new(g);
     net.set_full_sweep(full_sweep);
     net.set_fault_plan(Some(plan.clone())).unwrap();
-    let mut proto = Recorder {
-        shared: RecShared { seed, send_rounds },
-        nodes: (0..g.node_count())
-            .map(|_| RecNode { log: Vec::new() })
-            .collect(),
-    };
-    let stats = net.run_rounds("recorder", &mut proto, send_rounds + 5);
-    (
-        proto.nodes.into_iter().map(|nd| nd.log).collect(),
-        stats,
-        net.metrics().clone(),
-    )
+    let mut logs = vec![Vec::new(); g.node_count()];
+    let stats = net.run_rounds(
+        "recorder",
+        &Recorder { seed, send_rounds },
+        &mut logs,
+        send_rounds + 5,
+    );
+    (logs, stats, net.metrics().clone())
 }
 
 /// `per_node` distinct items at every node.
@@ -262,7 +241,7 @@ proptest! {
     }
 
     #[test]
-    fn fault_plans_never_break_shard_parity(
+    fn fault_plans_never_break_schedule_parity(
         n in 3usize..40,
         density in 1usize..4,
         seed in 0u64..500,

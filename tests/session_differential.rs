@@ -37,7 +37,7 @@ fn temp_snapshot(name: &str) -> PathBuf {
 }
 
 #[test]
-fn batch_is_bit_identical_to_one_shot_solves_across_threads() {
+fn batch_is_bit_identical_to_one_shot_solves() {
     let (g, s, t, params) = unweighted_case();
     let inst = Instance::from_endpoints(&g, s, t).unwrap();
     let reference = unweighted::solve(&inst, &params).unwrap();
