@@ -3,8 +3,10 @@
 //! The paper's measured quantity is the *round complexity* in the CONGEST
 //! model, which the simulator reports deterministically — so the
 //! table/figure binaries run each configuration once and print the round
-//! counts (no statistical repetition needed), while the Criterion benches
-//! measure the wall-clock cost of the simulation components themselves.
+//! counts (no statistical repetition needed). The `engine` bench
+//! (`cargo bench -p rpaths-bench --bench engine`) times the engine's two
+//! schedules; the solvers' wall-clock is measured by the repository
+//! benchmark in `perfbench/`.
 //!
 //! Binaries (run with `cargo run --release -p rpaths-bench --bin <name>`):
 //!
@@ -20,7 +22,6 @@
 
 #![forbid(unsafe_code)]
 
-use congest::Network;
 use graphkit::alg::{replacement_lengths, undirected_diameter};
 use graphkit::gen::{parallel_lane, planted_path_digraph, random_weighted_digraph};
 use graphkit::{DiGraph, NodeId};
@@ -237,13 +238,6 @@ pub fn growth_exponent(points: &[(usize, u64)]) -> f64 {
     let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
     let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
-}
-
-/// Convenience: a bare network + instance for component benches.
-pub fn instance_for<'g>(graph: &'g DiGraph, s: NodeId, t: NodeId) -> (Instance<'g>, Network<'g>) {
-    let inst = Instance::from_endpoints(graph, s, t).expect("valid");
-    let net = Network::new(graph);
-    (inst, net)
 }
 
 #[cfg(test)]

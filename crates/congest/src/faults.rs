@@ -177,6 +177,10 @@ impl FaultPlan {
     /// with probability `prob`.
     pub fn drop_messages(mut self, prob: f64) -> FaultPlan {
         assert!((0.0..=1.0).contains(&prob), "drop probability in [0, 1]");
+        assert!(
+            prob + self.delay_prob <= 1.0,
+            "drop + delay probability must not exceed 1"
+        );
         self.drop_prob = prob;
         self
     }
@@ -199,14 +203,6 @@ impl FaultPlan {
     #[inline]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// `true` when the plan can never affect a message.
-    pub fn is_inert(&self) -> bool {
-        self.links.is_empty()
-            && self.nodes.is_empty()
-            && self.drop_prob <= 0.0
-            && self.delay_prob <= 0.0
     }
 
     /// Is edge `link` down in round `round`?

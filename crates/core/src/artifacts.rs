@@ -443,6 +443,33 @@ mod tests {
                 Err(ArtifactError::Malformed(_))
             ));
         }
+        // Unknown solver codes are structured errors, so warm boot skips
+        // them: older snapshots used 2 and 3 for the naive and MR24
+        // baselines.
+        let repl = cache_artifact(
+            fp,
+            &ArtifactKind::Replacement {
+                source: 0,
+                target: 2,
+                solver: SolverKind::Unweighted,
+                params_fp: 0xabc,
+                path_fp: 0xdef,
+            },
+            &CacheValue::Replacement(Arc::new(ScaledAnswers {
+                scaled: vec![Dist::new(4), Dist::new(4)],
+                den: 1,
+            })),
+        );
+        assert!(cache_entry_from(&repl, &g).is_ok());
+        for code in [2, 3, 200] {
+            let mut a = repl.clone();
+            // Fingerprint (8 bytes), entry code, source and target (4 each).
+            a.body[17] = code;
+            assert!(matches!(
+                cache_entry_from(&a, &g),
+                Err(ArtifactError::Malformed(_))
+            ));
+        }
         // Wrong section tag is WrongKind.
         let mut a = good.clone();
         a.kind = TAG_BLOB;

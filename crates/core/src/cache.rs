@@ -35,29 +35,27 @@ use crate::weighted::ScaledAnswers;
 
 /// Which solver produced a cached replacement-answers artifact.
 ///
-/// Part of the cache key: the same instance solved by Theorem 1 and by
-/// a baseline yields different round profiles (and, for the weighted
-/// solver, different scaled encodings), so their artifacts never alias.
+/// Part of the cache key: a session solves unweighted graphs with
+/// Theorem 1 and weighted ones with Theorem 3, whose scaled encodings
+/// differ, so their artifacts never alias.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SolverKind {
     /// Theorem 1: exact unweighted replacement paths.
     Unweighted,
     /// Theorem 3: `(1+ε)`-approximate weighted replacement paths.
     Weighted,
-    /// The trivial per-edge-BFS baseline.
-    Naive,
-    /// The Manoharan–Ramachandran (SIROCCO 2024) baseline.
-    Mr24,
 }
 
 impl SolverKind {
     /// Stable one-byte code used by the persisted cache section.
+    ///
+    /// Codes 2 and 3 are retired: older snapshots used them for the
+    /// naive and MR24 baselines. Decoding rejects them, so warm boot
+    /// skips those entries, and no new kind may reuse them.
     pub fn code(self) -> u8 {
         match self {
             SolverKind::Unweighted => 0,
             SolverKind::Weighted => 1,
-            SolverKind::Naive => 2,
-            SolverKind::Mr24 => 3,
         }
     }
 
@@ -66,8 +64,6 @@ impl SolverKind {
         match code {
             0 => Some(SolverKind::Unweighted),
             1 => Some(SolverKind::Weighted),
-            2 => Some(SolverKind::Naive),
-            3 => Some(SolverKind::Mr24),
             _ => None,
         }
     }
@@ -77,8 +73,6 @@ impl SolverKind {
         match self {
             SolverKind::Unweighted => "unweighted",
             SolverKind::Weighted => "weighted",
-            SolverKind::Naive => "naive",
-            SolverKind::Mr24 => "mr24",
         }
     }
 }

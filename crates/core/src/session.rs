@@ -45,7 +45,7 @@ use crate::artifacts::{cache_artifact, cache_entry_from};
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, CacheValue, SolverKind};
 use crate::instance::check_endpoints;
 use crate::weighted::ScaledAnswers;
-use crate::{baseline, unweighted, weighted, Instance, InstanceError, Params, SolveError};
+use crate::{unweighted, weighted, Instance, InstanceError, Params, SolveError};
 
 pub use congest::CacheStats;
 
@@ -172,7 +172,7 @@ pub struct SessionStats {
     pub cache: CacheStats,
 }
 
-/// Default artifact-cache capacity for [`SolverSession::new`].
+/// Artifact-cache capacity of every [`SolverSession`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
 /// A solver session: one graph, one artifact cache, many queries.
@@ -190,17 +190,12 @@ pub struct SolverSession<'g> {
 }
 
 impl<'g> SolverSession<'g> {
-    /// Creates a session over `graph` with the default cache capacity.
+    /// Creates a session over `graph` with a cache of
+    /// [`DEFAULT_CACHE_CAPACITY`] entries.
     ///
-    /// The solver defaults to Theorem 1 on unweighted graphs and
-    /// Theorem 3 on weighted ones; override with
-    /// [`SolverSession::set_solver`].
+    /// The session solves with Theorem 1 on unweighted graphs and
+    /// Theorem 3 on weighted ones.
     pub fn new(graph: &'g DiGraph, params: Params) -> SolverSession<'g> {
-        SolverSession::with_capacity(graph, params, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Creates a session with an explicit cache capacity.
-    pub fn with_capacity(graph: &'g DiGraph, params: Params, capacity: usize) -> SolverSession<'g> {
         let solver = if graph.is_unweighted() {
             SolverKind::Unweighted
         } else {
@@ -211,7 +206,7 @@ impl<'g> SolverSession<'g> {
             fingerprint: graph.fingerprint(),
             params,
             solver,
-            cache: ArtifactCache::new(capacity),
+            cache: ArtifactCache::new(DEFAULT_CACHE_CAPACITY),
             stats: SessionStats::default(),
             metrics: Metrics::default(),
         }
@@ -225,11 +220,6 @@ impl<'g> SolverSession<'g> {
     /// The bound graph's stable fingerprint (the cache key prefix).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Replaces the solver used for replacement answers.
-    pub fn set_solver(&mut self, solver: SolverKind) {
-        self.solver = solver;
     }
 
     /// Session telemetry (including the cache's counters).
@@ -467,23 +457,19 @@ impl<'g> SolverSession<'g> {
 
 /// Runs `solver` cold on `net` — the single dispatch point from
 /// [`SolverKind`] to the network-level `solve_on` implementations.
-/// Exact solvers come back as [`ScaledAnswers`] with `den = 1`.
-///
-/// # Errors
-///
-/// Whatever the solver reports.
-pub fn run_cold(
+/// Theorem 1's exact answers come back as [`ScaledAnswers`] with
+/// `den = 1`.
+fn run_cold(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
     solver: SolverKind,
 ) -> Result<ScaledAnswers, SolveError> {
-    let exact = |scaled: Vec<Dist>| ScaledAnswers { scaled, den: 1 };
     match solver {
-        SolverKind::Unweighted => unweighted::solve_on(net, inst, params).map(exact),
+        SolverKind::Unweighted => {
+            unweighted::solve_on(net, inst, params).map(|scaled| ScaledAnswers { scaled, den: 1 })
+        }
         SolverKind::Weighted => weighted::solve_on(net, inst, params),
-        SolverKind::Naive => baseline::naive::solve_on(net, inst, params).map(exact),
-        SolverKind::Mr24 => baseline::mr24::solve_on(net, inst, params).map(exact),
     }
 }
 

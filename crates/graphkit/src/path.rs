@@ -206,11 +206,6 @@ impl StPath {
         &self.edge_set
     }
 
-    /// Index of `v` in the path, if present. `O(h_st)`.
-    pub fn index_of(&self, v: NodeId) -> Option<usize> {
-        self.nodes.iter().position(|&u| u == v)
-    }
-
     /// Total weight of the path.
     pub fn length(&self, graph: &DiGraph) -> Dist {
         self.edges

@@ -408,6 +408,14 @@ fn out_of_range_fault_plans_are_typed_errors() {
     }
 }
 
+#[test]
+#[should_panic(expected = "drop + delay probability must not exceed 1")]
+fn drop_after_delay_is_bounded_too() {
+    // The bound holds in either call order: past it, a plan would
+    // silently delay far fewer messages than it asks for.
+    let _ = FaultPlan::new(7).delay_messages(0.5, 2).drop_messages(0.9);
+}
+
 /// An endpoint id past the last node of the lane the tests below build.
 const FAR: usize = 10_000;
 
