@@ -20,9 +20,10 @@
 //! - naive rounds grow ≈ linearly in h_st with a large constant.
 
 use rpaths_bench::{
-    bench_params, growth_exponent, lane_case, measure_mr24, measure_naive, measure_ours,
-    measure_weighted, random_case, Row,
+    bench_params, growth_exponent, lane_case, measure, measure_weighted, random_case, Row,
 };
+use rpaths_core::baseline::{mr24, naive};
+use rpaths_core::unweighted;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -40,16 +41,16 @@ fn main() {
     for &n in ns {
         let case = random_case(n, n / 4, 42 + n as u64);
         let params = bench_params(n, 7);
-        let r = measure_ours(&case, &params);
+        let r = measure("theorem1", unweighted::solve, &case, &params);
         r.print();
         ours_pts.push((n, r.rounds));
         all.push(r);
-        let r = measure_mr24(&case, &params);
+        let r = measure("mr24", mr24::solve, &case, &params);
         r.print();
         mr_pts.push((n, r.rounds));
         all.push(r);
         if n <= 512 {
-            let r = measure_naive(&case, &params);
+            let r = measure("naive", naive::solve, &case, &params);
             r.print();
             all.push(r);
         }
@@ -75,16 +76,16 @@ fn main() {
     for &h in hs {
         let case = random_case(n_fixed, h, 77 + h as u64);
         let params = bench_params(n_fixed, 11);
-        let r = measure_ours(&case, &params);
+        let r = measure("theorem1", unweighted::solve, &case, &params);
         r.print();
         ours_h.push((h, r.rounds));
         all.push(r);
-        let r = measure_mr24(&case, &params);
+        let r = measure("mr24", mr24::solve, &case, &params);
         r.print();
         mr_h.push((h, r.rounds));
         all.push(r);
         if h <= 64 {
-            let r = measure_naive(&case, &params);
+            let r = measure("naive", naive::solve, &case, &params);
             r.print();
             all.push(r);
         }
@@ -104,10 +105,10 @@ fn main() {
         let case = lane_case(h, 8, 3);
         let n = case.graph.node_count();
         let params = bench_params(n, 11);
-        let r = measure_ours(&case, &params);
+        let r = measure("theorem1", unweighted::solve, &case, &params);
         r.print();
         all.push(r);
-        let r = measure_mr24(&case, &params);
+        let r = measure("mr24", mr24::solve, &case, &params);
         r.print();
         all.push(r);
     }

@@ -17,15 +17,18 @@
 //!   `G(k,d,p,φ,M,x)`, verifies Observations 6.3/6.6 and Lemma 6.8.
 //! - `lower_bound` — the Section 6 experiments: the disjointness
 //!   reduction end-to-end with cut-bit accounting, and the Ω(D) family.
-//! - `ablations` — the design-choice ablations called out in DESIGN.md
-//!   (furthest-origin trimming; landmark-only broadcast).
+//! - `ablations` — the two design choices Section 3.1 credits for the
+//!   gain over MR24, each against the alternative: X2, furthest-origin
+//!   trimming in the ζ-hop BFS (Section 4) against the untrimmed
+//!   multi-source BFS; X1, the landmark-only broadcast (Section 5)
+//!   against MR24's broadcast of every path vertex's landmark distances.
 
 #![forbid(unsafe_code)]
 
 use graphkit::alg::{replacement_lengths, undirected_diameter};
 use graphkit::gen::{parallel_lane, planted_path_digraph, random_weighted_digraph};
 use graphkit::{DiGraph, NodeId};
-use rpaths_core::{baseline, unweighted, weighted, Instance, Params};
+use rpaths_core::{weighted, Instance, Params, RPathsOutput, SolveError};
 use serde::Serialize;
 
 /// One measured configuration.
@@ -124,49 +127,30 @@ pub fn bench_params(n: usize, seed: u64) -> Params {
     p
 }
 
-/// Measures Theorem 1 on a case.
-pub fn measure_ours(case: &Case, params: &Params) -> Row {
+/// Measures one exact solver (`unweighted::solve` or a baseline's
+/// `solve`) on a case, labelled `algo`, and checks it against the
+/// oracle.
+pub fn measure(
+    algo: &str,
+    solve: fn(&Instance<'_>, &Params) -> Result<RPathsOutput, SolveError>,
+    case: &Case,
+    params: &Params,
+) -> Row {
     let inst = Instance::from_endpoints(&case.graph, case.s, case.t).expect("valid");
-    let out = unweighted::solve(&inst, params).expect("connected benchmark graph");
+    let out = solve(&inst, params).expect("connected benchmark graph");
     let oracle = replacement_lengths(&case.graph, &inst.path);
-    finish_row(
-        "theorem1",
-        case,
-        &inst,
-        params,
-        out.metrics,
-        out.replacement == oracle,
-    )
-}
-
-/// Measures the MR24 baseline on a case.
-pub fn measure_mr24(case: &Case, params: &Params) -> Row {
-    let inst = Instance::from_endpoints(&case.graph, case.s, case.t).expect("valid");
-    let out = baseline::mr24::solve(&inst, params).expect("connected benchmark graph");
-    let oracle = replacement_lengths(&case.graph, &inst.path);
-    finish_row(
-        "mr24",
-        case,
-        &inst,
-        params,
-        out.metrics,
-        out.replacement == oracle,
-    )
-}
-
-/// Measures the naive `h_st`-BFS baseline on a case.
-pub fn measure_naive(case: &Case, params: &Params) -> Row {
-    let inst = Instance::from_endpoints(&case.graph, case.s, case.t).expect("valid");
-    let out = baseline::naive::solve(&inst, params).expect("connected benchmark graph");
-    let oracle = replacement_lengths(&case.graph, &inst.path);
-    finish_row(
-        "naive",
-        case,
-        &inst,
-        params,
-        out.metrics,
-        out.replacement == oracle,
-    )
+    Row {
+        algo: algo.into(),
+        family: case.family.clone(),
+        n: case.graph.node_count(),
+        h: inst.hops(),
+        diameter: inst.diameter,
+        zeta: params.zeta,
+        rounds: out.metrics.rounds(),
+        messages: out.metrics.total.messages,
+        bits: out.metrics.total.bits,
+        correct: out.replacement == oracle,
+    }
 }
 
 /// Measures Theorem 3 on a weighted random instance; correctness is the
@@ -197,28 +181,6 @@ pub fn measure_weighted(n: usize, max_w: u64, seed: u64) -> Option<Row> {
         bits: out.metrics.total.bits,
         correct,
     })
-}
-
-fn finish_row(
-    algo: &str,
-    case: &Case,
-    inst: &Instance<'_>,
-    params: &Params,
-    metrics: congest::Metrics,
-    correct: bool,
-) -> Row {
-    Row {
-        algo: algo.into(),
-        family: case.family.clone(),
-        n: case.graph.node_count(),
-        h: inst.hops(),
-        diameter: inst.diameter,
-        zeta: params.zeta,
-        rounds: metrics.rounds(),
-        messages: metrics.total.messages,
-        bits: metrics.total.bits,
-        correct,
-    }
 }
 
 /// Least-squares slope of `log(rounds)` against `log(n)` — the measured
@@ -258,11 +220,12 @@ mod tests {
 
     #[test]
     fn rows_measure_and_agree() {
+        use rpaths_core::{baseline, unweighted};
         let case = random_case(120, 24, 3);
         let params = bench_params(120, 3);
-        let ours = measure_ours(&case, &params);
+        let ours = measure("theorem1", unweighted::solve, &case, &params);
         assert!(ours.correct, "theorem1 disagreed with oracle");
-        let mr = measure_mr24(&case, &params);
+        let mr = measure("mr24", baseline::mr24::solve, &case, &params);
         assert!(mr.correct, "mr24 disagreed with oracle");
         assert!(ours.rounds > 0 && mr.rounds > 0);
     }

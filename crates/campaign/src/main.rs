@@ -23,8 +23,8 @@
 //! and a live detection probe; outcomes land in `CAMPAIGN_faults.json`
 //! at the repository root (written via the store's temp-file +
 //! atomic-rename helper, so a crash mid-write never leaves a torn
-//! report). `--smoke` (or `CAMPAIGN_SMOKE=1`) shrinks the sweep to
-//! seconds for CI while still writing the report.
+//! report). `--smoke` shrinks the sweep to seconds for CI while still
+//! writing the report.
 //!
 //! # Checkpoint/resume (`--snapshot <path>`)
 //!
@@ -50,7 +50,7 @@ use graphkit::Dist;
 use graphkit::{DiGraph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rpaths_core::resilient::{solve_with_recovery, Recovery, RecoveryError, Unweighted};
+use rpaths_core::resilient::{solve_with_recovery, Recovery, RecoveryError};
 use rpaths_core::{Params, Query, SolverSession};
 use rpaths_store::{atomic_write, Artifact, Loaded, Snapshot};
 use serde::{Deserialize, Serialize};
@@ -249,7 +249,7 @@ fn verify_pristine(
 
 fn run_scenario(topo: &Topology, sc: &Scenario, session: &mut SolverSession<'_>) -> ScenarioRecord {
     let params = Params::for_n(topo.graph.node_count());
-    let rec = solve_with_recovery::<Unweighted>(&topo.graph, topo.s, topo.t, &sc.plan, &params);
+    let rec = solve_with_recovery(&topo.graph, topo.s, topo.t, &sc.plan, &params);
     let (outcome, unreachable) = match &rec {
         Ok(Recovery::Full { output }) => match verify_pristine(session, topo, output) {
             Ok(()) => ("full".to_string(), 0),
@@ -486,8 +486,7 @@ fn maybe_abort(checkpoints_written: u32) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke")
-        || std::env::var("CAMPAIGN_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = args.iter().any(|a| a == "--smoke");
     let snapshot_path: Option<PathBuf> = args.iter().position(|a| a == "--snapshot").map(|i| {
         args.get(i + 1)
             .unwrap_or_else(|| {

@@ -486,12 +486,6 @@ impl<'g> Network<'g> {
         std::mem::take(&mut self.metrics)
     }
 
-    /// Records a phase executed outside the engine (e.g. a fixed number of
-    /// idle alignment rounds). Use sparingly; prefer real protocols.
-    pub fn charge(&mut self, name: &str, stats: RunStats) {
-        self.metrics.record(name, stats);
-    }
-
     /// Runs `proto` over the node slots `nodes` for exactly `rounds`
     /// rounds (deterministic schedules with known round bounds, e.g. the
     /// ζ-round hop-BFS).

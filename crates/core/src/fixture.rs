@@ -3,8 +3,8 @@
 //! A fixture is one `rpaths-store` snapshot holding the full graph (a
 //! checksummed `TAG_GRAPH` section) plus a `TAG_BLOB` JSON document
 //! describing *one* differential check: which solver to run, with which
-//! [`Params`], against which queries — and what the centralized oracle
-//! answered when the fixture was minted.
+//! [`Params`], on which `source → target` instance — and the replacement
+//! lengths the centralized oracle answered when the fixture was minted.
 //!
 //! Replaying a fixture ([`Fixture::replay`]) first **recomputes** the
 //! oracle from the stored graph and cross-checks it against the minted
@@ -22,7 +22,6 @@ use rpaths_store::{Artifact, Snapshot, StoreError};
 use serde::{Deserialize, Serialize};
 
 use crate::oracle::{self, Divergence, FuzzSolver};
-use crate::session::Query;
 use crate::{Instance, Params};
 
 /// Artifact key of the fixture document inside the snapshot.
@@ -34,18 +33,14 @@ pub const FIXTURE_VERSION: u32 = 1;
 /// File extension the corpus uses (`tests/regressions/*.rpfix`).
 pub const FIXTURE_EXT: &str = "rpfix";
 
-/// Sentinel for "no avoided edge" / "unreachable" in the JSON document
-/// (the vendored serde subset has no `Option`, and `u64::MAX` is how
-/// [`Dist::INF`] prints anyway).
+/// Sentinel for "unreachable" in the JSON document (the vendored serde
+/// subset has no `Option`, and `u64::MAX` is how [`Dist::INF`] prints
+/// anyway).
 const NONE_SENTINEL: u64 = u64::MAX;
 
-#[derive(Serialize, Deserialize)]
-struct QueryDoc {
-    source: u64,
-    target: u64,
-    avoid: u64,
-}
-
+/// The fixture document. Decoding looks fields up by key and ignores
+/// the rest, so older files that carry `threads` or an empty `queries`
+/// list still load.
 #[derive(Serialize, Deserialize)]
 struct FixtureDoc {
     version: u32,
@@ -60,21 +55,12 @@ struct FixtureDoc {
     eps_num: u64,
     eps_den: u64,
     budget_factor: u64,
-    queries: Vec<QueryDoc>,
     expected: Vec<u64>,
 }
 
 /// One checked-in differential repro: graph + solver + parameters +
-/// the oracle's minted answers.
-///
-/// Two modes, distinguished by `queries`:
-///
-/// - **instance mode** (`queries` empty): run `solver` on the full
-///   instance `(graph, source → target)` and hold it to its oracle;
-///   `expected` is the minted per-path-edge replacement length vector.
-/// - **batch mode** (`queries` non-empty): run the queries through a
-///   [`crate::SolverSession`] and hold every answer to a filtered
-///   Dijkstra; `expected` is the minted per-query oracle length.
+/// the oracle's minted answers. Replaying it runs `solver` on the
+/// instance `(graph, source → target)` and holds it to its oracle.
 #[derive(Clone, Debug)]
 pub struct Fixture {
     /// Fixture name (also the suggested file stem).
@@ -83,16 +69,14 @@ pub struct Fixture {
     pub origin: String,
     /// Which solver surface to drive.
     pub solver: FuzzSolver,
-    /// Instance source (ignored in batch mode).
+    /// Instance source.
     pub source: usize,
-    /// Instance target (ignored in batch mode).
+    /// Instance target.
     pub target: usize,
     /// Solver parameters, reconstructed exactly (bit-exact
     /// `landmark_prob`).
     pub params: Params,
-    /// Batch queries (empty selects instance mode).
-    pub queries: Vec<Query>,
-    /// Minted oracle values (see mode description).
+    /// Minted oracle replacement lengths, one per path edge.
     pub expected: Vec<Dist>,
     /// The full graph.
     pub graph: DiGraph,
@@ -149,9 +133,9 @@ fn u64_to_dist(v: u64) -> Dist {
 }
 
 impl Fixture {
-    /// Mints an instance-mode fixture: records the oracle's replacement
-    /// lengths for `(graph, source → target)` now, to be enforced on
-    /// every future replay.
+    /// Mints a fixture: records the oracle's replacement lengths for
+    /// `(graph, source → target)` now, to be enforced on every future
+    /// replay.
     ///
     /// # Panics
     ///
@@ -176,37 +160,6 @@ impl Fixture {
             source,
             target,
             params,
-            queries: Vec::new(),
-            expected,
-            graph,
-        }
-    }
-
-    /// Mints a batch-mode fixture: records the filtered-Dijkstra oracle
-    /// for every query now.
-    pub fn batch_mode(
-        name: impl Into<String>,
-        origin: impl Into<String>,
-        graph: DiGraph,
-        params: Params,
-        queries: Vec<Query>,
-    ) -> Fixture {
-        let expected = queries
-            .iter()
-            .map(|q| oracle::oracle_query(&graph, q))
-            .collect();
-        Fixture {
-            name: name.into(),
-            origin: origin.into(),
-            solver: if graph.is_unweighted() {
-                FuzzSolver::Unweighted
-            } else {
-                FuzzSolver::Weighted
-            },
-            source: 0,
-            target: 0,
-            params,
-            queries,
             expected,
             graph,
         }
@@ -226,15 +179,6 @@ impl Fixture {
             eps_num: self.params.eps_num,
             eps_den: self.params.eps_den,
             budget_factor: self.params.budget_factor,
-            queries: self
-                .queries
-                .iter()
-                .map(|q| QueryDoc {
-                    source: q.source as u64,
-                    target: q.target as u64,
-                    avoid: q.avoid.map_or(NONE_SENTINEL, |e| e as u64),
-                })
-                .collect(),
             expected: self.expected.iter().map(|&d| dist_to_u64(d)).collect(),
         }
     }
@@ -300,15 +244,6 @@ impl Fixture {
             source: doc.source as usize,
             target: doc.target as usize,
             params,
-            queries: doc
-                .queries
-                .iter()
-                .map(|q| Query {
-                    source: q.source as usize,
-                    target: q.target as usize,
-                    avoid: (q.avoid != NONE_SENTINEL).then_some(q.avoid as usize),
-                })
-                .collect(),
             expected: doc.expected.iter().map(|&v| u64_to_dist(v)).collect(),
             graph: snapshot.graph,
         })
@@ -321,16 +256,7 @@ impl Fixture {
     ///
     /// [`FixtureError::StaleOracle`] on any disagreement.
     pub fn verify_oracle(&self) -> Result<(), FixtureError> {
-        let fresh: Vec<Dist> = if self.queries.is_empty() {
-            let inst = Instance::from_endpoints(&self.graph, self.source, self.target)
-                .map_err(|e| FixtureError::StaleOracle(format!("instance: {e}")))?;
-            oracle::oracle_replacements(&inst)
-        } else {
-            self.queries
-                .iter()
-                .map(|q| oracle::oracle_query(&self.graph, q))
-                .collect()
-        };
+        let fresh = oracle::oracle_replacements(&self.instance()?);
         if fresh != self.expected {
             return Err(FixtureError::StaleOracle(format!(
                 "minted {:?}, recomputed {:?}",
@@ -350,14 +276,15 @@ impl Fixture {
     /// itself no longer self-validates.
     pub fn replay(&self) -> Result<(), FixtureError> {
         self.verify_oracle()?;
-        if self.queries.is_empty() {
-            let inst = Instance::from_endpoints(&self.graph, self.source, self.target)
-                .map_err(|e| FixtureError::StaleOracle(format!("instance: {e}")))?;
-            oracle::check_instance(&inst, &self.params, self.solver)
-        } else {
-            oracle::check_batch(&self.graph, &self.params, &self.queries)
-        }
-        .map_err(FixtureError::Diverged)
+        oracle::check_instance(&self.instance()?, &self.params, self.solver)
+            .map_err(FixtureError::Diverged)
+    }
+
+    /// The stored instance; a fixture whose demand no longer poses one
+    /// cannot vouch for anything.
+    fn instance(&self) -> Result<Instance<'_>, FixtureError> {
+        Instance::from_endpoints(&self.graph, self.source, self.target)
+            .map_err(|e| FixtureError::StaleOracle(format!("instance: {e}")))
     }
 }
 
@@ -395,32 +322,6 @@ mod tests {
         assert_eq!(back.graph.fingerprint(), fix.graph.fingerprint());
         back.replay().unwrap();
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn batch_mode_round_trip() {
-        let (g, s, t) = parallel_lane(6, 3, 2);
-        let path = graphkit::alg::shortest_st_path(&g, s, t).unwrap();
-        let queries = vec![
-            Query::intact(s, t),
-            Query::avoiding(s, t, path.edge(0)),
-            Query::avoiding(s, t, path.edge(2)),
-        ];
-        let fix = Fixture::batch_mode(
-            "lane-batch",
-            "unit test",
-            g,
-            Params::with_zeta(19, 4),
-            queries,
-        );
-        let dir = std::env::temp_dir().join(format!("rpfix-test-b-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("lane-batch.rpfix");
-        fix.write(&p).unwrap();
-        let back = Fixture::read(&p).unwrap();
-        assert_eq!(back.queries, fix.queries);
-        back.replay().unwrap();
-        std::fs::remove_file(&p).ok();
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   replacement length, aggregated in `O(D)` extra rounds.
 //! - [`reachability`] — the yes/no variant from the paper's open
 //!   problems (Section 8): which path edges are survivable at all.
-//! - [`resilient`] — recovering wrappers around all of the above:
+//! - [`resilient`] — Theorem 1 under faults:
 //!   [`resilient::solve_with_recovery`] detects the permanent faults of
 //!   a `congest::FaultPlan`, re-poses the demand on the source's
 //!   surviving component, and solves it there once, returning a

@@ -1,5 +1,4 @@
-//! Recovering solvers: fault-aware wrappers around the paper's
-//! algorithms.
+//! Recovering replacement paths: a fault-aware wrapper around Theorem 1.
 //!
 //! The solvers in this crate are all-or-nothing: a partitioned
 //! communication graph or an exhausted round budget is a [`SolveError`]
@@ -21,10 +20,11 @@
 //!    nodes are remapped in ascending order (so the sub-solve is as
 //!    deterministic as the original), and the demand is re-posed there.
 //! 3. **Solve once.** The re-posed instance is pristine — the faults
-//!    were planned away, not injected — so it is solved exactly once,
-//!    with the caller's [`Params`]. A solver error there is a real
-//!    failure, returned as [`RecoveryError::Solve`]; no retry could
-//!    change it.
+//!    were planned away, not injected — so Theorem 1
+//!    ([`crate::unweighted::solve`]) runs on it exactly once, with the
+//!    caller's [`Params`]; only its answers are kept, not its metrics.
+//!    A solver error there is a real failure, returned as
+//!    [`RecoveryError::Solve`]; no retry could change it.
 //!
 //! The result is a structured [`Recovery`]: [`Recovery::Full`] when the
 //! steady state is fault-free, [`Recovery::Degraded`] — with the partial
@@ -37,110 +37,28 @@ use congest::{FaultPlan, FaultPlanError, Network};
 use graphkit::{DiGraph, Dist, EdgeId, GraphBuilder, NodeId};
 
 use crate::instance::check_endpoints;
-use crate::weighted::ScaledAnswers;
-use crate::{
-    reachability, sisp, unweighted, weighted, Instance, InstanceError, Params, SolveError,
-};
-
-/// A solver that can run on a (re-posed) instance.
-///
-/// Implementations are unit structs selecting one of the crate's
-/// algorithms; the output is the answer alone — recovery is about
-/// *answers surviving faults*, so per-run telemetry is dropped.
-pub trait RecoverableSolver {
-    /// The solver's answer.
-    type Output;
-
-    /// Solves a healthy instance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the wrapped solver's [`SolveError`].
-    fn solve(inst: &Instance<'_>, params: &Params) -> Result<Self::Output, SolveError>;
-}
-
-/// Theorem 1: exact unweighted replacement lengths, per path edge.
-pub struct Unweighted;
-
-impl RecoverableSolver for Unweighted {
-    type Output = Vec<Dist>;
-
-    fn solve(inst: &Instance<'_>, params: &Params) -> Result<Vec<Dist>, SolveError> {
-        unweighted::solve(inst, params).map(|o| o.replacement)
-    }
-}
-
-/// Theorem 3: `(1+ε)`-approximate weighted replacement lengths.
-pub struct Weighted;
-
-impl RecoverableSolver for Weighted {
-    type Output = ScaledAnswers;
-
-    fn solve(inst: &Instance<'_>, params: &Params) -> Result<ScaledAnswers, SolveError> {
-        weighted::solve(inst, params).map(|o| ScaledAnswers {
-            scaled: o.scaled,
-            den: o.den,
-        })
-    }
-}
-
-/// The 2-SiSP value (Definition 2.3).
-pub struct Sisp;
-
-impl RecoverableSolver for Sisp {
-    type Output = Dist;
-
-    fn solve(inst: &Instance<'_>, params: &Params) -> Result<Dist, SolveError> {
-        sisp::solve(inst, params).map(|o| o.value)
-    }
-}
-
-/// Replacement reachability (Section 8), per path edge.
-pub struct Reachability;
-
-impl RecoverableSolver for Reachability {
-    type Output = Vec<bool>;
-
-    fn solve(inst: &Instance<'_>, params: &Params) -> Result<Vec<bool>, SolveError> {
-        reachability::solve(inst, params).map(|o| o.survivable)
-    }
-}
+use crate::{unweighted, Instance, InstanceError, Params, SolveError};
 
 /// Outcome of a recovering solve.
 #[derive(Clone, Debug)]
-pub enum Recovery<T> {
+pub enum Recovery {
     /// The steady state is fault-free; the answer is for the instance
     /// exactly as posed.
     Full {
-        /// The solver's answer.
-        output: T,
+        /// Theorem 1's replacement lengths, one per path edge.
+        output: Vec<Dist>,
     },
     /// Permanent faults changed the instance; the answer (if any) is for
     /// the demand re-posed on the source's surviving component.
-    Degraded(Degraded<T>),
-}
-
-impl<T> Recovery<T> {
-    /// The answer, full or degraded, when one was produced.
-    pub fn answered(&self) -> Option<&T> {
-        match self {
-            Recovery::Full { output } => Some(output),
-            Recovery::Degraded(d) => d.answered.as_ref(),
-        }
-    }
-
-    /// `true` for [`Recovery::Degraded`].
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, Recovery::Degraded(_))
-    }
+    Degraded(Degraded),
 }
 
 /// A solve that survived permanent faults in degraded form.
 #[derive(Clone, Debug)]
-pub struct Degraded<T> {
-    /// The answer on the surviving component, or `None` when the target
-    /// itself is severed from the source.
-    pub answered: Option<T>,
+pub struct Degraded {
+    /// Replacement lengths along the surviving route, or `None` when the
+    /// target itself is severed from the source.
+    pub answered: Option<Vec<Dist>>,
     /// The surviving shortest `s`-`t` route, in *original* node ids.
     pub path: Option<Vec<NodeId>>,
     /// Nodes outside the source's surviving component (original ids,
@@ -195,13 +113,13 @@ impl std::error::Error for RecoveryError {}
 /// state, [`RecoveryError::Instance`] when the demand was invalid before
 /// faults (an endpoint outside `graph` is checked right after the plan),
 /// [`RecoveryError::Solve`] when the solver itself failed.
-pub fn solve_with_recovery<S: RecoverableSolver>(
+pub fn solve_with_recovery(
     graph: &DiGraph,
     s: NodeId,
     t: NodeId,
     plan: &FaultPlan,
     params: &Params,
-) -> Result<Recovery<S::Output>, RecoveryError> {
+) -> Result<Recovery, RecoveryError> {
     plan.validate(graph.edge_count(), graph.node_count())
         .map_err(RecoveryError::FaultPlan)?;
     check_endpoints(graph, s, t).map_err(RecoveryError::Instance)?;
@@ -215,7 +133,9 @@ pub fn solve_with_recovery<S: RecoverableSolver>(
     if downed_links.is_empty() && crashed.is_empty() {
         // Transient faults only: the steady-state graph *is* the graph.
         let inst = Instance::from_endpoints(graph, s, t).map_err(RecoveryError::Instance)?;
-        let output = S::solve(&inst, params).map_err(RecoveryError::Solve)?;
+        let output = unweighted::solve(&inst, params)
+            .map_err(RecoveryError::Solve)?
+            .replacement;
         return Ok(Recovery::Full { output });
     }
 
@@ -278,7 +198,9 @@ pub fn solve_with_recovery<S: RecoverableSolver>(
         Err(e) => return Err(RecoveryError::Instance(e)),
     };
     let path: Vec<NodeId> = inst.path.nodes().iter().map(|&v| component[v]).collect();
-    let output = S::solve(&inst, params).map_err(RecoveryError::Solve)?;
+    let output = unweighted::solve(&inst, params)
+        .map_err(RecoveryError::Solve)?
+        .replacement;
     Ok(Recovery::Degraded(Degraded {
         answered: Some(output),
         path: Some(path),
@@ -335,7 +257,7 @@ mod tests {
     fn transient_faults_give_a_full_answer() {
         let g = metro_ring(8);
         let plan = FaultPlan::new(3).drop_messages(0.2);
-        let rec = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &params_for(&g)).unwrap();
+        let rec = solve_with_recovery(&g, 0, 4, &plan, &params_for(&g)).unwrap();
         let Recovery::Full { output } = rec else {
             panic!("transient faults must not degrade the instance");
         };
@@ -351,7 +273,7 @@ mod tests {
         let plan = FaultPlan::new(5)
             .fail_link(2, 0, None)
             .fail_link(3, 0, None);
-        let rec = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &params_for(&g)).unwrap();
+        let rec = solve_with_recovery(&g, 0, 4, &plan, &params_for(&g)).unwrap();
         let Recovery::Degraded(d) = rec else {
             panic!("a permanent failure must report as degraded");
         };
@@ -374,7 +296,7 @@ mod tests {
             .fail_link(1, 0, None)
             .fail_link(8, 0, None)
             .fail_link(9, 0, None);
-        let rec = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &params_for(&g)).unwrap();
+        let rec = solve_with_recovery(&g, 0, 4, &plan, &params_for(&g)).unwrap();
         let Recovery::Degraded(d) = rec else {
             panic!("a partition must report as degraded");
         };
@@ -386,7 +308,7 @@ mod tests {
     fn crashed_target_is_unreachable_not_an_error() {
         let g = metro_ring(6);
         let plan = FaultPlan::new(9).crash_node(3, 0, None);
-        let rec = solve_with_recovery::<Reachability>(&g, 0, 3, &plan, &params_for(&g)).unwrap();
+        let rec = solve_with_recovery(&g, 0, 3, &plan, &params_for(&g)).unwrap();
         let Recovery::Degraded(d) = rec else {
             panic!("a crashed target must report as degraded");
         };
@@ -398,7 +320,7 @@ mod tests {
     fn crashed_source_is_a_hard_error() {
         let g = metro_ring(6);
         let plan = FaultPlan::new(11).crash_node(0, 0, None);
-        let err = solve_with_recovery::<Sisp>(&g, 0, 3, &plan, &params_for(&g)).unwrap_err();
+        let err = solve_with_recovery(&g, 0, 3, &plan, &params_for(&g)).unwrap_err();
         assert_eq!(err, RecoveryError::SourceDown);
     }
 
@@ -410,10 +332,12 @@ mod tests {
         let plan = FaultPlan::new(13)
             .fail_link(2, 0, Some(10))
             .crash_node(6, 2, Some(5));
-        let rec = solve_with_recovery::<Sisp>(&g, 0, 4, &plan, &params_for(&g)).unwrap();
-        assert!(!rec.is_degraded());
-        // Both ways round the ring have 4 hops: the second simple
-        // shortest path has length 4 as well.
-        assert_eq!(rec.answered(), Some(&Dist::new(4)));
+        let rec = solve_with_recovery(&g, 0, 4, &plan, &params_for(&g)).unwrap();
+        let Recovery::Full { output } = rec else {
+            panic!("recovered faults must not degrade the instance");
+        };
+        // Both ways round the ring have 4 hops: every path edge is
+        // replaced by the other way round, of length 4 as well.
+        assert_eq!(output, vec![Dist::new(4); 4]);
     }
 }

@@ -11,7 +11,7 @@ use congest::bfs_tree::build_bfs_tree;
 use congest::Network;
 use graphkit::Dist;
 
-use crate::{unweighted, weighted, with_network, Instance, Params, SolveError};
+use crate::{unweighted, with_network, Instance, Params, SolveError};
 
 /// Result of a 2-SiSP computation.
 #[derive(Clone, Debug)]
@@ -32,35 +32,6 @@ pub struct SispOutput {
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<SispOutput, SolveError> {
     let (value, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(SispOutput { value, metrics })
-}
-
-/// `(1+ε)`-approximate 2-SiSP for weighted instances: Theorem 3's
-/// Apx-RPaths followed by the same `O(D)`-round min aggregation over the
-/// scaled values. The result `x` satisfies
-/// `2-SiSP ≤ x/den ≤ (1+ε)·2-SiSP`.
-///
-/// # Errors
-///
-/// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
-pub fn solve_weighted(
-    inst: &Instance<'_>,
-    params: &Params,
-) -> Result<(Dist, u64, congest::Metrics), SolveError> {
-    let apx = weighted::solve(inst, params)?;
-    let mut values = vec![Dist::INF; inst.n()];
-    for i in 0..inst.hops() {
-        values[inst.path.node(i)] = apx.scaled[i];
-    }
-    let (value, mut agg) = with_network(inst.graph, |net| {
-        let (tree, _) = build_bfs_tree(net, inst.s())?;
-        Ok(aggregate(net, &tree, AggOp::Min, &values))
-    })?;
-    // Merge the aggregation phases into the solver's log by reference —
-    // no deep clone of the phase records.
-    let mut metrics = apx.metrics;
-    metrics.merge_from(&mut agg);
-    Ok((value, apx.den, metrics))
 }
 
 /// Like [`solve`], but on a caller-provided network (Section 6
@@ -128,29 +99,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(solve(&inst, &params).unwrap().value, Dist::INF);
-    }
-
-    #[test]
-    fn weighted_sisp_within_guarantee() {
-        let g = graphkit::gen::random_weighted_digraph(30, 90, 9, 11);
-        let (s, t) = graphkit::gen::random_reachable_pair(&g, 2).unwrap();
-        let inst = Instance::from_endpoints(&g, s, t).unwrap();
-        if inst.hops() < 3 {
-            return;
-        }
-        let mut params = Params::with_zeta(30, 5);
-        params.landmark_prob = 1.0;
-        let (value, den, _) = solve_weighted(&inst, &params).unwrap();
-        let oracle = second_simple_shortest(&g, &inst.path);
-        match (value.finite(), oracle.finite()) {
-            (None, None) => {}
-            (Some(v), Some(o)) => {
-                assert!(v >= o * den, "below the exact 2-SiSP");
-                // ε = 1/2: v/den <= 1.5·o
-                assert!(v * 2 <= o * den * 3, "beyond (1+ε)");
-            }
-            other => panic!("finiteness mismatch: {other:?}"),
-        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! A differential fuzzer is only trustworthy if it demonstrably *catches*
 //! bugs. This module hosts deliberately injectable defects, each behind a
 //! flag that defaults to off and costs one thread-local load when the
-//! solver runs. The `rpaths-fuzz` binary flips them (via
-//! `--inject-tiebreak-bug` or `RPATHS_INJECT_TIEBREAK=1`) to prove the
-//! sweep → divergence → minimizer → fixture pipeline fires end to end;
-//! nothing in the production crates ever sets them.
+//! solver runs. The `rpaths-fuzz` binary flips them (via its
+//! `--inject-tiebreak-bug` flag) to prove the sweep → divergence →
+//! minimizer → fixture pipeline fires end to end; nothing in the
+//! production crates ever sets them.
 //!
 //! The flags are **thread-local**: the solver merge always executes on
 //! the thread that called `solve`, so a test (or the fuzz binary) that

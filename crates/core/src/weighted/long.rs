@@ -3,11 +3,19 @@
 //! The structure is identical to the unweighted Section 5 pipeline; the
 //! only change (as in the paper) is that every exact hop-bounded BFS is
 //! replaced by a `(1+ε)`-approximate hop-bounded multi-source shortest
-//! paths computation. We realize the latter with the same rounding
-//! device as Section 7.1: for each scale `d`, a multi-source BFS with
-//! per-edge delays `⌈w(e)/µ_d⌉` (our stand-in for [Nan14, Thm 3.6] — see
-//! DESIGN.md, substitutions table). All outputs are scaled rationals
-//! over the common denominator.
+//! paths computation.
+//!
+//! **Substitution.** The paper takes that computation from [Nan14,
+//! Thm 3.6]; this reproduction does not implement that algorithm. It
+//! reuses the rounding device of Section 7.1 instead
+//! ([`approx_hop_multi_source`]): for each scale `d`, one multi-source
+//! BFS with per-edge delays `⌈w(e)/µ_d⌉`, keeping each node's minimum
+//! over the scales. Every scale over-estimates by at most `(1+ε)`
+//! (Observations 7.3/7.4), so the guarantee is the one the paper
+//! states. The scales run one after another, so this phase's rounds
+//! grow with the number of scales, about `log₂` of the total edge
+//! weight. All outputs are scaled rationals over the common
+//! denominator.
 
 use congest::bfs_tree::BfsTree;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use congest::bfs_tree::build_bfs_tree;
 use congest::{FaultPlan, Network};
 use graphkit::alg::shortest_st_path;
-use graphkit::{gen, DiGraph, Dist, EdgeId, NodeId};
+use graphkit::{gen, DiGraph, EdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpaths_core::fixture::{Fixture, FIXTURE_EXT};
@@ -244,8 +244,8 @@ pub enum CaseOutcome {
     /// The case could not be posed (e.g. too-short demand path); the
     /// reason is logged, the case is not counted as coverage.
     Skip(String),
-    /// A check failed; when the case can be replayed as an
-    /// instance-mode fixture, the minimized repro rides along.
+    /// A check failed; when the case can be replayed as a fixture,
+    /// the minimized repro rides along.
     Diverged {
         /// What disagreed.
         divergence: Divergence,
@@ -467,7 +467,7 @@ struct CaseRun {
     outcome: Result<(), Divergence>,
     skip: Option<String>,
     /// Repro parts for the minimizer, when the case can be replayed as
-    /// an instance-mode fixture.
+    /// a fixture.
     repro: Option<(DiGraph, NodeId, NodeId, Params)>,
 }
 
@@ -611,8 +611,7 @@ fn run_fault_tier(plan: &CasePlan) -> CaseRun {
         }
         p
     };
-    let recovery =
-        resilient::solve_with_recovery::<resilient::Unweighted>(&graph, s, t, &fault_plan, &params);
+    let recovery = resilient::solve_with_recovery(&graph, s, t, &fault_plan, &params);
     match recovery {
         Ok(Recovery::Full { output }) => {
             if !transient {
@@ -671,7 +670,7 @@ fn check_degraded(
     s: NodeId,
     t: NodeId,
     plan: &FaultPlan,
-    d: &resilient::Degraded<Vec<Dist>>,
+    d: &resilient::Degraded,
 ) -> Result<(), Divergence> {
     let horizon = plan.horizon();
     let downed: Vec<EdgeId> = plan.links_down_at(horizon);

@@ -34,8 +34,7 @@ OPTIONS:
     --no-minimize          Write divergent repros unminimized
     --inject-tiebreak-bug  Flip the unweighted merge tie-break (test
                            hook) to validate the catch -> minimize ->
-                           fixture pipeline; also via
-                           RPATHS_INJECT_TIEBREAK=1
+                           fixture pipeline
     --write-seed-corpus    Write the hand-curated per-solver seed
                            fixtures to --out-dir and exit
     --quiet                Only print the final report
@@ -55,7 +54,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut max_n: Option<usize> = None;
     let mut out_dir: Option<PathBuf> = None;
     let mut minimize = true;
-    let mut inject = std::env::var("RPATHS_INJECT_TIEBREAK").is_ok_and(|v| v == "1");
+    let mut inject = false;
     let mut write_corpus = false;
     let mut quiet = false;
 

@@ -71,7 +71,7 @@ fn without_edges(graph: &DiGraph, keep_edge: &[bool]) -> DiGraph {
     b.build()
 }
 
-/// Greedily minimizes a failing instance-mode case. The returned
+/// Greedily minimizes a failing single-instance case. The returned
 /// `(graph, s, t)` still fails the same differential check (or, if the
 /// budget ran out mid-plateau, is the smallest failing repro found).
 pub fn minimize_instance(

@@ -24,35 +24,6 @@ pub fn dijkstra(graph: &DiGraph, source: NodeId, filter: impl Fn(EdgeId) -> bool
     dijkstra_with_parents(graph, source, filter).0
 }
 
-/// Weighted distances *to* `sink`, following edges backwards.
-pub fn dijkstra_reverse(
-    graph: &DiGraph,
-    sink: NodeId,
-    filter: impl Fn(EdgeId) -> bool,
-) -> Vec<Dist> {
-    let mut dist = vec![Dist::INF; graph.node_count()];
-    let mut heap = BinaryHeap::new();
-    dist[sink] = Dist::ZERO;
-    heap.push(Reverse((Dist::ZERO, sink)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v] {
-            continue;
-        }
-        for e in graph.in_edges(v) {
-            if !filter(e) {
-                continue;
-            }
-            let edge = graph.edge(e);
-            let cand = d + edge.weight;
-            if cand < dist[edge.from] {
-                dist[edge.from] = cand;
-                heap.push(Reverse((cand, edge.from)));
-            }
-        }
-    }
-    dist
-}
-
 fn dijkstra_with_parents(
     graph: &DiGraph,
     source: NodeId,
@@ -128,16 +99,6 @@ mod tests {
     fn picks_cheapest_route() {
         let g = weighted_diamond();
         assert_eq!(dijkstra(&g, 0, |_| true)[3], Dist::new(2));
-    }
-
-    #[test]
-    fn reverse_matches_forward_on_reversed() {
-        let g = weighted_diamond();
-        let rev = g.reversed();
-        assert_eq!(
-            dijkstra_reverse(&g, 3, |_| true),
-            dijkstra(&rev, 3, |_| true)
-        );
     }
 
     #[test]

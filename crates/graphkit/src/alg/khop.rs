@@ -17,49 +17,18 @@ pub fn hop_bounded_dists(
     max_hops: usize,
     filter: impl Fn(EdgeId) -> bool,
 ) -> Vec<Dist> {
-    let n = graph.node_count();
-    let mut dist = vec![Dist::INF; n];
+    let mut dist = vec![Dist::INF; graph.node_count()];
     dist[source] = Dist::ZERO;
-    relax_rounds(graph, &mut dist, max_hops, filter, false);
-    dist
-}
-
-/// Cheapest-walk distances *to* `sink` using at most `max_hops` edges.
-pub fn hop_bounded_dists_reverse(
-    graph: &DiGraph,
-    sink: NodeId,
-    max_hops: usize,
-    filter: impl Fn(EdgeId) -> bool,
-) -> Vec<Dist> {
-    let n = graph.node_count();
-    let mut dist = vec![Dist::INF; n];
-    dist[sink] = Dist::ZERO;
-    relax_rounds(graph, &mut dist, max_hops, filter, true);
-    dist
-}
-
-fn relax_rounds(
-    graph: &DiGraph,
-    dist: &mut [Dist],
-    rounds: usize,
-    filter: impl Fn(EdgeId) -> bool,
-    reverse: bool,
-) {
-    for _ in 0..rounds {
-        let snapshot = dist.to_vec();
+    for _ in 0..max_hops {
+        let snapshot = dist.clone();
         let mut changed = false;
         for (id, e) in graph.edges() {
             if !filter(id) {
                 continue;
             }
-            let (src, dst) = if reverse {
-                (e.to, e.from)
-            } else {
-                (e.from, e.to)
-            };
-            let cand = snapshot[src] + e.weight;
-            if cand < dist[dst] {
-                dist[dst] = cand;
+            let cand = snapshot[e.from] + e.weight;
+            if cand < dist[e.to] {
+                dist[e.to] = cand;
                 changed = true;
             }
         }
@@ -67,6 +36,7 @@ fn relax_rounds(
             break;
         }
     }
+    dist
 }
 
 #[cfg(test)]
@@ -99,16 +69,6 @@ mod tests {
         let g = chain_with_shortcut();
         let d = hop_bounded_dists(&g, 0, g.node_count(), |_| true);
         assert_eq!(d, dijkstra(&g, 0, |_| true));
-    }
-
-    #[test]
-    fn reverse_variant_matches_reversed_graph() {
-        let g = chain_with_shortcut();
-        let rev = g.reversed();
-        assert_eq!(
-            hop_bounded_dists_reverse(&g, 3, 2, |_| true),
-            hop_bounded_dists(&rev, 3, 2, |_| true)
-        );
     }
 
     #[test]

@@ -7,15 +7,13 @@
 //! *checked*.
 
 mod bfs;
-mod decomposed;
 mod diameter;
 mod dijkstra;
 mod khop;
 mod replacement;
 
 pub use bfs::{bfs, bfs_hop_bounded, bfs_reverse};
-pub use decomposed::decomposed_replacement;
 pub use diameter::{undirected_diameter, undirected_eccentricity};
-pub use dijkstra::{dijkstra, dijkstra_reverse, shortest_st_path};
-pub use khop::{hop_bounded_dists, hop_bounded_dists_reverse};
+pub use dijkstra::{dijkstra, shortest_st_path};
+pub use khop::hop_bounded_dists;
 pub use replacement::{replacement_lengths, second_simple_shortest};

@@ -92,7 +92,7 @@ impl Csr {
 /// Deduplicated undirected adjacency in one `O(n + m)` pass: per vertex,
 /// successors then predecessors in first-occurrence order, with a
 /// stamp array standing in for a per-vertex hash set.
-fn build_undirected(n: usize, edges: &[Edge], out_index: &Csr, in_index: &Csr) -> Csr {
+pub(crate) fn build_undirected(n: usize, edges: &[Edge], out_index: &Csr, in_index: &Csr) -> Csr {
     let mut mark = vec![u32::MAX; n];
     let mut offsets = vec![0u32; n + 1];
     let mut items = Vec::with_capacity(2 * edges.len());

@@ -3,7 +3,7 @@
 //!
 //! The encoding is a flat little-endian dump of the graph *including*
 //! its precomputed CSR indexes, so a decoded graph is ready for
-//! `Network::new` without re-deriving adjacency:
+//! `Network::new`:
 //!
 //! ```text
 //! n               u64
@@ -15,17 +15,20 @@
 //! undirected      (n + 1) × u32 offsets, undirected_len × u32 node ids
 //! ```
 //!
-//! [`DiGraph::from_snapshot`] never trusts its input: every array is
-//! bounds- and shape-checked (offsets monotone and spanning, edge
-//! endpoints in range, each edge id indexed exactly once per direction)
-//! and any violation is a structured [`SnapshotError`], never a panic.
+//! [`DiGraph::from_snapshot`] never trusts its input: every count is
+//! checked against the bytes left before anything is allocated for it,
+//! every array is bounds- and shape-checked (offsets monotone and
+//! spanning, edge endpoints in range, each edge id indexed exactly once
+//! per direction), the undirected index must equal the one the decoded
+//! edges give, and any violation is a structured [`SnapshotError`],
+//! never a panic.
 //! Whole-payload integrity (bit flips) is the store's job — sections
 //! carry checksums there — so validation here targets writer bugs and
 //! logically inconsistent payloads.
 
 use std::fmt;
 
-use crate::graph::{Csr, DiGraph, Edge};
+use crate::graph::{build_undirected, Csr, DiGraph, Edge};
 
 /// Why a graph payload could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -222,9 +225,11 @@ impl DiGraph {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Truncated`] when the payload ends early,
+    /// [`SnapshotError::Truncated`] when the payload ends early or is too
+    /// short for the edge count it declares,
     /// [`SnapshotError::Malformed`] when an invariant fails (endpoint
-    /// out of range, self loop, zero weight, inconsistent CSR), and
+    /// out of range, self loop, zero weight, inconsistent CSR, an
+    /// undirected index the edges do not give), and
     /// [`SnapshotError::TrailingBytes`] when bytes remain after the
     /// promised structure. Never panics on untrusted input.
     pub fn from_snapshot(bytes: &[u8]) -> Result<DiGraph, SnapshotError> {
@@ -239,6 +244,14 @@ impl DiGraph {
         }
         let n = n64 as usize;
         let m = m64 as usize;
+        // 16 bytes per edge: bound the count by the bytes left before
+        // allocating for it.
+        if m > (bytes.len() - r.pos) / 16 {
+            return Err(SnapshotError::Truncated {
+                expected: r.pos.saturating_add(m.saturating_mul(16)),
+                got: bytes.len(),
+            });
+        }
         let mut edges = Vec::with_capacity(m);
         for i in 0..m {
             let from = r.u32()? as usize;
@@ -270,9 +283,19 @@ impl DiGraph {
                 2 * m
             )));
         }
-        let undirected = read_csr(&mut r, "undirected", n, und_len as usize, n.max(1))?;
+        let stored = read_csr(&mut r, "undirected", n, und_len as usize, n.max(1))?;
         if r.pos != bytes.len() {
             return Err(SnapshotError::TrailingBytes { after: r.pos });
+        }
+        // The undirected index is a function of the edges and the two edge
+        // indexes. `Network::new` builds its ports from the edges, while
+        // connectivity checks and diameters read this index, so a stored
+        // index that disagrees would give one graph two topologies.
+        let undirected = build_undirected(n, &edges, &out_index, &in_index);
+        if let Some(v) = (0..n).find(|&v| stored.slice(v) != undirected.slice(v)) {
+            return Err(SnapshotError::Malformed(format!(
+                "undirected index of vertex {v} differs from the one its edges give"
+            )));
         }
         let unweighted = edges.iter().all(|e| e.weight == 1);
         Ok(DiGraph {

@@ -20,7 +20,7 @@ use congest::bfs_tree::build_bfs_tree;
 use congest::{FaultPlan, Network};
 use graphkit::gen::{metro_ring, parallel_lane};
 use graphkit::Dist;
-use rpaths_core::resilient::{solve_with_recovery, Recovery, Unweighted};
+use rpaths_core::resilient::{solve_with_recovery, Recovery};
 use rpaths_core::{reachability, unweighted, Instance, Params};
 
 fn main() {
@@ -132,7 +132,7 @@ fn main() {
     // Degraded solve: the crash recovered but the severed span did not.
     // The recovery wrapper re-poses the 0 -> 12 demand on the surviving
     // ring and answers along the long way round.
-    let rec = solve_with_recovery::<Unweighted>(&ring, 0, pops / 2, &plan, &Params::for_n(pops))
+    let rec = solve_with_recovery(&ring, 0, pops / 2, &plan, &Params::for_n(pops))
         .expect("the ring survives a single severed span");
     match rec {
         Recovery::Full { .. } => unreachable!("span 2 is down for good"),

@@ -373,7 +373,7 @@ fn out_of_range_fault_plans_are_typed_errors() {
     // before any work, whether its faults are all transient (the
     // recovery layer never attaches such a plan to a network) or
     // include permanent ones (probed under the steady state).
-    use rpaths_core::resilient::{solve_with_recovery, RecoveryError, Unweighted};
+    use rpaths_core::resilient::{solve_with_recovery, RecoveryError};
     let g = graphkit::gen::metro_ring(8);
     let (m, n) = (g.edge_count(), g.node_count());
     let unknown_link = |link| FaultPlanError::UnknownLink {
@@ -403,7 +403,7 @@ fn out_of_range_fault_plans_are_typed_errors() {
             unknown_node(n + 1),
         ),
     ] {
-        let got = solve_with_recovery::<Unweighted>(&g, 0, 4, &plan, &Params::for_n(n));
+        let got = solve_with_recovery(&g, 0, 4, &plan, &Params::for_n(n));
         assert_eq!(got.unwrap_err(), RecoveryError::FaultPlan(want));
     }
 }
@@ -461,7 +461,7 @@ fn session_batches_reject_out_of_range_endpoints() {
 fn recovery_rejects_out_of_range_endpoints() {
     // Both recovery paths: a transient plan solves the demand as posed,
     // a permanent one re-poses it on the surviving component.
-    use rpaths_core::resilient::{solve_with_recovery, RecoveryError, Unweighted};
+    use rpaths_core::resilient::{solve_with_recovery, RecoveryError};
     let (g, s, t) = graphkit::gen::parallel_lane(6, 2, 1);
     let unknown = RecoveryError::Instance(InstanceError::UnknownNode {
         node: FAR,
@@ -473,7 +473,7 @@ fn recovery_rejects_out_of_range_endpoints() {
         FaultPlan::new(6).fail_link(0, 0, None),
     ] {
         for (src, dst) in [(FAR, t), (s, FAR)] {
-            let got = solve_with_recovery::<Unweighted>(&g, src, dst, &plan, &params);
+            let got = solve_with_recovery(&g, src, dst, &plan, &params);
             assert_eq!(got.unwrap_err(), unknown, "demand {src} -> {dst}");
         }
     }

@@ -6,9 +6,9 @@
 //! answers): the suite re-derives the oracle answers from the embedded
 //! graph (so a stale fixture fails loudly, not silently) and then holds
 //! the present-day solvers to them. The six seed fixtures carry a
-//! `threads` field the fixture document no longer has; the decoder
-//! looks fields up by key and ignores it, which `corpus_replays_green`
-//! exercises on every run.
+//! `threads` field and an empty `queries` list the fixture document no
+//! longer has; the decoder looks fields up by key and ignores both,
+//! which `corpus_replays_green` exercises on every run.
 
 use std::path::PathBuf;
 

@@ -13,15 +13,20 @@
 //!   structured error or a partial load; never a panic.
 //! - Unknown section tags are skipped (forward compatibility), and
 //!   corruption in an *artifact* section never takes the graph with it.
+//! - A graph payload that passes its checksum but lies about itself (an
+//!   edge count it has no bytes for, an undirected index its edges do
+//!   not give) is a structured error, never an abort or a second graph.
 //! - A graph reloaded from a snapshot drives the solver to the same
 //!   answers and the same round/message accounting as the original.
 
 use graphkit::alg::shortest_st_path;
 use graphkit::gen::{metro_ring, random_digraph};
-use graphkit::DiGraph;
+use graphkit::{DiGraph, SnapshotError};
 use rpaths_core::artifacts::cache_artifact;
 use rpaths_core::{unweighted, ArtifactKind, CacheValue, Instance, Params};
-use rpaths_store::{crc32, Artifact, Loaded, Snapshot, StoreError};
+use rpaths_store::{
+    crc32, Artifact, Loaded, Snapshot, StoreError, FOOTER_MAGIC, MAGIC, TAG_GRAPH, VERSION,
+};
 use std::sync::Arc;
 
 /// A representative snapshot: a real graph plus session-cache and blob
@@ -252,6 +257,73 @@ fn empty_garbage_and_wrong_version_are_structured() {
     assert!(matches!(
         Snapshot::decode(&v),
         Err(StoreError::VersionUnsupported { found: 99 })
+    ));
+}
+
+/// A snapshot file whose one section is the graph payload `payload`,
+/// framed and checksummed as `Snapshot::encode` frames it: every CRC is
+/// valid, so the graph decoder has to catch the damage itself.
+fn file_with_graph_payload(payload: &[u8]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    let section = out.len();
+    out.extend_from_slice(&TAG_GRAPH.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc32(&out[section..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    let crc = crc32(&out);
+    out.extend_from_slice(&FOOTER_MAGIC);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+#[test]
+fn edge_count_past_the_payload_is_truncated() {
+    // n = 4, m = u32::MAX and nothing after: the decoder must not
+    // allocate for 2^32 edges it has no bytes for.
+    let mut payload = 4u64.to_le_bytes().to_vec();
+    payload.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    assert_eq!(
+        DiGraph::from_snapshot(&payload).unwrap_err(),
+        SnapshotError::Truncated {
+            expected: 16 + 16 * u32::MAX as usize,
+            got: 16,
+        }
+    );
+    match Snapshot::decode(&file_with_graph_payload(&payload)) {
+        Err(StoreError::Malformed { section: 0, detail }) => {
+            assert!(detail.contains("truncated"), "{detail}")
+        }
+        other => panic!("expected a Malformed graph section, got {other:?}"),
+    }
+}
+
+#[test]
+fn undirected_index_must_match_the_edges() {
+    // Rewrite node 0's first undirected neighbour from 1 to 3: every
+    // shape and range check still passes, but node 0 would read [3, 5]
+    // and the diameter 4, while the ports built from the edges say
+    // [1, 5] and 3.
+    let g = metro_ring(6);
+    let mut payload = g.to_snapshot();
+    assert_eq!(
+        file_with_graph_payload(&payload),
+        Snapshot::new(g.clone()).encode()
+    );
+    let (n, m) = (g.node_count(), g.edge_count());
+    let first = 16 + 16 * m + 2 * (4 * (n + 1) + 4 * m) + 8 + 4 * (n + 1);
+    assert_eq!(payload[first..first + 4], 1u32.to_le_bytes());
+    payload[first..first + 4].copy_from_slice(&3u32.to_le_bytes());
+    match DiGraph::from_snapshot(&payload) {
+        Err(SnapshotError::Malformed(detail)) => {
+            assert!(detail.contains("undirected index of vertex 0"), "{detail}")
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+    assert!(matches!(
+        Snapshot::decode(&file_with_graph_payload(&payload)),
+        Err(StoreError::Malformed { section: 0, .. })
     ));
 }
 
