@@ -8,11 +8,22 @@
 //! - **X1 / landmark-only broadcast (Section 5):** our long-detour stage
 //!   broadcasts `O(|L|² + ℓ·|L|)` messages (ℓ = number of segments);
 //!   MR24 additionally broadcasts every path vertex's landmark distances,
-//!   `O(|L|·h_st)` more messages — the `√(n·h_st)` term's origin.
+//!   `O(|L|·h_st)` more messages — the `√(n·h_st)` term's origin. Our
+//!   landmark pairs travel up the BFS tree shortest first, and only the
+//!   pairs the closure needs come back down.
+//!
+//! X3 counts, on the X1 cases, the landmark pairs Lemma 5.4's literal
+//! broadcast would send (every finite ζ-hop pair) against the pairs the
+//! closure needs (`undominated_pairs`), both counted centrally, next to
+//! the messages our landmark-pair phase sent.
 
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::Network;
+use graphkit::alg::bfs_hop_bounded;
+use graphkit::Dist;
 use rpaths_bench::{bench_params, lane_case, random_case};
+use rpaths_core::long::dists::undominated_pairs;
+use rpaths_core::long::landmarks;
 use rpaths_core::short::hop_bfs::{hop_constrained_bfs, HopBfsConfig, Objective};
 use rpaths_core::{baseline, unweighted, Instance};
 
@@ -79,6 +90,7 @@ fn main() {
         "{:>6} {:>6} | {:>16} {:>16} | {:>16} {:>16}",
         "h_st", "n", "ours bc rounds", "ours bc msgs", "mr24 bc rounds", "mr24 bc msgs"
     );
+    let mut pair_rows = Vec::new();
     for &h in hs {
         let case = lane_case(h, 8, 3);
         let n = case.graph.node_count();
@@ -90,16 +102,45 @@ fn main() {
         let mr = baseline::mr24::solve(&inst, &params)
             .expect("connected")
             .metrics;
-        let ours_bc = {
-            let mut s = ours.phase_total("broadcast");
-            s.absorb(&ours.phase_total("lemma2.5/broadcast"));
-            s
-        };
+        let ours_bc = ours.phase_total("broadcast");
         let mr_bc = mr.phase_total("fat-broadcast");
         println!(
             "{:>6} {:>6} | {:>16} {:>16} | {:>16} {:>16}",
             h, n, ours_bc.rounds, ours_bc.messages, mr_bc.rounds, mr_bc.messages
         );
+
+        let lms = landmarks::sample(&inst, &params);
+        let pairs: Vec<Vec<Dist>> = lms
+            .iter()
+            .map(|&l| {
+                let d = bfs_hop_bounded(&case.graph, &[l], params.zeta, |e| inst.in_g_minus_p(e));
+                lms.iter().map(|&m| d[m]).collect()
+            })
+            .collect();
+        let literal = pairs.iter().flatten().filter(|d| d.is_finite()).count() as u64;
+        let kept = undominated_pairs(&pairs).len() as u64;
+        let sent = ours.phase_total("long/broadcast-landmark-pairs").messages;
+        // Every kept pair crosses each of the n − 1 tree links on its way
+        // down; Lemma 5.4's broadcast sends every pair down them.
+        assert!(
+            kept < literal,
+            "the closure needs fewer pairs than Lemma 5.4 sends"
+        );
+        assert!(
+            (kept * (n as u64 - 1)..literal * (n as u64 - 1)).contains(&sent),
+            "{sent} landmark-pair messages for {kept} kept of {literal} pairs"
+        );
+        pair_rows.push((h, n, lms.len(), literal, kept, sent));
+    }
+
+    println!();
+    println!("== X3: landmark pairs, Lemma 5.4's literal broadcast vs the pairs kept ==");
+    println!(
+        "{:>6} {:>6} {:>6} | {:>14} {:>14} | {:>14}",
+        "h_st", "n", "|L|", "literal pairs", "kept pairs", "ours msgs"
+    );
+    for (h, n, k, literal, kept, sent) in pair_rows {
+        println!("{h:>6} {n:>6} {k:>6} | {literal:>14} {kept:>14} | {sent:>14}");
     }
     println!("\nablation checks passed");
 }

@@ -1,10 +1,17 @@
-//! Lemma 2.4: broadcasting `M` messages to all nodes in `O(M + D)` rounds.
+//! Lemma 2.4: broadcasting `M` messages to all nodes in `O(M + D)` rounds,
+//! and a variant whose root decides what goes down.
 //!
 //! Every node starts with a (possibly empty) list of `O(log n)`-bit items.
 //! Items are upcast towards the BFS-tree root (one per tree link per
 //! round, pipelined), the root serializes them, and the stream is downcast
 //! to everyone. Every node receives every item; without faults, all nodes
 //! receive them in the root's order.
+//!
+//! [`broadcast_kept`] runs the same pipeline with a sorted upcast: every
+//! node merges what it sends up, so the root meets the items in ascending
+//! order, one per round, and passes each to a filter that decides, once
+//! and for good, whether it goes down. Only the kept items cross the
+//! downcast links.
 //!
 //! # Memory
 //!
@@ -22,7 +29,7 @@ use std::marker::PhantomData;
 
 use crate::bfs_tree::BfsTree;
 use crate::network::{Network, NodeCtx, Protocol};
-use crate::RunStats;
+use crate::{EngineError, RunStats};
 
 #[derive(Clone, Debug)]
 enum Flow<T> {
@@ -211,6 +218,326 @@ pub fn broadcast<T: Clone>(
         unreachable!("the tree root holds the stream")
     };
     (stream, stats)
+}
+
+/// What travels during a [`broadcast_kept`].
+#[derive(Clone, Debug)]
+enum Sorted<T> {
+    /// Upcast: the smallest item the sender had left to send.
+    Up(T),
+    /// Upcast: as `Up`, and the sender's subtree has nothing more.
+    Last(T),
+    /// Upcast: the sender's subtree has nothing more to send.
+    Done,
+    /// Downcast: an item the root kept.
+    Down(T),
+}
+
+/// One child's upcast as its parent sees it.
+struct Inflow<T> {
+    /// The port to the child.
+    port: u32,
+    /// Items received and not yet merged, ascending.
+    queue: VecDeque<T>,
+    /// Whether the child's subtree has sent everything.
+    done: bool,
+}
+
+/// The upcast half of one node's state in [`broadcast_kept`]: the items
+/// of its subtree that it holds, merged on the way out.
+struct Merge<T> {
+    /// This node's own items not yet merged, ascending.
+    own: VecDeque<T>,
+    /// One inflow per tree child.
+    inflows: Vec<Inflow<T>>,
+}
+
+impl<T: Ord> Merge<T> {
+    /// Files one upcast message from the child behind `port`.
+    fn receive(&mut self, port: u32, msg: &Sorted<T>)
+    where
+        T: Clone,
+    {
+        let f = self
+            .inflows
+            .iter_mut()
+            .find(|f| f.port == port)
+            .expect("upcasts come from children");
+        match msg {
+            Sorted::Up(t) => f.queue.push_back(t.clone()),
+            Sorted::Last(t) => {
+                f.queue.push_back(t.clone());
+                f.done = true;
+            }
+            Sorted::Done => f.done = true,
+            Sorted::Down(_) => unreachable!("downcasts come from the parent"),
+        }
+    }
+
+    /// Whether the smallest item left in the subtree is known: every child
+    /// still sending has shown its next item.
+    fn ready(&self) -> bool {
+        self.inflows.iter().all(|f| f.done || !f.queue.is_empty())
+    }
+
+    /// Whether the subtree has nothing left to send.
+    fn drained(&self) -> bool {
+        self.own.is_empty() && self.inflows.iter().all(|f| f.done && f.queue.is_empty())
+    }
+
+    /// Removes and returns the smallest item left in the subtree, once it
+    /// is known.
+    fn pop_smallest(&mut self) -> Option<T> {
+        if !self.ready() {
+            return None;
+        }
+        let mut best = self.own.front().map(|t| (None, t));
+        for (i, f) in self.inflows.iter().enumerate() {
+            if let Some(t) = f.queue.front() {
+                if best.is_none_or(|(_, b)| t < b) {
+                    best = Some((Some(i), t));
+                }
+            }
+        }
+        match best?.0 {
+            None => self.own.pop_front(),
+            Some(i) => self.inflows[i].queue.pop_front(),
+        }
+    }
+}
+
+/// The downcast half of one node's state in [`broadcast_kept`].
+enum Role<T, K> {
+    /// The root: the filter, how many items it has offered to it, and the
+    /// kept stream so far.
+    Root {
+        keep: K,
+        offered: usize,
+        stream: Vec<T>,
+    },
+    /// Every other node: kept items received from the parent and not yet
+    /// sent to the children (in arrival order), how many it has received,
+    /// and whether it has told its parent that its subtree is done.
+    Relay {
+        queue: VecDeque<T>,
+        received: usize,
+        reported: bool,
+    },
+}
+
+/// One node's state in [`broadcast_kept`].
+struct SortedNode<T, K> {
+    up: Merge<T>,
+    down: Role<T, K>,
+}
+
+/// The sorted pipeline over `tree`; `K` is the root's filter.
+struct SortedProtocol<'t, T, F, K> {
+    tree: &'t BfsTree,
+    bits: F,
+    expected_total: usize,
+    /// `T` and `K` appear only in the node slots and `bits`'s bound.
+    item: PhantomData<fn(&T, K)>,
+}
+
+impl<'t, T, F, K> Protocol for SortedProtocol<'t, T, F, K>
+where
+    T: Clone + Ord,
+    F: Fn(&T) -> u64,
+    K: FnMut(&T) -> bool,
+{
+    type Msg = Sorted<T>;
+    type Node = SortedNode<T, K>;
+
+    fn msg_bits(&self, msg: &Sorted<T>) -> u64 {
+        // Two bits name the variant.
+        match msg {
+            Sorted::Up(t) | Sorted::Last(t) | Sorted::Down(t) => 2 + (self.bits)(t),
+            Sorted::Done => 2,
+        }
+    }
+
+    fn step_node(&self, node: &mut SortedNode<T, K>, ctx: &mut NodeCtx<'_, Sorted<T>>) {
+        let SortedNode { up, down } = node;
+        for (port, msg) in ctx.inbox() {
+            match (msg, &mut *down) {
+                (
+                    Sorted::Down(t),
+                    Role::Relay {
+                        queue, received, ..
+                    },
+                ) => {
+                    queue.push_back(t.clone());
+                    *received += 1;
+                }
+                (Sorted::Down(_), Role::Root { .. }) => unreachable!("the root has no parent"),
+                (msg, _) => up.receive(*port, msg),
+            }
+        }
+        let next_down = match down {
+            Role::Root {
+                keep,
+                offered,
+                stream,
+            } => {
+                // One item per round meets the filter: the smallest left,
+                // so its decision is final. A kept item goes down in the
+                // same round.
+                let item = up.pop_smallest();
+                *offered += usize::from(item.is_some());
+                let kept = item.filter(|t| keep(t));
+                stream.extend(kept.clone());
+                kept
+            }
+            Role::Relay {
+                queue, reported, ..
+            } => {
+                // Move the smallest item left in the subtree up, one per
+                // round; the last one (or a bare `Done`) tells the parent
+                // this subtree is finished. An item a delay held back past
+                // that report still goes up, out of order.
+                let pp = self.tree.parent_port[ctx.node].expect("a relay has a parent");
+                match up.pop_smallest() {
+                    Some(item) if !*reported && up.drained() => {
+                        *reported = true;
+                        ctx.send(pp, Sorted::Last(item));
+                    }
+                    Some(item) => ctx.send(pp, Sorted::Up(item)),
+                    None if !*reported && up.drained() => {
+                        *reported = true;
+                        ctx.send(pp, Sorted::Done);
+                    }
+                    None => {}
+                }
+                let item = queue.pop_front();
+                if !queue.is_empty() {
+                    ctx.wake();
+                }
+                item
+            }
+        };
+        if let Some(item) = next_down {
+            for &cp in &self.tree.child_ports[ctx.node] {
+                ctx.send(cp, Sorted::Down(item.clone()));
+            }
+        }
+        // The pipeline moves one item per round each way, so a node that
+        // can send more without new input acts again next round.
+        if up.ready() && !up.drained() {
+            ctx.wake();
+        }
+    }
+
+    fn idle(&self, nodes: &[SortedNode<T, K>]) -> bool {
+        let Role::Root {
+            offered, stream, ..
+        } = &nodes[self.tree.root].down
+        else {
+            unreachable!("the tree root holds the stream")
+        };
+        *offered == self.expected_total
+            && nodes.iter().all(|nd| match &nd.down {
+                Role::Relay {
+                    queue, received, ..
+                } => queue.is_empty() && *received == stream.len(),
+                Role::Root { .. } => true,
+            })
+    }
+}
+
+/// Broadcasts the items the root keeps out of every node's items, the
+/// root seeing them in ascending order (Lemma 2.4's pipeline with a sorted
+/// upcast and a filtering root).
+///
+/// Every node's items go up the tree as in [`broadcast`], but each node
+/// merges its own items with its children's streams and sends the
+/// smallest item left in its subtree: it waits until every child still
+/// sending has shown its next item, and the last item (or one bare
+/// message) tells the parent that the subtree is finished. The root
+/// offers one item per round to `keep`, the smallest left anywhere, so
+/// `keep` sees every item exactly once and in ascending order (without
+/// faults; a delay can make an item arrive late). The items `keep` accepts
+/// go down the tree at once, one per round, and only they cross the
+/// downcast links.
+///
+/// Returns the root's stream — the kept items, in the order `keep`
+/// accepted them — plus the run statistics. Like [`broadcast`], the root
+/// serializes one item per round: without faults the run takes between
+/// `M` and `M + 2·height(tree)` rounds, where `M` is the total item
+/// count, however the items split among the root's subtrees and however
+/// many `keep` accepts (tests assert both bounds). Every item crosses the
+/// tree links between its node and the root once; a kept item then
+/// crosses every tree link once more. `bits` declares the size of one
+/// item, as in [`broadcast`].
+///
+/// # Memory
+///
+/// A node holds the items its children sent and it has not yet merged:
+/// all `M` items sit somewhere in the tree at any time, and without
+/// faults every non-root node holds `O(1)` kept items on their way down.
+///
+/// # Errors
+///
+/// Returns [`EngineError::RoundLimitExceeded`] if the root has not
+/// offered all `M` items, or some node has not received every kept item,
+/// within `4(M + height) + 16` rounds, the budget [`broadcast`] uses: a
+/// fault plan that drops a message, or cuts a tree link for good, ends
+/// the run there instead of leaving it waiting.
+pub fn broadcast_kept<T: Clone + Ord>(
+    net: &mut Network<'_>,
+    tree: &BfsTree,
+    items: Vec<Vec<T>>,
+    bits: impl Fn(&T) -> u64,
+    keep: impl FnMut(&T) -> bool,
+    phase: &str,
+) -> Result<(Vec<T>, RunStats), EngineError> {
+    assert_eq!(items.len(), net.node_count());
+    let expected_total: usize = items.iter().map(Vec::len).sum();
+    let proto = SortedProtocol {
+        tree,
+        bits,
+        expected_total,
+        item: PhantomData,
+    };
+    let mut keep = Some(keep);
+    let mut nodes: Vec<SortedNode<T, _>> = items
+        .into_iter()
+        .enumerate()
+        .map(|(v, mut own)| {
+            own.sort_unstable();
+            let up = Merge {
+                own: own.into(),
+                inflows: tree.child_ports[v]
+                    .iter()
+                    .map(|&port| Inflow {
+                        port,
+                        queue: VecDeque::new(),
+                        done: false,
+                    })
+                    .collect(),
+            };
+            let down = if v == tree.root {
+                Role::Root {
+                    keep: keep.take().expect("one root"),
+                    offered: 0,
+                    stream: Vec::new(),
+                }
+            } else {
+                Role::Relay {
+                    queue: VecDeque::new(),
+                    received: 0,
+                    reported: false,
+                }
+            };
+            SortedNode { up, down }
+        })
+        .collect();
+    let budget = 4 * (expected_total as u64 + tree.height) + 16;
+    let stats = net.run_until_quiet(phase, &proto, &mut nodes, budget)?;
+    let Role::Root { stream, .. } = nodes.swap_remove(tree.root).down else {
+        unreachable!("the tree root holds the stream")
+    };
+    Ok((stream, stats))
 }
 
 #[cfg(test)]

@@ -1,14 +1,53 @@
-//! Lemmas 5.4 and 5.6: distances between landmarks and from/to every
-//! vertex, in `G \ P`.
+//! Lemmas 5.4 and 5.6: distances between landmarks, and from/to every
+//! path vertex, in `G \ P`.
 //!
-//! ζ-hop BFS from every landmark (both directions), one broadcast of the
-//! `|L|²` hop-bounded pairwise distances, and a local min-plus closure.
-//! Because w.h.p. every shortest path in `G \ P` has a landmark in each
-//! ζ-vertex stretch (Lemma 5.3), composing hop-bounded pieces through the
-//! closure recovers the *exact* unbounded distances.
+//! ζ-hop BFS from every landmark (both directions), the landmark pairs
+//! the closure needs, and a local min-plus closure. Because w.h.p. every
+//! shortest path in `G \ P` has a landmark in each ζ-vertex stretch
+//! (Lemma 5.3), composing hop-bounded pieces through the closure
+//! recovers the *exact* unbounded distances.
+//!
+//! # Only the pairs the closure needs
+//!
+//! Lemma 5.4 broadcasts all `|L|²` hop-bounded pairs `(l_j, l_k, d)`.
+//! Most are redundant: when a third landmark `l_m` has
+//! `p[j][m] + p[m][k] ≤ d`, the closure rebuilds the pair from two
+//! shorter ones. [`compose_from_tables`] therefore runs Lemma 5.4's
+//! pipeline over the BFS tree with two changes (phase
+//! `long/broadcast-landmark-pairs`, [`broadcast_kept`]):
+//!
+//! 1. **Shortest first.** Every landmark `l_k` sends its finite pairs
+//!    `(j, k, d)`, `j ≠ k`, up the tree, and every node merges what it
+//!    sends, so the root sees all pairs in ascending `d`, one per round.
+//!    The closure's diagonal is zero anyway, so the `|L|` self-pairs stay
+//!    home.
+//! 2. **Prune at the root.** The root sends a pair down only when no
+//!    landmark `m ∉ {j, k}` has `p[j][m] + p[m][k] ≤ d` among the pairs
+//!    it has already seen; the rest never leave it. Every node builds the
+//!    closure from the stream it received.
+//!
+//! Off-diagonal entries are positive: at least one hop unweighted, and
+//! `hops × hop_value ≥ 2` on the weighted path's scaled tables. So both
+//! legs of a witness are strictly shorter than the pair and reached the
+//! root before it: the root keeps exactly the [`undominated_pairs`] of the
+//! whole matrix. By induction on `d` the closure of the kept pairs equals
+//! the closure of all pairs in every run, not only w.h.p. Answers stay the
+//! same; only the landmark-pair phase's rounds, messages and bits change.
+//! Each pair crosses only the tree links between its landmark and the
+//! root, and only the kept ones cross every tree link, where the
+//! all-pairs broadcast sent every pair over every tree link. The phase
+//! still takes about one round per pair, as the root serializes the pairs
+//! like the all-pairs broadcast does.
+//!
+//! # Tables by path position
+//!
+//! The segments phase (Lemmas 5.7–5.9) reads the composed tables only at
+//! the `h_st + 1` path vertices, so [`LandmarkDistances`] composes and
+//! holds them only there, indexed by path position: `O(h_st · |L|²)`
+//! local work instead of `O(n · |L|²)`.
 
 use congest::bfs_tree::BfsTree;
-use congest::broadcast::broadcast;
+use congest::broadcast::broadcast_kept;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::{word_bits, Network};
 use graphkit::{Dist, NodeId};
@@ -20,15 +59,108 @@ use crate::{Instance, Params};
 pub struct LandmarkDistances {
     /// The landmark vertices, in index order.
     pub landmarks: Vec<NodeId>,
-    /// `from_landmark[j][v]` = `|l_j v|` in `G \ P` (exact w.h.p.). Known
-    /// locally at `v`.
+    /// `from_landmark[j][i]` = `|l_j v_i|` in `G \ P` (exact w.h.p.), for
+    /// the path vertex `v_i` at position `i ∈ 0..=h_st`. Known locally at
+    /// `v_i`.
     pub from_landmark: Vec<Vec<Dist>>,
-    /// `to_landmark[j][v]` = `|v l_j|` in `G \ P` (exact w.h.p.). Known
-    /// locally at `v`.
+    /// `to_landmark[j][i]` = `|v_i l_j|` in `G \ P` (exact w.h.p.), for
+    /// the path vertex `v_i` at position `i ∈ 0..=h_st`. Known locally at
+    /// `v_i`.
     pub to_landmark: Vec<Vec<Dist>>,
     /// `closure[j][k]` = `|l_j l_k|` in `G \ P` (exact w.h.p.). Known
-    /// globally after the broadcast.
+    /// globally after the downcast.
     pub closure: Vec<Vec<Dist>>,
+}
+
+/// One hop-bounded landmark pair: `d` = `|l_j l_k|` within ζ hops,
+/// observed at `l_k`. Pairs order by distance first, the order in which
+/// the root must see them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Pair {
+    d: u64,
+    j: u32,
+    k: u32,
+}
+
+fn pair_bits(p: &Pair) -> u64 {
+    word_bits(p.j as u64) + word_bits(p.k as u64) + word_bits(p.d)
+}
+
+/// The `k × k` matrix that `pairs` describe: zero on the diagonal, the
+/// least listed distance in every other listed cell, ∞ elsewhere.
+fn pair_matrix(k: usize, pairs: &[Pair]) -> Vec<Vec<Dist>> {
+    let mut mat = vec![vec![Dist::INF; k]; k];
+    for (j, row) in mat.iter_mut().enumerate() {
+        row[j] = Dist::ZERO;
+    }
+    for p in pairs {
+        let cell = &mut mat[p.j as usize][p.k as usize];
+        *cell = (*cell).min(Dist::new(p.d));
+    }
+    mat
+}
+
+/// The root's prune. Fed the pairs in ascending distance, it keeps a pair
+/// unless some landmark `m ∉ {j, k}` has `p[j][m] + p[m][k] ≤ d` among
+/// the pairs fed before it.
+struct Prune {
+    /// The pairs fed so far, as in [`pair_matrix`].
+    seen: Vec<Vec<Dist>>,
+}
+
+impl Prune {
+    fn new(k: usize) -> Prune {
+        Prune {
+            seen: pair_matrix(k, &[]),
+        }
+    }
+
+    /// Records `p` and returns whether the closure needs it.
+    fn keep(&mut self, p: &Pair) -> bool {
+        let (j, k, d) = (p.j as usize, p.k as usize, Dist::new(p.d));
+        let seen = &self.seen;
+        let witnessed = seen
+            .iter()
+            .enumerate()
+            .any(|(m, via)| m != j && m != k && seen[j][m] + via[k] <= d);
+        self.seen[j][k] = self.seen[j][k].min(d);
+        !witnessed
+    }
+}
+
+/// The pairs of the landmark-pair matrix `p` that the closure cannot
+/// rebuild from others, as `(j, k, p[j][k])` in row-major order: every
+/// finite `p[j][k]`, `j ≠ k`, with no witness `m ∉ {j, k}` such that
+/// `p[j][m] + p[m][k] ≤ p[j][k]`.
+///
+/// Decided as the root of [`compose_from_tables`] decides: pair by pair,
+/// shortest first. When every off-diagonal entry is positive, both legs
+/// of a witness are strictly shorter than the pair, so they have been
+/// seen by then, and by induction on the distance the
+/// [`min_plus_closure`] of the kept pairs (with a zero diagonal) equals
+/// `min_plus_closure(p)`.
+pub fn undominated_pairs(p: &[Vec<Dist>]) -> Vec<(u32, u32, u64)> {
+    let mut pairs = Vec::new();
+    for (j, row) in p.iter().enumerate() {
+        for (k, d) in row.iter().enumerate() {
+            if let Some(d) = d.finite().filter(|_| j != k) {
+                pairs.push(Pair {
+                    d,
+                    j: j as u32,
+                    k: k as u32,
+                });
+            }
+        }
+    }
+    pairs.sort_unstable();
+    let mut prune = Prune::new(p.len());
+    let mut kept: Vec<(u32, u32, u64)> = pairs
+        .into_iter()
+        .filter(|pair| prune.keep(pair))
+        .map(|pair| (pair.j, pair.k, pair.d))
+        .collect();
+    kept.sort_unstable();
+    kept
 }
 
 /// Min-plus (Floyd–Warshall) closure of a landmark distance matrix.
@@ -94,12 +226,16 @@ pub fn landmark_distances(
     compose_from_tables(net, inst, landmarks, fwd_hb, bwd_hb, tree)
 }
 
-/// The broadcast + closure + composition steps of Lemmas 5.4 / 5.6, given
-/// precomputed hop-bounded distance tables.
+/// The landmark-pair + closure + composition steps of Lemmas 5.4 / 5.6,
+/// given precomputed hop-bounded distance tables `fwd_hb[j][v]` =
+/// `|l_j v|` and `bwd_hb[j][v]` = `|v l_j|` (both within ζ hops, indexed
+/// by node id).
 ///
-/// Factored out so the weighted algorithm (Proposition 7.11) can feed in
-/// *approximate scaled* tables from the rounding BFS and reuse the rest
-/// verbatim.
+/// Sends the landmark pairs up `tree` shortest first, downcasts the
+/// [`undominated_pairs`] as the root meets them, and composes at the path
+/// vertices only (see the module docs). Factored out so the weighted
+/// algorithm (Proposition 7.11) can feed in *approximate scaled* tables
+/// from the rounding BFS and reuse the rest verbatim.
 pub fn compose_from_tables(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
@@ -109,53 +245,54 @@ pub fn compose_from_tables(
     tree: &BfsTree,
 ) -> LandmarkDistances {
     let k = landmarks.len();
-    // Lemma 5.4: broadcast the |L|² hop-bounded pairwise distances (each
-    // value originates at the landmark that *observed* it).
-    let mut items: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); inst.n()];
+    // Landmark l_k sends every finite hop-bounded pair (j, k, d) it
+    // observed, bar its own zero.
+    let mut items: Vec<Vec<Pair>> = vec![Vec::new(); inst.n()];
     for (j, row) in fwd_hb.iter().enumerate() {
         for (kk, &lk) in landmarks.iter().enumerate() {
-            if let Some(d) = row[lk].finite() {
-                items[lk].push((j as u32, kk as u32, d));
+            if let Some(d) = row[lk].finite().filter(|_| j != kk) {
+                items[lk].push(Pair {
+                    d,
+                    j: j as u32,
+                    k: kk as u32,
+                });
             }
         }
     }
-    let (stream, _) = broadcast(
+    // The root meets the pairs shortest first and sends down only those
+    // the closure cannot rebuild from pairs it has already met.
+    let mut prune = Prune::new(k);
+    let (stream, _) = broadcast_kept(
         net,
         tree,
         items,
-        |&(j, kk, d)| word_bits(j as u64) + word_bits(kk as u64) + word_bits(d),
+        pair_bits,
+        |p| prune.keep(p),
         "long/broadcast-landmark-pairs",
-    );
+    )
+    .expect("landmark-pair broadcast quiesces");
     // Every node received the same pairs; build the closure once, from
-    // what the broadcast delivered.
-    let mut pairs = vec![vec![Dist::INF; k]; k];
-    for (j, row) in pairs.iter_mut().enumerate() {
-        row[j] = Dist::ZERO;
-    }
-    for (j, kk, d) in stream {
-        let cell = &mut pairs[j as usize][kk as usize];
-        *cell = (*cell).min(Dist::new(d));
-    }
-    let closure = min_plus_closure(pairs);
+    // what the downcast delivered.
+    let closure = min_plus_closure(pair_matrix(k, &stream));
 
-    // Lemma 5.6 composition, locally at every vertex: stitch the
-    // hop-bounded first leg to the closure.
-    let n = inst.n();
-    let mut from_landmark = fwd_hb;
-    let mut to_landmark = bwd_hb;
-    for v in 0..n {
+    // Lemma 5.6 composition, locally at every path vertex: stitch the
+    // hop-bounded first leg to the closure. The closure already chains
+    // landmarks, so one pass suffices.
+    let path = inst.path.nodes();
+    let mut from_landmark = vec![Vec::with_capacity(path.len()); k];
+    let mut to_landmark = vec![Vec::with_capacity(path.len()); k];
+    for &v in path {
         for j in 0..k {
-            let mut best_from = from_landmark[j][v];
-            let mut best_to = to_landmark[j][v];
+            let mut best_from = fwd_hb[j][v];
+            let mut best_to = bwd_hb[j][v];
             for mid in 0..k {
-                best_from = best_from.min(closure[j][mid] + from_landmark[mid][v]);
-                best_to = best_to.min(to_landmark[mid][v] + closure[mid][j]);
+                best_from = best_from.min(closure[j][mid] + fwd_hb[mid][v]);
+                best_to = best_to.min(bwd_hb[mid][v] + closure[mid][j]);
             }
-            from_landmark[j][v] = best_from;
-            to_landmark[j][v] = best_to;
+            from_landmark[j].push(best_from);
+            to_landmark[j].push(best_to);
         }
     }
-    // One more pass is unnecessary: closure already chains landmarks.
     LandmarkDistances {
         landmarks: landmarks.to_vec(),
         from_landmark,
@@ -183,6 +320,15 @@ mod tests {
         (fwd, bwd)
     }
 
+    /// The columns of node-indexed `tables` at the path vertices, in path
+    /// order: the layout [`LandmarkDistances`] uses.
+    fn at_path(inst: &Instance<'_>, tables: &[Vec<Dist>]) -> Vec<Vec<Dist>> {
+        tables
+            .iter()
+            .map(|row| inst.path.nodes().iter().map(|&v| row[v]).collect())
+            .collect()
+    }
+
     #[test]
     fn full_landmarks_give_exact_unbounded_distances() {
         // With every vertex a landmark and ζ >= 1, the closure must
@@ -199,8 +345,8 @@ mod tests {
         // Landmark k is vertex k, so the closure built from the delivered
         // pairs is the exact distance matrix itself.
         assert_eq!(ld.closure, fwd);
-        assert_eq!(ld.from_landmark, fwd);
-        assert_eq!(ld.to_landmark, bwd);
+        assert_eq!(ld.from_landmark, at_path(&inst, &fwd));
+        assert_eq!(ld.to_landmark, at_path(&inst, &bwd));
     }
 
     #[test]
@@ -221,8 +367,8 @@ mod tests {
             let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
             let ld = landmark_distances(&mut net, &inst, &params, &landmarks, &tree);
             let (fwd, bwd) = exact_tables(&inst, &landmarks);
-            assert_eq!(ld.from_landmark, fwd, "seed {seed}");
-            assert_eq!(ld.to_landmark, bwd, "seed {seed}");
+            assert_eq!(ld.from_landmark, at_path(&inst, &fwd), "seed {seed}");
+            assert_eq!(ld.to_landmark, at_path(&inst, &bwd), "seed {seed}");
         }
     }
 
@@ -244,7 +390,8 @@ mod tests {
     #[test]
     fn closure_distances_never_underestimate() {
         // Composed values are always realizable path lengths: compare
-        // against the exact oracle from every landmark.
+        // against the exact oracle from every landmark, at every path
+        // vertex (the only entries the tables hold).
         let (g, s, t) = parallel_lane(20, 5, 2);
         let inst = Instance::from_endpoints(&g, s, t).unwrap();
         let mut params = Params::with_zeta(inst.n(), 4);
@@ -255,9 +402,9 @@ mod tests {
         let ld = landmark_distances(&mut net, &inst, &params, &landmarks, &tree);
         let (fwd, bwd) = exact_tables(&inst, &landmarks);
         for j in 0..landmarks.len() {
-            for v in inst.graph.nodes() {
-                assert!(ld.from_landmark[j][v] >= fwd[j][v]);
-                assert!(ld.to_landmark[j][v] >= bwd[j][v]);
+            for (i, &v) in inst.path.nodes().iter().enumerate() {
+                assert!(ld.from_landmark[j][i] >= fwd[j][v]);
+                assert!(ld.to_landmark[j][i] >= bwd[j][v]);
             }
         }
     }

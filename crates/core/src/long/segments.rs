@@ -74,8 +74,7 @@ pub fn distances_from_s(
     // Lemma 5.7: in-segment prefix sweeps, one job per landmark.
     let input = |lane: usize, pos: usize, j: usize| -> Dist {
         let global = cps[lane] + pos;
-        let v = inst.path.node(global);
-        prefix[global] + ld.to_landmark[j][v]
+        prefix[global] + ld.to_landmark[j][global]
     };
     let (m_seg, _) = prefix_sweep(net, &lanes, k, &input, "long/sweep-from-s");
     // Lemma 5.8: broadcast each segment's value at its right checkpoint.
@@ -134,8 +133,7 @@ pub fn distances_to_t(
     // Mirrored Lemma 5.7: suffix sweeps within each segment.
     let input = |lane: usize, pos: usize, j: usize| -> Dist {
         let global = cps[lane + 1] - pos;
-        let v = inst.path.node(global);
-        ld.from_landmark[j][v] + suffix[global]
+        ld.from_landmark[j][global] + suffix[global]
     };
     let (m_seg, _) = prefix_sweep(net, &lanes, k, &input, "long/sweep-to-t");
     // Broadcast each segment's value at its *left* checkpoint (the lane's

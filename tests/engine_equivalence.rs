@@ -25,7 +25,7 @@
 
 use congest::aggregate::{aggregate, AggOp};
 use congest::bfs_tree::build_bfs_tree;
-use congest::broadcast::broadcast;
+use congest::broadcast::{broadcast, broadcast_kept};
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
 use congest::{EngineError, FaultPlan, Network, NodeCtx, Protocol, RunStats, Side};
@@ -74,6 +74,14 @@ proptest! {
         });
         prop_assert_eq!(sa, ss);
         prop_assert_eq!(oa, os);
+        // The sorted pipeline with a filtering root: the same kept stream,
+        // at the same cost.
+        let (ka, ks) = both(&g, |net| {
+            let (tree, _) = build_bfs_tree(net, 0).unwrap();
+            broadcast_kept(net, &tree, items.clone(), |_| 16, |x| x.is_multiple_of(3), "kept")
+                .expect("quiesces")
+        });
+        prop_assert_eq!(ka, ks);
     }
 
     #[test]

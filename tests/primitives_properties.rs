@@ -4,10 +4,10 @@
 
 use congest::aggregate::{aggregate, AggOp};
 use congest::bfs_tree::build_bfs_tree;
-use congest::broadcast::broadcast;
+use congest::broadcast::{broadcast, broadcast_kept};
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
-use congest::{FaultPlan, Metrics, Network, NodeCtx, Protocol, RunStats};
+use congest::{EngineError, FaultPlan, Metrics, Network, NodeCtx, Protocol, RunStats};
 use graphkit::alg::bfs_hop_bounded;
 use graphkit::gen::random_digraph;
 use graphkit::{DiGraph, Dist, GraphBuilder};
@@ -130,6 +130,64 @@ proptest! {
         prop_assert_eq!(delayed.len(), n * per_node);
         prop_assert_eq!(sorted(delayed), sorted(clean));
         prop_assert_eq!(delayed_stats.messages, clean_stats.messages);
+    }
+
+    #[test]
+    fn broadcast_kept_meets_every_item_in_order_and_sends_the_kept_down(
+        n in 4usize..60,
+        per_node in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        let g = random_digraph(n, 2 * n, seed);
+        let mut items = numbered_items(n, per_node);
+        // A third of the nodes hold nothing, so some subtrees have nothing
+        // to send.
+        for v in (0..n).filter(|v| (v + seed as usize).is_multiple_of(3)) {
+            items[v].clear();
+        }
+        let all = sorted(items.concat());
+        let m = all.len() as u64;
+        let wanted = |x: &u64| (x + seed).is_multiple_of(3);
+        let run = |plan: Option<FaultPlan>| {
+            let mut net = Network::new(&g);
+            let (tree, _) = build_bfs_tree(&mut net, seed as usize % n).unwrap();
+            net.set_fault_plan(plan).unwrap();
+            let upcast: u64 = (0..n).map(|v| tree.depth[v] * items[v].len() as u64).sum();
+            let mut met = Vec::new();
+            let keep = |x: &u64| {
+                met.push(*x);
+                wanted(x)
+            };
+            let (stream, stats) = broadcast_kept(&mut net, &tree, items.clone(), |_| 16, keep, "kept")
+                .expect("quiesces");
+            (met, stream, stats, upcast, tree.height)
+        };
+        let (met, stream, stats, upcast, height) = run(None);
+        // The root meets every item exactly once, smallest first, and the
+        // stream is what the filter kept, in that order.
+        prop_assert_eq!(&met, &all);
+        let kept: Vec<u64> = all.iter().copied().filter(|x| wanted(x)).collect();
+        prop_assert_eq!(&stream, &kept);
+        // Every item climbs from its origin to the root, a kept one then
+        // crosses every tree link downwards, and every other node reports
+        // its subtree done at most once in a message of its own.
+        let moves = upcast + stream.len() as u64 * (n as u64 - 1);
+        prop_assert!(
+            (moves..moves + n as u64).contains(&stats.messages),
+            "{} messages, {} item moves", stats.messages, moves
+        );
+        // The root meets one item per round, after the first has climbed
+        // and before the last kept one descends.
+        prop_assert!(stats.rounds >= m, "{} rounds for {} items", stats.rounds, m);
+        prop_assert!(stats.rounds <= m + 2 * height, "{} rounds", stats.rounds);
+        // A delay can make an item arrive out of order; the root still
+        // meets every item once, and the stream is what the filter kept.
+        let (met, stream, stats, ..) = run(Some(FaultPlan::new(seed).delay_messages(0.35, 3)));
+        let kept: Vec<u64> = met.iter().copied().filter(|x| wanted(x)).collect();
+        prop_assert_eq!(sorted(met), all);
+        prop_assert_eq!(&stream, &kept);
+        let moves = upcast + stream.len() as u64 * (n as u64 - 1);
+        prop_assert!((moves..moves + n as u64).contains(&stats.messages));
     }
 
     #[test]
@@ -492,4 +550,28 @@ fn broadcast_past_a_cut_tree_link_never_returns() {
     let mut items = numbered_items(n, 1);
     items[leaf].clear();
     broadcast(&mut net, &tree, items, |_| 16, "bc");
+}
+
+#[test]
+fn broadcast_kept_behind_a_cut_tree_link_ends_with_the_budget_error() {
+    // A leaf whose link to its parent is down for the whole run: its item
+    // never reaches the root, and it never receives the kept ones, so the
+    // run must stop at its budget with a typed error instead of waiting.
+    let n = 30;
+    let g = random_digraph(n, 2 * n, 2);
+    let mut net = Network::new(&g);
+    let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
+    let leaf = (1..n)
+        .find(|&v| tree.child_ports[v].is_empty())
+        .expect("a tree on 30 nodes has a non-root leaf");
+    let link = net.ports(leaf)[tree.parent_port[leaf].unwrap() as usize].link;
+    net.set_fault_plan(Some(FaultPlan::new(1).fail_link(link, 0, None)))
+        .unwrap();
+    let budget = 4 * (n as u64 + tree.height) + 16;
+    let items = numbered_items(n, 1);
+    let EngineError::RoundLimitExceeded {
+        max_rounds, rounds, ..
+    } = broadcast_kept(&mut net, &tree, items, |_| 16, |_| true, "kept")
+        .expect_err("the root never meets the leaf's item");
+    assert_eq!((max_rounds, rounds), (budget, budget));
 }

@@ -4,14 +4,25 @@
 //!   instances (with full landmarks, so randomness cannot excuse a
 //!   failure).
 //! - Theorem 3 output brackets the oracle within `(1+ε)`.
+//! - Sending only the undominated landmark pairs keeps the min-plus
+//!   closure: on random matrices, and end to end through
+//!   `compose_from_tables` on random graphs, landmark sets and ζ.
 //! - Lemma 6.8's iff-correspondence for arbitrary `(M, x)`.
 //! - `Dist` arithmetic is a commutative monoid with absorbing ∞.
 //! - Generator contracts (planted path is shortest; connectivity).
 
+use congest::bfs_tree::build_bfs_tree;
+use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
+use congest::Network;
 use graphkit::alg::{replacement_lengths, shortest_st_path, undirected_diameter};
-use graphkit::gen::{parallel_lane, planted_path_digraph, random_weighted_digraph};
-use graphkit::Dist;
+use graphkit::gen::{
+    parallel_lane, planted_path_digraph, random_reachable_pair, random_weighted_digraph,
+};
+use graphkit::{Dist, NodeId};
 use proptest::prelude::*;
+use rpaths_core::long::dists::{compose_from_tables, min_plus_closure, undominated_pairs};
+use rpaths_core::weighted::long::approx_hop_multi_source;
+use rpaths_core::weighted::rounding::ScaleSet;
 use rpaths_core::{unweighted, weighted, Instance, Params};
 use rpaths_lb::hard;
 use rpaths_lb::lemma68;
@@ -70,6 +81,90 @@ proptest! {
         let out = weighted::solve(&inst, &params).unwrap();
         let oracle = replacement_lengths(&g, &inst.path);
         prop_assert!(out.check_guarantee(&oracle, params.eps_num, params.eps_den).is_ok());
+    }
+
+    #[test]
+    fn undominated_pairs_keep_the_closure(
+        k in 1usize..14,
+        inf_below in 0u64..8,
+        cells in proptest::collection::vec(0u64..16, 13 * 13),
+    ) {
+        // A zero diagonal and positive (or ∞) entries elsewhere, as the
+        // landmark tables give; small values make ties common.
+        let cell = |j: usize, kk: usize| match cells[j * 13 + kk] {
+            _ if j == kk => Dist::ZERO,
+            v if v < inf_below => Dist::INF,
+            v => Dist::new(v + 1),
+        };
+        let mat: Vec<Vec<Dist>> = (0..k).map(|j| (0..k).map(|kk| cell(j, kk)).collect()).collect();
+        let kept = undominated_pairs(&mat);
+        let mut from_kept = vec![vec![Dist::INF; k]; k];
+        for (j, row) in from_kept.iter_mut().enumerate() {
+            row[j] = Dist::ZERO;
+        }
+        for &(j, kk, d) in &kept {
+            let (j, kk, d) = (j as usize, kk as usize, Dist::new(d));
+            prop_assert!(j != kk);
+            prop_assert_eq!(mat[j][kk], d);
+            for m in (0..k).filter(|&m| m != j && m != kk) {
+                prop_assert!(mat[j][m] + mat[m][kk] > d, "kept ({}, {}) has witness {}", j, kk, m);
+            }
+            from_kept[j][kk] = d;
+        }
+        prop_assert_eq!(min_plus_closure(from_kept), min_plus_closure(mat));
+    }
+
+    #[test]
+    fn compose_closure_equals_the_closure_of_every_hop_bounded_pair(
+        n in 8usize..40,
+        zeta in 1usize..8,
+        share in 1usize..6,
+        weighted in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        // Exact hop counts on a unit-weight graph, or the weighted path's
+        // scaled minima over the rounding scales on a weighted one.
+        let g = random_weighted_digraph(n, 3 * n, if weighted { 9 } else { 1 }, seed);
+        let Some((s, t)) = random_reachable_pair(&g, seed) else { return Ok(()); };
+        let Some(p) = shortest_st_path(&g, s, t) else { return Ok(()); };
+        let Ok(inst) = Instance::new(&g, p) else { return Ok(()); };
+        let landmarks: Vec<NodeId> = (0..n).filter(|&v| (v * 7 + seed as usize) % 6 < share).collect();
+        let mut net = Network::new(&g);
+        let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
+        let (fwd, bwd) = if weighted {
+            let set = ScaleSet::build(&g, &Params::with_zeta(n, zeta), zeta as u64);
+            let mut table = |reverse| {
+                approx_hop_multi_source(&mut net, &inst, &set, &landmarks, reverse, "apx", 1)
+            };
+            (table(false), table(true))
+        } else {
+            let mut table = |reverse| {
+                let cfg = MultiBfsConfig {
+                    sources: &landmarks,
+                    max_dist: zeta as u64,
+                    reverse,
+                    delays: None,
+                };
+                let budget = default_budget(landmarks.len(), zeta as u64).max(8 * n as u64);
+                multi_source_bfs(&mut net, &cfg, |e| inst.in_g_minus_p(e), "bfs", budget)
+                    .expect("quiesces")
+                    .0
+            };
+            (table(false), table(true))
+        };
+        let all_pairs: Vec<Vec<Dist>> = fwd
+            .iter()
+            .enumerate()
+            .map(|(j, row)| {
+                landmarks
+                    .iter()
+                    .enumerate()
+                    .map(|(kk, &l)| if j == kk { Dist::ZERO } else { row[l] })
+                    .collect()
+            })
+            .collect();
+        let ld = compose_from_tables(&mut net, &inst, &landmarks, fwd, bwd, &tree);
+        prop_assert_eq!(ld.closure, min_plus_closure(all_pairs));
     }
 
     #[test]
