@@ -1,28 +1,45 @@
 //! Lemma 2.4: broadcasting `M` messages to all nodes in `O(M + D)` rounds,
-//! and a variant whose root decides what goes down.
+//! with a root that decides what goes down.
 //!
 //! Every node starts with a (possibly empty) list of `O(log n)`-bit items.
-//! Items are upcast towards the BFS-tree root (one per tree link per
-//! round, pipelined), the root serializes them, and the stream is downcast
-//! to everyone. Every node receives every item; without faults, all nodes
-//! receive them in the root's order.
+//! Items are upcast towards the BFS-tree root, one per tree link per
+//! round, pipelined. Every node merges its own items with its children's
+//! streams and sends the smallest item left in its subtree, so the root
+//! meets the items in ascending order, one per round, and passes each to
+//! a filter that decides, once and for good, whether it goes down. The
+//! kept items are downcast to everyone, one per round; only they cross
+//! the downcast links. A filter that keeps every item makes this the
+//! plain broadcast.
 //!
-//! [`broadcast_kept`] runs the same pipeline with a sorted upcast: every
-//! node merges what it sends up, so the root meets the items in ascending
-//! order, one per round, and passes each to a filter that decides, once
-//! and for good, whether it goes down. Only the kept items cross the
-//! downcast links.
+//! # Rounds
+//!
+//! The root meets one item per round, after the first has climbed to it
+//! and before the last kept one has descended: without faults the run
+//! takes between `M` and `M + 2·height` rounds, however the items split
+//! among the root's subtrees and however many the filter keeps. Every
+//! subtree tells its parent when it is finished, so even an empty
+//! broadcast takes `height + 1` rounds and sends `n − 1` messages.
 //!
 //! # Memory
 //!
-//! Only the root keeps the stream: `O(M)` items. Every other node only
-//! relays it, holding its upcast queue, a FIFO of items received from its
-//! parent but not yet sent to its children, and a count of the items it
-//! has received. A relay forwards one item per round and, without faults,
-//! receives at most one per round, so its FIFO holds `O(1)` items; under a
-//! delay [`FaultPlan`](crate::FaultPlan) it holds at most the items that
-//! were in flight towards it. The receive count is the delivery check: the
-//! run quiesces only once every node has received all `M` items.
+//! Only the root keeps the stream: the kept items, `O(M)`. A node holds
+//! the items its children sent and it has not yet merged, so all `M`
+//! items sit somewhere in the tree at any time. Every other node relays
+//! the kept stream, holding a FIFO of items received from its parent but
+//! not yet sent to its children, and a count of the items it has
+//! received. A relay forwards one item per round and, without faults,
+//! receives at most one per round, so its FIFO holds `O(1)` items; under
+//! a delay [`FaultPlan`](crate::FaultPlan) it holds at most the items
+//! that were in flight towards it.
+//!
+//! # Budget
+//!
+//! The run quiesces once the root has offered all `M` items to the
+//! filter and every node's receive count matches the kept stream. It gets
+//! `4(M + height) + 16` rounds; a fault plan that drops a message or cuts
+//! a tree link for good, or a tree whose parent does not list one of its
+//! children, ends it there with [`EngineError::RoundLimitExceeded`]
+//! instead of leaving it waiting.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -31,196 +48,7 @@ use crate::bfs_tree::BfsTree;
 use crate::network::{Network, NodeCtx, Protocol};
 use crate::{EngineError, RunStats};
 
-#[derive(Clone, Debug)]
-enum Flow<T> {
-    Up(T),
-    Down(T),
-}
-
-/// The downcast half of one node's pipeline state.
-enum Downcast<T> {
-    /// The root: the serialized stream so far, and the index of the next
-    /// item to send to its children.
-    Root { stream: Vec<T>, cursor: usize },
-    /// Every other node: items received from the parent and not yet sent
-    /// to the children (in arrival order), and how many it has received.
-    Relay { queue: VecDeque<T>, received: usize },
-}
-
-/// One node's pipeline state.
-struct BcastNode<T> {
-    /// Items waiting to move towards the root.
-    up_queue: VecDeque<T>,
-    down: Downcast<T>,
-}
-
-impl<T> BcastNode<T> {
-    /// Stream items this node holds but has not yet sent to its children.
-    fn unsent(&self) -> usize {
-        match &self.down {
-            Downcast::Root { stream, cursor } => stream.len() - cursor,
-            Downcast::Relay { queue, .. } => queue.len(),
-        }
-    }
-
-    /// Whether this node has nothing left to send and has received (at
-    /// the root: serialized) all `expected_total` items.
-    fn done(&self, expected_total: usize) -> bool {
-        let received = match &self.down {
-            Downcast::Root { stream, .. } => stream.len(),
-            Downcast::Relay { received, .. } => *received,
-        };
-        self.up_queue.is_empty() && self.unsent() == 0 && received == expected_total
-    }
-}
-
-/// The pipeline over `tree`; every node consults the tree and the item
-/// sizing.
-struct BroadcastProtocol<'t, T, F> {
-    tree: &'t BfsTree,
-    bits: F,
-    expected_total: usize,
-    /// `T` appears only in the node slots and `bits`'s bound.
-    item: PhantomData<fn(&T)>,
-}
-
-impl<'t, T, F> BroadcastProtocol<'t, T, F> {
-    /// The protocol and its node slots, node `v` starting with `items[v]`.
-    fn new(tree: &'t BfsTree, items: Vec<Vec<T>>, bits: F) -> (Self, Vec<BcastNode<T>>) {
-        let expected_total = items.iter().map(|i| i.len()).sum();
-        let nodes = items
-            .into_iter()
-            .enumerate()
-            .map(|(v, i)| BcastNode {
-                up_queue: VecDeque::from(i),
-                down: if v == tree.root {
-                    Downcast::Root {
-                        stream: Vec::with_capacity(expected_total),
-                        cursor: 0,
-                    }
-                } else {
-                    Downcast::Relay {
-                        queue: VecDeque::new(),
-                        received: 0,
-                    }
-                },
-            })
-            .collect();
-        let proto = BroadcastProtocol {
-            tree,
-            bits,
-            expected_total,
-            item: PhantomData,
-        };
-        (proto, nodes)
-    }
-}
-
-impl<'t, T: Clone, F: Fn(&T) -> u64> Protocol for BroadcastProtocol<'t, T, F> {
-    type Msg = Flow<T>;
-    type Node = BcastNode<T>;
-
-    fn msg_bits(&self, msg: &Flow<T>) -> u64 {
-        match msg {
-            Flow::Up(t) | Flow::Down(t) => 1 + (self.bits)(t),
-        }
-    }
-
-    fn step_node(&self, node: &mut BcastNode<T>, ctx: &mut NodeCtx<'_, Flow<T>>) {
-        let v = ctx.node;
-        let tree = self.tree;
-        let BcastNode { up_queue, down } = node;
-        for (_, msg) in ctx.inbox() {
-            match (msg, &mut *down) {
-                // The root serializes whatever its children upcast.
-                (Flow::Up(item), Downcast::Root { stream, .. }) => stream.push(item.clone()),
-                (Flow::Up(item), Downcast::Relay { .. }) => up_queue.push_back(item.clone()),
-                (Flow::Down(item), Downcast::Relay { queue, received }) => {
-                    queue.push_back(item.clone());
-                    *received += 1;
-                }
-                (Flow::Down(_), Downcast::Root { .. }) => unreachable!("the root has no parent"),
-            }
-        }
-        // Move one queued item towards the root; the root's "upward" move
-        // is appending to its own stream.
-        if let Some(item) = up_queue.pop_front() {
-            match down {
-                Downcast::Root { stream, .. } => stream.push(item),
-                Downcast::Relay { .. } => {
-                    let pp = tree.parent_port[v].expect("a relay has a parent");
-                    ctx.send(pp, Flow::Up(item));
-                }
-            }
-        }
-        // Relay the next stream item to all children. One item per round,
-        // even when a delayed item arrived alongside an on-time one: the
-        // queue keeps each child link at one message per round.
-        let next = match down {
-            Downcast::Root { stream, cursor } => {
-                let item = stream.get(*cursor).cloned();
-                *cursor += usize::from(item.is_some());
-                item
-            }
-            Downcast::Relay { queue, .. } => queue.pop_front(),
-        };
-        if let Some(item) = next {
-            for &cp in &tree.child_ports[v] {
-                ctx.send(cp, Flow::Down(item.clone()));
-            }
-        }
-        // The pipeline moves one item per round, so a node with queued
-        // uploads or unsent stream items must act again next round even
-        // if nothing new arrives.
-        if !node.up_queue.is_empty() || node.unsent() > 0 {
-            ctx.wake();
-        }
-    }
-
-    fn idle(&self, nodes: &[BcastNode<T>]) -> bool {
-        nodes.iter().all(|nd| nd.done(self.expected_total))
-    }
-}
-
-/// Broadcasts every node's items to every node over `tree`.
-///
-/// Returns the root's stream — every item exactly once, in the order the
-/// root serialized them — plus the run statistics. Only the root stores
-/// the stream (`O(M)` items); every other node relays it through a queue
-/// of `O(1)` items (`O(items in flight)` under delays) and counts what it
-/// receives, and the run quiesces only once every node's count reaches
-/// `M`. `bits` declares the size of one item (the engine checks it
-/// against the bandwidth, so items must be `O(log n)` bits — split larger
-/// payloads into multiple items).
-///
-/// Round complexity is `O(M + height(tree))` where `M` is the total item
-/// count, matching Lemma 2.4; tests assert the constant.
-///
-/// # Panics
-///
-/// Panics if the protocol fails to quiesce within `4(M + height) + 16`
-/// rounds, which would indicate an engine or tree bug, or a fault plan
-/// that kept some node from receiving every item.
-pub fn broadcast<T: Clone>(
-    net: &mut Network<'_>,
-    tree: &BfsTree,
-    items: Vec<Vec<T>>,
-    bits: impl Fn(&T) -> u64,
-    phase: &str,
-) -> (Vec<T>, RunStats) {
-    assert_eq!(items.len(), net.node_count());
-    let (proto, mut nodes) = BroadcastProtocol::new(tree, items, bits);
-    let budget = 4 * (proto.expected_total as u64 + tree.height) + 16;
-    let stats = net
-        .run_until_quiet(phase, &proto, &mut nodes, budget)
-        .expect("broadcast quiesces within O(M + D)");
-    let Downcast::Root { stream, .. } = nodes.swap_remove(tree.root).down else {
-        unreachable!("the tree root holds the stream")
-    };
-    (stream, stats)
-}
-
-/// What travels during a [`broadcast_kept`].
+/// What travels during a [`broadcast`].
 #[derive(Clone, Debug)]
 enum Sorted<T> {
     /// Upcast: the smallest item the sender had left to send.
@@ -229,7 +57,7 @@ enum Sorted<T> {
     Last(T),
     /// Upcast: the sender's subtree has nothing more to send.
     Done,
-    /// Downcast: an item the root kept.
+    /// Down the tree: an item the root kept.
     Down(T),
 }
 
@@ -243,8 +71,8 @@ struct Inflow<T> {
     done: bool,
 }
 
-/// The upcast half of one node's state in [`broadcast_kept`]: the items
-/// of its subtree that it holds, merged on the way out.
+/// The upcast half of one node's state: the items of its subtree that it
+/// holds, merged on the way out.
 struct Merge<T> {
     /// This node's own items not yet merged, ascending.
     own: VecDeque<T>,
@@ -252,17 +80,14 @@ struct Merge<T> {
     inflows: Vec<Inflow<T>>,
 }
 
-impl<T: Ord> Merge<T> {
-    /// Files one upcast message from the child behind `port`.
-    fn receive(&mut self, port: u32, msg: &Sorted<T>)
-    where
-        T: Clone,
-    {
-        let f = self
-            .inflows
-            .iter_mut()
-            .find(|f| f.port == port)
-            .expect("upcasts come from children");
+impl<T: Clone + Ord> Merge<T> {
+    /// Files one upcast message from the child behind `port`. An upcast
+    /// from a port the tree does not list as a child is ignored: that
+    /// subtree's items never reach the root, as behind a cut link.
+    fn receive(&mut self, port: u32, msg: &Sorted<T>) {
+        let Some(f) = self.inflows.iter_mut().find(|f| f.port == port) else {
+            return;
+        };
         match msg {
             Sorted::Up(t) => f.queue.push_back(t.clone()),
             Sorted::Last(t) => {
@@ -306,7 +131,7 @@ impl<T: Ord> Merge<T> {
     }
 }
 
-/// The downcast half of one node's state in [`broadcast_kept`].
+/// The downcast half of one node's state.
 enum Role<T, K> {
     /// The root: the filter, how many items it has offered to it, and the
     /// kept stream so far.
@@ -325,7 +150,7 @@ enum Role<T, K> {
     },
 }
 
-/// One node's state in [`broadcast_kept`].
+/// One node's state.
 struct SortedNode<T, K> {
     up: Merge<T>,
     down: Role<T, K>,
@@ -338,6 +163,59 @@ struct SortedProtocol<'t, T, F, K> {
     expected_total: usize,
     /// `T` and `K` appear only in the node slots and `bits`'s bound.
     item: PhantomData<fn(&T, K)>,
+}
+
+impl<'t, T: Ord, F, K> SortedProtocol<'t, T, F, K> {
+    /// The protocol and its node slots: node `v` starts with `items[v]`,
+    /// and the root holds `keep`.
+    fn new(
+        tree: &'t BfsTree,
+        items: Vec<Vec<T>>,
+        bits: F,
+        keep: K,
+    ) -> (Self, Vec<SortedNode<T, K>>) {
+        let expected_total = items.iter().map(Vec::len).sum();
+        let mut keep = Some(keep);
+        let nodes = items
+            .into_iter()
+            .enumerate()
+            .map(|(v, mut own)| {
+                own.sort_unstable();
+                let up = Merge {
+                    own: own.into(),
+                    inflows: tree.child_ports[v]
+                        .iter()
+                        .map(|&port| Inflow {
+                            port,
+                            queue: VecDeque::new(),
+                            done: false,
+                        })
+                        .collect(),
+                };
+                let down = if v == tree.root {
+                    Role::Root {
+                        keep: keep.take().expect("one root"),
+                        offered: 0,
+                        stream: Vec::new(),
+                    }
+                } else {
+                    Role::Relay {
+                        queue: VecDeque::new(),
+                        received: 0,
+                        reported: false,
+                    }
+                };
+                SortedNode { up, down }
+            })
+            .collect();
+        let proto = SortedProtocol {
+            tree,
+            bits,
+            expected_total,
+            item: PhantomData,
+        };
+        (proto, nodes)
+    }
 }
 
 impl<'t, T, F, K> Protocol for SortedProtocol<'t, T, F, K>
@@ -409,6 +287,10 @@ where
                     }
                     None => {}
                 }
+                // One kept item per round goes on to the children, even
+                // when a delayed item arrived alongside an on-time one:
+                // the queue keeps each child link at one message per
+                // round.
                 let item = queue.pop_front();
                 if !queue.is_empty() {
                     ctx.wake();
@@ -445,45 +327,40 @@ where
     }
 }
 
-/// Broadcasts the items the root keeps out of every node's items, the
-/// root seeing them in ascending order (Lemma 2.4's pipeline with a sorted
-/// upcast and a filtering root).
+/// Broadcasts the items the root keeps out of every node's items over
+/// `tree`, the root meeting them in ascending order (Lemma 2.4's pipeline
+/// with a sorted upcast and a filtering root).
 ///
-/// Every node's items go up the tree as in [`broadcast`], but each node
-/// merges its own items with its children's streams and sends the
-/// smallest item left in its subtree: it waits until every child still
-/// sending has shown its next item, and the last item (or one bare
+/// Each node merges its own items with its children's streams and sends
+/// the smallest item left in its subtree: it waits until every child
+/// still sending has shown its next item, and the last item (or one bare
 /// message) tells the parent that the subtree is finished. The root
 /// offers one item per round to `keep`, the smallest left anywhere, so
 /// `keep` sees every item exactly once and in ascending order (without
-/// faults; a delay can make an item arrive late). The items `keep` accepts
-/// go down the tree at once, one per round, and only they cross the
-/// downcast links.
+/// faults; a delay can make an item arrive late). The items `keep`
+/// accepts go down the tree at once, one per round, and only they cross
+/// the downcast links; `|_| true` broadcasts every item.
 ///
 /// Returns the root's stream — the kept items, in the order `keep`
-/// accepted them — plus the run statistics. Like [`broadcast`], the root
-/// serializes one item per round: without faults the run takes between
-/// `M` and `M + 2·height(tree)` rounds, where `M` is the total item
-/// count, however the items split among the root's subtrees and however
-/// many `keep` accepts (tests assert both bounds). Every item crosses the
-/// tree links between its node and the root once; a kept item then
-/// crosses every tree link once more. `bits` declares the size of one
-/// item, as in [`broadcast`].
-///
-/// # Memory
-///
-/// A node holds the items its children sent and it has not yet merged:
-/// all `M` items sit somewhere in the tree at any time, and without
-/// faults every non-root node holds `O(1)` kept items on their way down.
+/// accepted them — plus the run statistics. Without faults the run takes
+/// between `M` and `M + 2·height(tree)` rounds, where `M` is the total
+/// item count, and sends `Σ depth(v)·|items(v)| + K·(n − 1) + E`
+/// messages: every item crosses the tree links between its node and the
+/// root once, each of the `K` kept items then crosses every tree link
+/// once more, and each of the `E` non-root nodes whose subtree holds no
+/// item reports so in one bare message (tests assert all three). `bits`
+/// declares the size of one item (the engine checks it against the
+/// bandwidth, so items must be `O(log n)` bits — split larger payloads
+/// into multiple items).
 ///
 /// # Errors
 ///
 /// Returns [`EngineError::RoundLimitExceeded`] if the root has not
 /// offered all `M` items, or some node has not received every kept item,
-/// within `4(M + height) + 16` rounds, the budget [`broadcast`] uses: a
-/// fault plan that drops a message, or cuts a tree link for good, ends
-/// the run there instead of leaving it waiting.
-pub fn broadcast_kept<T: Clone + Ord>(
+/// within `4(M + height) + 16` rounds: a fault plan that drops a message
+/// or cuts a tree link for good, or a tree whose parent does not list one
+/// of its children, ends the run there instead of leaving it waiting.
+pub fn broadcast<T: Clone + Ord>(
     net: &mut Network<'_>,
     tree: &BfsTree,
     items: Vec<Vec<T>>,
@@ -492,47 +369,8 @@ pub fn broadcast_kept<T: Clone + Ord>(
     phase: &str,
 ) -> Result<(Vec<T>, RunStats), EngineError> {
     assert_eq!(items.len(), net.node_count());
-    let expected_total: usize = items.iter().map(Vec::len).sum();
-    let proto = SortedProtocol {
-        tree,
-        bits,
-        expected_total,
-        item: PhantomData,
-    };
-    let mut keep = Some(keep);
-    let mut nodes: Vec<SortedNode<T, _>> = items
-        .into_iter()
-        .enumerate()
-        .map(|(v, mut own)| {
-            own.sort_unstable();
-            let up = Merge {
-                own: own.into(),
-                inflows: tree.child_ports[v]
-                    .iter()
-                    .map(|&port| Inflow {
-                        port,
-                        queue: VecDeque::new(),
-                        done: false,
-                    })
-                    .collect(),
-            };
-            let down = if v == tree.root {
-                Role::Root {
-                    keep: keep.take().expect("one root"),
-                    offered: 0,
-                    stream: Vec::new(),
-                }
-            } else {
-                Role::Relay {
-                    queue: VecDeque::new(),
-                    received: 0,
-                    reported: false,
-                }
-            };
-            SortedNode { up, down }
-        })
-        .collect();
-    let budget = 4 * (expected_total as u64 + tree.height) + 16;
+    let (proto, mut nodes) = SortedProtocol::new(tree, items, bits, keep);
+    let budget = 4 * (proto.expected_total as u64 + tree.height) + 16;
     let stats = net.run_until_quiet(phase, &proto, &mut nodes, budget)?;
     let Role::Root { stream, .. } = nodes.swap_remove(tree.root).down else {
         unreachable!("the tree root holds the stream")
@@ -548,32 +386,33 @@ mod tests {
     use graphkit::gen::random_digraph;
     use std::cell::Cell;
 
-    /// The broadcast protocol, instrumented to record the most unsent
-    /// items any relay held at the end of its step.
+    /// A keep-all broadcast, instrumented to record the most kept items
+    /// any relay held unsent at the end of its step.
     struct Probe<'t> {
         inner: Inner<'t>,
         max_backlog: Cell<usize>,
     }
 
-    type Inner<'t> = BroadcastProtocol<'t, u64, fn(&u64) -> u64>;
+    type KeepAll = fn(&u64) -> bool;
+    type Inner<'t> = SortedProtocol<'t, u64, fn(&u64) -> u64, KeepAll>;
 
     impl Protocol for Probe<'_> {
-        type Msg = Flow<u64>;
-        type Node = BcastNode<u64>;
+        type Msg = Sorted<u64>;
+        type Node = SortedNode<u64, KeepAll>;
 
-        fn msg_bits(&self, msg: &Flow<u64>) -> u64 {
+        fn msg_bits(&self, msg: &Sorted<u64>) -> u64 {
             self.inner.msg_bits(msg)
         }
 
-        fn step_node(&self, node: &mut BcastNode<u64>, ctx: &mut NodeCtx<'_, Flow<u64>>) {
+        fn step_node(&self, node: &mut Self::Node, ctx: &mut NodeCtx<'_, Sorted<u64>>) {
             self.inner.step_node(node, ctx);
-            if let Downcast::Relay { queue, .. } = &node.down {
+            if let Role::Relay { queue, .. } = &node.down {
                 self.max_backlog
                     .set(self.max_backlog.get().max(queue.len()));
             }
         }
 
-        fn idle(&self, nodes: &[BcastNode<u64>]) -> bool {
+        fn idle(&self, nodes: &[Self::Node]) -> bool {
             self.inner.idle(nodes)
         }
     }
@@ -586,7 +425,8 @@ mod tests {
         let (tree, _) = build_bfs_tree(&mut net, 3).unwrap();
         net.set_fault_plan(plan).unwrap();
         let items: Vec<Vec<u64>> = (0..40).map(|v| vec![v, 100 + v]).collect();
-        let (inner, mut nodes): (Inner<'_>, _) = BroadcastProtocol::new(&tree, items, |_| 16);
+        let (inner, mut nodes): (Inner<'_>, _) =
+            SortedProtocol::new(&tree, items, |_| 16, |_| true);
         let probe = Probe {
             inner,
             max_backlog: Cell::new(0),
@@ -598,8 +438,8 @@ mod tests {
 
     #[test]
     fn relays_hold_no_backlog_without_faults() {
-        // A relay receives at most one item per round from its parent and
-        // forwards one in the same step.
+        // A relay receives at most one kept item per round from its
+        // parent and forwards one in the same step.
         assert_eq!(max_relay_backlog(None), 0);
     }
 

@@ -86,9 +86,9 @@
 //!   `D`).
 //! - [`broadcast`]: Lemma 2.4 — broadcasting `M` messages to everyone in
 //!   `O(M + D)` rounds via pipelined upcast/downcast on the BFS tree.
-//!   Only the root stores the stream; every other node relays it.
-//!   [`broadcast::broadcast_kept`] sorts the upcast and lets the root
-//!   filter what goes down.
+//!   The upcast is sorted, so the root meets the items in ascending
+//!   order and filters what goes down; only the root stores the stream,
+//!   and every other node relays it.
 //! - [`aggregate`]: op-generic tree aggregation (convergecast +
 //!   downcast) in `O(D)` rounds — the 2-SiSP finale uses the `Min`
 //!   instance.

@@ -39,7 +39,8 @@ pub fn mr_zeta(n: usize, h: usize, zeta: usize) -> usize {
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::Engine`] when a phase runs out of its
+/// round budget (a fault plan that drops messages can cause this).
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, SolveError> {
     let (replacement, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(RPathsOutput {
@@ -54,7 +55,8 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, Solve
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::Engine`] when a phase runs out of its
+/// round budget (a fault plan that drops messages can cause this).
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
@@ -72,13 +74,15 @@ pub fn solve_on(
     for (i, &v) in inst.path.nodes().iter().enumerate() {
         id_items[v].push((i as u32, v as u32));
     }
-    let _ = broadcast(
+    broadcast(
         net,
         &tree,
         id_items,
         |&(i, v)| word_bits(i as u64) + word_bits(v as u64),
+        |_| true,
         "mr24/path-ids",
-    );
+    )
+    .map_err(SolveError::Engine)?;
 
     // --- Short detours: ζ'-hop BFS from all of P, untrimmed. ---
     let cfg = MultiBfsConfig {
@@ -94,7 +98,7 @@ pub fn solve_on(
         "mr24/path-bfs",
         default_budget(h + 1, zeta as u64) * 2 * params.budget_factor,
     )
-    .expect("path BFS quiesces");
+    .map_err(SolveError::Engine)?;
     // Locally: X[i, >= i+d] tables, then the same O(ζ') pipelined DP.
     let x_ge: Vec<Vec<Dist>> = (0..=h)
         .map(|i| {
@@ -145,7 +149,7 @@ pub fn solve_on(
             "mr24/landmark-bfs-fwd",
             default_budget(k, zeta as u64) * 2 * params.budget_factor,
         )
-        .expect("landmark BFS quiesces");
+        .map_err(SolveError::Engine)?;
         let bwd_cfg = MultiBfsConfig {
             sources: &lms,
             max_dist: zeta as u64,
@@ -159,12 +163,12 @@ pub fn solve_on(
             "mr24/landmark-bfs-bwd",
             default_budget(k, zeta as u64) * 2 * params.budget_factor,
         )
-        .expect("landmark BFS quiesces");
+        .map_err(SolveError::Engine)?;
 
         // The fat broadcast: landmark-landmark pairs PLUS every path
         // vertex's distances to and from every landmark — the
         // O(|L|² + |L|·h_st) message volume of MR24.
-        #[derive(Clone, Copy)]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         enum Item {
             Pair(u32, u32, u64),
             PathTo(u32, u32, u64),   // d(v_i -> l_j)
@@ -193,7 +197,8 @@ pub fn solve_on(
                 }
             }
         }
-        let (stream, _) = broadcast(net, &tree, items, bits, "mr24/fat-broadcast");
+        let (stream, _) = broadcast(net, &tree, items, bits, |_| true, "mr24/fat-broadcast")
+            .map_err(SolveError::Engine)?;
 
         // Everything below is local at every vertex.
         let mut pairs = vec![vec![Dist::INF; k]; k];

@@ -21,7 +21,8 @@ use crate::{with_network, Instance, Params, RPathsOutput, SolveError};
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::Engine`] when a phase runs out of its
+/// round budget (a fault plan that drops messages can cause this).
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, SolveError> {
     let (replacement, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(RPathsOutput {
@@ -36,7 +37,8 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, Solve
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::Engine`] when a phase runs out of its
+/// round budget (a fault plan that drops messages can cause this).
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
@@ -60,7 +62,7 @@ pub fn solve_on(
             &format!("naive/bfs-{i}"),
             8 * n + 64,
         )
-        .expect("BFS quiesces");
+        .map_err(SolveError::Engine)?;
         replacement.push(dist[0][inst.t()]);
     }
     // `t` observed every answer; publish them so each v_i knows its own
@@ -71,13 +73,15 @@ pub fn solve_on(
         .enumerate()
         .map(|(i, d)| (i as u32, d.raw()))
         .collect();
-    let _ = broadcast(
+    broadcast(
         net,
         &tree,
         items,
         |&(i, d)| word_bits(i as u64) + 1 + word_bits(if d == u64::MAX { 0 } else { d }),
+        |_| true,
         "naive/publish",
-    );
+    )
+    .map_err(SolveError::Engine)?;
     Ok(replacement)
 }
 

@@ -137,7 +137,7 @@ impl Protocol for WaveProtocol<'_> {
 }
 
 /// A broadcast item describing the sampled chain.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum ChainItem {
     /// "`s` is this node."
     Source(NodeId),
@@ -228,7 +228,15 @@ pub fn acquire(
             });
         }
     }
-    let (stream, _) = broadcast(net, tree, items, chain_item_bits, "lemma2.5/broadcast");
+    let (stream, _) = broadcast(
+        net,
+        tree,
+        items,
+        chain_item_bits,
+        |_| true,
+        "lemma2.5/broadcast",
+    )
+    .expect("broadcast quiesces within O(M + D)");
 
     // Phase 3: local reconstruction at each path vertex. All vertices
     // received the same items; reconstruct once and read off per-vertex

@@ -13,8 +13,8 @@
 //! Most are redundant: when a third landmark `l_m` has
 //! `p[j][m] + p[m][k] ≤ d`, the closure rebuilds the pair from two
 //! shorter ones. [`compose_from_tables`] therefore runs Lemma 5.4's
-//! pipeline over the BFS tree with two changes (phase
-//! `long/broadcast-landmark-pairs`, [`broadcast_kept`]):
+//! pipeline over the BFS tree with [`broadcast`], whose sorted upcast and
+//! filtering root make two changes (phase `long/broadcast-landmark-pairs`):
 //!
 //! 1. **Shortest first.** Every landmark `l_k` sends its finite pairs
 //!    `(j, k, d)`, `j ≠ k`, up the tree, and every node merges what it
@@ -47,7 +47,7 @@
 //! local work instead of `O(n · |L|²)`.
 
 use congest::bfs_tree::BfsTree;
-use congest::broadcast::broadcast_kept;
+use congest::broadcast::broadcast;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::{word_bits, Network};
 use graphkit::{Dist, NodeId};
@@ -262,7 +262,7 @@ pub fn compose_from_tables(
     // The root meets the pairs shortest first and sends down only those
     // the closure cannot rebuild from pairs it has already met.
     let mut prune = Prune::new(k);
-    let (stream, _) = broadcast_kept(
+    let (stream, _) = broadcast(
         net,
         tree,
         items,

@@ -52,8 +52,36 @@ fn backward_lanes(inst: &Instance<'_>, cps: &[usize]) -> Vec<Lane> {
         .collect()
 }
 
-fn bits_of_summary(&(seg, j, d): &(u32, u32, u64)) -> u64 {
-    word_bits(seg as u64) + word_bits(j as u64) + word_bits(d)
+/// Lemmas 5.8 and 7.8's broadcast: the last vertex of every lane
+/// publishes its finite swept value for each of `jobs` jobs, and every
+/// node keeps the least value it received per lane and job.
+pub(crate) fn broadcast_lane_ends(
+    net: &mut Network<'_>,
+    tree: &BfsTree,
+    lanes: &[Lane],
+    swept: &[Vec<Vec<Dist>>],
+    jobs: usize,
+    phase: &str,
+) -> Vec<Vec<Dist>> {
+    let mut items: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); net.node_count()];
+    for (li, lane) in lanes.iter().enumerate() {
+        let last = lane.nodes.len() - 1;
+        for j in 0..jobs {
+            if let Some(d) = swept[li][last][j].finite() {
+                items[lane.nodes[last]].push((li as u32, j as u32, d));
+            }
+        }
+    }
+    let bits =
+        |&(li, j, d): &(u32, u32, u64)| word_bits(li as u64) + word_bits(j as u64) + word_bits(d);
+    let (stream, _) = broadcast(net, tree, items, bits, |_| true, phase)
+        .expect("broadcast quiesces within O(M + D)");
+    let mut least = vec![vec![Dist::INF; jobs]; lanes.len()];
+    for (li, j, d) in stream {
+        let cell = &mut least[li as usize][j as usize];
+        *cell = (*cell).min(Dist::new(d));
+    }
+    least
 }
 
 /// Lemma 5.8 (Part 1): returns `out[i][j] = |s·l_j ⋄ P[v_i, t]|` for
@@ -78,24 +106,9 @@ pub fn distances_from_s(
     };
     let (m_seg, _) = prefix_sweep(net, &lanes, k, &input, "long/sweep-from-s");
     // Lemma 5.8: broadcast each segment's value at its right checkpoint.
-    let mut items: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); inst.n()];
-    for (li, lane) in lanes.iter().enumerate() {
-        let last = lane.nodes.len() - 1;
-        let origin = lane.nodes[last];
-        for j in 0..k {
-            if let Some(d) = m_seg[li][last][j].finite() {
-                items[origin].push((li as u32, j as u32, d));
-            }
-        }
-    }
-    let (stream, _) = broadcast(net, tree, items, bits_of_summary, "long/broadcast-from-s");
+    let summary = broadcast_lane_ends(net, tree, &lanes, &m_seg, k, "long/broadcast-from-s");
     // best_before[x][j] = min over segments < x of the broadcast summary.
     let ell = lanes.len();
-    let mut summary = vec![vec![Dist::INF; k]; ell];
-    for (seg, j, d) in stream {
-        let cell = &mut summary[seg as usize][j as usize];
-        *cell = (*cell).min(Dist::new(d));
-    }
     let mut best_before = vec![vec![Dist::INF; k]; ell + 1];
     for x in 0..ell {
         for j in 0..k {
@@ -138,22 +151,7 @@ pub fn distances_to_t(
     let (m_seg, _) = prefix_sweep(net, &lanes, k, &input, "long/sweep-to-t");
     // Broadcast each segment's value at its *left* checkpoint (the lane's
     // last position).
-    let mut items: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); inst.n()];
-    for (li, lane) in lanes.iter().enumerate() {
-        let last = lane.nodes.len() - 1;
-        let origin = lane.nodes[last];
-        for j in 0..k {
-            if let Some(d) = m_seg[li][last][j].finite() {
-                items[origin].push((li as u32, j as u32, d));
-            }
-        }
-    }
-    let (stream, _) = broadcast(net, tree, items, bits_of_summary, "long/broadcast-to-t");
-    let mut summary = vec![vec![Dist::INF; k]; ell];
-    for (seg, j, d) in stream {
-        let cell = &mut summary[seg as usize][j as usize];
-        *cell = (*cell).min(Dist::new(d));
-    }
+    let summary = broadcast_lane_ends(net, tree, &lanes, &m_seg, k, "long/broadcast-to-t");
     // best_after[x][j] = min over segments > x.
     let mut best_after = vec![vec![Dist::INF; k]; ell + 1];
     for x in (0..ell).rev() {

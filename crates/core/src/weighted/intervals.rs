@@ -13,11 +13,11 @@
 //!   publishes `X̃(I_q, [l_k, ∞))` for all later intervals `k` — `O(ℓ²) =
 //!   O(n^{2/3})` broadcast messages (Lemmas 7.8, 7.9).
 
-use congest::broadcast::broadcast;
 use congest::pipeline::{prefix_sweep, Lane};
-use congest::{word_bits, Network};
+use congest::Network;
 use graphkit::Dist;
 
+use crate::long::segments::broadcast_lane_ends;
 use crate::weighted::{approximator, ScaledAnswers};
 use crate::{Instance, Params};
 
@@ -149,29 +149,16 @@ pub fn solve_short_apx(
             Dist::INF
         }
     };
+    // Jobs k <= q sweep only ∞, so interval q publishes k > q alone.
     let (sweep_c, _) = prefix_sweep(net, &fwd_lanes, ell, &input_c, "apx/distant");
-    let mut items: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); inst.n()];
-    for (q, lane) in fwd_lanes.iter().enumerate() {
-        let last = lane.nodes.len() - 1;
-        let origin = lane.nodes[last];
-        for k in q + 1..ell {
-            if let Some(d) = sweep_c[q][last][k].finite() {
-                items[origin].push((q as u32, k as u32, d));
-            }
-        }
-    }
-    let (stream, _) = broadcast(
+    let summary = broadcast_lane_ends(
         net,
         tree,
-        items,
-        |&(q, k, d)| word_bits(q as u64) + word_bits(k as u64) + word_bits(d),
+        &fwd_lanes,
+        &sweep_c,
+        ell,
         "apx/broadcast-intervals",
     );
-    let mut summary = vec![vec![Dist::INF; ell]; ell];
-    for (q, k, d) in stream {
-        let cell = &mut summary[q as usize][k as usize];
-        *cell = (*cell).min(Dist::new(d));
-    }
     // upto[q][k] = X̃((−∞, r_q], [l_k, ∞)) = min_{x <= q} summary[x][k].
     let mut upto = vec![vec![Dist::INF; ell]; ell];
     for q in 0..ell {

@@ -409,6 +409,38 @@ fn out_of_range_fault_plans_are_typed_errors() {
 }
 
 #[test]
+fn baselines_under_message_drops_end_with_the_engine_error() {
+    // A dropped message leaves a phase waiting for what never arrives:
+    // both baselines stop at that phase's round budget and return a typed
+    // error instead of panicking.
+    use congest::{EngineError, Network};
+    use rpaths_core::baseline::{mr24, naive};
+    use rpaths_core::SolveError;
+    type SolveOn = fn(&mut Network<'_>, &Instance<'_>, &Params) -> Result<Vec<Dist>, SolveError>;
+    let (g, s, t) = graphkit::gen::planted_path_digraph(40, 10, 100, 3);
+    let inst = Instance::from_endpoints(&g, s, t).unwrap();
+    let params = Params::for_instance(&inst);
+    for seed in 0..6 {
+        for (name, solve_on) in [
+            ("naive", naive::solve_on as SolveOn),
+            ("mr24", mr24::solve_on),
+        ] {
+            let mut net = Network::new(&g);
+            net.set_fault_plan(Some(FaultPlan::new(seed).drop_messages(0.2)))
+                .unwrap();
+            let got = solve_on(&mut net, &inst, &params);
+            assert!(
+                matches!(
+                    got,
+                    Err(SolveError::Engine(EngineError::RoundLimitExceeded { .. }))
+                ),
+                "{name}, seed {seed}: {got:?}"
+            );
+        }
+    }
+}
+
+#[test]
 #[should_panic(expected = "drop + delay probability must not exceed 1")]
 fn drop_after_delay_is_bounded_too() {
     // The bound holds in either call order: past it, a plan would

@@ -25,7 +25,7 @@
 
 use congest::aggregate::{aggregate, AggOp};
 use congest::bfs_tree::build_bfs_tree;
-use congest::broadcast::{broadcast, broadcast_kept};
+use congest::broadcast::broadcast;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
 use congest::{EngineError, FaultPlan, Network, NodeCtx, Protocol, RunStats, Side};
@@ -68,20 +68,17 @@ proptest! {
         let items: Vec<Vec<u64>> = (0..n)
             .map(|v| (0..per_node).map(|j| (v * 16 + j) as u64).collect())
             .collect();
-        let ((oa, sa), (os, ss)) = both(&g, |net| {
-            let (tree, _) = build_bfs_tree(net, 0).unwrap();
-            broadcast(net, &tree, items.clone(), |_| 16, "bc")
-        });
-        prop_assert_eq!(sa, ss);
-        prop_assert_eq!(oa, os);
-        // The sorted pipeline with a filtering root: the same kept stream,
-        // at the same cost.
-        let (ka, ks) = both(&g, |net| {
-            let (tree, _) = build_bfs_tree(net, 0).unwrap();
-            broadcast_kept(net, &tree, items.clone(), |_| 16, |x| x.is_multiple_of(3), "kept")
-                .expect("quiesces")
-        });
-        prop_assert_eq!(ka, ks);
+        // Keep every item, then every third: the same kept stream, at the
+        // same cost.
+        for every in [1, 3] {
+            let ((oa, sa), (os, ss)) = both(&g, |net| {
+                let (tree, _) = build_bfs_tree(net, 0).unwrap();
+                broadcast(net, &tree, items.clone(), |_| 16, |x| x.is_multiple_of(every), "bc")
+                    .expect("quiesces")
+            });
+            prop_assert_eq!(sa, ss);
+            prop_assert_eq!(oa, os);
+        }
     }
 
     #[test]
@@ -203,7 +200,7 @@ proptest! {
         let ((_, sa), (_, ss)) = both(&g, |net| {
             net.set_cut(sides.clone());
             let (tree, _) = build_bfs_tree(net, 0).unwrap();
-            broadcast(net, &tree, items.clone(), |_| 16, "bc")
+            broadcast(net, &tree, items.clone(), |_| 16, |_| true, "bc").expect("quiesces")
         });
         prop_assert_eq!(sa, ss);
         prop_assert!(sa.cut_bits > 0, "cut accounting exercised");
@@ -238,7 +235,8 @@ fn broadcast_matches_full_sweep_bitwise() {
             .collect();
         schedule_invariant(&g, |net| {
             let (tree, tree_stats) = build_bfs_tree(net, 0).unwrap();
-            let (out, stats) = broadcast(net, &tree, items.clone(), |_| 16, "bc");
+            let (out, stats) =
+                broadcast(net, &tree, items.clone(), |_| 16, |_| true, "bc").expect("quiesces");
             (out, stats, tree_stats)
         });
     }
@@ -287,7 +285,8 @@ fn skewed_kernels_match_full_sweep_bitwise() {
             .collect();
         schedule_invariant(&g, |net| {
             let (tree, tree_stats) = build_bfs_tree(net, n - 1).unwrap();
-            let (out, stats) = broadcast(net, &tree, items.clone(), |_| 16, "bc");
+            let (out, stats) =
+                broadcast(net, &tree, items.clone(), |_| 16, |_| true, "bc").expect("quiesces");
             (out, stats, tree_stats)
         });
 

@@ -3,8 +3,8 @@
 //! data within their claimed round bounds.
 
 use congest::aggregate::{aggregate, AggOp};
-use congest::bfs_tree::build_bfs_tree;
-use congest::broadcast::{broadcast, broadcast_kept};
+use congest::bfs_tree::{build_bfs_tree, BfsTree};
+use congest::broadcast::broadcast;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
 use congest::{EngineError, FaultPlan, Metrics, Network, NodeCtx, Protocol, RunStats};
@@ -84,30 +84,77 @@ fn sorted(mut items: Vec<u64>) -> Vec<u64> {
     items
 }
 
+/// The non-root nodes of `tree` whose subtree holds no item.
+fn empty_subtrees(tree: &BfsTree, items: &[Vec<u64>]) -> u64 {
+    let mut held: Vec<usize> = items.iter().map(Vec::len).collect();
+    let mut deepest_first: Vec<usize> = (0..held.len()).collect();
+    deepest_first.sort_by_key(|&v| std::cmp::Reverse(tree.depth[v]));
+    for v in deepest_first {
+        if let Some(p) = tree.parent[v] {
+            held[p] += held[v];
+        }
+    }
+    (0..held.len())
+        .filter(|&v| v != tree.root && held[v] == 0)
+        .count() as u64
+}
+
+/// Broadcasts `per_node` items from two of every three nodes of a random
+/// digraph, keeping the items `x` with `x + seed` a multiple of `every`,
+/// once without faults and once under delays, and checks what the root
+/// meets, the stream, the exact message count and the round bounds.
+fn check_broadcast(n: usize, per_node: usize, seed: u64, every: u64) -> Result<(), TestCaseError> {
+    let g = random_digraph(n, 2 * n, seed);
+    let mut items = numbered_items(n, per_node);
+    // A third of the nodes hold nothing, so some subtrees send nothing.
+    for v in (0..n).filter(|v| (v + seed as usize).is_multiple_of(3)) {
+        items[v].clear();
+    }
+    let all = sorted(items.concat());
+    let m = all.len() as u64;
+    let wanted = |x: &u64| (x + seed).is_multiple_of(every);
+    let run = |plan: Option<FaultPlan>| {
+        let mut net = Network::new(&g);
+        let (tree, _) = build_bfs_tree(&mut net, seed as usize % n).unwrap();
+        net.set_fault_plan(plan).unwrap();
+        let mut met = Vec::new();
+        let keep = |x: &u64| {
+            met.push(*x);
+            wanted(x)
+        };
+        let (stream, stats) =
+            broadcast(&mut net, &tree, items.clone(), |_| 16, keep, "bc").expect("quiesces");
+        (met, stream, stats, tree)
+    };
+    let (met, stream, stats, tree) = run(None);
+    // The root meets every item exactly once, smallest first, and the
+    // stream is what the filter kept, in that order.
+    prop_assert_eq!(&met, &all);
+    let kept: Vec<u64> = all.iter().copied().filter(|x| wanted(x)).collect();
+    prop_assert_eq!(&stream, &kept);
+    // Every item climbs from its origin to the root, a kept one then
+    // crosses every tree link downwards, and every other node whose
+    // subtree holds no item says so in one message.
+    let upcast: u64 = (0..n).map(|v| tree.depth[v] * items[v].len() as u64).sum();
+    let messages = upcast + stream.len() as u64 * (n as u64 - 1) + empty_subtrees(&tree, &items);
+    prop_assert_eq!(stats.messages, messages);
+    // The root meets one item per round, after the first has climbed and
+    // before the last kept one descends.
+    let rounds = m..=m + 2 * tree.height;
+    prop_assert!(rounds.contains(&stats.rounds), "{} rounds", stats.rounds);
+    // A delay can make an item arrive out of order; the root still meets
+    // every item once, the stream is what the filter kept, and the run
+    // sends as many messages as without faults.
+    let (met, stream, stats, _) = run(Some(FaultPlan::new(seed).delay_messages(0.35, 3)));
+    let kept: Vec<u64> = met.iter().copied().filter(|x| wanted(x)).collect();
+    prop_assert_eq!(sorted(met), all);
+    prop_assert_eq!(&stream, &kept);
+    prop_assert_eq!(stats.messages, messages);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn broadcast_delivers_every_item_to_everyone(
-        n in 4usize..60,
-        per_node in 0usize..4,
-        seed in 0u64..500,
-    ) {
-        let g = random_digraph(n, 2 * n, seed);
-        let mut net = Network::new(&g);
-        let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-        let items = numbered_items(n, per_node);
-        let total: usize = items.iter().map(|i| i.len()).sum();
-        // Each item climbs from its origin to the root, then crosses every
-        // tree link downwards once.
-        let upcast: u64 = (0..n).map(|v| tree.depth[v] * per_node as u64).sum();
-        let (stream, stats) = broadcast(&mut net, &tree, items.clone(), |_| 16, "bc");
-        // The root's stream is a permutation of all items.
-        prop_assert_eq!(sorted(stream), sorted(items.concat()));
-        prop_assert_eq!(stats.messages, upcast + (total * (n - 1)) as u64);
-        // Lemma 2.4's O(M + D) with an explicit constant.
-        prop_assert!(stats.rounds <= 3 * (total as u64 + tree.height) + 8);
-    }
 
     #[test]
     fn broadcast_under_delays_delivers_the_fault_free_multiset(
@@ -121,7 +168,7 @@ proptest! {
             let mut net = Network::new(&g);
             let (tree, _) = build_bfs_tree(&mut net, seed as usize % n).unwrap();
             net.set_fault_plan(plan).unwrap();
-            broadcast(&mut net, &tree, items.clone(), |_| 16, "bc")
+            broadcast(&mut net, &tree, items.clone(), |_| 16, |_| true, "bc").expect("quiesces")
         };
         let (clean, clean_stats) = run(None);
         // A delayed item can land alongside the next one; relays queue it
@@ -133,61 +180,22 @@ proptest! {
     }
 
     #[test]
-    fn broadcast_kept_meets_every_item_in_order_and_sends_the_kept_down(
+    fn broadcast_delivers_every_item_to_everyone(
         n in 4usize..60,
         per_node in 0usize..4,
         seed in 0u64..500,
     ) {
-        let g = random_digraph(n, 2 * n, seed);
-        let mut items = numbered_items(n, per_node);
-        // A third of the nodes hold nothing, so some subtrees have nothing
-        // to send.
-        for v in (0..n).filter(|v| (v + seed as usize).is_multiple_of(3)) {
-            items[v].clear();
-        }
-        let all = sorted(items.concat());
-        let m = all.len() as u64;
-        let wanted = |x: &u64| (x + seed).is_multiple_of(3);
-        let run = |plan: Option<FaultPlan>| {
-            let mut net = Network::new(&g);
-            let (tree, _) = build_bfs_tree(&mut net, seed as usize % n).unwrap();
-            net.set_fault_plan(plan).unwrap();
-            let upcast: u64 = (0..n).map(|v| tree.depth[v] * items[v].len() as u64).sum();
-            let mut met = Vec::new();
-            let keep = |x: &u64| {
-                met.push(*x);
-                wanted(x)
-            };
-            let (stream, stats) = broadcast_kept(&mut net, &tree, items.clone(), |_| 16, keep, "kept")
-                .expect("quiesces");
-            (met, stream, stats, upcast, tree.height)
-        };
-        let (met, stream, stats, upcast, height) = run(None);
-        // The root meets every item exactly once, smallest first, and the
-        // stream is what the filter kept, in that order.
-        prop_assert_eq!(&met, &all);
-        let kept: Vec<u64> = all.iter().copied().filter(|x| wanted(x)).collect();
-        prop_assert_eq!(&stream, &kept);
-        // Every item climbs from its origin to the root, a kept one then
-        // crosses every tree link downwards, and every other node reports
-        // its subtree done at most once in a message of its own.
-        let moves = upcast + stream.len() as u64 * (n as u64 - 1);
-        prop_assert!(
-            (moves..moves + n as u64).contains(&stats.messages),
-            "{} messages, {} item moves", stats.messages, moves
-        );
-        // The root meets one item per round, after the first has climbed
-        // and before the last kept one descends.
-        prop_assert!(stats.rounds >= m, "{} rounds for {} items", stats.rounds, m);
-        prop_assert!(stats.rounds <= m + 2 * height, "{} rounds", stats.rounds);
-        // A delay can make an item arrive out of order; the root still
-        // meets every item once, and the stream is what the filter kept.
-        let (met, stream, stats, ..) = run(Some(FaultPlan::new(seed).delay_messages(0.35, 3)));
-        let kept: Vec<u64> = met.iter().copied().filter(|x| wanted(x)).collect();
-        prop_assert_eq!(sorted(met), all);
-        prop_assert_eq!(&stream, &kept);
-        let moves = upcast + stream.len() as u64 * (n as u64 - 1);
-        prop_assert!((moves..moves + n as u64).contains(&stats.messages));
+        // A filter that keeps every item: the plain broadcast.
+        check_broadcast(n, per_node, seed, 1)?;
+    }
+
+    #[test]
+    fn broadcast_meets_every_item_in_order_and_sends_the_kept_down(
+        n in 4usize..60,
+        per_node in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        check_broadcast(n, per_node, seed, 3)?;
     }
 
     #[test]
@@ -214,7 +222,10 @@ proptest! {
             prop_assert_eq!(&dist[i], &oracle, "source {}", s);
         }
         // Lemma 5.5's O(k + h) with an explicit constant.
-        prop_assert!(stats.rounds <= 2 * (k as u64 + h) + 16);
+        prop_assert!(
+            stats.rounds <= k as u64 + h + 8,
+            "{} rounds for k = {}, h = {}", stats.rounds, k, h
+        );
     }
 
     #[test]
@@ -516,62 +527,90 @@ fn broadcast_from_one_origin_under_a_nonzero_root_keeps_its_order() {
     let (tree, _) = build_bfs_tree(&mut net, 5).unwrap();
     let mut items: Vec<Vec<u64>> = vec![vec![]; 25];
     items[13] = (0..40).collect();
-    let (stream, _) = broadcast(&mut net, &tree, items, |_| 16, "bc");
+    let (stream, _) = broadcast(&mut net, &tree, items, |_| 16, |_| true, "bc").expect("quiesces");
     assert_eq!(stream, (0..40).collect::<Vec<u64>>());
 }
 
 #[test]
 fn empty_broadcast_is_cheap() {
+    // Every non-root node reports its empty subtree in one message, the
+    // deepest first, so the root learns that nothing is coming after
+    // height + 1 rounds.
     let g = random_digraph(20, 30, 1);
     let mut net = Network::new(&g);
     let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-    let (stream, stats) = broadcast(&mut net, &tree, vec![vec![]; 20], |_: &u64| 8, "bc");
+    let (stream, stats) = broadcast(
+        &mut net,
+        &tree,
+        vec![vec![]; 20],
+        |_: &u64| 8,
+        |_| true,
+        "bc",
+    )
+    .expect("quiesces");
     assert!(stream.is_empty());
-    assert!(stats.rounds <= 2);
+    assert_eq!((stats.rounds, stats.messages), (tree.height + 1, 19));
+}
+
+/// Broadcasts one item from every node of a random digraph on 30 nodes
+/// but its first non-root leaf, which holds one if `leaf_holds_an_item`
+/// and is cut off from its parent for the whole run: by a link that is
+/// down if `link_down`, else by a parent that does not list it as a child
+/// (as a dropped `Adopt` message can leave a BFS tree; the parent then
+/// ignores the leaf's upcast). Returns the broadcast's budget and result.
+fn broadcast_with_a_cut_off_leaf(
+    link_down: bool,
+    leaf_holds_an_item: bool,
+) -> (u64, Result<(Vec<u64>, RunStats), EngineError>) {
+    let n = 30;
+    let g = random_digraph(n, 2 * n, 2);
+    let mut net = Network::new(&g);
+    let (mut tree, _) = build_bfs_tree(&mut net, 0).unwrap();
+    let leaf = (1..n)
+        .find(|&v| tree.child_ports[v].is_empty())
+        .expect("a tree on 30 nodes has a non-root leaf");
+    if link_down {
+        let link = net.ports(leaf)[tree.parent_port[leaf].unwrap() as usize].link;
+        net.set_fault_plan(Some(FaultPlan::new(1).fail_link(link, 0, None)))
+            .unwrap();
+    } else {
+        let parent = tree.parent[leaf].unwrap();
+        let ports = net.ports(parent);
+        tree.child_ports[parent].retain(|&p| ports[p as usize].peer != leaf);
+    }
+    let mut items = numbered_items(n, 1);
+    if !leaf_holds_an_item {
+        items[leaf].clear();
+    }
+    let budget = 4 * (items.concat().len() as u64 + tree.height) + 16;
+    let result = broadcast(&mut net, &tree, items, |_| 16, |_| true, "bc");
+    (budget, result)
 }
 
 #[test]
 #[should_panic(expected = "broadcast quiesces")]
 fn broadcast_past_a_cut_tree_link_never_returns() {
-    // A leaf with no items of its own behind a link that is down for the
-    // whole run: the root still serializes every item, but the leaf never
-    // receives any, so its receive count must keep the run from
-    // quiescing.
-    let n = 30;
-    let g = random_digraph(n, 2 * n, 2);
-    let mut net = Network::new(&g);
-    let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-    let leaf = (1..n)
-        .find(|&v| tree.child_ports[v].is_empty())
-        .expect("a tree on 30 nodes has a non-root leaf");
-    let link = net.ports(leaf)[tree.parent_port[leaf].unwrap() as usize].link;
-    net.set_fault_plan(Some(FaultPlan::new(1).fail_link(link, 0, None)))
-        .unwrap();
-    let mut items = numbered_items(n, 1);
-    items[leaf].clear();
-    broadcast(&mut net, &tree, items, |_| 16, "bc");
+    // A leaf with no items of its own behind a link that is down: its
+    // parent never hears that the leaf's subtree is done, and the leaf
+    // never receives the kept items, so the run must not quiesce, and a
+    // caller that expects the stream (as `knowledge::acquire` does) never
+    // gets one.
+    let (_, result) = broadcast_with_a_cut_off_leaf(true, false);
+    result.expect("broadcast quiesces");
 }
 
 #[test]
-fn broadcast_kept_behind_a_cut_tree_link_ends_with_the_budget_error() {
-    // A leaf whose link to its parent is down for the whole run: its item
-    // never reaches the root, and it never receives the kept ones, so the
-    // run must stop at its budget with a typed error instead of waiting.
-    let n = 30;
-    let g = random_digraph(n, 2 * n, 2);
-    let mut net = Network::new(&g);
-    let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-    let leaf = (1..n)
-        .find(|&v| tree.child_ports[v].is_empty())
-        .expect("a tree on 30 nodes has a non-root leaf");
-    let link = net.ports(leaf)[tree.parent_port[leaf].unwrap() as usize].link;
-    net.set_fault_plan(Some(FaultPlan::new(1).fail_link(link, 0, None)))
-        .unwrap();
-    let budget = 4 * (n as u64 + tree.height) + 16;
-    let items = numbered_items(n, 1);
-    let EngineError::RoundLimitExceeded {
-        max_rounds, rounds, ..
-    } = broadcast_kept(&mut net, &tree, items, |_| 16, |_| true, "kept")
-        .expect_err("the root never meets the leaf's item");
-    assert_eq!((max_rounds, rounds), (budget, budget));
+fn broadcast_behind_a_cut_tree_link_ends_with_the_budget_error() {
+    // With an item, the root never meets it; without one, the leaf never
+    // receives the kept items. Either way the run must stop at its budget
+    // with a typed error instead of waiting or panicking.
+    for link_down in [true, false] {
+        for leaf_holds_an_item in [true, false] {
+            let (budget, result) = broadcast_with_a_cut_off_leaf(link_down, leaf_holds_an_item);
+            let EngineError::RoundLimitExceeded {
+                max_rounds, rounds, ..
+            } = result.expect_err("the leaf is cut off");
+            assert_eq!((max_rounds, rounds), (budget, budget));
+        }
+    }
 }

@@ -7,6 +7,8 @@
 //! - Sending only the undominated landmark pairs keeps the min-plus
 //!   closure: on random matrices, and end to end through
 //!   `compose_from_tables` on random graphs, landmark sets and ζ.
+//! - The short-detour stage (Proposition 4.1) stays within `3ζ + 8`
+//!   rounds on planted, lane and grid-road instances.
 //! - Lemma 6.8's iff-correspondence for arbitrary `(M, x)`.
 //! - `Dist` arithmetic is a commutative monoid with absorbing ∞.
 //! - Generator contracts (planted path is shortest; connectivity).
@@ -16,11 +18,12 @@ use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::Network;
 use graphkit::alg::{replacement_lengths, shortest_st_path, undirected_diameter};
 use graphkit::gen::{
-    parallel_lane, planted_path_digraph, random_reachable_pair, random_weighted_digraph,
+    grid_road, parallel_lane, planted_path_digraph, random_reachable_pair, random_weighted_digraph,
 };
 use graphkit::{Dist, NodeId};
 use proptest::prelude::*;
 use rpaths_core::long::dists::{compose_from_tables, min_plus_closure, undominated_pairs};
+use rpaths_core::short::solve_short;
 use rpaths_core::weighted::long::approx_hop_multi_source;
 use rpaths_core::weighted::rounding::ScaleSet;
 use rpaths_core::{unweighted, weighted, Instance, Params};
@@ -165,6 +168,26 @@ proptest! {
             .collect();
         let ld = compose_from_tables(&mut net, &inst, &landmarks, fwd, bwd, &tree);
         prop_assert_eq!(ld.closure, min_plus_closure(all_pairs));
+    }
+
+    #[test]
+    fn short_regime_stays_within_3_zeta_plus_8_rounds(
+        family in 0usize..3,
+        zeta in 1usize..53,
+        seed in 0u64..1000,
+    ) {
+        // Proposition 4.1's O(ζ) with an explicit constant: a ζ-round
+        // hop-BFS, then a (ζ − 1)-round DP along P.
+        let (g, s, t) = match family {
+            0 => planted_path_digraph(120, 40, 240, seed),
+            1 => parallel_lane(24, 1 + seed as usize % 5, 1 + seed as usize % 3),
+            _ => grid_road(10, 10, 10, seed),
+        };
+        let inst = Instance::from_endpoints(&g, s, t).unwrap();
+        let mut net = Network::new(&g);
+        solve_short(&mut net, &inst, &Params::with_zeta(inst.n(), zeta));
+        let rounds = net.metrics().rounds();
+        prop_assert!(rounds <= 3 * zeta as u64 + 8, "ζ = {}: {} rounds", zeta, rounds);
     }
 
     #[test]
