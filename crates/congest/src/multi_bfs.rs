@@ -5,6 +5,15 @@
 //! priority per link, the standard schedule behind the `O(k + h)` bound
 //! of Lenzen–Patt-Shamir–Peleg.
 //!
+//! One queue per node realizes that schedule on every link at once. A
+//! port forwards an announcement `(dist, src)` when it sends in the BFS's
+//! direction over an enabled edge of delay `w ≥ 1` and `dist + w ≤ h`,
+//! so each port's eligible set is the node's queue cut at the threshold
+//! `h − w`: the ports' sets are nested prefixes of one smallest-first
+//! order. Popping the node's smallest live announcement each round and
+//! sending it on every port whose threshold admits it therefore sends,
+//! on each link, exactly what a smallest-first queue of its own would.
+//!
 //! Two extensions used elsewhere in the workspace:
 //!
 //! - **Direction**: BFS can follow edges forwards or backwards (the paper
@@ -61,16 +70,15 @@ struct MbfsNode {
     /// `best[src]`; `u32::MAX` is the "unreached" sentinel (real
     /// distances are capped at `max_dist < u32::MAX`).
     best: Vec<u32>,
-    /// Per port: announcements waiting for this link, smallest distance
-    /// first. Entries are (dist_at_sender, src).
-    queues: Vec<BinaryHeap<Reverse<(u32, u32)>>>,
+    /// Announcements waiting to be sent, smallest first, keyed
+    /// `dist << 32 | src`. Only announcements some port forwards are
+    /// queued, so a non-empty queue is the node's activation signal and
+    /// an empty one its quiescence witness.
+    queue: BinaryHeap<Reverse<u64>>,
     /// Announcements received over a delayed edge, held until the round
     /// at which the subdivided path would deliver them:
     /// (release_round, src, dist_at_receiver).
     held: Vec<(u64, u32, u32)>,
-    /// Queued announcements across all port queues (the node's
-    /// activation signal and quiescence witness).
-    pending: u64,
 }
 
 /// The BFS of one configuration over the edges `enabled` admits.
@@ -87,29 +95,27 @@ fn delay_of(cfg: &MultiBfsConfig<'_>, e: EdgeId) -> u64 {
 }
 
 impl<F: Fn(EdgeId) -> bool> MultiBfsProtocol<'_, F> {
-    /// Try to improve `node.best[src]` to `dist`; on success enqueue
-    /// announcements on every sending port.
-    fn relax(&self, node: &mut MbfsNode, src: u32, dist: u32, ports: &[Port]) {
+    /// Whether `port` forwards an announcement at distance `dist`: it
+    /// sends in the BFS's direction over an enabled edge whose delay `w`
+    /// is nonzero and keeps `dist + w` within `max_dist`.
+    fn forwards(&self, port: Port, dist: u32) -> bool {
         let cfg = self.cfg;
-        if dist as u64 > cfg.max_dist || dist >= node.best[src as usize] {
+        if port.outgoing == cfg.reverse || !(self.enabled)(port.link) {
+            return false;
+        }
+        let w = delay_of(cfg, port.link);
+        w != 0 && dist as u64 + w <= cfg.max_dist
+    }
+
+    /// Try to improve `node.best[src]` to `dist`; on success queue the
+    /// announcement if any port forwards it.
+    fn relax(&self, node: &mut MbfsNode, src: u32, dist: u32, ports: &[Port]) {
+        if dist as u64 > self.cfg.max_dist || dist >= node.best[src as usize] {
             return;
         }
         node.best[src as usize] = dist;
-        for (pi, port) in ports.iter().enumerate() {
-            let sends_here = if cfg.reverse {
-                !port.outgoing
-            } else {
-                port.outgoing
-            };
-            if !sends_here || !(self.enabled)(port.link) {
-                continue;
-            }
-            let w = delay_of(cfg, port.link);
-            if w == 0 || dist as u64 + w > cfg.max_dist {
-                continue;
-            }
-            node.queues[pi].push(Reverse((dist, src)));
-            node.pending += 1;
+        if ports.iter().any(|&port| self.forwards(port, dist)) {
+            node.queue.push(Reverse((dist as u64) << 32 | src as u64));
         }
     }
 }
@@ -149,40 +155,42 @@ impl<F: Fn(EdgeId) -> bool> Protocol for MultiBfsProtocol<'_, F> {
                 node.held.push((ctx.round + (w - 1), ann.src, arrived));
             }
         }
-        // Release matured held announcements.
-        let mut matured = Vec::new();
-        node.held.retain(|&(release, src, dist)| {
-            if release <= ctx.round {
-                matured.push((src, dist));
-                false
-            } else {
-                true
+        // Release matured held announcements in arrival order.
+        let mut held = std::mem::take(&mut node.held);
+        held.retain(|&(release, src, dist)| {
+            let matured = release <= ctx.round;
+            if matured {
+                self.relax(node, src, dist, ports);
             }
+            !matured
         });
-        for (src, dist) in matured {
-            self.relax(node, src, dist, ports);
-        }
-        // Send: one announcement per port, smallest distance first,
-        // skipping entries superseded by a later improvement.
-        for pi in 0..ports.len() {
-            while let Some(Reverse((dist, src))) = node.queues[pi].pop() {
-                node.pending -= 1;
-                if dist > node.best[src as usize] {
-                    continue; // superseded
-                }
-                ctx.send(pi as u32, Announce { src, dist });
-                break;
+        node.held = held;
+        // Send the smallest live announcement on every port that
+        // forwards it, skipping entries superseded by a later
+        // improvement.
+        while let Some(Reverse(key)) = node.queue.pop() {
+            let (dist, src) = ((key >> 32) as u32, key as u32);
+            if dist > node.best[src as usize] {
+                continue; // superseded
             }
+            for (pi, &port) in ports.iter().enumerate() {
+                if self.forwards(port, dist) {
+                    ctx.send(pi as u32, Announce { src, dist });
+                }
+            }
+            break;
         }
         // Queued announcements and held (delayed) arrivals are
         // self-driven work: re-arm until both drain.
-        if node.pending > 0 || !node.held.is_empty() {
+        if !node.queue.is_empty() || !node.held.is_empty() {
             ctx.wake();
         }
     }
 
     fn idle(&self, nodes: &[MbfsNode]) -> bool {
-        nodes.iter().all(|nd| nd.pending == 0 && nd.held.is_empty())
+        nodes
+            .iter()
+            .all(|nd| nd.queue.is_empty() && nd.held.is_empty())
     }
 }
 
@@ -210,17 +218,11 @@ pub fn multi_source_bfs(
         "max_dist {} does not fit the u32 hop-distance encoding",
         cfg.max_dist
     );
-    // Each port queue holds at most one live announcement per source and
-    // each held list at most one delayed arrival per source, so `k` is
-    // the natural pre-reservation for both.
     let mut nodes: Vec<MbfsNode> = (0..n)
-        .map(|v| MbfsNode {
+        .map(|_| MbfsNode {
             best: vec![u32::MAX; k],
-            queues: (0..net.ports(v).len())
-                .map(|_| BinaryHeap::with_capacity(k))
-                .collect(),
-            held: Vec::with_capacity(k),
-            pending: 0,
+            queue: BinaryHeap::new(),
+            held: Vec::new(),
         })
         .collect();
     let proto = MultiBfsProtocol { cfg, enabled };

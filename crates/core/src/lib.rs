@@ -113,6 +113,13 @@ pub enum SolveError {
     /// An engine round budget was exhausted (an invariant violation, not
     /// a topology property).
     Engine(congest::EngineError),
+    /// The edge weights are too large for Theorem 3's exact scaled
+    /// arithmetic: some scaled length the weighted solver forms would
+    /// not fit `u64`.
+    WeightsTooLarge {
+        /// The sum of all edge weights (which may itself exceed `u64`).
+        total_weight: u128,
+    },
 }
 
 impl fmt::Display for SolveError {
@@ -130,6 +137,11 @@ impl fmt::Display for SolveError {
                 severed = total - reached
             ),
             SolveError::Engine(e) => write!(f, "engine budget exhausted: {e}"),
+            SolveError::WeightsTooLarge { total_weight } => write!(
+                f,
+                "edge weights too large for exact scaled arithmetic: the total \
+                 weight {total_weight} gives scaled lengths beyond u64"
+            ),
         }
     }
 }

@@ -163,18 +163,15 @@ fn step(proto: &HopBfsProtocol<'_, '_>, node: &mut HopNode, ctx: &mut NodeCtx<'_
                 node.held.push((round + (w - 1), tok));
             }
         }
-        let mut matured = Vec::new();
-        node.held.retain(|&(release, tok)| {
-            if release <= round {
-                matured.push(tok);
-                false
-            } else {
-                true
+        let mut held = std::mem::take(&mut node.held);
+        held.retain(|&(release, tok)| {
+            let matured = release <= round;
+            if matured {
+                offer(cfg.objective, node, tok);
             }
+            !matured
         });
-        for tok in matured {
-            offer(cfg.objective, node, tok);
-        }
+        node.held = held;
     }
     node.cur = node.gather;
     if let (Some(_), Some(tok)) = (inst.path_index[v], node.cur) {

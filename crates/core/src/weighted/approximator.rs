@@ -33,9 +33,9 @@ pub struct ShortApprox {
     pub bwd: Vec<Vec<Dist>>,
 }
 
-/// Runs the `O(log(mW))` rounding-BFS executions (Lemma 7.5) and distills
-/// the approximation tables (Lemma 7.2). Deterministic;
-/// `O(ζ·(1+2/ε)·log(mW))` rounds.
+/// Runs the rounding-BFS executions of Lemma 7.5, two per scale over
+/// `⌈log₂ min(2Σw, 2ζ·w_max/ε)⌉` scales, and distills the approximation
+/// tables (Lemma 7.2). Deterministic; `O(ζ·(1+2/ε))` rounds per scale.
 pub fn compute(net: &mut Network<'_>, inst: &Instance<'_>, params: &Params) -> ShortApprox {
     let h = inst.hops();
     let set = ScaleSet::build(inst.graph, params, params.zeta as u64);

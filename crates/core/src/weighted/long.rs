@@ -13,9 +13,8 @@
 //! over the scales. Every scale over-estimates by at most `(1+ε)`
 //! (Observations 7.3/7.4), so the guarantee is the one the paper
 //! states. The scales run one after another, so this phase's rounds
-//! grow with the number of scales, about `log₂` of the total edge
-//! weight. All outputs are scaled rationals over the common
-//! denominator.
+//! grow with the number of scales, `⌈log₂ min(2Σw, 2ζ·w_max/ε)⌉`. All
+//! outputs are scaled rationals over the common denominator.
 
 use congest::bfs_tree::BfsTree;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};

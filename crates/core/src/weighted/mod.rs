@@ -2,12 +2,15 @@
 //! (Theorem 3).
 //!
 //! All distances in this module travel through the *rounding* device of
-//! Section 7.1: for each scale `d = 2, 4, 8, ..., 2^⌈log(mW)⌉`, the graph
-//! `G_d` replaces every edge of `G \ P` by `⌈w(e)/µ_d⌉` unit edges, where
-//! `µ_d = ε·d/(2ζ)`. Running the *unweighted* hop-BFS of Lemma 4.2 on
-//! `G_d` (edge delays on the real network) costs `O(ζ(1+2/ε))` rounds per
-//! scale and over-estimates lengths in `[d/2, d]` by at most a factor
-//! `(1+ε)` (Observations 7.3/7.4).
+//! Section 7.1: for each scale `d = 2, 4, 8, ..., 2^⌈log₂ min(2Σw,
+//! 2ζ·w_max/ε)⌉`, the graph `G_d` replaces every edge of `G \ P` by
+//! `⌈w(e)/µ_d⌉` unit edges, where `µ_d = ε·d/(2ζ)`. The ladder stops at
+//! the first scale where every edge is one hop, since every larger scale
+//! gives the same graph ([`rounding::ScaleSet`]). Running the
+//! *unweighted* hop-BFS of Lemma 4.2 on `G_d` (edge delays on the real
+//! network) costs `O(ζ(1+2/ε))` rounds per scale and over-estimates
+//! lengths in `[d/2, d]` by at most a factor `(1+ε)` (Observations
+//! 7.3/7.4).
 //!
 //! Internally, all approximate lengths are *scaled rationals*: exact
 //! integers in units of `1/den` where `den = 2·ζ·eps_den` (resp.
@@ -98,7 +101,8 @@ impl ApxOutput {
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::WeightsTooLarge`] when a scaled length
+/// would not fit `u64`.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ApxOutput, SolveError> {
     let (answers, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(ApxOutput {
@@ -115,12 +119,18 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ApxOutput, SolveErr
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::WeightsTooLarge`] (before any round
+/// runs) when a scaled length would not fit `u64`.
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
 ) -> Result<ScaledAnswers, SolveError> {
+    // Both sides scale with hop budget ζ; check their arithmetic first.
+    if rounding::scaled_bound(inst.graph, params, params.zeta as u64).is_none() {
+        let total_weight = inst.graph.edges().map(|(_, e)| e.weight as u128).sum();
+        return Err(SolveError::WeightsTooLarge { total_weight });
+    }
     let (tree, _) = build_bfs_tree(net, inst.s())?;
     let know = knowledge::acquire(net, inst, params, &tree);
     debug_assert_eq!(know.dist_s, inst.prefix);

@@ -26,7 +26,14 @@ pub struct Scale {
     pub hop_value: u64,
 }
 
-/// All scales `d = 2, 4, ..., 2^⌈log₂(max length)⌉` for one run.
+/// All scales `d = 2, 4, ..., 2^⌈log₂ min(2Σw, 2·hb·w_max/ε)⌉` for one
+/// run.
+///
+/// The ladder climbs until `d` covers twice the total edge weight `Σw`,
+/// or stops earlier at the first `d` where every edge is one `G_d` hop
+/// (`w_max ≤ µ_d`). Every larger scale would repeat that delay vector
+/// with a larger [`Scale::hop_value`], so its BFS tables are the same
+/// and its candidates strictly larger: it never wins a minimum.
 #[derive(Clone, Debug)]
 pub struct ScaleSet {
     /// The scales in increasing order of `d`.
@@ -42,14 +49,14 @@ impl ScaleSet {
     ///
     /// # Panics
     ///
-    /// Panics if `hb == 0`.
+    /// Panics if `hb == 0`, or if the ladder's last scale does not fit
+    /// `u64` (see [`scaled_bound`], which callers check first).
     pub fn build(graph: &DiGraph, params: &Params, hb: u64) -> ScaleSet {
         assert!(hb >= 1);
         let (en, ed) = (params.eps_num, params.eps_den);
         let den = 2 * hb * ed;
         let hop_cap = hb + (2 * hb * ed).div_ceil(en);
-        // Upper bound on any path length: total edge weight.
-        let max_len = graph.total_weight().max(1);
+        let last = last_scale(graph, en, den).expect("the scale ladder fits u64");
         let mut scales = Vec::new();
         let mut d = 2u64;
         loop {
@@ -71,7 +78,7 @@ impl ScaleSet {
                 delays,
                 hop_value: unit,
             });
-            if d >= 2 * max_len {
+            if d == last {
                 break;
             }
             d *= 2;
@@ -88,6 +95,41 @@ impl ScaleSet {
     pub fn scale_exact(&self, len: u64) -> u64 {
         len * self.den
     }
+}
+
+/// The ladder's last scale: the first `d = 2, 4, …` with
+/// `w_max·den ≤ eps_num·d` (every edge one hop) or `d ≥ 2·Σw`, or `None`
+/// when a value on the way does not fit `u64`.
+fn last_scale(graph: &DiGraph, en: u64, den: u64) -> Option<u64> {
+    let cover = graph.total_weight()?.max(1).checked_mul(2)?;
+    let one_hop = graph.max_weight().checked_mul(den)?;
+    let mut d = 2u64;
+    while d < cover && one_hop > en.checked_mul(d)? {
+        d = d.checked_mul(2)?;
+    }
+    Some(d)
+}
+
+/// An upper bound on every scaled numerator the weighted solver forms
+/// with hop budget `hb` on `graph`, or `None` when one may not fit `u64`
+/// (or would collide with the `u64::MAX` that encodes ∞).
+///
+/// A scaled length is `len·den` for an exact length `len ≤ Σw` (which
+/// covers every `w·den`), plus at most `hop_cap` hops of `eps_num·d`
+/// for a scale `d` up to the ladder's last, so the bound is
+/// `Σw·den + hop_cap·eps_num·d_last`.
+pub fn scaled_bound(graph: &DiGraph, params: &Params, hb: u64) -> Option<u64> {
+    let en = params.eps_num;
+    let den = hb.checked_mul(params.eps_den)?.checked_mul(2)?;
+    let hop_cap = hb.checked_add(den.div_ceil(en))?;
+    let hops = hop_cap
+        .checked_mul(en)?
+        .checked_mul(last_scale(graph, en, den)?)?;
+    graph
+        .total_weight()?
+        .checked_mul(den)?
+        .checked_add(hops)
+        .filter(|&bound| bound < u64::MAX)
 }
 
 #[cfg(test)]
@@ -127,6 +169,8 @@ mod tests {
 
     #[test]
     fn scales_cover_total_weight() {
+        // Heavy edges against a small total: `d ≥ 2·Σw` ends the ladder
+        // long before every edge is one hop.
         let g = graph_with_weights(&[100, 200, 300]);
         let p = params_eps(1, 2);
         let set = ScaleSet::build(&g, &p, 5);
@@ -135,6 +179,47 @@ mod tests {
             max_d >= 600,
             "largest scale {max_d} must cover total weight"
         );
+    }
+
+    #[test]
+    fn the_ladder_stops_at_the_first_all_unit_scale() {
+        // No edge is unusable at two consecutive scales here, so each
+        // scale's delays differ from the last one's until all reach 1.
+        let cases: [(&[u64], u64); 4] = [
+            (&[1; 12], 1),                              // all-unit at d = 4
+            (&[3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2], 1), // all-unit at d = 16
+            (&[1, 2, 1, 2], 3),                         // 2·Σw = 12 first
+            (&[1, 1], 10),                              // 2·Σw = 4 first
+        ];
+        for (ws, hb) in cases {
+            let g = graph_with_weights(ws);
+            let set = ScaleSet::build(&g, &params_eps(1, 2), hb);
+            for pair in set.scales.windows(2) {
+                assert_ne!(pair[0].delays, pair[1].delays, "{ws:?}: d = {}", pair[1].d);
+            }
+            let all_unit = set
+                .scales
+                .iter()
+                .position(|sc| sc.delays.iter().all(|&x| x == 1));
+            let last = set.scales.len() - 1;
+            match all_unit {
+                Some(i) => assert_eq!(i, last, "{ws:?}: ladder runs past the all-unit scale"),
+                None => assert!(
+                    set.scales[last].d >= 2 * g.total_weight().unwrap(),
+                    "{ws:?}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_bound_covers_the_largest_candidate() {
+        // den = 40, hop_cap = 50, last scale d = 16 (2·Σw = 14):
+        // Σw·den + hop_cap·eps_num·d = 280 + 800.
+        let g = graph_with_weights(&[7]);
+        assert_eq!(scaled_bound(&g, &params_eps(1, 2), 10), Some(1080));
+        let huge = graph_with_weights(&[u64::MAX / 2, u64::MAX / 2]);
+        assert_eq!(scaled_bound(&huge, &params_eps(1, 2), 10), None);
     }
 
     #[test]

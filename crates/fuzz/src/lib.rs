@@ -327,7 +327,7 @@ pub fn plan_case(cfg: &FuzzConfig, index: usize) -> CasePlan {
             // On-path avoids cost a full solver run each; scale the
             // graph with the profile so smoke stays seconds-scale, and
             // halve it again for the weighted solver (it sweeps
-            // O(log(nW)) distance scales per run).
+            // ⌈log₂ min(2Σw, 2ζ·w_max/ε)⌉ distance scales per run).
             let mut cap = 1024.min(cfg.max_n / 16).max(64);
             if family == Family::WeightedRandom {
                 cap = (cap / 2).max(64);

@@ -251,9 +251,11 @@ impl DiGraph {
         h
     }
 
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> u64 {
-        self.edges.iter().map(|e| e.weight).sum()
+    /// Sum of all edge weights, or `None` when it does not fit `u64`.
+    pub fn total_weight(&self) -> Option<u64> {
+        self.edges
+            .iter()
+            .try_fold(0u64, |sum, e| sum.checked_add(e.weight))
     }
 
     /// Largest edge weight (`0` for an edgeless graph).

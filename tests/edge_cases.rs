@@ -9,7 +9,7 @@ use graphkit::{Dist, GraphBuilder, StPath};
 use rpaths_core::oracle::oracle_query;
 use rpaths_core::{
     unweighted, weighted, Answer, Instance, InstanceError, Params, Query, SessionError,
-    SessionStats, SolverSession,
+    SessionStats, SolveError, SolverSession,
 };
 
 fn full_params(n: usize, zeta: usize) -> Params {
@@ -132,6 +132,36 @@ fn weighted_ties_and_heavy_parallel_edges() {
     let out = weighted::solve(&inst, &params).unwrap();
     let oracle = replacement_lengths(&g, &inst.path);
     out.check_guarantee(&oracle, 1, 10).unwrap();
+}
+
+#[test]
+fn weights_beyond_the_scaled_range_are_typed_errors() {
+    // 0 → 1 → 2 → 3 with unit edges, plus bypasses 0 → 3 and 1 → 3 of
+    // weight w, so every replacement path is one bypass of length w.
+    let bypassed = |w: u64| {
+        let mut b = GraphBuilder::new(4);
+        b.add_arc(0, 1);
+        b.add_arc(1, 2);
+        b.add_arc(2, 3);
+        b.add_edge(0, 3, w);
+        b.add_edge(1, 3, w);
+        b.build()
+    };
+    // At 2^60 the scaled lengths (den = 12) overflow u64; at 2^63 − 1 the
+    // total weight itself does.
+    for w in [1u64 << 60, u64::MAX >> 1] {
+        let g = bypassed(w);
+        let inst = Instance::from_endpoints(&g, 0, 3).unwrap();
+        let err = weighted::solve(&inst, &Params::for_instance(&inst)).unwrap_err();
+        let total_weight = 3 + 2 * w as u128;
+        assert_eq!(err, SolveError::WeightsTooLarge { total_weight }, "w = {w}");
+    }
+    let w = 1u64 << 40;
+    let g = bypassed(w);
+    let inst = Instance::from_endpoints(&g, 0, 3).unwrap();
+    let out = weighted::solve(&inst, &Params::for_instance(&inst)).unwrap();
+    assert_eq!(out.den, 12);
+    assert_eq!(out.scaled, vec![Dist::new(w * 12); 3]);
 }
 
 #[test]

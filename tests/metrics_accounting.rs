@@ -60,9 +60,10 @@ fn weighted_solver_runs_one_bfs_pair_per_scale() {
         .filter(|p| p.name.starts_with("apx/hop-bfs-start-d"))
         .count();
     assert_eq!(ends, starts, "one MaxIndex run per MinIndex run");
-    // Scales are d = 2, 4, ..., >= 2·total_weight: at least 4 of them
-    // for this instance (total weight = edges > 8).
-    assert!(ends >= 4, "only {ends} scales");
+    // Scales are d = 2, 4, ... up to the first where every edge is one
+    // G_d hop: ζ = 4 and ε = 1/2 give den = 16, so on this unit-weight
+    // instance d = 16 is the last of 4 scales, long before 2·Σw.
+    assert_eq!(ends, 4, "{ends} scales");
 }
 
 #[test]

@@ -8,7 +8,7 @@ use congest::broadcast::broadcast;
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
 use congest::{EngineError, FaultPlan, Metrics, Network, NodeCtx, Protocol, RunStats};
-use graphkit::alg::bfs_hop_bounded;
+use graphkit::alg::{bfs_hop_bounded, dijkstra};
 use graphkit::gen::random_digraph;
 use graphkit::{DiGraph, Dist, GraphBuilder};
 use proptest::prelude::*;
@@ -203,29 +203,58 @@ proptest! {
         n in 4usize..50,
         k in 1usize..6,
         h in 1u64..30,
+        reverse in any::<bool>(),
+        delayed in any::<bool>(),
+        draw in proptest::collection::vec(0u64..=4, 200),
         seed in 0u64..500,
     ) {
         let g = random_digraph(n, 3 * n, seed);
         let sources: Vec<usize> = (0..k).map(|i| (i * 13 + 1) % n).collect();
+        // Delays in 0..=4 (0 disables the edge) with a small cap, so that
+        // `dist + w > max_dist` stops a node's announcement on some of
+        // its ports and not on others.
+        let delays = &draw[..g.edge_count()];
+        let max_dist = if delayed { 1 + h % 12 } else { h };
         let cfg = MultiBfsConfig {
             sources: &sources,
-            max_dist: h,
-            reverse: false,
-            delays: None,
+            max_dist,
+            reverse,
+            delays: delayed.then_some(delays),
         };
         let mut net = Network::new(&g);
-        let (dist, stats) =
-            multi_source_bfs(&mut net, &cfg, |_| true, "mbfs", default_budget(k, h))
-                .expect("quiesces");
+        let (dist, stats) = multi_source_bfs(
+            &mut net,
+            &cfg,
+            |_| true,
+            "mbfs",
+            default_budget(k, max_dist),
+        )
+        .expect("quiesces");
+        // Oracle: shortest paths capped at `max_dist` on the graph whose
+        // edge lengths are the delays, reversed when the BFS is.
+        let mut b = GraphBuilder::new(n);
+        for (e, edge) in g.edges() {
+            let w = if delayed { delays[e] } else { 1 };
+            let (from, to) = if reverse { (edge.to, edge.from) } else { (edge.from, edge.to) };
+            if w > 0 {
+                b.add_edge(from, to, w);
+            }
+        }
+        let delayed_graph = b.build();
         for (i, &s) in sources.iter().enumerate() {
-            let oracle = bfs_hop_bounded(&g, &[s], h as usize, |_| true);
+            let oracle: Vec<Dist> = dijkstra(&delayed_graph, s, |_| true)
+                .into_iter()
+                .map(|d| if d > Dist::new(max_dist) { Dist::INF } else { d })
+                .collect();
             prop_assert_eq!(&dist[i], &oracle, "source {}", s);
         }
         // Lemma 5.5's O(k + h) with an explicit constant.
-        prop_assert!(
-            stats.rounds <= k as u64 + h + 8,
-            "{} rounds for k = {}, h = {}", stats.rounds, k, h
-        );
+        if !delayed {
+            prop_assert!(
+                stats.rounds <= k as u64 + h + 8,
+                "{} rounds for k = {}, h = {}", stats.rounds, k, h
+            );
+        }
     }
 
     #[test]

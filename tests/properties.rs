@@ -7,6 +7,9 @@
 //! - Sending only the undominated landmark pairs keeps the min-plus
 //!   closure: on random matrices, and end to end through
 //!   `compose_from_tables` on random graphs, landmark sets and ζ.
+//! - One more rounding scale with the last one's delays at twice its
+//!   hop value leaves the rounded landmark tables unchanged (why
+//!   Theorem 3's scale ladder may stop at its first all-unit scale).
 //! - The short-detour stage (Proposition 4.1) stays within `3ζ + 8`
 //!   rounds on planted, lane and grid-road instances.
 //! - Lemma 6.8's iff-correspondence for arbitrary `(M, x)`.
@@ -25,7 +28,7 @@ use proptest::prelude::*;
 use rpaths_core::long::dists::{compose_from_tables, min_plus_closure, undominated_pairs};
 use rpaths_core::short::solve_short;
 use rpaths_core::weighted::long::approx_hop_multi_source;
-use rpaths_core::weighted::rounding::ScaleSet;
+use rpaths_core::weighted::rounding::{Scale, ScaleSet};
 use rpaths_core::{unweighted, weighted, Instance, Params};
 use rpaths_lb::hard;
 use rpaths_lb::lemma68;
@@ -168,6 +171,37 @@ proptest! {
             .collect();
         let ld = compose_from_tables(&mut net, &inst, &landmarks, fwd, bwd, &tree);
         prop_assert_eq!(ld.closure, min_plus_closure(all_pairs));
+    }
+
+    #[test]
+    fn a_repeated_scale_at_twice_the_hop_value_changes_no_landmark_table(
+        n in 8usize..40,
+        zeta in 1usize..8,
+        w in 1u64..12,
+        reverse in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        // Why the ladder may stop at its first all-unit scale: every later
+        // scale repeats its delays at a larger hop value, so the rounded
+        // multi-source BFS finds the same hop counts and larger lengths.
+        let g = random_weighted_digraph(n, 3 * n, w, seed);
+        let Some((s, t)) = random_reachable_pair(&g, seed) else { return Ok(()); };
+        let Some(p) = shortest_st_path(&g, s, t) else { return Ok(()); };
+        let Ok(inst) = Instance::new(&g, p) else { return Ok(()); };
+        let landmarks: Vec<NodeId> = (0..n).filter(|&v| (v * 5 + seed as usize).is_multiple_of(4)).collect();
+        let set = ScaleSet::build(&g, &Params::with_zeta(n, zeta), zeta as u64);
+        let mut longer = set.clone();
+        let last = set.scales.last().expect("at least one scale");
+        longer.scales.push(Scale {
+            d: 2 * last.d,
+            delays: last.delays.clone(),
+            hop_value: 2 * last.hop_value,
+        });
+        let mut net = Network::new(&g);
+        let mut table = |set: &ScaleSet| {
+            approx_hop_multi_source(&mut net, &inst, set, &landmarks, reverse, "apx", 1)
+        };
+        prop_assert_eq!(table(&set), table(&longer));
     }
 
     #[test]
