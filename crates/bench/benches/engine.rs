@@ -62,7 +62,8 @@ fn run_dense_broadcast(g: &DiGraph, full_sweep: bool) -> u64 {
     net.set_full_sweep(full_sweep);
     let (tree, _) = build_bfs_tree(&mut net, 0).expect("connected");
     let items: Vec<Vec<u64>> = (0..n).map(|v| vec![v as u64]).collect();
-    let (_, stats) = broadcast(&mut net, &tree, items, |_| 16, |_| true, "bc").expect("quiesces");
+    let (_, stats) =
+        broadcast(&mut net, &tree, items, |_| 16, |_| true, |_| true, "bc").expect("quiesces");
     stats.rounds
 }
 

@@ -15,8 +15,10 @@
 //! X3 counts, on the X1 cases, the landmark pairs Lemma 5.4's literal
 //! broadcast would send (every finite ζ-hop pair) against the pairs the
 //! closure needs (`undominated_pairs`), both counted centrally, next to
-//! the messages our landmark-pair phase sent.
+//! the messages our landmark-pair phase sent and `R`, the non-root tree
+//! nodes above a path vertex, which every kept pair reaches.
 
+use congest::bfs_tree::{build_bfs_tree, BfsTree};
 use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::Network;
 use graphkit::alg::bfs_hop_bounded;
@@ -120,27 +122,62 @@ fn main() {
         let literal = pairs.iter().flatten().filter(|d| d.is_finite()).count() as u64;
         let kept = undominated_pairs(&pairs).len() as u64;
         let sent = ours.phase_total("long/broadcast-landmark-pairs").messages;
-        // Every kept pair crosses each of the n − 1 tree links on its way
-        // down; Lemma 5.4's broadcast sends every pair down them.
         assert!(
             kept < literal,
             "the closure needs fewer pairs than Lemma 5.4 sends"
         );
-        assert!(
-            (kept * (n as u64 - 1)..literal * (n as u64 - 1)).contains(&sent),
-            "{sent} landmark-pair messages for {kept} kept of {literal} pairs"
+        // Over the solve's BFS tree rooted at s, landmark l_k sends its
+        // finite off-diagonal pairs (j, k) up to the root, every kept pair
+        // crosses the link above each of the R non-root nodes whose subtree
+        // holds a path vertex, and each of the E non-root nodes whose
+        // subtree holds no pair reports so in one message.
+        let (tree, _) =
+            build_bfs_tree(&mut Network::new(&case.graph), inst.s()).expect("connected");
+        let mut items = vec![0; n];
+        for (k, &l) in lms.iter().enumerate() {
+            items[l] = (0..lms.len())
+                .filter(|&j| j != k && pairs[j][k].is_finite())
+                .count();
+        }
+        let mut readers = vec![0; n];
+        for &v in inst.path.nodes() {
+            readers[v] = 1;
+        }
+        let upcast: u64 = (0..n).map(|v| tree.depth[v] * items[v] as u64).sum();
+        let reached = subtrees_holding(&tree, &readers, true);
+        let empty = subtrees_holding(&tree, &items, false);
+        assert_eq!(
+            sent,
+            upcast + kept * reached + empty,
+            "{sent} landmark-pair messages for {kept} kept of {literal} pairs and R = {reached}"
         );
-        pair_rows.push((h, n, lms.len(), literal, kept, sent));
+        pair_rows.push((h, n, lms.len(), literal, kept, reached, sent));
     }
 
     println!();
     println!("== X3: landmark pairs, Lemma 5.4's literal broadcast vs the pairs kept ==");
     println!(
-        "{:>6} {:>6} {:>6} | {:>14} {:>14} | {:>14}",
-        "h_st", "n", "|L|", "literal pairs", "kept pairs", "ours msgs"
+        "{:>6} {:>6} {:>6} | {:>14} {:>14} {:>6} | {:>14}",
+        "h_st", "n", "|L|", "literal pairs", "kept pairs", "R", "ours msgs"
     );
-    for (h, n, k, literal, kept, sent) in pair_rows {
-        println!("{h:>6} {n:>6} {k:>6} | {literal:>14} {kept:>14} | {sent:>14}");
+    for (h, n, k, literal, kept, reached, sent) in pair_rows {
+        println!("{h:>6} {n:>6} {k:>6} | {literal:>14} {kept:>14} {reached:>6} | {sent:>14}");
     }
     println!("\nablation checks passed");
+}
+
+/// The non-root nodes of `tree` whose subtree holds (`true`) or does not
+/// hold (`false`) a node with a positive `count`.
+fn subtrees_holding(tree: &BfsTree, count: &[usize], holding: bool) -> u64 {
+    let mut held = count.to_vec();
+    let mut deepest_first: Vec<usize> = (0..held.len()).collect();
+    deepest_first.sort_by_key(|&v| std::cmp::Reverse(tree.depth[v]));
+    for v in deepest_first {
+        if let Some(p) = tree.parent[v] {
+            held[p] += held[v];
+        }
+    }
+    (0..held.len())
+        .filter(|&v| v != tree.root && (held[v] > 0) == holding)
+        .count() as u64
 }

@@ -84,11 +84,11 @@
 //! - [`bfs_tree`]: distributed BFS tree over the underlying undirected
 //!   graph (depth at most the eccentricity of the root, hence at most
 //!   `D`).
-//! - [`broadcast`]: Lemma 2.4 — broadcasting `M` messages to everyone in
-//!   `O(M + D)` rounds via pipelined upcast/downcast on the BFS tree.
+//! - [`broadcast`]: Lemma 2.4 — broadcasting `M` messages to the readers
+//!   in `O(M + D)` rounds via pipelined upcast/downcast on the BFS tree.
 //!   The upcast is sorted, so the root meets the items in ascending
 //!   order and filters what goes down; only the root stores the stream,
-//!   and every other node relays it.
+//!   and the nodes above a reader relay it into the readers' subtrees.
 //! - [`aggregate`]: op-generic tree aggregation (convergecast +
 //!   downcast) in `O(D)` rounds — the 2-SiSP finale uses the `Min`
 //!   instance.

@@ -80,6 +80,7 @@ pub fn solve_on(
         id_items,
         |&(i, v)| word_bits(i as u64) + word_bits(v as u64),
         |_| true,
+        |_| true,
         "mr24/path-ids",
     )
     .map_err(SolveError::Engine)?;
@@ -197,8 +198,16 @@ pub fn solve_on(
                 }
             }
         }
-        let (stream, _) = broadcast(net, &tree, items, bits, |_| true, "mr24/fat-broadcast")
-            .map_err(SolveError::Engine)?;
+        let (stream, _) = broadcast(
+            net,
+            &tree,
+            items,
+            bits,
+            |_| true,
+            |_| true,
+            "mr24/fat-broadcast",
+        )
+        .map_err(SolveError::Engine)?;
 
         // Everything below is local at every vertex.
         let mut pairs = vec![vec![Dist::INF; k]; k];

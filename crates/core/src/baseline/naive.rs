@@ -79,6 +79,7 @@ pub fn solve_on(
         items,
         |&(i, d)| word_bits(i as u64) + 1 + word_bits(if d == u64::MAX { 0 } else { d }),
         |_| true,
+        |_| true,
         "naive/publish",
     )
     .map_err(SolveError::Engine)?;

@@ -13,8 +13,8 @@
 //!    sampled vertex. Takes `O(max gap)` rounds, which is `O(√n log n)`
 //!    w.h.p. by a Chernoff bound.
 //! 3. Every sampled vertex broadcasts its chain link (predecessor id, gap
-//!    hops, gap weight); `s` and `t` announce themselves. `O(√n + D)`
-//!    rounds by Lemma 2.4.
+//!    hops, gap weight) to every path vertex; `s` and `t` announce
+//!    themselves. `O(√n + D)` rounds by Lemma 2.4.
 //! 4. Each path vertex locally reconstructs the sampled chain and splices
 //!    in its own wave offsets.
 
@@ -228,19 +228,23 @@ pub fn acquire(
             });
         }
     }
+    // Only path vertices reconstruct, and each knows it is one from its
+    // incident path edges.
     let (stream, _) = broadcast(
         net,
         tree,
         items,
         chain_item_bits,
         |_| true,
+        |v| inst.path_index[v].is_some(),
         "lemma2.5/broadcast",
     )
     .expect("broadcast quiesces within O(M + D)");
 
-    // Phase 3: local reconstruction at each path vertex. All vertices
-    // received the same items; reconstruct once and read off per-vertex
-    // values (each step uses only information local to that vertex).
+    // Phase 3: local reconstruction at each path vertex. All path
+    // vertices received the same items; reconstruct once and read off
+    // per-vertex values (each step uses only information local to that
+    // vertex).
     let mut source = None;
     let mut next_link = std::collections::HashMap::new();
     for item in stream {

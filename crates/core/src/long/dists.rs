@@ -23,8 +23,11 @@
 //!    home.
 //! 2. **Prune at the root.** The root sends a pair down only when no
 //!    landmark `m ∉ {j, k}` has `p[j][m] + p[m][k] ≤ d` among the pairs
-//!    it has already seen; the rest never leave it. Every node builds the
-//!    closure from the stream it received.
+//!    it has already seen; the rest never leave it.
+//! 3. **Down to the path vertices only.** The kept pairs go down only
+//!    into the subtrees that hold a path vertex, the only vertices that
+//!    compose (below). Every path vertex builds the closure from the
+//!    stream it received.
 //!
 //! Off-diagonal entries are positive: at least one hop unweighted, and
 //! `hops × hop_value ≥ 2` on the weighted path's scaled tables. So both
@@ -34,10 +37,10 @@
 //! the closure of all pairs in every run, not only w.h.p. Answers stay the
 //! same; only the landmark-pair phase's rounds, messages and bits change.
 //! Each pair crosses only the tree links between its landmark and the
-//! root, and only the kept ones cross every tree link, where the
-//! all-pairs broadcast sent every pair over every tree link. The phase
-//! still takes about one round per pair, as the root serializes the pairs
-//! like the all-pairs broadcast does.
+//! root, and only the kept ones come back down, over the tree links above
+//! the path vertices, where the all-pairs broadcast sent every pair over
+//! every tree link. The phase still takes about one round per pair, as
+//! the root serializes the pairs like the all-pairs broadcast does.
 //!
 //! # Tables by path position
 //!
@@ -67,8 +70,8 @@ pub struct LandmarkDistances {
     /// the path vertex `v_i` at position `i ∈ 0..=h_st`. Known locally at
     /// `v_i`.
     pub to_landmark: Vec<Vec<Dist>>,
-    /// `closure[j][k]` = `|l_j l_k|` in `G \ P` (exact w.h.p.). Known
-    /// globally after the downcast.
+    /// `closure[j][k]` = `|l_j l_k|` in `G \ P` (exact w.h.p.). Known at
+    /// every path vertex after the downcast.
     pub closure: Vec<Vec<Dist>>,
 }
 
@@ -232,10 +235,10 @@ pub fn landmark_distances(
 /// by node id).
 ///
 /// Sends the landmark pairs up `tree` shortest first, downcasts the
-/// [`undominated_pairs`] as the root meets them, and composes at the path
-/// vertices only (see the module docs). Factored out so the weighted
-/// algorithm (Proposition 7.11) can feed in *approximate scaled* tables
-/// from the rounding BFS and reuse the rest verbatim.
+/// [`undominated_pairs`] to the path vertices as the root meets them, and
+/// composes at the path vertices only (see the module docs). Factored out
+/// so the weighted algorithm (Proposition 7.11) can feed in *approximate
+/// scaled* tables from the rounding BFS and reuse the rest verbatim.
 pub fn compose_from_tables(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
@@ -259,8 +262,9 @@ pub fn compose_from_tables(
             }
         }
     }
-    // The root meets the pairs shortest first and sends down only those
-    // the closure cannot rebuild from pairs it has already met.
+    // The root meets the pairs shortest first and sends down, towards the
+    // path vertices only, those the closure cannot rebuild from pairs it
+    // has already met.
     let mut prune = Prune::new(k);
     let (stream, _) = broadcast(
         net,
@@ -268,11 +272,12 @@ pub fn compose_from_tables(
         items,
         pair_bits,
         |p| prune.keep(p),
+        |v| inst.path_index[v].is_some(),
         "long/broadcast-landmark-pairs",
     )
     .expect("landmark-pair broadcast quiesces");
-    // Every node received the same pairs; build the closure once, from
-    // what the downcast delivered.
+    // Every path vertex received the same pairs; build the closure once,
+    // from what the downcast delivered.
     let closure = min_plus_closure(pair_matrix(k, &stream));
 
     // Lemma 5.6 composition, locally at every path vertex: stitch the

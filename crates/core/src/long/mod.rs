@@ -14,9 +14,10 @@
 //! 2. [`dists`] — Lemma 5.4 + 5.6: ζ-hop BFS from all landmarks in both
 //!    directions of `G \ P`; the hop-bounded landmark pairs travel up
 //!    the BFS tree shortest first, and the root downcasts only the pairs
-//!    the min-plus closure cannot rebuild from shorter ones; every node
-//!    builds the closure locally. Afterwards every path vertex knows its
-//!    exact (w.h.p.) distance to and from every landmark in `G \ P`.
+//!    the min-plus closure cannot rebuild from shorter ones, and only
+//!    towards the path vertices; every path vertex builds the closure
+//!    locally. Afterwards every path vertex knows its exact (w.h.p.)
+//!    distance to and from every landmark in `G \ P`.
 //! 3. [`segments`] — Lemmas 5.7–5.9: the path is cut into `O(n^{1/3})`
 //!    segments at checkpoints; pipelined in-segment sweeps compute the
 //!    "localized" prefix minima, segment summaries are broadcast

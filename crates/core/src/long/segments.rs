@@ -3,11 +3,16 @@
 //!
 //! The path is cut at checkpoints every ζ hops. Within each segment a
 //! staggered prefix sweep (Lemma 5.7) computes the localized values
-//! `Mᵢ[l_j, v]`; the per-segment summaries are broadcast (Lemma 5.8,
-//! `O(ℓ·|L|) = eO(n^{2/3})` messages) and every vertex combines the two.
+//! `Mᵢ[l_j, v]`; the per-segment summaries are broadcast to the path
+//! vertices (Lemma 5.8, `O(ℓ·|L|) = eO(n^{2/3})` messages) and every path
+//! vertex combines the two. A vertex reads only the summaries of the
+//! segments before its own, so the last segment's summary stays home.
 //! The mirrored computation towards `t` (Lemma 5.9) runs on backward
-//! lanes and finishes with an `O(|L|)`-round shift so that `v_i` (rather
-//! than `v_{i+1}`) holds the landmark-to-`t` values.
+//! lanes, publishes every summary but the first segment's, and finishes
+//! with an `O(|L|)`-round shift so that `v_i` (rather than `v_{i+1}`)
+//! holds the landmark-to-`t` values.
+
+use std::ops::Range;
 
 use congest::bfs_tree::BfsTree;
 use congest::broadcast::broadcast;
@@ -52,19 +57,24 @@ fn backward_lanes(inst: &Instance<'_>, cps: &[usize]) -> Vec<Lane> {
         .collect()
 }
 
-/// Lemmas 5.8 and 7.8's broadcast: the last vertex of every lane
-/// publishes its finite swept value for each of `jobs` jobs, and every
-/// node keeps the least value it received per lane and job.
+/// Lemmas 5.8 and 7.8's broadcast: the last vertex of every lane in
+/// `publish` sends its finite swept value for each of `jobs` jobs to the
+/// path vertices, and every path vertex keeps the least value it received
+/// per lane and job (∞ for the lanes outside `publish`).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn broadcast_lane_ends(
     net: &mut Network<'_>,
+    inst: &Instance<'_>,
     tree: &BfsTree,
     lanes: &[Lane],
     swept: &[Vec<Vec<Dist>>],
+    publish: Range<usize>,
     jobs: usize,
     phase: &str,
 ) -> Vec<Vec<Dist>> {
     let mut items: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); net.node_count()];
-    for (li, lane) in lanes.iter().enumerate() {
+    for li in publish {
+        let lane = &lanes[li];
         let last = lane.nodes.len() - 1;
         for j in 0..jobs {
             if let Some(d) = swept[li][last][j].finite() {
@@ -74,8 +84,16 @@ pub(crate) fn broadcast_lane_ends(
     }
     let bits =
         |&(li, j, d): &(u32, u32, u64)| word_bits(li as u64) + word_bits(j as u64) + word_bits(d);
-    let (stream, _) = broadcast(net, tree, items, bits, |_| true, phase)
-        .expect("broadcast quiesces within O(M + D)");
+    let (stream, _) = broadcast(
+        net,
+        tree,
+        items,
+        bits,
+        |_| true,
+        |v| inst.path_index[v].is_some(),
+        phase,
+    )
+    .expect("broadcast quiesces within O(M + D)");
     let mut least = vec![vec![Dist::INF; jobs]; lanes.len()];
     for (li, j, d) in stream {
         let cell = &mut least[li as usize][j as usize];
@@ -105,10 +123,20 @@ pub fn distances_from_s(
         prefix[global] + ld.to_landmark[j][global]
     };
     let (m_seg, _) = prefix_sweep(net, &lanes, k, &input, "long/sweep-from-s");
-    // Lemma 5.8: broadcast each segment's value at its right checkpoint.
-    let summary = broadcast_lane_ends(net, tree, &lanes, &m_seg, k, "long/broadcast-from-s");
-    // best_before[x][j] = min over segments < x of the broadcast summary.
+    // Lemma 5.8: broadcast each segment's value at its right checkpoint;
+    // no vertex reads the last segment's.
     let ell = lanes.len();
+    let summary = broadcast_lane_ends(
+        net,
+        inst,
+        tree,
+        &lanes,
+        &m_seg,
+        0..ell.saturating_sub(1),
+        k,
+        "long/broadcast-from-s",
+    );
+    // best_before[x][j] = min over segments < x of the broadcast summary.
     let mut best_before = vec![vec![Dist::INF; k]; ell + 1];
     for x in 0..ell {
         for j in 0..k {
@@ -150,8 +178,17 @@ pub fn distances_to_t(
     };
     let (m_seg, _) = prefix_sweep(net, &lanes, k, &input, "long/sweep-to-t");
     // Broadcast each segment's value at its *left* checkpoint (the lane's
-    // last position).
-    let summary = broadcast_lane_ends(net, tree, &lanes, &m_seg, k, "long/broadcast-to-t");
+    // last position); no vertex reads the first segment's.
+    let summary = broadcast_lane_ends(
+        net,
+        inst,
+        tree,
+        &lanes,
+        &m_seg,
+        1..ell,
+        k,
+        "long/broadcast-to-t",
+    );
     // best_after[x][j] = min over segments > x.
     let mut best_after = vec![vec![Dist::INF; k]; ell + 1];
     for x in (0..ell).rev() {

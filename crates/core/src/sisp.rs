@@ -46,14 +46,15 @@ pub fn solve_on(
     inst: &Instance<'_>,
     params: &Params,
 ) -> Result<Dist, SolveError> {
-    let replacement = unweighted::solve_on(net, inst, params)?;
+    // One BFS tree serves Theorem 1 and the aggregation.
+    let (tree, _) = build_bfs_tree(net, inst.s())?;
+    let replacement = unweighted::solve_on_tree(net, inst, params, &tree);
     // Aggregation input: v_i contributes replacement[i].
     let mut values = vec![Dist::INF; inst.n()];
     for i in 0..inst.hops() {
         values[inst.path.node(i)] = replacement[i];
     }
     // Every node learns the minimum over the BFS tree in `O(D)` rounds.
-    let (tree, _) = build_bfs_tree(net, inst.s())?;
     Ok(aggregate(net, &tree, AggOp::Min, &values))
 }
 

@@ -6,7 +6,7 @@
 //! long-detour algorithm (Proposition 5.1), and takes the per-edge
 //! minimum of the two outputs.
 
-use congest::bfs_tree::build_bfs_tree;
+use congest::bfs_tree::{build_bfs_tree, BfsTree};
 use congest::Network;
 
 use crate::{knowledge, long, short, with_network, Instance, Params, RPathsOutput, SolveError};
@@ -49,24 +49,35 @@ pub fn solve_on(
     inst: &Instance<'_>,
     params: &Params,
 ) -> Result<Vec<graphkit::Dist>, SolveError> {
+    let (tree, _) = build_bfs_tree(net, inst.s())?;
+    Ok(solve_on_tree(net, inst, params, &tree))
+}
+
+/// Theorem 1 over a BFS tree rooted at `s` that the caller already built
+/// on `net` (2-SiSP reuses it for its aggregation).
+pub(crate) fn solve_on_tree(
+    net: &mut Network<'_>,
+    inst: &Instance<'_>,
+    params: &Params,
+    tree: &BfsTree,
+) -> Vec<graphkit::Dist> {
     assert!(
         inst.graph.is_unweighted(),
         "Theorem 1 applies to unweighted graphs; see weighted::solve"
     );
-    let (tree, _) = build_bfs_tree(net, inst.s())?;
     // Lemma 2.5: vertices acquire their index and prefix/suffix distances.
-    let know = knowledge::acquire(net, inst, params, &tree);
+    let know = knowledge::acquire(net, inst, params, tree);
     debug_assert_eq!(know.dist_s, inst.prefix);
     let short_ans = short::solve_short(net, inst, params);
-    let long_ans = long::solve_long(net, inst, params, &tree);
+    let long_ans = long::solve_long(net, inst, params, tree);
     // Test-only injectable defect (see `crate::testhooks`): a flipped
     // tie-break keeps the larger side where the regimes disagree.
     let flip = crate::testhooks::flip_unweighted_merge();
-    Ok(short_ans
+    short_ans
         .into_iter()
         .zip(long_ans)
         .map(|(a, b)| if flip { a.max(b) } else { a.min(b) })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]

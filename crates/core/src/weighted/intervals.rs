@@ -10,8 +10,8 @@
 //! - **nearby detours** (one endpoint in the edge's interval): in-interval
 //!   pipelined sweeps, `O(ζ)` rounds (Lemma 7.7);
 //! - **distant detours** (both endpoints outside): every interval
-//!   publishes `X̃(I_q, [l_k, ∞))` for all later intervals `k` — `O(ℓ²) =
-//!   O(n^{2/3})` broadcast messages (Lemmas 7.8, 7.9).
+//!   publishes `X̃(I_q, [l_k, ∞))` for all later intervals `k` to the path
+//!   vertices — `O(ℓ²) = O(n^{2/3})` broadcast messages (Lemmas 7.8, 7.9).
 
 use congest::pipeline::{prefix_sweep, Lane};
 use congest::Network;
@@ -149,13 +149,16 @@ pub fn solve_short_apx(
             Dist::INF
         }
     };
-    // Jobs k <= q sweep only ∞, so interval q publishes k > q alone.
+    // Jobs k <= q sweep only ∞, so interval q publishes k > q alone, and
+    // the last interval publishes nothing.
     let (sweep_c, _) = prefix_sweep(net, &fwd_lanes, ell, &input_c, "apx/distant");
     let summary = broadcast_lane_ends(
         net,
+        inst,
         tree,
         &fwd_lanes,
         &sweep_c,
+        0..ell - 1,
         ell,
         "apx/broadcast-intervals",
     );

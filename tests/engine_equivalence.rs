@@ -63,18 +63,32 @@ proptest! {
         n in 3usize..50,
         per_node in 0usize..4,
         seed in 0u64..500,
+        picks in proptest::collection::vec(0usize..50, 0..4),
     ) {
         let g = random_digraph(n, 2 * n, seed);
         let items: Vec<Vec<u64>> = (0..n)
             .map(|v| (0..per_node).map(|j| (v * 16 + j) as u64).collect())
             .collect();
+        // A sparse, possibly empty, reader set.
+        let mut readers = vec![false; n];
+        for p in picks {
+            readers[p % n] = true;
+        }
         // Keep every item, then every third: the same kept stream, at the
         // same cost.
         for every in [1, 3] {
             let ((oa, sa), (os, ss)) = both(&g, |net| {
                 let (tree, _) = build_bfs_tree(net, 0).unwrap();
-                broadcast(net, &tree, items.clone(), |_| 16, |x| x.is_multiple_of(every), "bc")
-                    .expect("quiesces")
+                broadcast(
+                    net,
+                    &tree,
+                    items.clone(),
+                    |_| 16,
+                    |x| x.is_multiple_of(every),
+                    |v| readers[v],
+                    "bc",
+                )
+                .expect("quiesces")
             });
             prop_assert_eq!(sa, ss);
             prop_assert_eq!(oa, os);
@@ -200,7 +214,7 @@ proptest! {
         let ((_, sa), (_, ss)) = both(&g, |net| {
             net.set_cut(sides.clone());
             let (tree, _) = build_bfs_tree(net, 0).unwrap();
-            broadcast(net, &tree, items.clone(), |_| 16, |_| true, "bc").expect("quiesces")
+            broadcast(net, &tree, items.clone(), |_| 16, |_| true, |_| true, "bc").expect("quiesces")
         });
         prop_assert_eq!(sa, ss);
         prop_assert!(sa.cut_bits > 0, "cut accounting exercised");
@@ -236,7 +250,8 @@ fn broadcast_matches_full_sweep_bitwise() {
         schedule_invariant(&g, |net| {
             let (tree, tree_stats) = build_bfs_tree(net, 0).unwrap();
             let (out, stats) =
-                broadcast(net, &tree, items.clone(), |_| 16, |_| true, "bc").expect("quiesces");
+                broadcast(net, &tree, items.clone(), |_| 16, |_| true, |_| true, "bc")
+                    .expect("quiesces");
             (out, stats, tree_stats)
         });
     }
@@ -286,7 +301,8 @@ fn skewed_kernels_match_full_sweep_bitwise() {
         schedule_invariant(&g, |net| {
             let (tree, tree_stats) = build_bfs_tree(net, n - 1).unwrap();
             let (out, stats) =
-                broadcast(net, &tree, items.clone(), |_| 16, |_| true, "bc").expect("quiesces");
+                broadcast(net, &tree, items.clone(), |_| 16, |_| true, |_| true, "bc")
+                    .expect("quiesces");
             (out, stats, tree_stats)
         });
 

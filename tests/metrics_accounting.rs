@@ -2,9 +2,10 @@
 //! algorithm's documented phase structure, and the CONGEST(B) bandwidth
 //! knob must behave.
 
+use congest::bfs_tree::build_bfs_tree;
 use congest::Network;
 use graphkit::gen::{parallel_lane, planted_path_digraph};
-use rpaths_core::{baseline, unweighted, weighted, Instance, Params};
+use rpaths_core::{baseline, sisp, unweighted, weighted, Instance, Params};
 
 #[test]
 fn theorem1_reports_its_documented_phases() {
@@ -38,6 +39,46 @@ fn theorem1_reports_its_documented_phases() {
     assert_eq!(sum, m.total.rounds);
     let msg_sum: u64 = m.phases.iter().map(|p| p.stats.messages).sum();
     assert_eq!(msg_sum, m.total.messages);
+}
+
+#[test]
+fn a_single_segment_publishes_no_lane_summary() {
+    // With h_st ≤ ζ the path is one segment. Towards `t` no vertex reads
+    // the summary of the last segment before it, and from `s` none reads
+    // the summary of the first segment after it, so both lane-end
+    // broadcasts are empty: every non-root node reports its empty subtree
+    // in one message, the deepest first.
+    let (g, s, t) = planted_path_digraph(60, 18, 150, 2);
+    let inst = Instance::from_endpoints(&g, s, t).unwrap();
+    let mut params = Params::with_zeta(60, inst.hops());
+    params.landmark_prob = 1.0;
+    let out = unweighted::solve(&inst, &params).unwrap();
+    let (tree, _) = build_bfs_tree(&mut Network::new(&g), s).unwrap();
+    for phase in ["long/broadcast-from-s", "long/broadcast-to-t"] {
+        let stats = out.metrics.phase_total(phase);
+        assert_eq!(
+            (stats.rounds, stats.messages),
+            (tree.height + 1, inst.n() as u64 - 1),
+            "{phase}"
+        );
+    }
+}
+
+#[test]
+fn sisp_builds_one_bfs_tree() {
+    // Theorem 1 and the closing aggregation share one tree rooted at `s`.
+    let (g, s, t) = planted_path_digraph(40, 12, 100, 1);
+    let inst = Instance::from_endpoints(&g, s, t).unwrap();
+    let mut params = Params::with_zeta(40, 5);
+    params.landmark_prob = 1.0;
+    let out = sisp::solve(&inst, &params).unwrap();
+    let trees = out
+        .metrics
+        .phases
+        .iter()
+        .filter(|p| p.name == "bfs-tree")
+        .count();
+    assert_eq!(trees, 1);
 }
 
 #[test]

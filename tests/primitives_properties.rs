@@ -84,9 +84,10 @@ fn sorted(mut items: Vec<u64>) -> Vec<u64> {
     items
 }
 
-/// The non-root nodes of `tree` whose subtree holds no item.
-fn empty_subtrees(tree: &BfsTree, items: &[Vec<u64>]) -> u64 {
-    let mut held: Vec<usize> = items.iter().map(Vec::len).collect();
+/// The non-root nodes of `tree` whose subtree holds (`true`) or does not
+/// hold (`false`) a node with a positive `count`.
+fn subtrees_holding(tree: &BfsTree, count: &[usize], holding: bool) -> u64 {
+    let mut held = count.to_vec();
     let mut deepest_first: Vec<usize> = (0..held.len()).collect();
     deepest_first.sort_by_key(|&v| std::cmp::Reverse(tree.depth[v]));
     for v in deepest_first {
@@ -95,15 +96,22 @@ fn empty_subtrees(tree: &BfsTree, items: &[Vec<u64>]) -> u64 {
         }
     }
     (0..held.len())
-        .filter(|&v| v != tree.root && held[v] == 0)
+        .filter(|&v| v != tree.root && (held[v] > 0) == holding)
         .count() as u64
 }
 
 /// Broadcasts `per_node` items from two of every three nodes of a random
-/// digraph, keeping the items `x` with `x + seed` a multiple of `every`,
-/// once without faults and once under delays, and checks what the root
-/// meets, the stream, the exact message count and the round bounds.
-fn check_broadcast(n: usize, per_node: usize, seed: u64, every: u64) -> Result<(), TestCaseError> {
+/// digraph to the nodes `v` with `readers[v]`, keeping the items `x` with
+/// `x + seed` a multiple of `every`, once without faults and once under
+/// delays, and checks what the root meets, the stream, the exact message
+/// count and the round bounds.
+fn check_broadcast(
+    n: usize,
+    per_node: usize,
+    seed: u64,
+    every: u64,
+    readers: &[bool],
+) -> Result<(), TestCaseError> {
     let g = random_digraph(n, 2 * n, seed);
     let mut items = numbered_items(n, per_node);
     // A third of the nodes hold nothing, so some subtrees send nothing.
@@ -122,8 +130,16 @@ fn check_broadcast(n: usize, per_node: usize, seed: u64, every: u64) -> Result<(
             met.push(*x);
             wanted(x)
         };
-        let (stream, stats) =
-            broadcast(&mut net, &tree, items.clone(), |_| 16, keep, "bc").expect("quiesces");
+        let (stream, stats) = broadcast(
+            &mut net,
+            &tree,
+            items.clone(),
+            |_| 16,
+            keep,
+            |v| readers[v],
+            "bc",
+        )
+        .expect("quiesces");
         (met, stream, stats, tree)
     };
     let (met, stream, stats, tree) = run(None);
@@ -133,23 +149,35 @@ fn check_broadcast(n: usize, per_node: usize, seed: u64, every: u64) -> Result<(
     let kept: Vec<u64> = all.iter().copied().filter(|x| wanted(x)).collect();
     prop_assert_eq!(&stream, &kept);
     // Every item climbs from its origin to the root, a kept one then
-    // crosses every tree link downwards, and every other node whose
-    // subtree holds no item says so in one message.
+    // crosses the tree link above every node whose subtree holds a
+    // reader, and every other node whose subtree holds no item says so in
+    // one message.
     let upcast: u64 = (0..n).map(|v| tree.depth[v] * items[v].len() as u64).sum();
-    let messages = upcast + stream.len() as u64 * (n as u64 - 1) + empty_subtrees(&tree, &items);
+    let reached = subtrees_holding(
+        &tree,
+        &readers.iter().map(|&r| usize::from(r)).collect::<Vec<_>>(),
+        true,
+    );
+    let empty = subtrees_holding(
+        &tree,
+        &items.iter().map(Vec::len).collect::<Vec<_>>(),
+        false,
+    );
+    let messages = upcast + stream.len() as u64 * reached + empty;
     prop_assert_eq!(stats.messages, messages);
     // The root meets one item per round, after the first has climbed and
     // before the last kept one descends.
     let rounds = m..=m + 2 * tree.height;
     prop_assert!(rounds.contains(&stats.rounds), "{} rounds", stats.rounds);
     // A delay can make an item arrive out of order; the root still meets
-    // every item once, the stream is what the filter kept, and the run
-    // sends as many messages as without faults.
+    // every item once, one per round, the stream is what the filter kept,
+    // and the run sends as many messages as without faults.
     let (met, stream, stats, _) = run(Some(FaultPlan::new(seed).delay_messages(0.35, 3)));
     let kept: Vec<u64> = met.iter().copied().filter(|x| wanted(x)).collect();
     prop_assert_eq!(sorted(met), all);
     prop_assert_eq!(&stream, &kept);
     prop_assert_eq!(stats.messages, messages);
+    prop_assert!(stats.rounds >= m, "{} rounds under delays", stats.rounds);
     Ok(())
 }
 
@@ -168,7 +196,8 @@ proptest! {
             let mut net = Network::new(&g);
             let (tree, _) = build_bfs_tree(&mut net, seed as usize % n).unwrap();
             net.set_fault_plan(plan).unwrap();
-            broadcast(&mut net, &tree, items.clone(), |_| 16, |_| true, "bc").expect("quiesces")
+            broadcast(&mut net, &tree, items.clone(), |_| 16, |_| true, |_| true, "bc")
+                .expect("quiesces")
         };
         let (clean, clean_stats) = run(None);
         // A delayed item can land alongside the next one; relays queue it
@@ -185,8 +214,9 @@ proptest! {
         per_node in 0usize..4,
         seed in 0u64..500,
     ) {
-        // A filter that keeps every item: the plain broadcast.
-        check_broadcast(n, per_node, seed, 1)?;
+        // A filter that keeps every item and every node reading: the
+        // plain broadcast.
+        check_broadcast(n, per_node, seed, 1, &vec![true; n])?;
     }
 
     #[test]
@@ -195,7 +225,22 @@ proptest! {
         per_node in 0usize..4,
         seed in 0u64..500,
     ) {
-        check_broadcast(n, per_node, seed, 3)?;
+        check_broadcast(n, per_node, seed, 3, &vec![true; n])?;
+    }
+
+    #[test]
+    fn broadcast_sends_the_kept_items_only_towards_the_readers(
+        n in 4usize..60,
+        per_node in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        // Up to three readers picked by the seed; a quarter of the cases
+        // have none, and then no kept item leaves the root.
+        let mut readers = vec![false; n];
+        for i in 0..seed as usize % 4 {
+            readers[(seed as usize / 4 + 17 * i) % n] = true;
+        }
+        check_broadcast(n, per_node, seed, 3, &readers)?;
     }
 
     #[test]
@@ -556,7 +601,8 @@ fn broadcast_from_one_origin_under_a_nonzero_root_keeps_its_order() {
     let (tree, _) = build_bfs_tree(&mut net, 5).unwrap();
     let mut items: Vec<Vec<u64>> = vec![vec![]; 25];
     items[13] = (0..40).collect();
-    let (stream, _) = broadcast(&mut net, &tree, items, |_| 16, |_| true, "bc").expect("quiesces");
+    let (stream, _) =
+        broadcast(&mut net, &tree, items, |_| 16, |_| true, |_| true, "bc").expect("quiesces");
     assert_eq!(stream, (0..40).collect::<Vec<u64>>());
 }
 
@@ -573,6 +619,7 @@ fn empty_broadcast_is_cheap() {
         &tree,
         vec![vec![]; 20],
         |_: &u64| 8,
+        |_| true,
         |_| true,
         "bc",
     )
@@ -612,7 +659,7 @@ fn broadcast_with_a_cut_off_leaf(
         items[leaf].clear();
     }
     let budget = 4 * (items.concat().len() as u64 + tree.height) + 16;
-    let result = broadcast(&mut net, &tree, items, |_| 16, |_| true, "bc");
+    let result = broadcast(&mut net, &tree, items, |_| 16, |_| true, |_| true, "bc");
     (budget, result)
 }
 
