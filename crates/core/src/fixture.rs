@@ -198,7 +198,9 @@ impl Fixture {
     }
 
     /// Reads a fixture back. Degraded snapshots are rejected: a corrupt
-    /// corpus entry must fail loudly, not replay a weaker check.
+    /// corpus entry must fail loudly, not replay a weaker check. So are
+    /// parameters outside the solvers' domain (`Params::check`), which
+    /// no solver could replay.
     ///
     /// # Errors
     ///
@@ -237,6 +239,7 @@ impl Fixture {
             eps_den: doc.eps_den,
             budget_factor: doc.budget_factor,
         };
+        params.check().map_err(FixtureError::Decode)?;
         Ok(Fixture {
             name: doc.name,
             origin: doc.origin,

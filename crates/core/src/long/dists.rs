@@ -60,8 +60,6 @@ use crate::{Instance, Params};
 /// Everything Lemmas 5.4 + 5.6 deliver.
 #[derive(Clone, Debug)]
 pub struct LandmarkDistances {
-    /// The landmark vertices, in index order.
-    pub landmarks: Vec<NodeId>,
     /// `from_landmark[j][i]` = `|l_j v_i|` in `G \ P` (exact w.h.p.), for
     /// the path vertex `v_i` at position `i ∈ 0..=h_st`. Known locally at
     /// `v_i`.
@@ -185,48 +183,35 @@ pub fn min_plus_closure(mut mat: Vec<Vec<Dist>>) -> Vec<Vec<Dist>> {
     mat
 }
 
-/// Runs Lemmas 5.4 and 5.6 and returns the composed distance tables.
-pub fn landmark_distances(
+/// Lemma 5.4's hop-bounded tables: ζ-hop BFS in `G \ P` from every
+/// landmark (phase `long/bfs-from-landmarks`) and to every landmark
+/// (phase `long/bfs-to-landmarks`). Returns `(fwd, bwd)` with
+/// `fwd[j][v] = |l_j v|` and `bwd[j][v] = |v l_j|` within ζ hops, indexed
+/// by node id: Theorem 1's tables for [`crate::long::solve_long`].
+pub fn hop_tables(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
     landmarks: &[NodeId],
-    tree: &BfsTree,
-) -> LandmarkDistances {
-    let k = landmarks.len();
+) -> (Vec<Vec<Dist>>, Vec<Vec<Dist>>) {
     let zeta = params.zeta as u64;
-    let budget = default_budget(k, zeta).max(8 * net.node_count() as u64) * params.budget_factor;
-
-    // ζ-hop BFS from all landmarks, forwards and backwards, in G \ P.
-    let fwd_cfg = MultiBfsConfig {
-        sources: landmarks,
-        max_dist: zeta,
-        reverse: false,
-        delays: None,
+    let budget = default_budget(landmarks.len(), zeta).max(8 * net.node_count() as u64)
+        * params.budget_factor;
+    let mut table = |reverse, phase| {
+        let cfg = MultiBfsConfig {
+            sources: landmarks,
+            max_dist: zeta,
+            reverse,
+            delays: None,
+        };
+        multi_source_bfs(net, &cfg, |e| inst.in_g_minus_p(e), phase, budget)
+            .expect("landmark BFS quiesces")
+            .0
     };
-    let (fwd_hb, _) = multi_source_bfs(
-        net,
-        &fwd_cfg,
-        |e| inst.in_g_minus_p(e),
-        "long/bfs-from-landmarks",
-        budget,
+    (
+        table(false, "long/bfs-from-landmarks"),
+        table(true, "long/bfs-to-landmarks"),
     )
-    .expect("landmark BFS quiesces");
-    let bwd_cfg = MultiBfsConfig {
-        sources: landmarks,
-        max_dist: zeta,
-        reverse: true,
-        delays: None,
-    };
-    let (bwd_hb, _) = multi_source_bfs(
-        net,
-        &bwd_cfg,
-        |e| inst.in_g_minus_p(e),
-        "long/bfs-to-landmarks",
-        budget,
-    )
-    .expect("landmark BFS quiesces");
-    compose_from_tables(net, inst, landmarks, fwd_hb, bwd_hb, tree)
 }
 
 /// The landmark-pair + closure + composition steps of Lemmas 5.4 / 5.6,
@@ -236,9 +221,10 @@ pub fn landmark_distances(
 ///
 /// Sends the landmark pairs up `tree` shortest first, downcasts the
 /// [`undominated_pairs`] to the path vertices as the root meets them, and
-/// composes at the path vertices only (see the module docs). Factored out
-/// so the weighted algorithm (Proposition 7.11) can feed in *approximate
-/// scaled* tables from the rounding BFS and reuse the rest verbatim.
+/// composes at the path vertices only (see the module docs). The tables
+/// are [`hop_tables`] for Theorem 1 and the rounded, scaled tables of
+/// `weighted::long` for Theorem 3 (Proposition 7.11); both reach this step
+/// through [`crate::long::solve_long`].
 pub fn compose_from_tables(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
@@ -299,7 +285,6 @@ pub fn compose_from_tables(
         }
     }
     LandmarkDistances {
-        landmarks: landmarks.to_vec(),
         from_landmark,
         to_landmark,
         closure,
@@ -345,7 +330,8 @@ mod tests {
         let landmarks: Vec<NodeId> = inst.graph.nodes().collect();
         let mut net = Network::new(inst.graph);
         let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
-        let ld = landmark_distances(&mut net, &inst, &params, &landmarks, &tree);
+        let (hop_fwd, hop_bwd) = hop_tables(&mut net, &inst, &params, &landmarks);
+        let ld = compose_from_tables(&mut net, &inst, &landmarks, hop_fwd, hop_bwd, &tree);
         let (fwd, bwd) = exact_tables(&inst, &landmarks);
         // Landmark k is vertex k, so the closure built from the delivered
         // pairs is the exact distance matrix itself.
@@ -370,7 +356,8 @@ mod tests {
             }
             let mut net = Network::new(inst.graph);
             let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
-            let ld = landmark_distances(&mut net, &inst, &params, &landmarks, &tree);
+            let (hop_fwd, hop_bwd) = hop_tables(&mut net, &inst, &params, &landmarks);
+            let ld = compose_from_tables(&mut net, &inst, &landmarks, hop_fwd, hop_bwd, &tree);
             let (fwd, bwd) = exact_tables(&inst, &landmarks);
             assert_eq!(ld.from_landmark, at_path(&inst, &fwd), "seed {seed}");
             assert_eq!(ld.to_landmark, at_path(&inst, &bwd), "seed {seed}");
@@ -404,7 +391,8 @@ mod tests {
         let landmarks = crate::long::landmarks::sample(&inst, &params);
         let mut net = Network::new(inst.graph);
         let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
-        let ld = landmark_distances(&mut net, &inst, &params, &landmarks, &tree);
+        let (hop_fwd, hop_bwd) = hop_tables(&mut net, &inst, &params, &landmarks);
+        let ld = compose_from_tables(&mut net, &inst, &landmarks, hop_fwd, hop_bwd, &tree);
         let (fwd, bwd) = exact_tables(&inst, &landmarks);
         for j in 0..landmarks.len() {
             for (i, &v) in inst.path.nodes().iter().enumerate() {

@@ -1,4 +1,5 @@
-//! Section 5: long-detour replacement paths (Proposition 5.1).
+//! Section 5: long-detour replacement paths (Proposition 5.1), and
+//! Section 7.3's weighted variant (Proposition 7.11).
 //!
 //! Detours longer than ζ hops contain a landmark vertex w.h.p.
 //! (Lemma 5.3), so the replacement length for edge `e = (v_i, v_{i+1})`
@@ -26,6 +27,9 @@
 //!
 //! The result is an upper bound on `|st ⋄ e|` that is exact (w.h.p.)
 //! whenever some shortest replacement path for `e` has a long detour.
+//!
+//! Proposition 7.11 is the same pipeline with `(1+ε)`-approximate tables
+//! in step 2, so [`solve_long`] is the one body of both theorems.
 
 pub mod dists;
 pub mod landmarks;
@@ -33,29 +37,40 @@ pub mod segments;
 
 use congest::bfs_tree::BfsTree;
 use congest::Network;
-use graphkit::Dist;
+use graphkit::{Dist, NodeId};
 
 use crate::{Instance, Params};
 
-/// Proposition 5.1: per-edge upper bounds on `|st ⋄ e|`, exact (w.h.p.)
-/// for edges whose best replacement uses a long detour.
+/// Propositions 5.1 and 7.11: per-edge upper bounds on `den·|st ⋄ e|`,
+/// exact (resp. `(1+ε)`-tight) w.h.p. for edges whose best replacement
+/// uses a long detour.
 ///
-/// Charges `eO(n^{2/3} + D)` rounds to `net` (with the paper's ζ).
+/// `tables` returns the hop-bounded landmark tables `(fwd, bwd)` as
+/// numerators over `den`: [`dists::hop_tables`] with `den = 1` for
+/// Theorem 1, the rounded tables of [`crate::weighted::long`] for
+/// Theorem 3. Without landmarks (possible only on tiny instances) every
+/// answer is ∞. Charges `eO(n^{2/3} + D)` rounds (with the paper's ζ).
 pub fn solve_long(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
     tree: &BfsTree,
+    den: u64,
+    tables: impl FnOnce(&mut Network<'_>, &[NodeId]) -> (Vec<Vec<Dist>>, Vec<Vec<Dist>>),
 ) -> Vec<Dist> {
     let lm = landmarks::sample(inst, params);
     if lm.is_empty() {
-        // No landmarks (possible only on tiny instances): no long-detour
-        // candidates can be produced.
         return vec![Dist::INF; inst.hops()];
     }
-    let ld = dists::landmark_distances(net, inst, params, &lm, tree);
-    let m_table = segments::distances_from_s(net, inst, params, &ld, tree, &inst.prefix);
-    let n_table = segments::distances_to_t(net, inst, params, &ld, tree, &inst.suffix);
+    let (fwd, bwd) = tables(net, &lm);
+    let ld = dists::compose_from_tables(net, inst, &lm, fwd, bwd, tree);
+    let scaled = |lens: &[Dist]| -> Vec<Dist> {
+        lens.iter()
+            .map(|d| Dist::new(d.finite().expect("P's prefix and suffix are finite") * den))
+            .collect()
+    };
+    let m_table = segments::distances_from_s(net, inst, params, &ld, tree, &scaled(&inst.prefix));
+    let n_table = segments::distances_to_t(net, inst, params, &ld, tree, &scaled(&inst.suffix));
     // Final local combine at each v_i (the n_table is already shifted so
     // that entry i holds the values of v_{i+1}).
     (0..inst.hops())
@@ -78,7 +93,9 @@ mod tests {
     fn run_long(inst: &Instance<'_>, params: &Params) -> Vec<Dist> {
         let mut net = Network::new(inst.graph);
         let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
-        solve_long(&mut net, inst, params, &tree)
+        solve_long(&mut net, inst, params, &tree, 1, |net, lm| {
+            dists::hop_tables(net, inst, params, lm)
+        })
     }
 
     #[test]

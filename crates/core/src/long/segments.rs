@@ -11,6 +11,12 @@
 //! lanes, publishes every summary but the first segment's, and finishes
 //! with an `O(|L|)`-round shift so that `v_i` (rather than `v_{i+1}`)
 //! holds the landmark-to-`t` values.
+//!
+//! The lane builders, the lane-end broadcast and the one-edge shift serve
+//! Lemmas 7.7–7.9 as well (`weighted::intervals`), whose intervals are
+//! lanes of the same shape. On a one-segment path (`h_st ≤ ζ`) or a
+//! one-interval path no lane publishes, every path vertex knows it, and
+//! the empty broadcast does not run.
 
 use std::ops::Range;
 
@@ -32,36 +38,60 @@ pub fn checkpoints(h: usize, spacing: usize) -> Vec<usize> {
     cps
 }
 
-fn forward_lanes(inst: &Instance<'_>, cps: &[usize]) -> Vec<Lane> {
-    cps.windows(2)
-        .map(|w| {
-            let (a, b) = (w[0], w[1]);
-            Lane::forward(
-                inst.path.nodes()[a..=b].to_vec(),
-                inst.path.edges()[a..b].to_vec(),
-            )
-        })
+/// One lane per path-position range `(a, b)`, `v_a → … → v_b` along
+/// `P`'s edges. Ranges may share endpoints, not edges.
+pub(crate) fn forward_lanes(
+    inst: &Instance<'_>,
+    ranges: impl IntoIterator<Item = (usize, usize)>,
+) -> Vec<Lane> {
+    let (nodes, edges) = (inst.path.nodes(), inst.path.edges());
+    ranges
+        .into_iter()
+        .map(|(a, b)| Lane::forward(nodes[a..=b].to_vec(), edges[a..b].to_vec()))
         .collect()
 }
 
-fn backward_lanes(inst: &Instance<'_>, cps: &[usize]) -> Vec<Lane> {
-    cps.windows(2)
-        .map(|w| {
-            let (a, b) = (w[0], w[1]);
-            let mut nodes = inst.path.nodes()[a..=b].to_vec();
-            let mut links = inst.path.edges()[a..b].to_vec();
-            nodes.reverse();
-            links.reverse();
-            Lane::backward(nodes, links)
-        })
+/// [`forward_lanes`] run backwards, `v_b → … → v_a`.
+pub(crate) fn backward_lanes(
+    inst: &Instance<'_>,
+    ranges: impl IntoIterator<Item = (usize, usize)>,
+) -> Vec<Lane> {
+    let (nodes, edges) = (inst.path.nodes(), inst.path.edges());
+    let rev = |xs: &[usize]| xs.iter().rev().copied().collect();
+    ranges
+        .into_iter()
+        .map(|(a, b)| Lane::backward(rev(&nodes[a..=b]), rev(&edges[a..b])))
+        .collect()
+}
+
+/// The one-edge shift of Lemmas 5.9 and 7.7: for every path edge `i`,
+/// `v_{i+1}` hands `row(i, j)` for each of `jobs` jobs to `v_i` over that
+/// edge, all edges in parallel. Returns `out[i][j] = row(i, j)`, as `v_i`
+/// received it.
+pub(crate) fn shift_left(
+    net: &mut Network<'_>,
+    inst: &Instance<'_>,
+    jobs: usize,
+    row: impl Fn(usize, usize) -> Dist,
+    phase: &str,
+) -> Vec<Vec<Dist>> {
+    let lanes = backward_lanes(inst, (0..inst.hops()).map(|i| (i, i + 1)));
+    let input = |i, pos, j| if pos == 0 { row(i, j) } else { Dist::INF };
+    let (shifted, _) = prefix_sweep(net, &lanes, jobs, &input, phase);
+    shifted
+        .into_iter()
+        .map(|mut lane| lane.swap_remove(1))
         .collect()
 }
 
 /// Lemmas 5.8 and 7.8's broadcast: the last vertex of every lane in
-/// `publish` sends its finite swept value for each of `jobs` jobs to the
-/// path vertices, and every path vertex keeps the least value it received
-/// per lane and job (∞ for the lanes outside `publish`).
-#[allow(clippy::too_many_arguments)]
+/// `publish` sends its finite swept value for each job to the path
+/// vertices, and every path vertex keeps the least value it received per
+/// lane and job (∞ for the lanes outside `publish`).
+///
+/// Every path vertex knows `h_st` (Lemma 2.5) and ζ, so it knows which
+/// lanes publish. When none does, nothing is coming, no vertex waits for
+/// it, and no phase runs.
 pub(crate) fn broadcast_lane_ends(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
@@ -69,15 +99,19 @@ pub(crate) fn broadcast_lane_ends(
     lanes: &[Lane],
     swept: &[Vec<Vec<Dist>>],
     publish: Range<usize>,
-    jobs: usize,
     phase: &str,
 ) -> Vec<Vec<Dist>> {
+    let jobs = swept[0][0].len();
+    let mut least = vec![vec![Dist::INF; jobs]; lanes.len()];
+    if publish.is_empty() {
+        return least;
+    }
     let mut items: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); net.node_count()];
     for li in publish {
         let lane = &lanes[li];
         let last = lane.nodes.len() - 1;
-        for j in 0..jobs {
-            if let Some(d) = swept[li][last][j].finite() {
+        for (j, d) in swept[li][last].iter().enumerate() {
+            if let Some(d) = d.finite() {
                 items[lane.nodes[last]].push((li as u32, j as u32, d));
             }
         }
@@ -94,7 +128,6 @@ pub(crate) fn broadcast_lane_ends(
         phase,
     )
     .expect("broadcast quiesces within O(M + D)");
-    let mut least = vec![vec![Dist::INF; jobs]; lanes.len()];
     for (li, j, d) in stream {
         let cell = &mut least[li as usize][j as usize];
         *cell = (*cell).min(Dist::new(d));
@@ -114,9 +147,9 @@ pub fn distances_from_s(
     prefix: &[Dist],
 ) -> Vec<Vec<Dist>> {
     let h = inst.hops();
-    let k = ld.landmarks.len();
+    let k = ld.to_landmark.len();
     let cps = checkpoints(h, params.zeta);
-    let lanes = forward_lanes(inst, &cps);
+    let lanes = forward_lanes(inst, cps.windows(2).map(|w| (w[0], w[1])));
     // Lemma 5.7: in-segment prefix sweeps, one job per landmark.
     let input = |lane: usize, pos: usize, j: usize| -> Dist {
         let global = cps[lane] + pos;
@@ -132,8 +165,7 @@ pub fn distances_from_s(
         tree,
         &lanes,
         &m_seg,
-        0..ell.saturating_sub(1),
-        k,
+        0..ell - 1,
         "long/broadcast-from-s",
     );
     // best_before[x][j] = min over segments < x of the broadcast summary.
@@ -167,9 +199,9 @@ pub fn distances_to_t(
     suffix: &[Dist],
 ) -> Vec<Vec<Dist>> {
     let h = inst.hops();
-    let k = ld.landmarks.len();
+    let k = ld.to_landmark.len();
     let cps = checkpoints(h, params.zeta);
-    let lanes = backward_lanes(inst, &cps);
+    let lanes = backward_lanes(inst, cps.windows(2).map(|w| (w[0], w[1])));
     let ell = lanes.len();
     // Mirrored Lemma 5.7: suffix sweeps within each segment.
     let input = |lane: usize, pos: usize, j: usize| -> Dist {
@@ -186,7 +218,6 @@ pub fn distances_to_t(
         &lanes,
         &m_seg,
         1..ell,
-        k,
         "long/broadcast-to-t",
     );
     // best_after[x][j] = min over segments > x.
@@ -208,28 +239,13 @@ pub fn distances_to_t(
         .collect();
     // The O(|L|)-round shift: v_{i+1} hands its N row to v_i across the
     // path edge (one value per round, all edges in parallel).
-    let shift_lanes: Vec<Lane> = (0..h)
-        .map(|i| {
-            Lane::backward(
-                vec![inst.path.node(i + 1), inst.path.node(i)],
-                vec![inst.path.edge(i)],
-            )
-        })
-        .collect();
-    let shift_input = |lane: usize, pos: usize, j: usize| -> Dist {
-        if pos == 0 {
-            n_at[lane + 1][j]
-        } else {
-            Dist::INF
-        }
-    };
-    let (shifted, _) = prefix_sweep(net, &shift_lanes, k, &shift_input, "long/shift");
-    (0..h).map(|i| shifted[i][1].clone()).collect()
+    shift_left(net, inst, k, |i, j| n_at[i + 1][j], "long/shift")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::long::dists::{compose_from_tables, hop_tables};
     use crate::long::landmarks;
     use congest::bfs_tree::build_bfs_tree;
     use graphkit::alg::{bfs, bfs_reverse};
@@ -302,7 +318,8 @@ mod tests {
             let lms = landmarks::sample(&inst, &params);
             let mut net = Network::new(inst.graph);
             let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
-            let ld = crate::long::dists::landmark_distances(&mut net, &inst, &params, &lms, &tree);
+            let (fwd, bwd) = hop_tables(&mut net, &inst, &params, &lms);
+            let ld = compose_from_tables(&mut net, &inst, &lms, fwd, bwd, &tree);
             let got = distances_from_s(&mut net, &inst, &params, &ld, &tree, &inst.prefix);
             assert_eq!(got, oracle_m(&inst, &lms), "seed {seed}");
         }
@@ -317,7 +334,8 @@ mod tests {
             let lms = landmarks::sample(&inst, &params);
             let mut net = Network::new(inst.graph);
             let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
-            let ld = crate::long::dists::landmark_distances(&mut net, &inst, &params, &lms, &tree);
+            let (fwd, bwd) = hop_tables(&mut net, &inst, &params, &lms);
+            let ld = compose_from_tables(&mut net, &inst, &lms, fwd, bwd, &tree);
             let got = distances_to_t(&mut net, &inst, &params, &ld, &tree, &inst.suffix);
             assert_eq!(got, oracle_n(&inst, &lms), "seed {seed}");
         }
@@ -333,7 +351,8 @@ mod tests {
         let lms = landmarks::sample(&inst, &params);
         let mut net = Network::new(inst.graph);
         let (tree, _) = build_bfs_tree(&mut net, inst.s()).unwrap();
-        let ld = crate::long::dists::landmark_distances(&mut net, &inst, &params, &lms, &tree);
+        let (fwd, bwd) = hop_tables(&mut net, &inst, &params, &lms);
+        let ld = compose_from_tables(&mut net, &inst, &lms, fwd, bwd, &tree);
         let got_m = distances_from_s(&mut net, &inst, &params, &ld, &tree, &inst.prefix);
         let got_n = distances_to_t(&mut net, &inst, &params, &ld, &tree, &inst.suffix);
         // ζ = 1 hop-bounds the landmark BFS to single edges; with every

@@ -53,8 +53,11 @@ impl Params {
     }
 
     /// Defaults with an explicit threshold ζ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zeta == 0`.
     pub fn with_zeta(n: usize, zeta: usize) -> Params {
-        assert!(zeta >= 1, "ζ must be at least 1");
         let ln_n = (n.max(2) as f64).ln();
         Params {
             zeta,
@@ -64,6 +67,7 @@ impl Params {
             eps_den: 2,
             budget_factor: 1,
         }
+        .checked()
     }
 
     /// Replaces the seed.
@@ -76,13 +80,44 @@ impl Params {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < num/den < 1` possibilities required by
-    /// Theorem 3 (`ε ∈ (0, 1)`).
+    /// Panics unless `0 < num/den < 1`, as Theorem 3 requires
+    /// (`ε ∈ (0, 1)`). It checks the whole domain every solver assumes,
+    /// so it also panics if another field lies outside it (ζ = 0,
+    /// `landmark_prob` outside `[0, 1]` or `budget_factor` = 0, which a
+    /// struct literal can set).
     pub fn with_eps(mut self, num: u64, den: u64) -> Params {
-        assert!(num > 0 && den > 0 && num < den, "ε must lie in (0, 1)");
         self.eps_num = num;
         self.eps_den = den;
+        self.checked()
+    }
+
+    fn checked(self) -> Params {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         self
+    }
+
+    /// Checks the domain every solver assumes: ζ ≥ 1, `landmark_prob` in
+    /// `[0, 1]`, `0 < eps_num < eps_den` and `budget_factor ≥ 1`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field outside it.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.zeta == 0 {
+            return Err("zeta must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.landmark_prob) {
+            let p = self.landmark_prob;
+            return Err(format!("landmark_prob {p} must lie in [0, 1]"));
+        }
+        if self.eps_num == 0 || self.eps_num >= self.eps_den {
+            let (num, den) = (self.eps_num, self.eps_den);
+            return Err(format!("eps_num/eps_den = {num}/{den} must lie in (0, 1)"));
+        }
+        if self.budget_factor == 0 {
+            return Err("budget_factor must be at least 1".into());
+        }
+        Ok(())
     }
 
     /// ε as a float (for reporting).

@@ -34,6 +34,7 @@
 
 use congest::bfs_tree::{build_bfs_tree, TreeError};
 use congest::{FaultPlan, FaultPlanError, Network};
+use graphkit::alg::undirected_bfs;
 use graphkit::{DiGraph, Dist, EdgeId, GraphBuilder, NodeId};
 
 use crate::instance::check_endpoints;
@@ -216,31 +217,15 @@ fn surviving_component(
     downed_links: &[EdgeId],
     crashed: &[NodeId],
 ) -> Vec<NodeId> {
-    let n = graph.node_count();
-    let mut dead = vec![false; n];
+    let mut dead = vec![false; graph.node_count()];
     for &v in crashed {
         dead[v] = true;
     }
-    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (id, e) in graph.edges() {
-        if downed_links.binary_search(&id).is_ok() || dead[e.from] || dead[e.to] {
-            continue;
-        }
-        adj[e.from].push(e.to);
-        adj[e.to].push(e.from);
-    }
-    let mut seen = vec![false; n];
-    seen[s] = true;
-    let mut stack = vec![s];
-    while let Some(v) = stack.pop() {
-        for &w in &adj[v] {
-            if !seen[w] {
-                seen[w] = true;
-                stack.push(w);
-            }
-        }
-    }
-    (0..n).filter(|&v| seen[v]).collect()
+    let reach = undirected_bfs(graph, s, |id| {
+        let e = graph.edge(id);
+        downed_links.binary_search(&id).is_err() && !dead[e.from] && !dead[e.to]
+    });
+    graph.nodes().filter(|&v| reach[v].is_finite()).collect()
 }
 
 #[cfg(test)]

@@ -69,7 +69,9 @@ pub(crate) fn solve_on_tree(
     let know = knowledge::acquire(net, inst, params, tree);
     debug_assert_eq!(know.dist_s, inst.prefix);
     let short_ans = short::solve_short(net, inst, params);
-    let long_ans = long::solve_long(net, inst, params, tree);
+    let long_ans = long::solve_long(net, inst, params, tree, 1, |net, lm| {
+        long::dists::hop_tables(net, inst, params, lm)
+    });
     // Test-only injectable defect (see `crate::testhooks`): a flipped
     // tie-break keeps the larger side where the regimes disagree.
     let flip = crate::testhooks::flip_unweighted_merge();

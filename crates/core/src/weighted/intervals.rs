@@ -12,12 +12,17 @@
 //! - **distant detours** (both endpoints outside): every interval
 //!   publishes `X̃(I_q, [l_k, ∞))` for all later intervals `k` to the path
 //!   vertices — `O(ℓ²) = O(n^{2/3})` broadcast messages (Lemmas 7.8, 7.9).
+//!
+//! The intervals are lanes of the same shape as Section 5's segments, so
+//! the lane builders, the one-edge shift and the lane-end broadcast are
+//! [`crate::long::segments`]'. A one-interval path publishes nothing, and
+//! its empty broadcast does not run.
 
-use congest::pipeline::{prefix_sweep, Lane};
+use congest::pipeline::prefix_sweep;
 use congest::Network;
 use graphkit::Dist;
 
-use crate::long::segments::broadcast_lane_ends;
+use crate::long::segments::{backward_lanes, broadcast_lane_ends, forward_lanes, shift_left};
 use crate::weighted::{approximator, ScaledAnswers};
 use crate::{Instance, Params};
 
@@ -47,15 +52,7 @@ pub fn solve_short_apx(
     let iv = intervals(h, params.zeta);
     let ell = iv.len();
 
-    let fwd_lanes: Vec<Lane> = iv
-        .iter()
-        .map(|&(l, r)| {
-            Lane::forward(
-                inst.path.nodes()[l..=r].to_vec(),
-                inst.path.edges()[l..r].to_vec(),
-            )
-        })
-        .collect();
+    let fwd_lanes = forward_lanes(inst, iv.iter().copied());
     let max_size = iv.iter().map(|&(l, r)| r - l + 1).max().unwrap_or(1);
 
     // (a) Nearby detours leaving within the interval:
@@ -82,16 +79,7 @@ pub fn solve_short_apx(
 
     // (b) Nearby detours returning within the interval:
     // at v_{i+1}: min_{k in [i+1, r_q]} bwd[k][i]; then shift one edge left.
-    let bwd_lanes: Vec<Lane> = iv
-        .iter()
-        .map(|&(l, r)| {
-            let mut nodes = inst.path.nodes()[l..=r].to_vec();
-            let mut links = inst.path.edges()[l..r].to_vec();
-            nodes.reverse();
-            links.reverse();
-            Lane::backward(nodes, links)
-        })
-        .collect();
+    let bwd_lanes = backward_lanes(inst, iv.iter().copied());
     let input_b = |lane: usize, pos: usize, job: usize| -> Dist {
         let (_, r) = iv[lane];
         if job == 0 || job > r {
@@ -119,23 +107,7 @@ pub fn solve_short_apx(
         })
         .collect();
     // Shift one edge left: v_{i+1} -> v_i (single round, all edges).
-    let shift_lanes: Vec<Lane> = (0..h)
-        .map(|i| {
-            Lane::backward(
-                vec![inst.path.node(i + 1), inst.path.node(i)],
-                vec![inst.path.edge(i)],
-            )
-        })
-        .collect();
-    let shift_input = |lane: usize, pos: usize, _job: usize| -> Dist {
-        if pos == 0 {
-            at_next[lane]
-        } else {
-            Dist::INF
-        }
-    };
-    let (shifted, _) = prefix_sweep(net, &shift_lanes, 1, &shift_input, "apx/shift");
-    let near_b: Vec<Dist> = (0..h).map(|i| shifted[i][1][0]).collect();
+    let near_b = shift_left(net, inst, 1, |i, _| at_next[i], "apx/shift");
 
     // (c) Distant detours: every interval q publishes
     // X̃(I_q, [l_k, ∞)) for k > q (Lemma 7.8), then everyone combines
@@ -159,7 +131,6 @@ pub fn solve_short_apx(
         &fwd_lanes,
         &sweep_c,
         0..ell - 1,
-        ell,
         "apx/broadcast-intervals",
     );
     // upto[q][k] = X̃((−∞, r_q], [l_k, ∞)) = min_{x <= q} summary[x][k].
@@ -180,7 +151,7 @@ pub fn solve_short_apx(
                 // Edge crosses intervals q and q+1.
                 return upto[q][q + 1];
             }
-            let mut best = near_a[i].min(near_b[i]);
+            let mut best = near_a[i].min(near_b[i][0]);
             if q > 0 && q + 1 < ell {
                 best = best.min(upto[q - 1][q + 1]);
             }

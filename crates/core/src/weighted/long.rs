@@ -1,9 +1,10 @@
 //! Section 7.3 / Proposition 7.11: long detours in weighted graphs.
 //!
-//! The structure is identical to the unweighted Section 5 pipeline; the
-//! only change (as in the paper) is that every exact hop-bounded BFS is
+//! The structure is the unweighted Section 5 pipeline, and so is the
+//! code: [`solve_long_apx`] runs [`crate::long::solve_long`]. The only
+//! change (as in the paper) is that every exact hop-bounded BFS is
 //! replaced by a `(1+ε)`-approximate hop-bounded multi-source shortest
-//! paths computation.
+//! paths computation, whose scaled tables this module supplies.
 //!
 //! **Substitution.** The paper takes that computation from [Nan14,
 //! Thm 3.6]; this reproduction does not implement that algorithm. It
@@ -21,8 +22,6 @@ use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::Network;
 use graphkit::{Dist, NodeId};
 
-use crate::long::dists::compose_from_tables;
-use crate::long::{landmarks, segments};
 use crate::weighted::rounding::ScaleSet;
 use crate::weighted::ScaledAnswers;
 use crate::{Instance, Params};
@@ -72,59 +71,25 @@ pub fn approx_hop_multi_source(
 
 /// Proposition 7.11: per-edge scaled upper bounds, `(1+ε)`-tight (w.h.p.)
 /// for edges whose best replacement uses a long detour.
+///
+/// [`crate::long::solve_long`] with the rounded tables of
+/// [`approx_hop_multi_source`], forwards then backwards, over `set.den`.
 pub fn solve_long_apx(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
     tree: &BfsTree,
 ) -> ScaledAnswers {
-    let lms = landmarks::sample(inst, params);
     let set = ScaleSet::build(inst.graph, params, params.zeta as u64);
-    if lms.is_empty() {
-        return ScaledAnswers {
-            scaled: vec![Dist::INF; inst.hops()],
-            den: set.den,
+    let scaled = crate::long::solve_long(net, inst, params, tree, set.den, |net, lms| {
+        let mut table = |reverse, phase| {
+            approx_hop_multi_source(net, inst, &set, lms, reverse, phase, params.budget_factor)
         };
-    }
-    // Approximate hop-bounded distances from/to every landmark.
-    let fwd_hb = approx_hop_multi_source(
-        net,
-        inst,
-        &set,
-        &lms,
-        false,
-        "apx-long/bfs-fwd",
-        params.budget_factor,
-    );
-    let bwd_hb = approx_hop_multi_source(
-        net,
-        inst,
-        &set,
-        &lms,
-        true,
-        "apx-long/bfs-bwd",
-        params.budget_factor,
-    );
-    // Lemma 5.4-style broadcast + closure + composition, on scaled values.
-    let ld = compose_from_tables(net, inst, &lms, fwd_hb, bwd_hb, tree);
-    // Scaled prefix/suffix distances along P.
-    let h = inst.hops();
-    let prefix: Vec<Dist> = (0..=h)
-        .map(|i| Dist::new(set.scale_exact(inst.prefix[i].finite().expect("finite"))))
-        .collect();
-    let suffix: Vec<Dist> = (0..=h)
-        .map(|i| Dist::new(set.scale_exact(inst.suffix[i].finite().expect("finite"))))
-        .collect();
-    let m_table = segments::distances_from_s(net, inst, params, &ld, tree, &prefix);
-    let n_table = segments::distances_to_t(net, inst, params, &ld, tree, &suffix);
-    let scaled = (0..h)
-        .map(|i| {
-            (0..lms.len())
-                .map(|j| m_table[i][j] + n_table[i][j])
-                .min()
-                .unwrap_or(Dist::INF)
-        })
-        .collect();
+        (
+            table(false, "apx-long/bfs-fwd"),
+            table(true, "apx-long/bfs-bwd"),
+        )
+    });
     ScaledAnswers {
         scaled,
         den: set.den,

@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use congest::bfs_tree::build_bfs_tree;
 use congest::{FaultPlan, Network};
-use graphkit::alg::shortest_st_path;
+use graphkit::alg::{shortest_st_path, undirected_bfs};
 use graphkit::{gen, DiGraph, EdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -394,58 +394,6 @@ fn endpoints(
     natural.or_else(|| gen::random_reachable_pair(graph, rng.gen_range(0..u64::MAX / 2)))
 }
 
-/// Undirected connectivity in `O(n + m)` (the diameter oracle is
-/// `O(n·m)` and unusable at scale-tier sizes).
-pub fn undirected_connected(graph: &DiGraph) -> bool {
-    let n = graph.node_count();
-    if n == 0 {
-        return true;
-    }
-    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (_, e) in graph.edges() {
-        adj[e.from].push(e.to);
-        adj[e.to].push(e.from);
-    }
-    let mut seen = vec![false; n];
-    let mut stack = vec![0];
-    seen[0] = true;
-    let mut count = 1;
-    while let Some(v) = stack.pop() {
-        for &w in &adj[v] {
-            if !seen[w] {
-                seen[w] = true;
-                count += 1;
-                stack.push(w);
-            }
-        }
-    }
-    count == n
-}
-
-/// Undirected hop distances from `root` in `O(n + m)` — the centralized
-/// mirror of the engine's BFS-tree depths.
-pub fn undirected_bfs_depths(graph: &DiGraph, root: NodeId) -> Vec<Option<u64>> {
-    let n = graph.node_count();
-    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (_, e) in graph.edges() {
-        adj[e.from].push(e.to);
-        adj[e.to].push(e.from);
-    }
-    let mut depth = vec![None; n];
-    depth[root] = Some(0);
-    let mut frontier = std::collections::VecDeque::from([root]);
-    while let Some(v) = frontier.pop_front() {
-        let d = depth[v].unwrap();
-        for &w in &adj[v] {
-            if depth[w].is_none() {
-                depth[w] = Some(d + 1);
-                frontier.push_back(w);
-            }
-        }
-    }
-    depth
-}
-
 fn diverge(
     check: impl Into<String>,
     got: impl Into<String>,
@@ -765,8 +713,12 @@ fn run_scale_tier(plan: &CasePlan) -> CaseRun {
     let mut rng = StdRng::seed_from_u64(plan.case_seed);
     let (graph, natural) = plan.family.generate(plan.n, &mut rng);
     // Generator invariant: every family contract promises an
-    // undirected-connected graph.
-    if !undirected_connected(&graph) {
+    // undirected-connected graph. One O(n + m) search; the diameter
+    // oracle is O(n·m) and unusable at scale-tier sizes.
+    if !undirected_bfs(&graph, 0, |_| true)
+        .iter()
+        .all(|d| d.is_finite())
+    {
         return CaseRun {
             outcome: Err(diverge(
                 format!("{} generator connectivity", plan.family.name()),
@@ -834,14 +786,14 @@ fn run_scale_tier(plan: &CasePlan) -> CaseRun {
         let mut net = Network::new(&graph);
         match build_bfs_tree(&mut net, s) {
             Ok((tree, _)) => {
-                let want = undirected_bfs_depths(&graph, s);
+                let want = undirected_bfs(&graph, s, |_| true);
                 for v in 0..graph.node_count() {
-                    if Some(tree.depth[v]) != want[v] {
+                    if Some(tree.depth[v]) != want[v].finite() {
                         return CaseRun {
                             outcome: Err(diverge(
                                 "distributed BFS depth vs centralized BFS",
                                 format!("node {v}: {}", tree.depth[v]),
-                                format!("{:?}", want[v]),
+                                format!("{:?}", want[v].finite()),
                             )),
                             skip: None,
                             repro: None,

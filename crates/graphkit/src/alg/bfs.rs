@@ -47,6 +47,26 @@ pub fn bfs_reverse(graph: &DiGraph, sink: NodeId, filter: impl Fn(EdgeId) -> boo
     dist
 }
 
+/// Undirected hop distances from `root` over the edges `keep` accepts,
+/// each usable in both directions (the communication graph's view).
+pub fn undirected_bfs(graph: &DiGraph, root: NodeId, keep: impl Fn(EdgeId) -> bool) -> Vec<Dist> {
+    let mut dist = vec![Dist::INF; graph.node_count()];
+    let mut queue = VecDeque::from([root]);
+    dist[root] = Dist::ZERO;
+    while let Some(v) = queue.pop_front() {
+        let next = dist[v] + 1u64;
+        let out = graph.out_edges(v).map(|e| (e, graph.edge(e).to));
+        let inc = graph.in_edges(v).map(|e| (e, graph.edge(e).from));
+        for (e, u) in out.chain(inc) {
+            if keep(e) && !dist[u].is_finite() {
+                dist[u] = next;
+                queue.push_back(u);
+            }
+        }
+    }
+    dist
+}
+
 /// Multi-source hop-bounded BFS: distances from the nearest source using
 /// at most `max_hops` edges, following edge directions.
 pub fn bfs_hop_bounded(
@@ -119,6 +139,16 @@ mod tests {
         let d = bfs(&g, 0, |e| e != 0);
         assert_eq!(d[1], Dist::INF);
         assert_eq!(d[0], Dist::ZERO);
+    }
+
+    #[test]
+    fn undirected_bfs_ignores_direction_and_honours_keep() {
+        let g = cycle(6);
+        let d = undirected_bfs(&g, 0, |_| true);
+        assert_eq!(d[5], Dist::new(1)); // against edge 5 -> 0
+        assert_eq!(d[3], Dist::new(3));
+        // Without edge 0 (0 -> 1), vertex 1 is five hops the other way.
+        assert_eq!(undirected_bfs(&g, 0, |e| e != 0)[1], Dist::new(5));
     }
 
     #[test]

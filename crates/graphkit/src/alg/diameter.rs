@@ -5,54 +5,13 @@
 
 use std::collections::VecDeque;
 
-use crate::{DiGraph, NodeId};
-
-/// One undirected BFS from `v` over the precomputed neighbor CSR,
-/// reusing the caller's scratch buffers (generation-stamped visitation,
-/// so `dist` is never cleared between sources).
-fn ecc_from(
-    graph: &DiGraph,
-    v: NodeId,
-    dist: &mut [(u64, usize)],
-    queue: &mut VecDeque<NodeId>,
-    generation: u64,
-) -> Option<usize> {
-    let n = graph.node_count();
-    queue.clear();
-    dist[v] = (generation, 0);
-    queue.push_back(v);
-    let mut reached = 1;
-    let mut ecc = 0;
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u].1;
-        for w in graph.undirected_neighbors(u) {
-            if dist[w].0 != generation {
-                dist[w] = (generation, du + 1);
-                ecc = ecc.max(du + 1);
-                reached += 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    (reached == n).then_some(ecc)
-}
-
-/// Undirected eccentricity of `v`: the largest hop distance from `v` to
-/// any vertex reachable over undirected edges.
-///
-/// Returns `None` when some vertex is unreachable (disconnected
-/// communication graph).
-pub fn undirected_eccentricity(graph: &DiGraph, v: NodeId) -> Option<usize> {
-    let n = graph.node_count();
-    let mut dist = vec![(0u64, 0usize); n];
-    let mut queue = VecDeque::new();
-    ecc_from(graph, v, &mut dist, &mut queue, 1)
-}
+use crate::DiGraph;
 
 /// Exact undirected diameter via a BFS from every vertex; `O(n·m)` time
 /// and `O(n)` space — the per-source scratch is allocated once and
-/// generation-stamped, and neighbor iteration borrows the undirected
-/// CSR precomputed at graph build time.
+/// generation-stamped (source `v` stamps `v + 1`, so `dist` is never
+/// cleared between sources), and neighbor iteration borrows the
+/// undirected CSR precomputed at graph build time.
 ///
 /// Returns `None` for a disconnected communication graph. Distributed
 /// algorithms in this workspace require a connected communication graph,
@@ -63,7 +22,24 @@ pub fn undirected_diameter(graph: &DiGraph) -> Option<usize> {
     let mut queue = VecDeque::with_capacity(n);
     let mut best = 0;
     for v in graph.nodes() {
-        best = best.max(ecc_from(graph, v, &mut dist, &mut queue, v as u64 + 1)?);
+        let generation = v as u64 + 1;
+        dist[v] = (generation, 0);
+        queue.push_back(v);
+        let mut reached = 1;
+        while let Some(u) = queue.pop_front() {
+            let du = dist[u].1;
+            for w in graph.undirected_neighbors(u) {
+                if dist[w].0 != generation {
+                    dist[w] = (generation, du + 1);
+                    best = best.max(du + 1);
+                    reached += 1;
+                    queue.push_back(w);
+                }
+            }
+        }
+        if reached < n {
+            return None;
+        }
     }
     Some(best)
 }
@@ -93,7 +69,6 @@ mod tests {
         }
         let g = b.build();
         assert_eq!(undirected_diameter(&g), Some(4));
-        assert_eq!(undirected_eccentricity(&g, 2), Some(2));
     }
 
     #[test]
@@ -102,7 +77,6 @@ mod tests {
         b.add_arc(0, 1);
         let g = b.build();
         assert_eq!(undirected_diameter(&g), None);
-        assert_eq!(undirected_eccentricity(&g, 0), None);
     }
 
     #[test]

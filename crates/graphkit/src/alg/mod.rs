@@ -12,8 +12,8 @@ mod dijkstra;
 mod khop;
 mod replacement;
 
-pub use bfs::{bfs, bfs_hop_bounded, bfs_reverse};
-pub use diameter::{undirected_diameter, undirected_eccentricity};
+pub use bfs::{bfs, bfs_hop_bounded, bfs_reverse, undirected_bfs};
+pub use diameter::undirected_diameter;
 pub use dijkstra::{dijkstra, shortest_st_path};
 pub use khop::hop_bounded_dists;
 pub use replacement::{replacement_lengths, second_simple_shortest};

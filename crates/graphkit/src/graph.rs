@@ -1,6 +1,5 @@
 //! Compact directed multigraph with positive integer weights.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -218,19 +217,6 @@ impl DiGraph {
         b.build()
     }
 
-    /// Returns a copy with the given edges removed. Edge ids are *not*
-    /// preserved; use this only where ids do not matter (reference
-    /// algorithms). The vertex set is unchanged.
-    pub fn without_edges(&self, remove: &HashSet<EdgeId>) -> DiGraph {
-        let mut b = GraphBuilder::new(self.n);
-        for (id, e) in self.edges() {
-            if !remove.contains(&id) {
-                b.add_edge(e.from, e.to, e.weight);
-            }
-        }
-        b.build()
-    }
-
     /// A stable 64-bit identity of the graph's full structure: vertex
     /// count, edge list (order, endpoints, weights), and the precomputed
     /// CSR indexes.
@@ -372,6 +358,8 @@ impl GraphBuilder {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     fn diamond() -> DiGraph {
@@ -441,16 +429,6 @@ mod tests {
                 "vertex {v}"
             );
         }
-    }
-
-    #[test]
-    fn without_edges_drops_only_requested() {
-        let g = diamond();
-        let removed: HashSet<_> = [1usize].into_iter().collect();
-        let h = g.without_edges(&removed);
-        assert_eq!(h.edge_count(), 3);
-        assert_eq!(h.node_count(), 4);
-        assert!(h.edges().all(|(_, e)| !(e.from == 1 && e.to == 3)));
     }
 
     #[test]

@@ -12,8 +12,10 @@
 
 use std::path::PathBuf;
 
+use graphkit::gen::parallel_lane;
 use rpaths_core::fixture::{Fixture, FixtureError, FIXTURE_EXT};
-use rpaths_core::testhooks;
+use rpaths_core::oracle::FuzzSolver;
+use rpaths_core::{testhooks, Params};
 use rpaths_fuzz::{run_sweep, FuzzConfig};
 
 fn corpus_dir() -> PathBuf {
@@ -120,4 +122,35 @@ fn injected_bug_is_caught_minimized_and_replays_red() {
         .expect("fixture must replay green on the healthy solver");
 
     let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// A fixture whose parameters lie outside the solvers' domain is refused
+/// on read, naming the field, instead of panicking on replay.
+#[test]
+fn out_of_domain_params_are_decode_errors() {
+    let (g, s, t) = parallel_lane(8, 2, 2);
+    let dir = std::env::temp_dir().join(format!("rpaths-fixture-domain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spoilers: [(&str, fn(&mut Params)); 5] = [
+        ("zeta", |p| p.zeta = 0),
+        ("landmark_prob", |p| p.landmark_prob = 2.0),
+        ("landmark_prob", |p| p.landmark_prob = f64::NAN),
+        ("budget_factor", |p| p.budget_factor = 0),
+        ("eps_num", |p| p.eps_num = 0),
+    ];
+    for (i, (field, spoil)) in spoilers.into_iter().enumerate() {
+        let mut params = Params::with_zeta(g.node_count(), 4);
+        spoil(&mut params);
+        let path = dir.join(format!("bad-{i}.rpfix"));
+        // Theorem 3's replay panics on each of these values.
+        let solver = FuzzSolver::Weighted;
+        Fixture::instance_mode("bad", "domain", g.clone(), s, t, params, solver)
+            .write(&path)
+            .unwrap();
+        match Fixture::read(&path) {
+            Err(FixtureError::Decode(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+            other => panic!("{field}: read back as {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
