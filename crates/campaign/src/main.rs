@@ -21,10 +21,11 @@
 //!
 //! Every scenario runs `rpaths_core::resilient::solve_with_recovery`
 //! and a live detection probe; outcomes land in `CAMPAIGN_faults.json`
-//! at the repository root (written via the store's temp-file +
+//! in the working directory (written via the store's temp-file +
 //! atomic-rename helper, so a crash mid-write never leaves a torn
-//! report). `--smoke` shrinks the sweep to seconds for CI while still
-//! writing the report.
+//! report). Run from the repository root, that is the committed report.
+//! `--smoke` shrinks the sweep to seconds for CI while still writing the
+//! report.
 //!
 //! # Checkpoint/resume (`--snapshot <path>`)
 //!
@@ -56,9 +57,9 @@ use rpaths_store::{atomic_write, Artifact, Loaded, Snapshot};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
-/// Where the report lands: the repository root, next to the other
-/// reproduction artifacts.
-const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../CAMPAIGN_faults.json");
+/// Where the report lands: the working directory, as `rpaths-fuzz`
+/// writes its fixtures under `tests/regressions` there.
+const REPORT_PATH: &str = "CAMPAIGN_faults.json";
 
 /// Artifact key of the progress blob inside a checkpoint snapshot.
 const PROGRESS_KEY: &str = "campaign/progress";

@@ -39,8 +39,10 @@ pub fn mr_zeta(n: usize, h: usize, zeta: usize) -> usize {
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected, and [`SolveError::Engine`] when a phase runs out of its
-/// round budget (a fault plan that drops messages can cause this).
+/// disconnected, [`SolveError::Engine`] when a phase runs out of its
+/// round budget (a fault plan that drops messages can cause this), and
+/// [`SolveError::InvalidParams`] (before any round runs) when `params`
+/// lie outside the solvers' domain.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, SolveError> {
     let (replacement, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(RPathsOutput {
@@ -55,13 +57,16 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, Solve
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected, and [`SolveError::Engine`] when a phase runs out of its
-/// round budget (a fault plan that drops messages can cause this).
+/// disconnected, [`SolveError::Engine`] when a phase runs out of its
+/// round budget (a fault plan that drops messages can cause this), and
+/// [`SolveError::InvalidParams`] (before any round runs) when `params`
+/// lie outside the solvers' domain.
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
 ) -> Result<Vec<Dist>, SolveError> {
+    params.check().map_err(SolveError::InvalidParams)?;
     assert!(inst.graph.is_unweighted(), "mr24 baseline is unweighted");
     let n = inst.n();
     let h = inst.hops();

@@ -21,8 +21,10 @@ use crate::{with_network, Instance, Params, RPathsOutput, SolveError};
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected, and [`SolveError::Engine`] when a phase runs out of its
-/// round budget (a fault plan that drops messages can cause this).
+/// disconnected, [`SolveError::Engine`] when a phase runs out of its
+/// round budget (a fault plan that drops messages can cause this), and
+/// [`SolveError::InvalidParams`] (before any round runs) when `params`
+/// lie outside the solvers' domain.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, SolveError> {
     let (replacement, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(RPathsOutput {
@@ -37,13 +39,16 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, Solve
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected, and [`SolveError::Engine`] when a phase runs out of its
-/// round budget (a fault plan that drops messages can cause this).
+/// disconnected, [`SolveError::Engine`] when a phase runs out of its
+/// round budget (a fault plan that drops messages can cause this), and
+/// [`SolveError::InvalidParams`] (before any round runs) when `params`
+/// lie outside the solvers' domain.
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
-    _params: &Params,
+    params: &Params,
 ) -> Result<Vec<Dist>, SolveError> {
+    params.check().map_err(SolveError::InvalidParams)?;
     assert!(inst.graph.is_unweighted(), "naive baseline is unweighted");
     let (tree, _) = build_bfs_tree(net, inst.s())?;
     let n = inst.n() as u64;

@@ -108,14 +108,14 @@ impl<'g> Instance<'g> {
     /// Builds an instance from parts a solver session already holds: the
     /// path is still re-validated as shortest, but the (expensive)
     /// undirected diameter is injected from the session's artifact cache
-    /// instead of being recomputed per instance.
+    /// instead of being recomputed per instance. It is taken as given (a
+    /// warm boot imports it unchecked); no solver reads it.
     pub(crate) fn with_parts(
         graph: &'g DiGraph,
         path: StPath,
         diameter: usize,
     ) -> Result<Instance<'g>, InstanceError> {
         path.validate_shortest(graph)?;
-        debug_assert_eq!(undirected_diameter(graph), Some(diameter));
         let mut path_index = vec![None; graph.node_count()];
         for (i, &v) in path.nodes().iter().enumerate() {
             path_index[v] = Some(i);

@@ -120,6 +120,10 @@ pub enum SolveError {
         /// The sum of all edge weights (which may itself exceed `u64`).
         total_weight: u128,
     },
+    /// The [`Params`] lie outside the domain every solver assumes
+    /// (`Params::check`): the message names the first field outside it.
+    /// Returned before any round runs.
+    InvalidParams(String),
 }
 
 impl fmt::Display for SolveError {
@@ -142,6 +146,7 @@ impl fmt::Display for SolveError {
                 "edge weights too large for exact scaled arithmetic: the total \
                  weight {total_weight} gives scaled lengths beyond u64"
             ),
+            SolveError::InvalidParams(e) => write!(f, "invalid parameters: {e}"),
         }
     }
 }

@@ -97,7 +97,8 @@ impl Params {
     }
 
     /// Checks the domain every solver assumes: ζ ≥ 1, `landmark_prob` in
-    /// `[0, 1]`, `0 < eps_num < eps_den` and `budget_factor ≥ 1`.
+    /// `[0, 1]`, `0 < eps_num < eps_den` and `budget_factor ≥ 1`. Every
+    /// solver returns [`crate::SolveError::InvalidParams`] outside it.
     ///
     /// # Errors
     ///

@@ -43,7 +43,8 @@ impl ReachabilityOutput {
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::InvalidParams`] when `params` lie
+/// outside the solvers' domain.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ReachabilityOutput, SolveError> {
     let (survivable, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(ReachabilityOutput {
@@ -58,7 +59,8 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ReachabilityOutput,
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::InvalidParams`] when `params` lie
+/// outside the solvers' domain.
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,

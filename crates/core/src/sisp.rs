@@ -28,7 +28,8 @@ pub struct SispOutput {
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::InvalidParams`] when `params` lie
+/// outside the solvers' domain.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<SispOutput, SolveError> {
     let (value, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(SispOutput { value, metrics })
@@ -40,12 +41,14 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<SispOutput, SolveEr
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::InvalidParams`] (before any round
+/// runs) when `params` lie outside the solvers' domain.
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
 ) -> Result<Dist, SolveError> {
+    params.check().map_err(SolveError::InvalidParams)?;
     // One BFS tree serves Theorem 1 and the aggregation.
     let (tree, _) = build_bfs_tree(net, inst.s())?;
     let replacement = unweighted::solve_on_tree(net, inst, params, &tree);

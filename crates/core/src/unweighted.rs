@@ -21,7 +21,8 @@ use crate::{knowledge, long, short, with_network, Instance, Params, RPathsOutput
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::InvalidParams`] when `params` lie
+/// outside the solvers' domain.
 ///
 /// # Panics
 ///
@@ -43,12 +44,14 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<RPathsOutput, Solve
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected.
+/// disconnected, and [`SolveError::InvalidParams`] (before any round
+/// runs) when `params` lie outside the solvers' domain.
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
 ) -> Result<Vec<graphkit::Dist>, SolveError> {
+    params.check().map_err(SolveError::InvalidParams)?;
     let (tree, _) = build_bfs_tree(net, inst.s())?;
     Ok(solve_on_tree(net, inst, params, &tree))
 }

@@ -13,10 +13,10 @@
 //! 7.3/7.4).
 //!
 //! Internally, all approximate lengths are *scaled rationals*: exact
-//! integers in units of `1/den` where `den = 2·ζ·eps_den` (resp.
-//! `2·h·eps_den` for the long-detour scales), so the `(1+ε)` guarantee is
-//! never eroded by floating-point error. [`ApxOutput`] exposes them both
-//! ways.
+//! integers in units of `1/den` where `den = 2·ζ·eps_den` on both the
+//! short- and the long-detour side (both build their scales with hop
+//! budget ζ), so the `(1+ε)` guarantee is never eroded by floating-point
+//! error. [`ApxOutput`] exposes them both ways.
 
 pub mod approximator;
 pub mod intervals;
@@ -101,8 +101,9 @@ impl ApxOutput {
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected, and [`SolveError::WeightsTooLarge`] when a scaled length
-/// would not fit `u64`.
+/// disconnected, [`SolveError::WeightsTooLarge`] when a scaled length
+/// would not fit `u64`, and [`SolveError::InvalidParams`] when `params`
+/// lie outside the solvers' domain.
 pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ApxOutput, SolveError> {
     let (answers, metrics) = with_network(inst.graph, |net| solve_on(net, inst, params))?;
     Ok(ApxOutput {
@@ -119,13 +120,16 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<ApxOutput, SolveErr
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected, and [`SolveError::WeightsTooLarge`] (before any round
-/// runs) when a scaled length would not fit `u64`.
+/// disconnected, and, before any round runs,
+/// [`SolveError::InvalidParams`] when `params` lie outside the solvers'
+/// domain and [`SolveError::WeightsTooLarge`] when a scaled length would
+/// not fit `u64`.
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
     params: &Params,
 ) -> Result<ScaledAnswers, SolveError> {
+    params.check().map_err(SolveError::InvalidParams)?;
     // Both sides scale with hop budget ζ; check their arithmetic first.
     if rounding::scaled_bound(inst.graph, params, params.zeta as u64).is_none() {
         let total_weight = inst.graph.edges().map(|(_, e)| e.weight as u128).sum();
@@ -140,20 +144,18 @@ pub fn solve_on(
     // Proposition 7.11: long detours via approximate landmark distances.
     let long = long::solve_long_apx(net, inst, params, &tree);
 
-    // Both sides produce scaled values; bring them to a common
-    // denominator and take the minimum.
-    let den = lcm(short.den, long.den);
+    // Both sides scale over the same `ScaleSet::den`; take the minimum.
+    debug_assert_eq!(short.den, long.den);
     let scaled = short
         .scaled
         .iter()
         .zip(&long.scaled)
-        .map(|(&a, &b)| {
-            let a2 = a.saturating_mul(den / short.den);
-            let b2 = b.saturating_mul(den / long.den);
-            a2.min(b2)
-        })
+        .map(|(&a, &b)| a.min(b))
         .collect();
-    Ok(ScaledAnswers { scaled, den })
+    Ok(ScaledAnswers {
+        scaled,
+        den: short.den,
+    })
 }
 
 /// A pair (scaled lengths, denominator) produced by one side of the
@@ -164,18 +166,6 @@ pub struct ScaledAnswers {
     pub scaled: Vec<Dist>,
     /// Common denominator.
     pub den: u64,
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
 }
 
 #[cfg(test)]

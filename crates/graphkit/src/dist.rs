@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::Add;
 
-use serde::{Deserialize, Serialize};
-
 /// A shortest-path distance: either a finite non-negative integer or
 /// infinity ("no path").
 ///
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(a < Dist::INF);
 /// assert_eq!(Dist::INF.min(b), b);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Dist(u64);
 
 impl Dist {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a vertex; vertices are always `0..n`.
 pub type NodeId = usize;
 
@@ -11,7 +9,7 @@ pub type NodeId = usize;
 pub type EdgeId = usize;
 
 /// A directed weighted edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Tail vertex (the edge points away from this vertex).
     pub from: NodeId,
@@ -44,27 +42,27 @@ pub struct Edge {
 /// assert_eq!(g.out_edges(0).count(), 2);
 /// assert_eq!(g.in_edges(2).count(), 2);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct DiGraph {
-    pub(crate) n: usize,
-    pub(crate) edges: Vec<Edge>,
-    pub(crate) out_index: Csr,
-    pub(crate) in_index: Csr,
+    n: usize,
+    edges: Vec<Edge>,
+    out_index: Csr,
+    in_index: Csr,
     /// Deduplicated undirected adjacency (CONGEST communication
     /// neighbors), precomputed once at build time so neighbor iteration
     /// is allocation-free.
-    pub(crate) undirected: Csr,
-    pub(crate) unweighted: bool,
+    undirected: Csr,
+    unweighted: bool,
 }
 
-#[derive(Clone, Serialize, Deserialize)]
-pub(crate) struct Csr {
-    pub(crate) offsets: Vec<u32>,
-    pub(crate) items: Vec<u32>,
+#[derive(Clone)]
+struct Csr {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
 }
 
 impl Csr {
-    pub(crate) fn build(n: usize, keys: impl Iterator<Item = usize> + Clone, m: usize) -> Csr {
+    fn build(n: usize, keys: impl Iterator<Item = usize> + Clone, m: usize) -> Csr {
         let mut counts = vec![0u32; n + 1];
         for k in keys.clone() {
             counts[k + 1] += 1;
@@ -83,7 +81,7 @@ impl Csr {
     }
 
     #[inline]
-    pub(crate) fn slice(&self, k: usize) -> &[u32] {
+    fn slice(&self, k: usize) -> &[u32] {
         &self.items[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 }
@@ -91,7 +89,7 @@ impl Csr {
 /// Deduplicated undirected adjacency in one `O(n + m)` pass: per vertex,
 /// successors then predecessors in first-occurrence order, with a
 /// stamp array standing in for a per-vertex hash set.
-pub(crate) fn build_undirected(n: usize, edges: &[Edge], out_index: &Csr, in_index: &Csr) -> Csr {
+fn build_undirected(n: usize, edges: &[Edge], out_index: &Csr, in_index: &Csr) -> Csr {
     let mut mark = vec![u32::MAX; n];
     let mut offsets = vec![0u32; n + 1];
     let mut items = Vec::with_capacity(2 * edges.len());
@@ -218,8 +216,9 @@ impl DiGraph {
     }
 
     /// A stable 64-bit identity of the graph's full structure: vertex
-    /// count, edge list (order, endpoints, weights), and the precomputed
-    /// CSR indexes.
+    /// count and edge list (order, endpoints, weights). The adjacency
+    /// indexes are a deterministic function of those, so they are
+    /// covered too.
     ///
     /// The fingerprint is an FNV-1a hash of [`DiGraph::to_snapshot`], so
     /// it is identical across processes, platforms, and snapshot round
@@ -274,8 +273,8 @@ impl fmt::Debug for DiGraph {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
-    n: usize,
-    edges: Vec<Edge>,
+    pub(crate) n: usize,
+    pub(crate) edges: Vec<Edge>,
 }
 
 impl GraphBuilder {

@@ -20,7 +20,8 @@
 //!   algorithm in the workspace.
 //! - a snapshot codec ([`DiGraph::to_snapshot`] /
 //!   [`DiGraph::from_snapshot`]): a defensive little-endian byte
-//!   encoding of a graph *with* its precomputed CSR indexes, used as the
+//!   encoding of a graph's vertex count and edge list, decoded through
+//!   [`GraphBuilder::build`] like every other graph, and used as the
 //!   graph section of the `rpaths-store` single-file snapshot format.
 //!
 //! Nothing in this crate knows about rounds or messages; the CONGEST

@@ -1,34 +1,38 @@
 //! Byte codec for [`DiGraph`]: the payload of the graph section in a
 //! `rpaths-store` snapshot file.
 //!
-//! The encoding is a flat little-endian dump of the graph *including*
-//! its precomputed CSR indexes, so a decoded graph is ready for
-//! `Network::new`:
+//! A graph is its vertex count and its edge list, and that is all the
+//! payload holds, as flat little-endian integers:
 //!
 //! ```text
-//! n               u64
-//! m               u64
-//! edges           m × { from u32, to u32, weight u64 }
-//! out_index       (n + 1) × u32 offsets, m × u32 edge ids
-//! in_index        (n + 1) × u32 offsets, m × u32 edge ids
-//! undirected_len  u64
-//! undirected      (n + 1) × u32 offsets, undirected_len × u32 node ids
+//! n       u64
+//! m       u64
+//! edges   m × { from u32, to u32, weight u64 }
 //! ```
 //!
-//! [`DiGraph::from_snapshot`] never trusts its input: every count is
-//! checked against the bytes left before anything is allocated for it,
-//! every array is bounds- and shape-checked (offsets monotone and
-//! spanning, edge endpoints in range, each edge id indexed exactly once
-//! per direction), the undirected index must equal the one the decoded
-//! edges give, and any violation is a structured [`SnapshotError`],
-//! never a panic.
+//! The CSR indexes are not stored. [`DiGraph::from_snapshot`] hands the
+//! decoded edges to [`GraphBuilder::build`], the constructor every other
+//! graph goes through, which derives them deterministically from
+//! `(n, edges)`: neighbor order survives every round trip, and no
+//! payload can decode to a graph its edges do not build.
+//!
+//! The decoder never trusts its input: both counts are checked against
+//! the format's limits, the edge count against the bytes left before
+//! anything is allocated for it, every edge against the rules of
+//! [`GraphBuilder::add_edge`], and any violation is a structured
+//! [`SnapshotError`], never a panic.
 //! Whole-payload integrity (bit flips) is the store's job — sections
 //! carry checksums there — so validation here targets writer bugs and
 //! logically inconsistent payloads.
 
 use std::fmt;
 
-use crate::graph::{build_undirected, Csr, DiGraph, Edge};
+use crate::graph::{DiGraph, Edge, GraphBuilder};
+
+/// Largest vertex count a payload may declare: `2^24`. Building an
+/// edgeless graph of that size takes a few hundred MiB; a larger count
+/// is refused before anything is allocated.
+const MAX_NODES: u64 = 1 << 24;
 
 /// Why a graph payload could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,18 +101,6 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-
-    fn u32_vec(&mut self, count: usize) -> Result<Vec<u32>, SnapshotError> {
-        let raw = self.take(
-            count
-                .checked_mul(4)
-                .ok_or(SnapshotError::Malformed("array length overflows".into()))?,
-        )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -119,125 +111,46 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn push_csr(out: &mut Vec<u8>, csr: &Csr) {
-    for &o in &csr.offsets {
-        push_u32(out, o);
-    }
-    for &i in &csr.items {
-        push_u32(out, i);
-    }
-}
-
-/// Decodes one CSR (offsets then items) and checks its shape: `n + 1`
-/// offsets starting at 0, monotone, ending exactly at `items_len`, with
-/// every item below `item_bound`.
-fn read_csr(
-    r: &mut Reader<'_>,
-    what: &str,
-    n: usize,
-    items_len: usize,
-    item_bound: usize,
-) -> Result<Csr, SnapshotError> {
-    let offsets = r.u32_vec(n + 1)?;
-    if offsets[0] != 0 {
-        return Err(SnapshotError::Malformed(format!(
-            "{what} offsets do not start at 0"
-        )));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(SnapshotError::Malformed(format!(
-            "{what} offsets are not monotone"
-        )));
-    }
-    if offsets[n] as usize != items_len {
-        return Err(SnapshotError::Malformed(format!(
-            "{what} offsets end at {} but {items_len} items were promised",
-            offsets[n]
-        )));
-    }
-    let items = r.u32_vec(items_len)?;
-    if let Some(&bad) = items.iter().find(|&&i| i as usize >= item_bound) {
-        return Err(SnapshotError::Malformed(format!(
-            "{what} item {bad} out of range (bound {item_bound})"
-        )));
-    }
-    Ok(Csr { offsets, items })
-}
-
-/// Checks that `csr` indexes every edge id exactly once and that the
-/// edge listed under vertex `v` really has `v` as its `key` endpoint.
-fn check_edge_index(
-    csr: &Csr,
-    what: &str,
-    n: usize,
-    edges: &[Edge],
-    key: impl Fn(&Edge) -> usize,
-) -> Result<(), SnapshotError> {
-    let mut seen = vec![false; edges.len()];
-    for v in 0..n {
-        for &e in csr.slice(v) {
-            let e = e as usize;
-            if seen[e] {
-                return Err(SnapshotError::Malformed(format!(
-                    "{what} indexes edge {e} twice"
-                )));
-            }
-            seen[e] = true;
-            if key(&edges[e]) != v {
-                return Err(SnapshotError::Malformed(format!(
-                    "{what} lists edge {e} under vertex {v}, but its endpoint is {}",
-                    key(&edges[e])
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 impl DiGraph {
-    /// Encodes the graph — edges plus all precomputed CSR indexes — as
-    /// the flat little-endian payload documented at the module level.
+    /// Encodes the graph — its vertex count and edge list — as the flat
+    /// little-endian payload documented at the module level:
+    /// `16 + 16·m` bytes.
     ///
     /// The inverse is [`DiGraph::from_snapshot`]; the round trip is
     /// bit-identical.
     pub fn to_snapshot(&self) -> Vec<u8> {
-        let n = self.n;
-        let m = self.edges.len();
-        let und = self.undirected.items.len();
-        let mut out =
-            Vec::with_capacity(16 + 16 * m + 2 * (4 * (n + 1) + 4 * m) + 8 + 4 * (n + 1) + 4 * und);
-        push_u64(&mut out, n as u64);
-        push_u64(&mut out, m as u64);
-        for e in &self.edges {
+        let mut out = Vec::with_capacity(16 + 16 * self.edge_count());
+        push_u64(&mut out, self.node_count() as u64);
+        push_u64(&mut out, self.edge_count() as u64);
+        for (_, e) in self.edges() {
             push_u32(&mut out, e.from as u32);
             push_u32(&mut out, e.to as u32);
             push_u64(&mut out, e.weight);
         }
-        push_csr(&mut out, &self.out_index);
-        push_csr(&mut out, &self.in_index);
-        push_u64(&mut out, und as u64);
-        push_csr(&mut out, &self.undirected);
         out
     }
 
-    /// Decodes a payload produced by [`DiGraph::to_snapshot`],
-    /// validating every structural invariant.
+    /// Decodes a payload produced by [`DiGraph::to_snapshot`]: it
+    /// validates the counts and every edge, then builds the graph with
+    /// [`GraphBuilder::build`].
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Truncated`] when the payload ends early or is too
     /// short for the edge count it declares,
-    /// [`SnapshotError::Malformed`] when an invariant fails (endpoint
-    /// out of range, self loop, zero weight, inconsistent CSR, an
-    /// undirected index the edges do not give), and
+    /// [`SnapshotError::Malformed`] when a count exceeds the format's
+    /// limits or an edge is one [`GraphBuilder::add_edge`] refuses
+    /// (endpoint out of range, self loop, zero weight), and
     /// [`SnapshotError::TrailingBytes`] when bytes remain after the
-    /// promised structure. Never panics on untrusted input.
+    /// edges. Never panics on untrusted input.
     pub fn from_snapshot(bytes: &[u8]) -> Result<DiGraph, SnapshotError> {
         let mut r = Reader { bytes, pos: 0 };
         let n64 = r.u64()?;
         let m64 = r.u64()?;
-        // Node and edge ids are stored as u32 throughout the CSRs.
-        if n64 > u32::MAX as u64 || m64 > u32::MAX as u64 {
+        // Endpoints are stored as u32, and the built indexes hold edge ids
+        // as u32. Vertices cost the build memory but the payload no bytes,
+        // so their count has a tighter limit of its own.
+        if n64 > MAX_NODES || m64 > u32::MAX as u64 {
             return Err(SnapshotError::Malformed(format!(
                 "graph too large for the format: n = {n64}, m = {m64}"
             )));
@@ -272,40 +185,10 @@ impl DiGraph {
             }
             edges.push(Edge { from, to, weight });
         }
-        let out_index = read_csr(&mut r, "out_index", n, m, m.max(1))?;
-        check_edge_index(&out_index, "out_index", n, &edges, |e| e.from)?;
-        let in_index = read_csr(&mut r, "in_index", n, m, m.max(1))?;
-        check_edge_index(&in_index, "in_index", n, &edges, |e| e.to)?;
-        let und_len = r.u64()?;
-        if und_len > 2 * m as u64 {
-            return Err(SnapshotError::Malformed(format!(
-                "undirected item count {und_len} exceeds 2m = {}",
-                2 * m
-            )));
-        }
-        let stored = read_csr(&mut r, "undirected", n, und_len as usize, n.max(1))?;
         if r.pos != bytes.len() {
             return Err(SnapshotError::TrailingBytes { after: r.pos });
         }
-        // The undirected index is a function of the edges and the two edge
-        // indexes. `Network::new` builds its ports from the edges, while
-        // connectivity checks and diameters read this index, so a stored
-        // index that disagrees would give one graph two topologies.
-        let undirected = build_undirected(n, &edges, &out_index, &in_index);
-        if let Some(v) = (0..n).find(|&v| stored.slice(v) != undirected.slice(v)) {
-            return Err(SnapshotError::Malformed(format!(
-                "undirected index of vertex {v} differs from the one its edges give"
-            )));
-        }
-        let unweighted = edges.iter().all(|e| e.weight == 1);
-        Ok(DiGraph {
-            n,
-            edges,
-            out_index,
-            in_index,
-            undirected,
-            unweighted,
-        })
+        Ok(GraphBuilder { n, edges }.build())
     }
 }
 
@@ -313,7 +196,6 @@ impl DiGraph {
 mod tests {
     use super::*;
     use crate::gen::{metro_ring, power_law_digraph, random_weighted_digraph};
-    use crate::GraphBuilder;
 
     #[test]
     fn round_trip_is_bit_identical() {
@@ -325,6 +207,7 @@ mod tests {
             GraphBuilder::new(0).build(), // empty
         ] {
             let bytes = g.to_snapshot();
+            assert_eq!(bytes.len(), 16 + 16 * g.edge_count());
             let back = DiGraph::from_snapshot(&bytes).expect("decodes");
             assert_eq!(back.to_snapshot(), bytes);
             assert_eq!(back.node_count(), g.node_count());
@@ -362,6 +245,17 @@ mod tests {
         bytes[16 + 4..16 + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         match DiGraph::from_snapshot(&bytes) {
             Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("out of range"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_vertex_counts_past_the_limit() {
+        // Sixteen bytes may not ask the builder for 2^24 + 1 vertices.
+        let mut bytes = (MAX_NODES + 1).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        match DiGraph::from_snapshot(&bytes) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("too large"), "{msg}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
     }

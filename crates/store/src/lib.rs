@@ -1,5 +1,5 @@
 //! Crash-safe single-file snapshot store: a versioned, checksummed
-//! binary format holding a graph, its precomputed CSR indexes, and
+//! binary format holding a graph (its vertex count and edge list) and
 //! solver artifacts, written atomically and loaded defensively.
 //!
 //! # Byte layout
@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! header   magic      8 bytes   b"RPATHSNP"
-//!          version    u32       currently 1
+//!          version    u32       currently 2
 //! section  tag        u32       section type (see below)
 //!          len        u64       payload length in bytes
 //!          payload    len bytes
@@ -23,9 +23,11 @@
 //! (artifact sections: a length-prefixed UTF-8 key, then a
 //! kind-specific body — the session-cache codec lives in
 //! `rpaths_core::artifacts`). Exactly one graph section is required;
-//! artifact sections are optional and ordered. Tags 2 and 3 held raw
-//! distance arrays and BFS trees in older files; like any unknown tag
-//! they are now skipped on load.
+//! artifact sections are optional and ordered. Unknown tags are skipped
+//! on load. Version 1 files, whose graph payload also stored the CSR
+//! indexes (and which could hold the retired tags 2 and 3, raw distance
+//! arrays and BFS trees), are refused with
+//! [`StoreError::VersionUnsupported`].
 //!
 //! # Durability contract
 //!
@@ -61,7 +63,7 @@ use graphkit::DiGraph;
 /// File magic: the first 8 bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"RPATHSNP";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Footer magic: the 4 bytes introducing the whole-file checksum.
 pub const FOOTER_MAGIC: [u8; 4] = *b"RPFT";
 
@@ -251,7 +253,7 @@ impl Artifact {
 /// Everything a snapshot file holds: the graph and its artifacts.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    /// The graph, with its precomputed CSR indexes.
+    /// The graph, rebuilt from its edge list.
     pub graph: DiGraph,
     /// Artifacts, in file order.
     pub artifacts: Vec<Artifact>,

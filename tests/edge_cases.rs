@@ -380,24 +380,6 @@ fn avoiding_a_bridge_disconnects_the_demand() {
 }
 
 #[test]
-fn graphs_round_trip_through_serde() {
-    let (g, _, _) = graphkit::gen::planted_path_digraph(30, 10, 60, 8);
-    let json = serde_json::to_string(&g).expect("serialize");
-    let g2: graphkit::DiGraph = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(g.node_count(), g2.node_count());
-    assert_eq!(g.edge_count(), g2.edge_count());
-    for (id, e) in g.edges() {
-        assert_eq!(e, g2.edge(id));
-    }
-    for v in g.nodes() {
-        assert_eq!(
-            g.successors(v).collect::<Vec<_>>(),
-            g2.successors(v).collect::<Vec<_>>()
-        );
-    }
-}
-
-#[test]
 fn out_of_range_fault_plans_are_typed_errors() {
     // A plan naming a link or node the graph does not have is rejected
     // before any work, whether its faults are all transient (the

@@ -9,13 +9,21 @@
 //! `threads` field and an empty `queries` list the fixture document no
 //! longer has; the decoder looks fields up by key and ignores both,
 //! which `corpus_replays_green` exercises on every run.
+//!
+//! Parameters outside the solvers' domain fail the same way wherever
+//! they enter: a fixture refuses to read, and a solver or a session
+//! returns `SolveError::InvalidParams` before any round runs.
 
 use std::path::PathBuf;
 
 use graphkit::gen::parallel_lane;
+use rpaths_core::baseline::{mr24, naive};
 use rpaths_core::fixture::{Fixture, FixtureError, FIXTURE_EXT};
 use rpaths_core::oracle::FuzzSolver;
-use rpaths_core::{testhooks, Params};
+use rpaths_core::{
+    reachability, sisp, testhooks, unweighted, weighted, Instance, Params, Query, SessionError,
+    SolveError, SolverSession,
+};
 use rpaths_fuzz::{run_sweep, FuzzConfig};
 
 fn corpus_dir() -> PathBuf {
@@ -124,6 +132,16 @@ fn injected_bug_is_caught_minimized_and_replays_red() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// Parameter values outside the solvers' domain, each with the field
+/// it spoils.
+const SPOILERS: [(&str, fn(&mut Params)); 5] = [
+    ("zeta", |p| p.zeta = 0),
+    ("landmark_prob", |p| p.landmark_prob = 2.0),
+    ("landmark_prob", |p| p.landmark_prob = f64::NAN),
+    ("budget_factor", |p| p.budget_factor = 0),
+    ("eps_num", |p| p.eps_num = 0),
+];
+
 /// A fixture whose parameters lie outside the solvers' domain is refused
 /// on read, naming the field, instead of panicking on replay.
 #[test]
@@ -131,14 +149,7 @@ fn out_of_domain_params_are_decode_errors() {
     let (g, s, t) = parallel_lane(8, 2, 2);
     let dir = std::env::temp_dir().join(format!("rpaths-fixture-domain-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let spoilers: [(&str, fn(&mut Params)); 5] = [
-        ("zeta", |p| p.zeta = 0),
-        ("landmark_prob", |p| p.landmark_prob = 2.0),
-        ("landmark_prob", |p| p.landmark_prob = f64::NAN),
-        ("budget_factor", |p| p.budget_factor = 0),
-        ("eps_num", |p| p.eps_num = 0),
-    ];
-    for (i, (field, spoil)) in spoilers.into_iter().enumerate() {
+    for (i, (field, spoil)) in SPOILERS.into_iter().enumerate() {
         let mut params = Params::with_zeta(g.node_count(), 4);
         spoil(&mut params);
         let path = dir.join(format!("bad-{i}.rpfix"));
@@ -153,4 +164,32 @@ fn out_of_domain_params_are_decode_errors() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same parameters handed to a solver directly: every one-shot solve
+/// and a session return `SolveError::InvalidParams`, naming the field,
+/// before any round runs.
+#[test]
+fn out_of_domain_params_are_solve_errors() {
+    let (g, s, t) = parallel_lane(8, 2, 2);
+    let inst = Instance::from_endpoints(&g, s, t).unwrap();
+    for (field, spoil) in SPOILERS {
+        let mut params = Params::with_zeta(g.node_count(), 4);
+        spoil(&mut params);
+        let refused = |what: &str, got: Option<SolveError>| match got {
+            Some(SolveError::InvalidParams(msg)) => assert!(msg.contains(field), "{what}: {msg}"),
+            other => panic!("{what} with bad {field}: {other:?}"),
+        };
+        refused("Theorem 1", unweighted::solve(&inst, &params).err());
+        refused("Theorem 3", weighted::solve(&inst, &params).err());
+        refused("2-SiSP", sisp::solve(&inst, &params).err());
+        refused("reachability", reachability::solve(&inst, &params).err());
+        refused("naive", naive::solve(&inst, &params).err());
+        refused("MR24", mr24::solve(&inst, &params).err());
+        let mut session = SolverSession::new(&g, params);
+        match session.solve_batch(&[Query::avoiding(s, t, inst.path.edges()[0])]) {
+            Err(SessionError::Solve(e)) => refused("session", Some(e)),
+            other => panic!("session with bad {field}: {other:?}"),
+        }
+    }
 }

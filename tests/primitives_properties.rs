@@ -421,10 +421,12 @@ proptest! {
     ) {
         // The persistence codec is an exact bijection on encodable
         // graphs: decode(encode(g)) re-encodes to the same bytes, and
-        // the decoded graph is structurally identical (CSRs included —
-        // neighbor iteration order is part of determinism).
+        // the decoded graph is structurally identical (neighbor
+        // iteration order included — it is part of determinism, and the
+        // builder derives it from the edge list alone).
         let g = random_digraph(n, density * n, seed);
         let bytes = g.to_snapshot();
+        prop_assert_eq!(bytes.len(), 16 + 16 * g.edge_count());
         let back = DiGraph::from_snapshot(&bytes).expect("round trip");
         prop_assert_eq!(back.to_snapshot(), bytes);
         prop_assert_eq!(back.node_count(), g.node_count());

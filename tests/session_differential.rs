@@ -11,7 +11,8 @@
 //! - a snapshot-persisted cache warm-boots with **zero** recomputed
 //!   artifacts (no solver runs, no rounds) for repeated queries;
 //! - corruption of persisted cache sections degrades to a cold cache,
-//!   never a failed load or a wrong answer.
+//!   never a failed load or a wrong answer;
+//! - an imported cached diameter, even a wrong one, changes no answer.
 
 use std::path::PathBuf;
 
@@ -19,8 +20,10 @@ use graphkit::alg::replacement_lengths;
 use graphkit::gen::{planted_path_digraph, random_weighted_digraph};
 use graphkit::Dist;
 use proptest::prelude::*;
+use rpaths_core::artifacts::cache_artifact;
 use rpaths_core::{
-    unweighted, weighted, ArtifactCache, CacheKey, Instance, Params, Query, SolverSession,
+    unweighted, weighted, ArtifactCache, ArtifactKind, CacheKey, CacheValue, Instance, Params,
+    Query, SolverSession,
 };
 
 fn unweighted_case() -> (graphkit::DiGraph, usize, usize, Params) {
@@ -194,6 +197,33 @@ fn corrupt_cache_sections_degrade_to_cold_never_fail() {
     assert_eq!(again, answers);
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn an_imported_diameter_never_changes_an_answer() {
+    // A warm boot imports the cached diameter without recomputing it, and
+    // the session hands it to every instance it builds. No solver reads
+    // it, so even a wrong value leaves the answers exact.
+    let (g, s, t, params) = unweighted_case();
+    let inst = Instance::from_endpoints(&g, s, t).unwrap();
+    let queries: Vec<Query> = inst
+        .path
+        .edges()
+        .iter()
+        .map(|&e| Query::avoiding(s, t, e))
+        .collect();
+    let mut session = SolverSession::new(&g, params);
+    let wrong = cache_artifact(
+        g.fingerprint(),
+        &ArtifactKind::Diameter,
+        &CacheValue::Diameter(999),
+    );
+    assert_eq!(session.import_artifacts(&[wrong]), 1);
+    let answers = session.solve_batch(&queries).unwrap();
+    let oracle = replacement_lengths(&g, &inst.path);
+    for (i, (a, want)) in answers.iter().zip(&oracle).enumerate() {
+        assert_eq!((a.scaled, a.den), (*want, 1), "edge {i}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,14 +14,15 @@
 //! - Unknown section tags are skipped (forward compatibility), and
 //!   corruption in an *artifact* section never takes the graph with it.
 //! - A graph payload that passes its checksum but lies about itself (an
-//!   edge count it has no bytes for, an undirected index its edges do
-//!   not give) is a structured error, never an abort or a second graph.
+//!   edge count it has no bytes for, the CSR indexes a version-1 payload
+//!   stored after its edges) is a structured error, never an abort or a
+//!   second graph: a payload decodes to the graph its edges build.
 //! - A graph reloaded from a snapshot drives the solver to the same
 //!   answers and the same round/message accounting as the original.
 
 use graphkit::alg::shortest_st_path;
 use graphkit::gen::{metro_ring, random_digraph};
-use graphkit::{DiGraph, SnapshotError};
+use graphkit::{DiGraph, GraphBuilder, SnapshotError};
 use rpaths_core::artifacts::cache_artifact;
 use rpaths_core::{unweighted, ArtifactKind, CacheValue, Instance, Params};
 use rpaths_store::{
@@ -252,12 +253,16 @@ fn empty_garbage_and_wrong_version_are_structured() {
         Snapshot::decode(&[0xab; 64]),
         Err(StoreError::BadMagic)
     ));
-    let mut v = b"RPATHSNP".to_vec();
-    v.extend_from_slice(&99u32.to_le_bytes());
-    assert!(matches!(
-        Snapshot::decode(&v),
-        Err(StoreError::VersionUnsupported { found: 99 })
-    ));
+    // Version 1 graph payloads also held the CSR indexes; no decoder for
+    // them is kept.
+    for found in [1u32, 99] {
+        let mut v = b"RPATHSNP".to_vec();
+        v.extend_from_slice(&found.to_le_bytes());
+        assert_eq!(
+            Snapshot::decode(&v).err(),
+            Some(StoreError::VersionUnsupported { found })
+        );
+    }
 }
 
 /// A snapshot file whose one section is the graph payload `payload`,
@@ -300,31 +305,45 @@ fn edge_count_past_the_payload_is_truncated() {
 }
 
 #[test]
-fn undirected_index_must_match_the_edges() {
-    // Rewrite node 0's first undirected neighbour from 1 to 3: every
-    // shape and range check still passes, but node 0 would read [3, 5]
-    // and the diameter 4, while the ports built from the edges say
-    // [1, 5] and 3.
-    let g = metro_ring(6);
-    let mut payload = g.to_snapshot();
+fn a_payload_decodes_to_the_graph_its_edges_build() {
+    // e0 = 0→1, e1 = 0→1, e2 = 1→2. Version 1 payloads went on to store
+    // the three CSR indexes, and the decoder accepted an out-index that
+    // listed vertex 0's edges as [1, 0]: the same edges, but another
+    // fingerprint and another shortest 0–2 path, [1, 2] for [0, 2].
+    let mut b = GraphBuilder::new(3);
+    b.add_arc(0, 1);
+    b.add_arc(0, 1);
+    b.add_arc(1, 2);
+    let g = b.build();
+    let canonical = g.to_snapshot();
+    assert_eq!(canonical.len(), 16 + 16 * g.edge_count());
     assert_eq!(
-        file_with_graph_payload(&payload),
+        file_with_graph_payload(&canonical),
         Snapshot::new(g.clone()).encode()
     );
-    let (n, m) = (g.node_count(), g.edge_count());
-    let first = 16 + 16 * m + 2 * (4 * (n + 1) + 4 * m) + 8 + 4 * (n + 1);
-    assert_eq!(payload[first..first + 4], 1u32.to_le_bytes());
-    payload[first..first + 4].copy_from_slice(&3u32.to_le_bytes());
-    match DiGraph::from_snapshot(&payload) {
-        Err(SnapshotError::Malformed(detail)) => {
-            assert!(detail.contains("undirected index of vertex 0"), "{detail}")
+    // Per index: n + 1 offsets, then the items.
+    let csr = |bytes: &mut Vec<u8>, offsets: [u32; 4], items: &[u32]| {
+        for w in offsets.iter().chain(items) {
+            bytes.extend_from_slice(&w.to_le_bytes());
         }
-        other => panic!("expected Malformed, got {other:?}"),
-    }
+    };
+    let mut legacy = canonical.clone();
+    csr(&mut legacy, [0, 2, 3, 3], &[1, 0, 2]); // out-index, vertex 0 swapped
+    csr(&mut legacy, [0, 0, 2, 3], &[0, 1, 2]); // in-index
+    legacy.extend_from_slice(&4u64.to_le_bytes());
+    csr(&mut legacy, [0, 1, 3, 4], &[1, 2, 0, 1]); // undirected index
+    assert_eq!(
+        DiGraph::from_snapshot(&legacy).unwrap_err(),
+        SnapshotError::TrailingBytes { after: 64 }
+    );
     assert!(matches!(
-        Snapshot::decode(&file_with_graph_payload(&payload)),
+        Snapshot::decode(&file_with_graph_payload(&legacy)),
         Err(StoreError::Malformed { section: 0, .. })
     ));
+    let back = DiGraph::from_snapshot(&canonical).expect("canonical payload");
+    assert_eq!(back.fingerprint(), g.fingerprint());
+    assert_eq!(back.out_edges(0).collect::<Vec<_>>(), [0, 1]);
+    assert_eq!(shortest_st_path(&back, 0, 2).unwrap().edges(), [0, 2]);
 }
 
 #[test]
