@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Statistics for one protocol run (one "phase" of an algorithm).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Synchronous rounds consumed.
     pub rounds: u64,
@@ -42,7 +40,7 @@ impl fmt::Display for RunStats {
 }
 
 /// A named phase in an algorithm's metric log.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Human-readable phase label (e.g. `"hop-bfs"`).
     pub name: String,
@@ -56,7 +54,7 @@ pub struct PhaseStats {
 /// Kept only because the benchmark harness (`perfbench/`) reads every
 /// field; it goes with the next change to the benchmark. Excluded from
 /// [`Metrics`] equality.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DispatchStats {
     /// Always 0.
     pub par_rounds: u64,
@@ -78,7 +76,7 @@ pub struct DispatchStats {
 /// [`Metrics`] altogether. The type lives here rather than in
 /// `rpaths_core` because the benchmark harness (`perfbench/`) imports
 /// it from this crate.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -86,7 +84,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Artifacts inserted (fresh computations and imports).
     pub insertions: u64,
-    /// Artifacts evicted to respect the capacity bound.
+    /// Always 0: the cache never evicts. Kept only because the
+    /// benchmark harness (`perfbench/`) reads it, like
+    /// [`DispatchStats`]; it goes with the next change to the benchmark.
     pub evictions: u64,
 }
 
@@ -114,7 +114,7 @@ impl CacheStats {
 /// `(seed, round, link, direction)` alone, so two runs of the same plan
 /// under different schedules must produce bit-identical `FaultStats` —
 /// and [`Metrics`] equality deliberately includes it to pin that down.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages dropped because their link was down when they were sent.
     pub dropped_link_down: u64,
@@ -156,7 +156,7 @@ impl FaultStats {
 }
 
 /// Cumulative metrics for a [`crate::Network`] across all phases.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Aggregate over all phases.
     pub total: RunStats,

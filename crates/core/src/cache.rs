@@ -1,24 +1,24 @@
-//! A size-bounded, deterministic LRU cache for solver artifacts.
+//! The artifact cache of a solver session.
 //!
 //! Sessions ([`crate::session`]) answer many queries against one
 //! immutable graph; the expensive intermediates — shortest paths, the
 //! undirected diameter, and whole per-path-edge replacement answers —
 //! are pure functions of `(graph, artifact kind, params)`, so they are
-//! cached here keyed by the graph's stable
-//! [`fingerprint`](graphkit::DiGraph::fingerprint) plus a typed
-//! [`ArtifactKind`]. These entries are also the only solver artifacts
+//! cached here under a typed [`ArtifactKind`]. A session binds one
+//! graph, so the kind alone names an entry; the graph's stable
+//! [`fingerprint`](graphkit::DiGraph::fingerprint) is written only into
+//! the persisted form. These entries are also the only solver artifacts
 //! that persist: `crate::artifacts` encodes each one as a `TAG_CACHE`
 //! snapshot section.
 //!
-//! **Determinism contract.** The cache is an ordinary sequential data
-//! structure driven only by the session's call sequence: recency is a
-//! monotonic logical clock (one tick per touch, never wall time), keys
-//! are totally ordered, and eviction always removes the entry with the
-//! smallest recency stamp. Two sessions that issue the same operations
-//! in the same order therefore hold the same entries, evict the same
-//! victims, and report the same [`CacheStats`] on any machine. The LRU
-//! proptests in `tests/session_differential.rs` pin this down against a
-//! naive model.
+//! The cache is an ordered map plus counters, and it never evicts. A
+//! session adds one diameter, and per endpoint pair it is asked about
+//! one shortest path and at most one replacement-answers vector; a warm
+//! boot adds what the snapshot held. Entries iterate in key order
+//! (`ArtifactKind`'s `Ord`), so a save depends only on what the cache
+//! holds, not on the order it was filled in. The proptest in
+//! `tests/session_differential.rs` checks the map and its counters
+//! against a naive model.
 //!
 //! Cache counters stay *out* of [`congest::Metrics`]: hits change how
 //! fast an answer is produced, never the answer or the rounds a cold
@@ -78,7 +78,7 @@ impl SolverKind {
 }
 
 /// What kind of artifact a cache entry holds, with the parameters that
-/// identify it among its kind.
+/// identify it among its kind: the cache key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ArtifactKind {
     /// The undirected diameter `D` of the communication graph.
@@ -107,16 +107,6 @@ pub enum ArtifactKind {
     },
 }
 
-/// Full cache key: graph identity plus typed artifact identity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CacheKey {
-    /// [`graphkit::DiGraph::fingerprint`] of the graph the artifact was
-    /// computed on.
-    pub fingerprint: u64,
-    /// The artifact's kind and parameters.
-    pub kind: ArtifactKind,
-}
-
 /// A cached artifact value.
 ///
 /// Large payloads sit behind [`Arc`] so a hit is a pointer bump, not a
@@ -132,43 +122,18 @@ pub enum CacheValue {
     Replacement(Arc<ScaledAnswers>),
 }
 
-#[derive(Clone, Debug)]
-struct Entry {
-    value: CacheValue,
-    stamp: u64,
-}
-
-/// The deterministic LRU artifact cache.
-///
-/// See the [module docs](self) for the determinism contract. Stats are
-/// cumulative over the cache's lifetime.
-#[derive(Clone, Debug)]
+/// The artifact cache: an ordered map from [`ArtifactKind`] to
+/// [`CacheValue`], with cumulative hit/miss/insertion counters.
+#[derive(Clone, Debug, Default)]
 pub struct ArtifactCache {
-    capacity: usize,
-    clock: u64,
-    entries: BTreeMap<CacheKey, Entry>,
-    /// Inverse index `stamp → key`; stamps are unique (one clock tick
-    /// per touch), so the smallest stamp is the unique LRU victim.
-    recency: BTreeMap<u64, CacheKey>,
+    entries: BTreeMap<ArtifactKind, CacheValue>,
     stats: CacheStats,
 }
 
 impl ArtifactCache {
-    /// Creates an empty cache holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero — a cache that can hold nothing
-    /// would turn every insert into an immediate self-eviction.
-    pub fn new(capacity: usize) -> ArtifactCache {
-        assert!(capacity >= 1, "cache capacity must be at least 1");
-        ArtifactCache {
-            capacity,
-            clock: 0,
-            entries: BTreeMap::new(),
-            recency: BTreeMap::new(),
-            stats: CacheStats::default(),
-        }
+    /// Creates an empty cache.
+    pub fn new() -> ArtifactCache {
+        ArtifactCache::default()
     }
 
     /// Number of entries currently held.
@@ -181,84 +146,30 @@ impl ArtifactCache {
         self.entries.is_empty()
     }
 
-    /// The configured capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Cumulative hit/miss/insertion/eviction counters.
+    /// Cumulative hit/miss/insertion counters (`evictions` stays 0).
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Drops every entry (counters are kept — a clear is an operational
-    /// event, not a new cache).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.recency.clear();
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Looks up `key`, recording a hit or miss and refreshing the
-    /// entry's recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<CacheValue> {
-        let stamp = self.tick();
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                self.recency.remove(&entry.stamp);
-                entry.stamp = stamp;
-                self.recency.insert(stamp, *key);
-                self.stats.hits += 1;
-                Some(entry.value.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+    /// Looks up `key`, recording a hit or a miss.
+    pub fn get(&mut self, key: &ArtifactKind) -> Option<CacheValue> {
+        let value = self.entries.get(key).cloned();
+        match value {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        value
     }
 
-    /// Looks up `key` without recording a hit/miss or touching recency
-    /// (inspection, tests).
-    pub fn peek(&self, key: &CacheKey) -> Option<&CacheValue> {
-        self.entries.get(key).map(|e| &e.value)
-    }
-
-    /// Inserts (or replaces) `key`, evicting the least recently used
-    /// entry if the capacity bound would be exceeded.
-    pub fn insert(&mut self, key: CacheKey, value: CacheValue) {
-        let stamp = self.tick();
-        if let Some(old) = self.entries.insert(key, Entry { value, stamp }) {
-            self.recency.remove(&old.stamp);
-        }
-        self.recency.insert(stamp, key);
+    /// Inserts (or replaces) the entry under `key`.
+    pub fn insert(&mut self, key: ArtifactKind, value: CacheValue) {
+        self.entries.insert(key, value);
         self.stats.insertions += 1;
-        while self.entries.len() > self.capacity {
-            // Unique stamps make the victim unique; `pop_first` on the
-            // recency index is the deterministic LRU choice.
-            let (_, victim) = self
-                .recency
-                .pop_first()
-                .expect("recency index tracks every entry");
-            self.entries.remove(&victim);
-            self.stats.evictions += 1;
-        }
     }
 
-    /// All entries ordered oldest-touched first.
-    ///
-    /// This is the persistence order: re-inserting in this order into a
-    /// fresh cache reproduces the recency ranking (the last insert is
-    /// the most recent, as it was here).
-    pub fn entries_by_recency(&self) -> Vec<(CacheKey, CacheValue)> {
-        self.recency
-            .values()
-            .map(|k| (*k, self.entries[k].value.clone()))
-            .collect()
+    /// Every entry, in key order: the persistence order.
+    pub fn entries(&self) -> impl Iterator<Item = (&ArtifactKind, &CacheValue)> {
+        self.entries.iter()
     }
 }
 
@@ -267,13 +178,10 @@ mod tests {
     use super::*;
     use graphkit::Dist;
 
-    fn key(i: u64) -> CacheKey {
-        CacheKey {
-            fingerprint: 0xfeed,
-            kind: ArtifactKind::Path {
-                source: i as NodeId,
-                target: 0,
-            },
+    fn key(i: u64) -> ArtifactKind {
+        ArtifactKind::Path {
+            source: i as NodeId,
+            target: 0,
         }
     }
 
@@ -282,22 +190,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_never_exceeded_and_lru_is_evicted() {
-        let mut c = ArtifactCache::new(2);
-        c.insert(key(0), val(0));
-        c.insert(key(1), val(1));
-        assert!(c.get(&key(0)).is_some()); // 0 becomes most recent
-        c.insert(key(2), val(2)); // evicts 1, the LRU
-        assert_eq!(c.len(), 2);
-        assert!(c.peek(&key(0)).is_some());
-        assert!(c.peek(&key(1)).is_none());
-        assert!(c.peek(&key(2)).is_some());
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
     fn stats_count_hits_misses_insertions() {
-        let mut c = ArtifactCache::new(4);
+        let mut c = ArtifactCache::new();
         assert!(c.get(&key(7)).is_none());
         c.insert(key(7), val(3));
         assert!(c.get(&key(7)).is_some());
@@ -310,37 +204,23 @@ mod tests {
 
     #[test]
     fn replacing_a_key_keeps_one_entry() {
-        let mut c = ArtifactCache::new(2);
+        let mut c = ArtifactCache::new();
         c.insert(key(5), val(1));
         c.insert(key(5), val(2));
         assert_eq!(c.len(), 1);
-        assert!(matches!(c.peek(&key(5)), Some(CacheValue::Diameter(2))));
-        assert_eq!(c.stats().evictions, 0);
-    }
-
-    #[test]
-    fn entries_by_recency_is_oldest_first() {
-        let mut c = ArtifactCache::new(8);
-        c.insert(key(0), val(0));
-        c.insert(key(1), val(1));
-        c.insert(key(2), val(2));
-        let _ = c.get(&key(0)); // 0 is now the newest
-        let order: Vec<CacheKey> = c.entries_by_recency().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(order, vec![key(1), key(2), key(0)]);
+        assert!(matches!(c.get(&key(5)), Some(CacheValue::Diameter(2))));
+        assert_eq!(c.stats().insertions, 2);
     }
 
     #[test]
     fn value_variants_round_trip_through_the_map() {
-        let mut c = ArtifactCache::new(4);
-        let k = CacheKey {
-            fingerprint: 1,
-            kind: ArtifactKind::Replacement {
-                source: 0,
-                target: 3,
-                solver: SolverKind::Unweighted,
-                params_fp: 9,
-                path_fp: 11,
-            },
+        let mut c = ArtifactCache::new();
+        let k = ArtifactKind::Replacement {
+            source: 0,
+            target: 3,
+            solver: SolverKind::Unweighted,
+            params_fp: 9,
+            path_fp: 11,
         };
         let answers = Arc::new(ScaledAnswers {
             scaled: vec![Dist::new(4), Dist::INF],
@@ -354,11 +234,5 @@ mod tests {
             }
             other => panic!("wrong value back: {other:?}"),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_capacity_rejected() {
-        let _ = ArtifactCache::new(0);
     }
 }

@@ -33,14 +33,10 @@ pub const FIXTURE_VERSION: u32 = 1;
 /// File extension the corpus uses (`tests/regressions/*.rpfix`).
 pub const FIXTURE_EXT: &str = "rpfix";
 
-/// Sentinel for "unreachable" in the JSON document (the vendored serde
-/// subset has no `Option`, and `u64::MAX` is how [`Dist::INF`] prints
-/// anyway).
-const NONE_SENTINEL: u64 = u64::MAX;
-
 /// The fixture document. Decoding looks fields up by key and ignores
 /// the rest, so older files that carry `threads` or an empty `queries`
-/// list still load.
+/// list still load. `expected` holds each length's [`Dist::raw`]
+/// encoding, `u64::MAX` for unreachable.
 #[derive(Serialize, Deserialize)]
 struct FixtureDoc {
     version: u32,
@@ -120,18 +116,6 @@ impl From<StoreError> for FixtureError {
     }
 }
 
-fn dist_to_u64(d: Dist) -> u64 {
-    d.finite().unwrap_or(NONE_SENTINEL)
-}
-
-fn u64_to_dist(v: u64) -> Dist {
-    if v == NONE_SENTINEL {
-        Dist::INF
-    } else {
-        Dist::new(v)
-    }
-}
-
 impl Fixture {
     /// Mints a fixture: records the oracle's replacement lengths for
     /// `(graph, source → target)` now, to be enforced on every future
@@ -179,7 +163,7 @@ impl Fixture {
             eps_num: self.params.eps_num,
             eps_den: self.params.eps_den,
             budget_factor: self.params.budget_factor,
-            expected: self.expected.iter().map(|&d| dist_to_u64(d)).collect(),
+            expected: self.expected.iter().map(|d| d.raw()).collect(),
         }
     }
 
@@ -247,7 +231,7 @@ impl Fixture {
             source: doc.source as usize,
             target: doc.target as usize,
             params,
-            expected: doc.expected.iter().map(|&v| u64_to_dist(v)).collect(),
+            expected: doc.expected.iter().map(|&v| Dist::from_raw(v)).collect(),
             graph: snapshot.graph,
         })
     }
@@ -311,12 +295,23 @@ mod tests {
         )
     }
 
+    /// This test's own temporary directory, removed when it drops.
+    struct TempDir(std::path::PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn round_trip_and_green_replay() {
         let fix = lane_fixture();
-        let dir = std::env::temp_dir().join(format!("rpfix-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lane-8.rpfix");
+        let dir = TempDir(
+            std::env::temp_dir().join(format!("rpfix-test-{}-round-trip", std::process::id())),
+        );
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("lane-8.rpfix");
         fix.write(&path).unwrap();
         let back = Fixture::read(&path).unwrap();
         assert_eq!(back.name, "lane-8");
@@ -324,7 +319,6 @@ mod tests {
         assert_eq!(back.expected, fix.expected);
         assert_eq!(back.graph.fingerprint(), fix.graph.fingerprint());
         back.replay().unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! For answering *many* queries against one graph, [`SolverSession`]
 //! ([`session`]) is the plan/execute layer: it batches failed-edge
 //! queries, runs at most one cold `solve_on` per distinct instance, and
-//! caches its artifacts in a deterministic LRU ([`cache`]) that persists
+//! keeps its artifacts in an ordered map ([`cache`]) that persists
 //! through `rpaths-store` snapshots ([`artifacts`] holds the codec).
 //!
 //! Every phase of every solver — tree construction, knowledge waves,
@@ -81,7 +81,7 @@ pub mod testhooks;
 pub mod unweighted;
 pub mod weighted;
 
-pub use cache::{ArtifactCache, ArtifactKind, CacheKey, CacheValue, SolverKind};
+pub use cache::{ArtifactCache, ArtifactKind, CacheValue, SolverKind};
 pub use instance::{Instance, InstanceError};
 pub use params::Params;
 pub use session::{Answer, Query, SessionError, SessionStats, SolverSession};

@@ -6,11 +6,10 @@
 //! *planned* into the artifacts it needs — the shortest `s`-`t` path,
 //! the undirected diameter, and (only when the avoided edge actually
 //! lies on that path) a full per-path-edge replacement solve — and the
-//! artifacts are satisfied through the deterministic LRU
-//! [`ArtifactCache`]. A batch of Q queries over the same endpoint pair
-//! therefore costs **one** solver run (whose `multi_bfs`/knowledge
-//! phases are shared by construction) instead of Q, and repeated
-//! batches cost zero runs.
+//! artifacts are satisfied through the session's [`ArtifactCache`]. A
+//! batch of Q queries over the same endpoint pair therefore costs
+//! **one** solver run (whose `multi_bfs`/knowledge phases are shared by
+//! construction) instead of Q, and repeated batches cost zero runs.
 //!
 //! **Determinism contract.** A cache hit returns the same
 //! [`ScaledAnswers`] the cold run produced, and a cold run is the
@@ -24,8 +23,9 @@
 //!
 //! **Persistence.** The session cache is the only persisted solver
 //! artifact: [`SolverSession::save`] writes the graph plus one typed
-//! `TAG_CACHE` section per cache entry as an `rpaths-store` snapshot
-//! (codec in [`crate::artifacts`]); [`SolverSession::warm_boot`]
+//! `TAG_CACHE` section per cache entry, in key order, as an
+//! `rpaths-store` snapshot (codec in [`crate::artifacts`]); each entry
+//! carries the graph's fingerprint. [`SolverSession::warm_boot`]
 //! reloads them, skipping (never failing on) entries that are corrupt,
 //! mis-fingerprinted, or shaped wrong — a damaged cache degrades to a
 //! cold one, mirroring the `Loaded::Partial` contract of the store
@@ -42,7 +42,7 @@ use graphkit::{DiGraph, Dist, EdgeId, NodeId, StPath};
 use rpaths_store::{Snapshot, StoreError};
 
 use crate::artifacts::{cache_artifact, cache_entry_from};
-use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, CacheValue, SolverKind};
+use crate::cache::{ArtifactCache, ArtifactKind, CacheValue, SolverKind};
 use crate::instance::check_endpoints;
 use crate::weighted::ScaledAnswers;
 use crate::{unweighted, weighted, Instance, InstanceError, Params, SolveError};
@@ -172,9 +172,6 @@ pub struct SessionStats {
     pub cache: CacheStats,
 }
 
-/// Artifact-cache capacity of every [`SolverSession`].
-pub const DEFAULT_CACHE_CAPACITY: usize = 128;
-
 /// A solver session: one graph, one artifact cache, many queries.
 ///
 /// See the [module docs](self) for the plan/execute model and the
@@ -190,8 +187,7 @@ pub struct SolverSession<'g> {
 }
 
 impl<'g> SolverSession<'g> {
-    /// Creates a session over `graph` with a cache of
-    /// [`DEFAULT_CACHE_CAPACITY`] entries.
+    /// Creates a session over `graph` with an empty cache.
     ///
     /// The session solves with Theorem 1 on unweighted graphs and
     /// Theorem 3 on weighted ones.
@@ -206,7 +202,7 @@ impl<'g> SolverSession<'g> {
             fingerprint: graph.fingerprint(),
             params,
             solver,
-            cache: ArtifactCache::new(DEFAULT_CACHE_CAPACITY),
+            cache: ArtifactCache::new(),
             stats: SessionStats::default(),
             metrics: Metrics::default(),
         }
@@ -217,7 +213,8 @@ impl<'g> SolverSession<'g> {
         self.graph
     }
 
-    /// The bound graph's stable fingerprint (the cache key prefix).
+    /// The bound graph's stable fingerprint, written into every
+    /// persisted cache entry.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -245,13 +242,6 @@ impl<'g> SolverSession<'g> {
         std::mem::take(&mut self.metrics)
     }
 
-    fn key(&self, kind: ArtifactKind) -> CacheKey {
-        CacheKey {
-            fingerprint: self.fingerprint,
-            kind,
-        }
-    }
-
     /// The undirected diameter of the communication graph, cached.
     ///
     /// # Errors
@@ -259,7 +249,7 @@ impl<'g> SolverSession<'g> {
     /// [`SessionError::Instance`] with [`InstanceError::Disconnected`]
     /// when the graph is disconnected.
     pub fn diameter(&mut self) -> Result<usize, SessionError> {
-        let key = self.key(ArtifactKind::Diameter);
+        let key = ArtifactKind::Diameter;
         if let Some(CacheValue::Diameter(d)) = self.cache.get(&key) {
             return Ok(d);
         }
@@ -271,7 +261,7 @@ impl<'g> SolverSession<'g> {
     /// A shortest `source → target` path, cached (including the
     /// negative "unreachable" result).
     pub fn shortest_path(&mut self, source: NodeId, target: NodeId) -> Option<StPath> {
-        let key = self.key(ArtifactKind::Path { source, target });
+        let key = ArtifactKind::Path { source, target };
         if let Some(CacheValue::Path(p)) = self.cache.get(&key) {
             return p;
         }
@@ -290,13 +280,13 @@ impl<'g> SolverSession<'g> {
         params: &Params,
         solver: SolverKind,
     ) -> Result<(Arc<ScaledAnswers>, Metrics), SolveError> {
-        let key = self.key(ArtifactKind::Replacement {
+        let key = ArtifactKind::Replacement {
             source: inst.s(),
             target: inst.t(),
             solver,
             params_fp: params_fingerprint(params),
             path_fp: path_fingerprint(&inst.path),
-        });
+        };
         if let Some(CacheValue::Replacement(arc)) = self.cache.get(&key) {
             // Defensive: a warm-booted entry that survived checksums but
             // does not fit this instance is recomputed, never trusted.
@@ -393,13 +383,11 @@ impl<'g> SolverSession<'g> {
     // -----------------------------------------------------------------
 
     /// Encodes every cache entry as a typed `TAG_CACHE` artifact, in
-    /// oldest-touched-first order (so re-importing reproduces the
-    /// recency ranking).
+    /// key order.
     pub fn export_artifacts(&self) -> Vec<rpaths_store::Artifact> {
         self.cache
-            .entries_by_recency()
-            .iter()
-            .map(|(key, value)| cache_artifact(key.fingerprint, &key.kind, value))
+            .entries()
+            .map(|(kind, value)| cache_artifact(self.fingerprint, kind, value))
             .collect()
     }
 
@@ -416,7 +404,7 @@ impl<'g> SolverSession<'g> {
             if entry.fingerprint != self.fingerprint {
                 continue;
             }
-            self.cache.insert(self.key(entry.kind), entry.value);
+            self.cache.insert(entry.kind, entry.value);
             imported += 1;
         }
         imported
@@ -475,9 +463,6 @@ fn run_cold(
 
 /// Index of `e` on `path`, if it is a path edge.
 fn path_edge_index(path: &StPath, e: EdgeId) -> Option<usize> {
-    if !path.contains_edge(e) {
-        return None;
-    }
     path.edges().iter().position(|&pe| pe == e)
 }
 

@@ -32,7 +32,7 @@
 pub mod minimize;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use congest::bfs_tree::build_bfs_tree;
 use congest::{FaultPlan, Network};
@@ -955,115 +955,6 @@ pub fn run_sweep(cfg: &FuzzConfig, log: &mut dyn FnMut(&str)) -> SweepReport {
         rpaths_core::testhooks::set_flip_unweighted_merge(false);
     }
     report
-}
-
-/// Writes the hand-curated seed corpus: one minimal green fixture per
-/// solver surface, proving the corpus replay path end to end. Returns
-/// the written paths.
-///
-/// # Errors
-///
-/// [`rpaths_store::StoreError`] when a fixture cannot be written.
-pub fn write_seed_corpus(out_dir: &Path) -> Result<Vec<PathBuf>, rpaths_store::StoreError> {
-    std::fs::create_dir_all(out_dir).map_err(|e| rpaths_store::StoreError::Io {
-        kind: e.kind(),
-        message: e.to_string(),
-    })?;
-    let mut written = Vec::new();
-    let mut put = |fix: Fixture| -> Result<(), rpaths_store::StoreError> {
-        let path = out_dir.join(format!("{}.{FIXTURE_EXT}", fix.name));
-        fix.write(&path)?;
-        written.push(path);
-        Ok(())
-    };
-    let origin = "seed corpus (hand-written minimal instance)";
-    let exact_params = |n: usize, zeta: usize| {
-        let mut p = Params::with_zeta(n, zeta);
-        p.landmark_prob = 1.0;
-        p
-    };
-
-    // unweighted: a lane whose detours straddle the ζ regime split.
-    let (g, s, t) = gen::parallel_lane(8, 2, 2);
-    let p = exact_params(g.node_count(), 4);
-    put(Fixture::instance_mode(
-        "seed-unweighted-lane",
-        origin,
-        g,
-        s,
-        t,
-        p,
-        FuzzSolver::Unweighted,
-    ))?;
-
-    // weighted: small weighted random graph under the (1+ε) envelope.
-    let g = gen::random_weighted_digraph(20, 60, 7, 11);
-    let (s, t) = gen::random_reachable_pair(&g, 3).expect("seeded pair");
-    let p = exact_params(20, 5);
-    put(Fixture::instance_mode(
-        "seed-weighted-random",
-        origin,
-        g,
-        s,
-        t,
-        p,
-        FuzzSolver::Weighted,
-    ))?;
-
-    // sisp: the Theorem 2 family, whose 2-SiSP value is d + 1.
-    let t2 = gen::theorem2_family(5, None);
-    let p = exact_params(t2.graph.node_count(), t2.graph.node_count());
-    put(Fixture::instance_mode(
-        "seed-sisp-theorem2",
-        origin,
-        t2.graph,
-        t2.s,
-        t2.t,
-        p,
-        FuzzSolver::Sisp,
-    ))?;
-
-    // reachability: a planted path with unprotected tail edges.
-    let (g, s, t) = gen::planted_path_digraph(24, 7, 30, 5);
-    let p = exact_params(24, 4);
-    put(Fixture::instance_mode(
-        "seed-reachability-planted",
-        origin,
-        g,
-        s,
-        t,
-        p,
-        FuzzSolver::Reachability,
-    ))?;
-
-    // naive baseline: the new road grid.
-    let (g, s, t) = gen::grid_road(4, 5, 3, 7);
-    let p = exact_params(20, 4);
-    put(Fixture::instance_mode(
-        "seed-naive-grid-road",
-        origin,
-        g,
-        s,
-        t,
-        p,
-        FuzzSolver::Naive,
-    ))?;
-
-    // mr24 baseline: the new octopus pods.
-    let g = gen::octopus_pods(4, 5, 1, 9);
-    let (s, t) = gen::random_reachable_pair(&g, 1).expect("seeded pair");
-    let p = exact_params(20, 4);
-    put(Fixture::instance_mode(
-        "seed-mr24-octopus",
-        origin,
-        g,
-        s,
-        t,
-        p,
-        FuzzSolver::Mr24,
-    ))?;
-
-    Ok(written)
 }
 
 #[cfg(test)]

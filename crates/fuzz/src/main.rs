@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run --release -p rpaths-fuzz -- --seed 1 --cases 200
 //! cargo run --release -p rpaths-fuzz -- --smoke
-//! cargo run --release -p rpaths-fuzz -- --write-seed-corpus
 //! ```
 //!
 //! Exit codes: 0 = clean sweep, 1 = divergences found (fixtures written
@@ -14,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rpaths_fuzz::{run_sweep, write_seed_corpus, FuzzConfig};
+use rpaths_fuzz::{run_sweep, FuzzConfig};
 
 const USAGE: &str = "\
 rpaths-fuzz: seeded ground-truth differential fuzzing
@@ -35,15 +34,12 @@ OPTIONS:
     --inject-tiebreak-bug  Flip the unweighted merge tie-break (test
                            hook) to validate the catch -> minimize ->
                            fixture pipeline
-    --write-seed-corpus    Write the hand-curated per-solver seed
-                           fixtures to --out-dir and exit
     --quiet                Only print the final report
     -h, --help             This message
 ";
 
 struct Cli {
     cfg: FuzzConfig,
-    write_corpus: bool,
     quiet: bool,
 }
 
@@ -55,7 +51,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut out_dir: Option<PathBuf> = None;
     let mut minimize = true;
     let mut inject = false;
-    let mut write_corpus = false;
     let mut quiet = false;
 
     let mut it = args.iter();
@@ -87,7 +82,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--out-dir" => out_dir = Some(PathBuf::from(value("--out-dir")?)),
             "--no-minimize" => minimize = false,
             "--inject-tiebreak-bug" => inject = true,
-            "--write-seed-corpus" => write_corpus = true,
             "--quiet" => quiet = true,
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown flag: {other}")),
@@ -112,11 +106,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     }
     cfg.minimize = minimize;
     cfg.inject_tiebreak = inject;
-    Ok(Cli {
-        cfg,
-        write_corpus,
-        quiet,
-    })
+    Ok(Cli { cfg, quiet })
 }
 
 fn main() -> ExitCode {
@@ -132,22 +122,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if cli.write_corpus {
-        return match write_seed_corpus(&cli.cfg.out_dir) {
-            Ok(paths) => {
-                for p in &paths {
-                    println!("wrote {}", p.display());
-                }
-                println!("seed corpus: {} fixtures", paths.len());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: seed corpus: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
 
     println!(
         "rpaths-fuzz: seed={} cases={} max_n={}{}{}",

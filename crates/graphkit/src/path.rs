@@ -91,7 +91,6 @@ impl std::error::Error for PathError {}
 pub struct StPath {
     nodes: Vec<NodeId>,
     edges: Vec<EdgeId>,
-    edge_set: HashSet<EdgeId>,
 }
 
 impl StPath {
@@ -117,12 +116,7 @@ impl StPath {
                 return Err(PathError::RepeatedVertex(v));
             }
         }
-        let edge_set = edges.iter().copied().collect();
-        Ok(StPath {
-            nodes,
-            edges,
-            edge_set,
-        })
+        Ok(StPath { nodes, edges })
     }
 
     /// Builds a path from a vertex sequence, resolving each hop to the
@@ -194,16 +188,10 @@ impl StPath {
         self.edges[i]
     }
 
-    /// Returns `true` when `e` is one of the path's edges.
-    #[inline]
+    /// Returns `true` when `e` is one of the path's edges (a scan of
+    /// the `h_st` edge ids).
     pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.edge_set.contains(&e)
-    }
-
-    /// The set of path edge ids.
-    #[inline]
-    pub fn edge_set(&self) -> &HashSet<EdgeId> {
-        &self.edge_set
+        self.edges.contains(&e)
     }
 
     /// Total weight of the path.

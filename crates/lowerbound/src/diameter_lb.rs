@@ -11,10 +11,9 @@ use congest::Network;
 use graphkit::gen::theorem2_family;
 use graphkit::{Dist, StPath};
 use rpaths_core::{sisp, Instance, Params};
-use serde::{Deserialize, Serialize};
 
 /// One data point of the Ω(D) experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DiameterPoint {
     /// The path-length parameter `d` (so `n = 2d + 1`).
     pub d: usize,

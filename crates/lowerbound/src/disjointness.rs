@@ -15,12 +15,11 @@
 use congest::Network;
 use graphkit::Dist;
 use rpaths_core::{sisp, Instance, Params};
-use serde::{Deserialize, Serialize};
 
 use crate::hard::{build, HardGraph};
 
 /// The result of one reduction run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ReductionOutcome {
     /// The decoded `disj(x, y)` (true = disjoint).
     pub disjoint: bool,

@@ -1,8 +1,7 @@
 //! Differential tests for the solver-session layer: cached answers must
 //! be *bit-identical* to one-shot solves — answers and, where phases
 //! actually run, full `Metrics` equality (`total`/`phases`/`faults`) —
-//! and the deterministic LRU cache must behave exactly like its naive
-//! model.
+//! and the artifact cache must behave exactly like a naive map model.
 //!
 //! Acceptance criteria pinned here:
 //! - a batch of Q same-graph failed-edge queries through
@@ -22,8 +21,8 @@ use graphkit::Dist;
 use proptest::prelude::*;
 use rpaths_core::artifacts::cache_artifact;
 use rpaths_core::{
-    unweighted, weighted, ArtifactCache, ArtifactKind, CacheKey, CacheValue, Instance, Params,
-    Query, SolverSession,
+    unweighted, weighted, ArtifactCache, ArtifactKind, CacheValue, Instance, Params, Query,
+    SolverKind, SolverSession,
 };
 
 fn unweighted_case() -> (graphkit::DiGraph, usize, usize, Params) {
@@ -33,10 +32,23 @@ fn unweighted_case() -> (graphkit::DiGraph, usize, usize, Params) {
     (g, s, t, params)
 }
 
-fn temp_snapshot(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rpaths-session-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A temporary directory of one test, removed when it drops. Tests of
+/// one binary run in parallel, so each test names its own directory.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(test: &str) -> TempDir {
+        let dir =
+            std::env::temp_dir().join(format!("rpaths-session-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
@@ -132,7 +144,8 @@ fn persisted_cache_warm_boots_with_zero_recomputed_artifacts() {
         .map(|&e| Query::avoiding(s, t, e))
         .collect();
 
-    let path = temp_snapshot("warm.snap");
+    let dir = TempDir::new("warm");
+    let path = dir.0.join("warm.snap");
     let mut warm_session = SolverSession::new(&g, params.clone());
     let answers = warm_session.solve_batch(&queries).unwrap();
     warm_session.save(&path).unwrap();
@@ -154,8 +167,6 @@ fn persisted_cache_warm_boots_with_zero_recomputed_artifacts() {
     let (other, ..) = planted_path_digraph(41, 12, 100, 8);
     let mut mismatched = SolverSession::new(&other, params.clone());
     assert_eq!(mismatched.warm_boot(&path).unwrap(), 0);
-
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -169,7 +180,8 @@ fn corrupt_cache_sections_degrade_to_cold_never_fail() {
         .map(|&e| Query::avoiding(s, t, e))
         .collect();
 
-    let path = temp_snapshot("corrupt.snap");
+    let dir = TempDir::new("corrupt");
+    let path = dir.0.join("corrupt.snap");
     let mut session = SolverSession::new(&g, params.clone());
     let answers = session.solve_batch(&queries).unwrap();
     session.save(&path).unwrap();
@@ -195,8 +207,6 @@ fn corrupt_cache_sections_degrade_to_cold_never_fail() {
     // the corruption cost it.
     let again = rebooted.solve_batch(&queries).unwrap();
     assert_eq!(again, answers);
-
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -227,13 +237,13 @@ fn an_imported_diameter_never_changes_an_answer() {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic LRU proptests
+// The cache against a naive map model
 // ---------------------------------------------------------------------
 
 /// A cache op over a small key space. Generated as a raw `u64` (the
 /// vendored proptest subset has no `prop_oneof`): even codes are gets,
 /// odd codes are inserts, each over keys `0..24`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Op {
     Get(u64),
     Insert(u64),
@@ -247,96 +257,66 @@ fn decode_op(code: u64) -> Op {
     }
 }
 
-fn key_for(i: u64) -> CacheKey {
-    CacheKey {
-        fingerprint: 0xfeed_f00d,
-        kind: rpaths_core::ArtifactKind::Path {
-            source: i as usize,
-            target: 0,
+/// Key `i`: the diameter, paths and replacement answers all appear,
+/// so key order is checked across kinds as well as within them.
+fn key_for(i: u64) -> ArtifactKind {
+    let (source, target) = (i as usize / 2, 0);
+    match i {
+        0 => ArtifactKind::Diameter,
+        _ if i.is_multiple_of(2) => ArtifactKind::Path { source, target },
+        _ => ArtifactKind::Replacement {
+            source,
+            target,
+            solver: SolverKind::Unweighted,
+            params_fp: 0,
+            path_fp: 0,
         },
     }
-}
-
-fn apply(cache: &mut ArtifactCache, ops: &[Op]) -> Vec<CacheKey> {
-    let mut trace = Vec::new();
-    for op in ops {
-        match op {
-            Op::Get(i) => {
-                let _ = cache.get(&key_for(*i));
-            }
-            Op::Insert(i) => {
-                cache.insert(key_for(*i), rpaths_core::CacheValue::Diameter(*i as usize));
-            }
-        }
-        trace.extend(cache.entries_by_recency().into_iter().map(|(k, _)| k));
-    }
-    trace
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Two caches fed the same op sequence agree on *everything*:
-    /// contents, recency order after every step, and all counters.
-    /// (This is the determinism the persistence format and the
-    /// engine-equivalence story rely on.)
+    /// The cache is an ordered map plus counters. A naive model, a list
+    /// of `(key, value)` pairs and three counters, agrees with it on
+    /// every get's hit or miss and value, on the keys held, in key
+    /// order, after every op, and on every counter; nothing is evicted.
     #[test]
-    fn lru_is_deterministic(
-        codes in proptest::collection::vec(0u64..48, 1..120),
-        cap in 1usize..8,
-    ) {
-        let ops: Vec<Op> = codes.iter().map(|&c| decode_op(c)).collect();
-        let mut a = ArtifactCache::new(cap);
-        let mut b = ArtifactCache::new(cap);
-        let trace_a = apply(&mut a, &ops);
-        let trace_b = apply(&mut b, &ops);
-        prop_assert_eq!(trace_a, trace_b);
-        prop_assert_eq!(a.len(), b.len());
-        let (sa, sb) = (a.stats(), b.stats());
-        prop_assert_eq!(
-            (sa.hits, sa.misses, sa.insertions, sa.evictions),
-            (sb.hits, sb.misses, sb.insertions, sb.evictions)
-        );
-    }
-
-    /// Capacity is a hard bound, and eviction follows the textbook LRU
-    /// model: a naive Vec-based model and the BTreeMap implementation
-    /// hold exactly the same keys at every step.
-    #[test]
-    fn lru_matches_naive_model_and_never_exceeds_capacity(
-        codes in proptest::collection::vec(0u64..48, 1..160),
-        cap in 1usize..6,
-    ) {
-        let ops: Vec<Op> = codes.iter().map(|&c| decode_op(c)).collect();
-        let mut cache = ArtifactCache::new(cap);
-        // The model: most-recent at the back.
-        let mut model: Vec<u64> = Vec::new();
-        for op in &ops {
+    fn cache_matches_naive_map_model(codes in proptest::collection::vec(0u64..48, 1..160)) {
+        let mut cache = ArtifactCache::new();
+        let mut model: Vec<(ArtifactKind, usize)> = Vec::new();
+        let (mut hits, mut misses, mut insertions) = (0u64, 0u64, 0u64);
+        for (step, op) in codes.iter().map(|&c| decode_op(c)).enumerate() {
             match op {
                 Op::Get(i) => {
-                    let hit = cache.get(&key_for(*i)).is_some();
-                    let model_hit = model.contains(i);
-                    prop_assert_eq!(hit, model_hit, "hit status diverged on {:?}", op);
-                    if model_hit {
-                        model.retain(|k| k != i);
-                        model.push(*i);
+                    let got = cache.get(&key_for(i)).map(|v| match v {
+                        CacheValue::Diameter(v) => v,
+                        other => panic!("a value the model never inserted: {other:?}"),
+                    });
+                    let want = model.iter().find(|e| e.0 == key_for(i)).map(|e| e.1);
+                    prop_assert_eq!(got, want, "get diverged on {:?}", op);
+                    if want.is_some() {
+                        hits += 1;
+                    } else {
+                        misses += 1;
                     }
                 }
                 Op::Insert(i) => {
-                    cache.insert(key_for(*i), rpaths_core::CacheValue::Diameter(*i as usize));
-                    model.retain(|k| k != i);
-                    model.push(*i);
-                    if model.len() > cap {
-                        model.remove(0); // evict the least recently used
-                    }
+                    cache.insert(key_for(i), CacheValue::Diameter(step));
+                    model.retain(|e| e.0 != key_for(i));
+                    model.push((key_for(i), step));
+                    insertions += 1;
                 }
             }
-            prop_assert!(cache.len() <= cap, "capacity exceeded: {} > {cap}", cache.len());
-            prop_assert_eq!(cache.len(), model.len());
-            let keys: Vec<CacheKey> =
-                cache.entries_by_recency().into_iter().map(|(k, _)| k).collect();
-            let model_keys: Vec<CacheKey> = model.iter().map(|&i| key_for(i)).collect();
-            prop_assert_eq!(keys, model_keys, "recency order diverged");
+            let mut model_keys: Vec<ArtifactKind> = model.iter().map(|e| e.0).collect();
+            model_keys.sort();
+            let keys: Vec<ArtifactKind> = cache.entries().map(|(k, _)| *k).collect();
+            prop_assert_eq!(keys, model_keys, "keys or key order diverged");
+            let s = cache.stats();
+            prop_assert_eq!(
+                (s.hits, s.misses, s.insertions, s.evictions),
+                (hits, misses, insertions, 0)
+            );
         }
     }
 }
