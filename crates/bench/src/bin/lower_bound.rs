@@ -10,6 +10,7 @@
 //! 3. The Ω(D) family of Theorem 2: intact vs. reversed long path, with
 //!    solver rounds growing linearly in `D`.
 
+use graphkit::Dist;
 use rpaths_lb::diameter_lb::run_family;
 use rpaths_lb::disjointness::{implied_round_lower_bound, run_reduction};
 use rpaths_lb::hard::random_inputs;
@@ -41,11 +42,7 @@ fn main() {
                 out.bob_bits,
                 out.rounds,
                 out.cut_bits,
-                if out.sisp_raw == u64::MAX {
-                    "inf".to_string()
-                } else {
-                    out.sisp_raw.to_string()
-                },
+                sisp_cell(out.sisp),
                 out.disjoint,
                 out.expected_disjoint
             );
@@ -100,11 +97,7 @@ fn main() {
                 pt.d,
                 pt.diameter,
                 pt.reversed,
-                if pt.sisp_raw == u64::MAX {
-                    "inf".to_string()
-                } else {
-                    pt.sisp_raw.to_string()
-                },
+                sisp_cell(pt.sisp),
                 pt.rounds,
                 pt.correct
             );
@@ -112,4 +105,10 @@ fn main() {
         }
     }
     println!("\nall lower-bound checks passed");
+}
+
+/// A 2-SiSP value as the tables print it: the number, or `inf`.
+fn sisp_cell(d: Dist) -> String {
+    d.finite()
+        .map_or_else(|| "inf".to_string(), |v| v.to_string())
 }

@@ -26,7 +26,8 @@ use rpaths_core::baseline::{mr24, naive};
 use rpaths_core::unweighted;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
     let mut all: Vec<Row> = Vec::new();
 
     println!("== Table 1 / sweep over n (h_st = n/4, random planted instances) ==");
@@ -133,20 +134,36 @@ fn main() {
         all.push(row);
     }
 
-    let path = std::env::args()
-        .skip_while(|a| a != "--json")
-        .nth(1)
-        .unwrap_or_else(|| "table1.json".into());
-    if std::env::args().any(|a| a == "--json") {
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&all).expect("serialize"),
-        )
-        .expect("write json");
+    if let Some(path) = json_path(&args) {
+        std::fs::write(path, serde_json::to_string_pretty(&all).expect("serialize"))
+            .expect("write json");
         println!("\nwrote {path}");
     }
     assert!(
         all.iter().all(|r| r.correct),
         "some measurement disagreed with its oracle"
     );
+}
+
+/// The file `--json` asks for: the next argument, unless that is
+/// missing or another flag, in which case `table1.json`.
+fn json_path<S: AsRef<str>>(args: &[S]) -> Option<&str> {
+    let i = args.iter().position(|a| a.as_ref() == "--json")?;
+    match args.get(i + 1).map(AsRef::as_ref) {
+        Some(path) if !path.starts_with("--") => Some(path),
+        _ => Some("table1.json"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_path;
+
+    #[test]
+    fn json_takes_a_path_but_never_the_next_flag() {
+        assert_eq!(json_path(&["--quick"]), None);
+        assert_eq!(json_path(&["--quick", "--json"]), Some("table1.json"));
+        assert_eq!(json_path(&["--json", "--quick"]), Some("table1.json"));
+        assert_eq!(json_path(&["--json", "out.json"]), Some("out.json"));
+    }
 }

@@ -24,25 +24,13 @@
 //! in the working directory (written via the store's temp-file +
 //! atomic-rename helper, so a crash mid-write never leaves a torn
 //! report). Run from the repository root, that is the committed report.
-//! `--smoke` shrinks the sweep to seconds for CI while still writing the
-//! report.
+//! The whole schedule is drawn upfront from a fixed seed, so a run that
+//! dies part-way is simply run again: the rerun writes the same report,
+//! byte for byte.
 //!
-//! # Checkpoint/resume (`--snapshot <path>`)
-//!
-//! With `--snapshot`, the runner checkpoints after every completed
-//! scenario into an `rpaths-store` snapshot file: the campaign's anchor
-//! topology (the metro ring) plus a `campaign/progress` blob holding
-//! the completed records as JSON. Because the full scenario list is
-//! generated *upfront* from a fixed seed — no RNG draws interleave with
-//! execution — a killed run restarted with the same flags resumes at
-//! the first unfinished scenario and produces a byte-identical final
-//! report. A checkpoint that fails to load (corrupt, truncated, or
-//! from a different configuration) degrades to a fresh start with a
-//! warning; it never panics and never poisons the run.
-//!
-//! `CAMPAIGN_ABORT_AFTER=<k>` (test hook) SIGKILLs the process after
-//! the `k`-th checkpoint write of this run, giving CI a deterministic
-//! mid-campaign crash to resume from.
+//! `--smoke` shrinks the sweep for CI while still writing the report; it
+//! is the only argument. Anything else is a usage error (exit 2), caught
+//! before any scenario runs.
 
 use congest::bfs_tree::build_bfs_tree;
 use congest::{FaultPlan, Network};
@@ -53,16 +41,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpaths_core::resilient::{solve_with_recovery, Recovery, RecoveryError};
 use rpaths_core::{Params, Query, SolverSession};
-use rpaths_store::{atomic_write, Artifact, Loaded, Snapshot};
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use rpaths_store::atomic_write;
+use serde::Serialize;
+use std::process::ExitCode;
 
 /// Where the report lands: the working directory, as `rpaths-fuzz`
 /// writes its fixtures under `tests/regressions` there.
 const REPORT_PATH: &str = "CAMPAIGN_faults.json";
-
-/// Artifact key of the progress blob inside a checkpoint snapshot.
-const PROGRESS_KEY: &str = "campaign/progress";
 
 /// A topology with its failure units: span `i` is the antiparallel arc
 /// pair `(2i, 2i + 1)` between `endpoints[i]`.
@@ -107,7 +92,7 @@ fn fail_spans(seed: u64, spans: &[usize]) -> FaultPlan {
     plan
 }
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ScenarioRecord {
     topology: String,
     scenario: String,
@@ -125,20 +110,6 @@ struct ScenarioRecord {
     probe_rounds: u64,
     /// Whether a probe eventually spanned the network.
     spanned: bool,
-}
-
-/// The resumable state: everything a killed run needs to pick up at the
-/// first unfinished scenario. Serialized as JSON into the checkpoint
-/// snapshot's `campaign/progress` blob.
-#[derive(Serialize, Deserialize)]
-struct Checkpoint {
-    /// Which sweep size produced these records; a mismatch on resume
-    /// (e.g. smoke checkpoint, full rerun) forces a fresh start.
-    smoke: bool,
-    /// The scenario count of the generating run, as a cheap schedule
-    /// fingerprint.
-    total: usize,
-    records: Vec<ScenarioRecord>,
 }
 
 #[derive(Serialize)]
@@ -167,10 +138,7 @@ struct Report {
     summary: Summary,
 }
 
-/// One entry of the upfront-generated schedule. Plans are regenerated,
-/// not persisted: the schedule is a pure function of the seed, so a
-/// resumed run rebuilds the identical list and skips the finished
-/// prefix.
+/// One entry of the schedule [`generate_scenarios`] draws upfront.
 struct Scenario {
     /// Index into the topology array.
     topo: usize,
@@ -268,16 +236,17 @@ fn run_scenario(topo: &Topology, sc: &Scenario, session: &mut SolverSession<'_>)
         Err(e) => (format!("error: {e}"), 0),
     };
     let (probes, probe_rounds, spanned) = probe_until_spanning(&topo.graph, &sc.plan, topo.s, 8);
+    let spans: Vec<String> = sc
+        .spans
+        .iter()
+        .map(|&i| format!("{}-{}", topo.endpoints[i].0, topo.endpoints[i].1))
+        .collect();
     println!(
         "  {:<16} {:<18} k={} spans=[{}] -> {} ({} probes / {} rounds)",
         topo.name,
         sc.kind,
         sc.spans.len(),
-        sc.spans
-            .iter()
-            .map(|&i| format!("{}-{}", topo.endpoints[i].0, topo.endpoints[i].1))
-            .collect::<Vec<_>>()
-            .join(","),
+        spans.join(","),
         outcome,
         probes,
         probe_rounds,
@@ -286,11 +255,7 @@ fn run_scenario(topo: &Topology, sc: &Scenario, session: &mut SolverSession<'_>)
         topology: topo.name.clone(),
         scenario: sc.kind.to_string(),
         k: sc.spans.len(),
-        spans: sc
-            .spans
-            .iter()
-            .map(|&i| format!("{}-{}", topo.endpoints[i].0, topo.endpoints[i].1))
-            .collect(),
+        spans,
         outcome,
         unreachable,
         probes,
@@ -312,14 +277,13 @@ fn sample_spans(rng: &mut StdRng, n: usize, k: usize) -> Vec<usize> {
     picked
 }
 
-/// Index of the metro-ring anchor topology (carries the k=1 acceptance
-/// invariant and anchors checkpoint snapshots).
+/// Index of the metro-ring topology, which carries the k=1 acceptance
+/// invariant.
 const RING: usize = 0;
 
 /// Generates the complete campaign schedule upfront. Every RNG draw
-/// happens here, before any scenario executes, so the schedule — and
-/// hence the meaning of "scenario `i`" — is identical whether the run
-/// is fresh or resumed from a checkpoint.
+/// happens here, before any scenario executes, so the schedule is a
+/// pure function of the seed and the sweep size.
 fn generate_scenarios(topologies: &[Topology], samples: usize, rng: &mut StdRng) -> Vec<Scenario> {
     let mut scenarios = Vec::new();
 
@@ -391,111 +355,26 @@ fn generate_scenarios(topologies: &[Topology], samples: usize, rng: &mut StdRng)
     scenarios
 }
 
-/// Writes a checkpoint: the anchor topology's graph (a real graph
-/// round-tripping through the store, not a stub) plus the progress
-/// blob. Atomic via the store's temp-file + rename path.
-fn write_checkpoint(path: &std::path::Path, anchor: &DiGraph, cp: &Checkpoint) {
-    let json = serde_json::to_string(cp).expect("serialize checkpoint");
-    let mut snap = Snapshot::new(anchor.clone());
-    snap.artifacts
-        .push(Artifact::blob(PROGRESS_KEY, json.into_bytes()));
-    if let Err(e) = snap.write(path) {
-        // A failed checkpoint write must not kill a healthy campaign:
-        // resume just restarts further back.
-        eprintln!("warning: checkpoint write failed: {e}");
+/// Parses the command line into whether the sweep is the smoke one:
+/// no argument runs the full sweep, `--smoke` the smoke one.
+fn parse_args(args: &[&str]) -> Result<bool, String> {
+    match args {
+        [] => Ok(false),
+        ["--smoke"] => Ok(true),
+        _ => Err(format!("unexpected arguments `{}`", args.join(" "))),
     }
 }
 
-/// Loads the completed-record prefix from a checkpoint, or explains why
-/// the run starts fresh. Corruption is *expected* input here (the file
-/// is only ever read after a crash): every failure path degrades to
-/// `None`, never a panic.
-fn load_checkpoint(
-    path: &std::path::Path,
-    anchor: &DiGraph,
-    smoke: bool,
-    total: usize,
-) -> Option<Vec<ScenarioRecord>> {
-    if !path.exists() {
-        return None;
-    }
-    let loaded = match Snapshot::read(path) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("warning: checkpoint unreadable ({e}); starting fresh");
-            return None;
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let smoke = match parse_args(&args) {
+        Ok(smoke) => smoke,
+        Err(msg) => {
+            eprintln!("error: {msg}\nusage: campaign [--smoke]");
+            return ExitCode::from(2);
         }
     };
-    if let Loaded::Partial { ref dropped, .. } = loaded {
-        for d in dropped {
-            eprintln!(
-                "warning: checkpoint section {} (tag {}) corrupt: {}",
-                d.section, d.tag, d.error
-            );
-        }
-    }
-    let snap = loaded.snapshot();
-    if snap.graph.to_snapshot() != anchor.to_snapshot() {
-        eprintln!("warning: checkpoint is for a different topology; starting fresh");
-        return None;
-    }
-    let Some(blob) = snap.artifacts.iter().find(|a| a.key == PROGRESS_KEY) else {
-        eprintln!("warning: checkpoint has no progress blob (dropped as corrupt?); starting fresh");
-        return None;
-    };
-    let text = match std::str::from_utf8(&blob.body) {
-        Ok(t) => t,
-        Err(_) => {
-            eprintln!("warning: checkpoint progress blob is not UTF-8; starting fresh");
-            return None;
-        }
-    };
-    let cp: Checkpoint = match serde_json::from_str(text) {
-        Ok(cp) => cp,
-        Err(e) => {
-            eprintln!("warning: checkpoint progress blob unparsable ({e}); starting fresh");
-            return None;
-        }
-    };
-    if cp.smoke != smoke || cp.total != total || cp.records.len() > total {
-        eprintln!("warning: checkpoint is from a different configuration; starting fresh");
-        return None;
-    }
-    Some(cp.records)
-}
-
-/// Test hook: SIGKILL ourselves after the `n`-th checkpoint write, so
-/// CI can provoke a deterministic mid-campaign crash. SIGKILL (not
-/// exit) because the point is to prove resume needs no orderly
-/// shutdown.
-fn maybe_abort(checkpoints_written: u32) {
-    let Ok(val) = std::env::var("CAMPAIGN_ABORT_AFTER") else {
-        return;
-    };
-    let Ok(after) = val.parse::<u32>() else {
-        return;
-    };
-    if checkpoints_written >= after {
-        let pid = std::process::id().to_string();
-        let _ = std::process::Command::new("kill")
-            .args(["-KILL", &pid])
-            .status();
-        // If there is no `kill` binary, die abruptly anyway.
-        std::process::abort();
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let snapshot_path: Option<PathBuf> = args.iter().position(|a| a == "--snapshot").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--snapshot requires a path argument");
-                std::process::exit(2);
-            })
-            .into()
-    });
     let (ring_pops, star_n, pl_n, samples) = if smoke {
         (8, 8, 12, 2)
     } else {
@@ -519,34 +398,19 @@ fn main() {
         ),
     ];
     let scenarios = generate_scenarios(&topologies, samples, &mut rng);
-    let total = scenarios.len();
-    let anchor = &topologies[RING].graph;
 
     // One solver session per topology, reused across every scenario on
     // it: the pristine cross-check in `run_scenario` costs one solver
     // run per topology for the whole campaign, everything after that is
-    // cache hits. Session telemetry stays out of the report — a resumed
-    // run skips scenarios, and the report must be byte-identical.
+    // cache hits.
     let mut sessions: Vec<SolverSession<'_>> = topologies
         .iter()
         .map(|t| SolverSession::new(&t.graph, Params::for_n(t.graph.node_count())))
         .collect();
 
-    let mut records: Vec<ScenarioRecord> = snapshot_path
-        .as_deref()
-        .and_then(|p| load_checkpoint(p, anchor, smoke, total))
-        .unwrap_or_default();
-    if !records.is_empty() {
-        println!(
-            "resuming from checkpoint ({}/{} scenarios done)",
-            records.len(),
-            total
-        );
-    }
-
-    let mut checkpoints_written = 0u32;
-    let mut last_kind = records.len().checked_sub(1).map(|i| scenarios[i].kind);
-    for sc in scenarios.iter().skip(records.len()) {
+    let mut records = Vec::with_capacity(scenarios.len());
+    let mut last_kind = None;
+    for sc in &scenarios {
         if last_kind != Some(sc.kind) {
             println!("== {} campaigns ==", sc.kind);
             last_kind = Some(sc.kind);
@@ -556,19 +420,6 @@ fn main() {
             sc,
             &mut sessions[sc.topo],
         ));
-        if let Some(path) = snapshot_path.as_deref() {
-            write_checkpoint(
-                path,
-                anchor,
-                &Checkpoint {
-                    smoke,
-                    total,
-                    records: records.clone(),
-                },
-            );
-            checkpoints_written += 1;
-            maybe_abort(checkpoints_written);
-        }
     }
 
     // --- invariants ------------------------------------------------------
@@ -622,8 +473,8 @@ fn main() {
         "\n{} scenarios: {} answered, {} partitioned",
         summary.scenarios, summary.answered, summary.partitioned
     );
-    // Stdout-only telemetry (resumed runs skip scenarios, so these
-    // counters are not deterministic enough for the report).
+    // How the sessions served the pristine cross-checks: stdout only,
+    // the report holds what the failures did to the routes.
     for (topo, session) in topologies.iter().zip(&sessions) {
         let st = session.stats();
         println!(
@@ -637,7 +488,7 @@ fn main() {
     }
     let report = Report {
         smoke,
-        invariant_failures: invariant_failures.clone(),
+        invariant_failures,
         records,
         summary,
     };
@@ -646,16 +497,13 @@ fn main() {
         .expect("write CAMPAIGN_faults.json");
     println!("wrote {REPORT_PATH}");
 
-    // The campaign finished; the checkpoint has served its purpose.
-    if let Some(path) = snapshot_path.as_deref() {
-        let _ = std::fs::remove_file(path);
+    for f in &report.invariant_failures {
+        eprintln!("INVARIANT FAILED: {f}");
     }
-
-    if !invariant_failures.is_empty() {
-        for f in &invariant_failures {
-            eprintln!("INVARIANT FAILED: {f}");
-        }
-        std::process::exit(1);
+    if report.invariant_failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -665,4 +513,17 @@ fn span_seed(spans: &[usize]) -> u64 {
     spans.iter().fold(0x9e3779b97f4a7c15u64, |h, &s| {
         (h ^ s as u64).wrapping_mul(0xbf58476d1ce4e5b9)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    #[test]
+    fn only_smoke_is_accepted() {
+        assert_eq!(parse_args(&[]), Ok(false));
+        assert_eq!(parse_args(&["--smoke"]), Ok(true));
+        assert!(parse_args(&["--snapshot", "x"]).is_err());
+        assert!(parse_args(&["--bogus"]).is_err());
+    }
 }

@@ -21,8 +21,8 @@ pub struct DiameterPoint {
     pub diameter: usize,
     /// Whether an edge of the long path was reversed.
     pub reversed: bool,
-    /// Measured 2-SiSP value (`u64::MAX` = ∞).
-    pub sisp_raw: u64,
+    /// Measured 2-SiSP value.
+    pub sisp: Dist,
     /// Whether the measured value matches the family's ground truth.
     pub correct: bool,
     /// Rounds the distributed solver spent.
@@ -44,7 +44,7 @@ pub fn run_family(d: usize, reversed_edge: Option<usize>, seed: u64) -> Diameter
         d,
         diameter,
         reversed: reversed_edge.is_some(),
-        sisp_raw: value.raw(),
+        sisp: value,
         correct: value == expected,
         rounds: net.metrics().rounds(),
     }
@@ -58,10 +58,10 @@ mod tests {
     fn family_values_are_distinguished() {
         let intact = run_family(10, None, 1);
         assert!(intact.correct);
-        assert_eq!(intact.sisp_raw, 11);
+        assert_eq!(intact.sisp, Dist::new(11));
         let broken = run_family(10, Some(5), 1);
         assert!(broken.correct);
-        assert_eq!(broken.sisp_raw, u64::MAX);
+        assert_eq!(broken.sisp, Dist::INF);
     }
 
     #[test]

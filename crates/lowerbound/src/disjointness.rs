@@ -25,8 +25,8 @@ pub struct ReductionOutcome {
     pub disjoint: bool,
     /// Ground truth from the inputs.
     pub expected_disjoint: bool,
-    /// The measured 2-SiSP value (raw; `u64::MAX` = ∞).
-    pub sisp_raw: u64,
+    /// The measured 2-SiSP value.
+    pub sisp: Dist,
     /// The decision threshold (the construction's "good" length).
     pub good_length: u64,
     /// Rounds spent by the distributed solver.
@@ -80,7 +80,7 @@ fn solve_distributed(g: &HardGraph, seed: u64) -> ReductionOutcome {
     ReductionOutcome {
         disjoint,
         expected_disjoint: disjoint, // caller overwrites
-        sisp_raw: value.raw(),
+        sisp: value,
         good_length: g.good_length,
         rounds: net.metrics().rounds(),
         cut_bits: net.metrics().total.cut_bits,
@@ -127,7 +127,7 @@ mod tests {
         let y = vec![true, false, false, false];
         let out = run_reduction(k, 2, 2, &x, &y, 1);
         assert!(!out.disjoint);
-        assert_eq!(out.sisp_raw, out.good_length);
+        assert_eq!(out.sisp, Dist::new(out.good_length));
     }
 
     #[test]
@@ -137,7 +137,7 @@ mod tests {
         let y = vec![false, true, false, true];
         let out = run_reduction(k, 2, 2, &x, &y, 2);
         assert!(out.disjoint);
-        assert!(out.sisp_raw > out.good_length);
+        assert!(out.sisp > Dist::new(out.good_length));
     }
 
     #[test]

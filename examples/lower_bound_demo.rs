@@ -35,12 +35,7 @@ fn main() {
     );
     println!(
         "distributed 2-SiSP answered {} (threshold: {} = sets intersect)",
-        if out.sisp_raw == u64::MAX {
-            "∞".to_string()
-        } else {
-            out.sisp_raw.to_string()
-        },
-        out.good_length
+        out.sisp, out.good_length
     );
     println!(
         "decoded disj(x, y) = {} — ground truth: {}",
@@ -63,12 +58,7 @@ fn main() {
     let out2 = run_reduction(k, d, p, &x, &y, 2);
     println!(
         "\nafter removing 3 from Bob's set: 2-SiSP = {}, decoded disjoint = {}",
-        if out2.sisp_raw == u64::MAX {
-            "∞".to_string()
-        } else {
-            out2.sisp_raw.to_string()
-        },
-        out2.disjoint
+        out2.sisp, out2.disjoint
     );
     assert!(out2.disjoint && out2.expected_disjoint);
 

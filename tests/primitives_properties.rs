@@ -446,7 +446,8 @@ proptest! {
     ) {
         // Full store files (header + sections + footer) re-encode to
         // identical bytes after a decode, for any graph and artifact
-        // payload mix — the invariant checkpoint/resume rides on.
+        // payload mix — the invariant session saves and the regression
+        // fixtures ride on.
         let g = random_digraph(n, 2 * n, seed);
         let mut snap = rpaths_store::Snapshot::new(g);
         for i in 0..nart {
