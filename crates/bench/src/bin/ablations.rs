@@ -23,14 +23,14 @@ use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::Network;
 use graphkit::alg::bfs_hop_bounded;
 use graphkit::Dist;
-use rpaths_bench::{bench_params, lane_case, random_case};
+use rpaths_bench::{args_or_exit, bench_params, lane_case, quick_flag, random_case};
 use rpaths_core::long::dists::undominated_pairs;
 use rpaths_core::long::landmarks;
 use rpaths_core::short::hop_bfs::{hop_constrained_bfs, HopBfsConfig, Objective};
 use rpaths_core::{baseline, unweighted, Instance};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = args_or_exit("ablations [--quick]", quick_flag);
     let hs: &[usize] = if quick {
         &[64, 128]
     } else {

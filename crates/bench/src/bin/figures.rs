@@ -10,11 +10,13 @@
 //!   centralized oracle — including reproducing the green highlighted
 //!   detour route for a planted good bit.
 
+use rpaths_bench::{args_or_exit, no_args};
 use rpaths_lb::gamma;
 use rpaths_lb::hard::{build, random_inputs};
 use rpaths_lb::lemma68::verify;
 
 fn main() {
+    args_or_exit("figures", no_args);
     println!("== Figure 1: G(Gamma, d, p) (Observation 6.3) ==");
     println!(
         "{:>6} {:>3} {:>3} {:>8} {:>10} {:>9} {:>7}",

@@ -11,12 +11,13 @@
 //!    solver rounds growing linearly in `D`.
 
 use graphkit::Dist;
+use rpaths_bench::{args_or_exit, quick_flag};
 use rpaths_lb::diameter_lb::run_family;
 use rpaths_lb::disjointness::{implied_round_lower_bound, run_reduction};
 use rpaths_lb::hard::random_inputs;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = args_or_exit("lower_bound [--quick]", quick_flag);
 
     println!("== Lemma 6.9: disjointness via distributed 2-SiSP ==");
     println!(

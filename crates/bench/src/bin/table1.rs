@@ -20,14 +20,14 @@
 //! - naive rounds grow ≈ linearly in h_st with a large constant.
 
 use rpaths_bench::{
-    bench_params, growth_exponent, lane_case, measure, measure_weighted, random_case, Row,
+    args_or_exit, bench_params, growth_exponent, lane_case, measure, measure_weighted, random_case,
+    Row,
 };
 use rpaths_core::baseline::{mr24, naive};
 use rpaths_core::unweighted;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let Options { quick, json } = args_or_exit("table1 [--quick] [--json [path]]", parse_args);
     let mut all: Vec<Row> = Vec::new();
 
     println!("== Table 1 / sweep over n (h_st = n/4, random planted instances) ==");
@@ -134,9 +134,12 @@ fn main() {
         all.push(row);
     }
 
-    if let Some(path) = json_path(&args) {
-        std::fs::write(path, serde_json::to_string_pretty(&all).expect("serialize"))
-            .expect("write json");
+    if let Some(path) = json {
+        std::fs::write(
+            &path,
+            serde_json::to_string_pretty(&all).expect("serialize"),
+        )
+        .expect("write json");
         println!("\nwrote {path}");
     }
     assert!(
@@ -145,25 +148,75 @@ fn main() {
     );
 }
 
-/// The file `--json` asks for: the next argument, unless that is
-/// missing or another flag, in which case `table1.json`.
-fn json_path<S: AsRef<str>>(args: &[S]) -> Option<&str> {
-    let i = args.iter().position(|a| a.as_ref() == "--json")?;
-    match args.get(i + 1).map(AsRef::as_ref) {
-        Some(path) if !path.starts_with("--") => Some(path),
-        _ => Some("table1.json"),
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+struct Options {
+    quick: bool,
+    /// Where `--json` writes the rows.
+    json: Option<String>,
+}
+
+/// Reads `--quick` and `--json [path]`, each at most once. The path is
+/// the argument after `--json` unless that is missing or another flag,
+/// in which case `table1.json`. Anything else is an error.
+fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Options, String> {
+    let mut opts = Options {
+        quick: false,
+        json: None,
+    };
+    let mut args = args.iter().map(AsRef::as_ref).peekable();
+    while let Some(arg) = args.next() {
+        match arg {
+            "--quick" if !opts.quick => opts.quick = true,
+            "--json" if opts.json.is_none() => {
+                let path = args.next_if(|a| !a.starts_with("--"));
+                opts.json = Some(path.unwrap_or("table1.json").to_string());
+            }
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
     }
+    Ok(opts)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::json_path;
+    use super::{parse_args, Options};
+
+    fn opts(quick: bool, json: Option<&str>) -> Result<Options, String> {
+        Ok(Options {
+            quick,
+            json: json.map(str::to_string),
+        })
+    }
 
     #[test]
     fn json_takes_a_path_but_never_the_next_flag() {
-        assert_eq!(json_path(&["--quick"]), None);
-        assert_eq!(json_path(&["--quick", "--json"]), Some("table1.json"));
-        assert_eq!(json_path(&["--json", "--quick"]), Some("table1.json"));
-        assert_eq!(json_path(&["--json", "out.json"]), Some("out.json"));
+        assert_eq!(parse_args::<&str>(&[]), opts(false, None));
+        assert_eq!(parse_args(&["--quick"]), opts(true, None));
+        assert_eq!(
+            parse_args(&["--quick", "--json"]),
+            opts(true, Some("table1.json"))
+        );
+        assert_eq!(
+            parse_args(&["--json", "--quick"]),
+            opts(true, Some("table1.json"))
+        );
+        assert_eq!(
+            parse_args(&["--json", "out.json"]),
+            opts(false, Some("out.json"))
+        );
+    }
+
+    #[test]
+    fn anything_else_is_an_error() {
+        for args in [
+            &["--qiuck"][..],
+            &["--quick", "extra"],
+            &["--json", "out.json", "extra"],
+            &["--quick", "--quick"],
+            &["--json", "a.json", "--json"],
+        ] {
+            assert!(parse_args(args).is_err(), "{args:?}");
+        }
     }
 }

@@ -202,6 +202,41 @@ pub fn growth_exponent(points: &[(usize, u64)]) -> f64 {
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
+/// The arguments after the program name, parsed by `parse`. When `parse`
+/// rejects them, prints the error and `usage` to stderr and exits with
+/// status 2, before the binary prints anything.
+pub fn args_or_exit<T>(usage: &str, parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\nusage: {usage}");
+        std::process::exit(2)
+    })
+}
+
+/// The command line of a binary whose only option is `--quick`: whether
+/// it was given, or an error naming anything else.
+pub fn quick_flag<S: AsRef<str>>(args: &[S]) -> Result<bool, String> {
+    match args {
+        [] => Ok(false),
+        [flag] if flag.as_ref() == "--quick" => Ok(true),
+        _ => Err(unexpected(args)),
+    }
+}
+
+/// The command line of a binary that takes no argument.
+pub fn no_args<S: AsRef<str>>(args: &[S]) -> Result<(), String> {
+    if args.is_empty() {
+        Ok(())
+    } else {
+        Err(unexpected(args))
+    }
+}
+
+fn unexpected<S: AsRef<str>>(args: &[S]) -> String {
+    let args: Vec<&str> = args.iter().map(AsRef::as_ref).collect();
+    format!("unexpected arguments `{}`", args.join(" "))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,5 +269,21 @@ mod tests {
     fn weighted_row_within_guarantee() {
         let row = measure_weighted(80, 16, 5).expect("usable instance");
         assert!(row.correct);
+    }
+
+    #[test]
+    fn quick_is_the_only_flag() {
+        assert_eq!(quick_flag::<&str>(&[]), Ok(false));
+        assert_eq!(quick_flag(&["--quick"]), Ok(true));
+        assert!(quick_flag(&["--qiuck"]).is_err());
+        assert!(quick_flag(&["--quick", "extra"]).is_err());
+        assert!(quick_flag(&["--quick", "--quick"]).is_err());
+    }
+
+    #[test]
+    fn no_args_rejects_every_argument() {
+        assert_eq!(no_args::<&str>(&[]), Ok(()));
+        assert!(no_args(&["--bogus"]).is_err());
+        assert!(no_args(&["--quick"]).is_err());
     }
 }

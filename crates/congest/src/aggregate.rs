@@ -11,7 +11,7 @@
 use graphkit::Dist;
 
 use crate::bfs_tree::BfsTree;
-use crate::network::{word_bits, Network, NodeCtx, Protocol};
+use crate::network::{word_bits, EngineError, Network, NodeCtx, Protocol};
 
 /// The supported aggregation operators over [`Dist`] values.
 ///
@@ -129,12 +129,21 @@ impl Protocol for Aggregate<'_> {
 /// Aggregates `values` with `op` over `tree`; every node learns the
 /// result. `O(height)` rounds, charged to `net`.
 ///
+/// # Errors
+///
+/// Returns [`EngineError::RoundLimitExceeded`] when the protocol fails to
+/// quiesce within `8·(height + 2)` rounds: under a fault plan that drops
+/// a report, or over a tree that does not span.
+///
 /// # Panics
 ///
-/// Panics if `values.len() != n` or the protocol fails to quiesce within
-/// `8·(height + 2)` rounds (a tree inconsistency — [`BfsTree`] values
-/// from a successful [`crate::bfs_tree::build_bfs_tree`] always span).
-pub fn aggregate(net: &mut Network<'_>, tree: &BfsTree, op: AggOp, values: &[Dist]) -> Dist {
+/// Panics if `values.len() != n`.
+pub fn aggregate(
+    net: &mut Network<'_>,
+    tree: &BfsTree,
+    op: AggOp,
+    values: &[Dist],
+) -> Result<Dist, EngineError> {
     let n = net.node_count();
     assert_eq!(values.len(), n);
     let mut nodes: Vec<AggNode> = (0..n)
@@ -151,15 +160,17 @@ pub fn aggregate(net: &mut Network<'_>, tree: &BfsTree, op: AggOp, values: &[Dis
         &Aggregate { tree, op },
         &mut nodes,
         8 * (tree.height + 2),
-    )
-    .expect("aggregation quiesces in O(height)");
-    nodes[tree.root].result.expect("root folded the result")
+    )?;
+    Ok(nodes[tree.root]
+        .result
+        .expect("a quiet run ends with every node holding the result"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs_tree::build_bfs_tree;
+    use crate::FaultPlan;
     use graphkit::gen::random_digraph;
 
     fn setup(n: usize, seed: u64) -> (graphkit::DiGraph, Vec<Dist>) {
@@ -178,7 +189,11 @@ mod tests {
         ] {
             let mut net = Network::new(&g);
             let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-            assert_eq!(aggregate(&mut net, &tree, op, &values), expect, "{op:?}");
+            assert_eq!(
+                aggregate(&mut net, &tree, op, &values).unwrap(),
+                expect,
+                "{op:?}"
+            );
         }
     }
 
@@ -190,7 +205,7 @@ mod tests {
         let mut net = Network::new(&g);
         let (tree, _) = build_bfs_tree(&mut net, 4).unwrap();
         assert_eq!(
-            aggregate(&mut net, &tree, AggOp::Min, &values),
+            aggregate(&mut net, &tree, AggOp::Min, &values).unwrap(),
             Dist::new(7)
         );
     }
@@ -201,7 +216,10 @@ mod tests {
         let values = vec![Dist::INF; 20];
         let mut net = Network::new(&g);
         let (tree, _) = build_bfs_tree(&mut net, 3).unwrap();
-        assert_eq!(aggregate(&mut net, &tree, AggOp::Min, &values), Dist::INF);
+        assert_eq!(
+            aggregate(&mut net, &tree, AggOp::Min, &values).unwrap(),
+            Dist::INF
+        );
     }
 
     #[test]
@@ -215,7 +233,7 @@ mod tests {
         let mut net = Network::new(&g);
         let (tree, _) = build_bfs_tree(&mut net, 2).unwrap();
         assert_eq!(
-            aggregate(&mut net, &tree, AggOp::Max, &values),
+            aggregate(&mut net, &tree, AggOp::Max, &values).unwrap(),
             Dist::new(19)
         );
     }
@@ -226,7 +244,10 @@ mod tests {
         let values = vec![Dist::INF; 12];
         let mut net = Network::new(&g);
         let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-        assert_eq!(aggregate(&mut net, &tree, AggOp::Max, &values), Dist::ZERO);
+        assert_eq!(
+            aggregate(&mut net, &tree, AggOp::Max, &values).unwrap(),
+            Dist::ZERO
+        );
     }
 
     #[test]
@@ -236,7 +257,10 @@ mod tests {
         values[3] = Dist::INF;
         let mut net = Network::new(&g);
         let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
-        assert_eq!(aggregate(&mut net, &tree, AggOp::Sum, &values), Dist::INF);
+        assert_eq!(
+            aggregate(&mut net, &tree, AggOp::Sum, &values).unwrap(),
+            Dist::INF
+        );
     }
 
     #[test]
@@ -245,7 +269,7 @@ mod tests {
         let mut net = Network::new(&g);
         let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
         let before = net.metrics().rounds();
-        let _ = aggregate(&mut net, &tree, AggOp::Min, &values);
+        aggregate(&mut net, &tree, AggOp::Min, &values).unwrap();
         let used = net.metrics().rounds() - before;
         assert!(
             used <= 2 * tree.height + 6,
@@ -260,8 +284,24 @@ mod tests {
         let mut net = Network::new(&g);
         let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
         assert_eq!(
-            aggregate(&mut net, &tree, AggOp::Max, &[Dist::new(9)]),
+            aggregate(&mut net, &tree, AggOp::Max, &[Dist::new(9)]).unwrap(),
             Dist::new(9)
+        );
+    }
+
+    #[test]
+    fn dropped_reports_end_with_the_round_limit_error() {
+        let g = random_digraph(20, 40, 3);
+        let values: Vec<Dist> = (0..20).map(|v| Dist::new(v as u64)).collect();
+        let mut net = Network::new(&g);
+        let (tree, _) = build_bfs_tree(&mut net, 0).unwrap();
+        net.set_fault_plan(Some(FaultPlan::new(1).drop_messages(0.5)))
+            .unwrap();
+        let err = aggregate(&mut net, &tree, AggOp::Sum, &values).unwrap_err();
+        assert!(
+            matches!(err, EngineError::RoundLimitExceeded { max_rounds, .. }
+                if max_rounds == 8 * (tree.height + 2)),
+            "{err:?}"
         );
     }
 }

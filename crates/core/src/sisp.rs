@@ -41,8 +41,10 @@ pub fn solve(inst: &Instance<'_>, params: &Params) -> Result<SispOutput, SolveEr
 /// # Errors
 ///
 /// Returns [`SolveError::Partitioned`] when the communication graph is
-/// disconnected, and [`SolveError::InvalidParams`] (before any round
-/// runs) when `params` lie outside the solvers' domain.
+/// disconnected, [`SolveError::InvalidParams`] (before any round runs)
+/// when `params` lie outside the solvers' domain, and
+/// [`SolveError::Engine`] when the closing aggregation exhausts its round
+/// budget (under a fault plan that drops its messages).
 pub fn solve_on(
     net: &mut Network<'_>,
     inst: &Instance<'_>,
@@ -58,7 +60,7 @@ pub fn solve_on(
         values[inst.path.node(i)] = replacement[i];
     }
     // Every node learns the minimum over the BFS tree in `O(D)` rounds.
-    Ok(aggregate(net, &tree, AggOp::Min, &values))
+    aggregate(net, &tree, AggOp::Min, &values).map_err(SolveError::Engine)
 }
 
 #[cfg(test)]

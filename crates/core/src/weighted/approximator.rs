@@ -1,9 +1,11 @@
 //! Lemmas 7.5 / 7.6 / 7.2: short-detour approximators.
 //!
 //! For every scale `d`, the trimmed hop-BFS of Lemma 4.2 runs on the
-//! rounding graph `G_d` (treating it as unweighted), once backwards
-//! (locating detour *ends*, Objective::MaxIndex) and once forwards
-//! (locating detour *starts*, Objective::MinIndex). Each `(level, f*)`
+//! rounding graph `G_d` (treating it as unweighted), backwards (locating
+//! detour *ends*, Objective::MaxIndex) and forwards (locating detour
+//! *starts*, Objective::MinIndex). The two searches send over opposite
+//! directions of every link, so they share one engine run of
+//! `hop_cap + 1` rounds per scale ([`hop_bfs_pair`]). Each `(level, f*)`
 //! entry yields a candidate pair `(endpoint, length)`; collecting the
 //! candidates across scales and taking suffix/prefix minima produces the
 //! good approximations
@@ -18,7 +20,7 @@
 use congest::Network;
 use graphkit::Dist;
 
-use crate::short::hop_bfs::{hop_constrained_bfs, HopBfsConfig, Objective};
+use crate::short::hop_bfs::{hop_bfs_pair, HopBfsConfig, Objective};
 use crate::weighted::rounding::ScaleSet;
 use crate::{Instance, Params};
 
@@ -33,9 +35,10 @@ pub struct ShortApprox {
     pub bwd: Vec<Vec<Dist>>,
 }
 
-/// Runs the rounding-BFS executions of Lemma 7.5, two per scale over
-/// `⌈log₂ min(2Σw, 2ζ·w_max/ε)⌉` scales, and distills the approximation
-/// tables (Lemma 7.2). Deterministic; `O(ζ·(1+2/ε))` rounds per scale.
+/// Runs the rounding-BFS executions of Lemma 7.5, a backward and a
+/// forward one side by side per scale over `⌈log₂ min(2Σw, 2ζ·w_max/ε)⌉`
+/// scales, and distills the approximation tables (Lemma 7.2).
+/// Deterministic; `hop_cap + 1 = O(ζ·(1+2/ε))` rounds per scale.
 pub fn compute(net: &mut Network<'_>, inst: &Instance<'_>, params: &Params) -> ShortApprox {
     let h = inst.hops();
     let set = ScaleSet::build(inst.graph, params, params.zeta as u64);
@@ -52,20 +55,27 @@ pub fn compute(net: &mut Network<'_>, inst: &Instance<'_>, params: &Params) -> S
     let mut best_start = vec![vec![Dist::INF; h + 1]; h + 1];
 
     for scale in &set.scales {
-        let fwd_cfg = HopBfsConfig {
+        let end_cfg = HopBfsConfig {
             zeta: set.hop_cap as usize,
             objective: Objective::MaxIndex,
             delays: Some(&scale.delays),
             aux: &aux_suffix,
         };
-        let fstar = hop_constrained_bfs(
+        let start_cfg = HopBfsConfig {
+            zeta: set.hop_cap as usize,
+            objective: Objective::MinIndex,
+            delays: Some(&scale.delays),
+            aux: &aux_prefix,
+        };
+        let (ends, starts) = hop_bfs_pair(
             net,
             inst,
-            &fwd_cfg,
-            &format!("apx/hop-bfs-end-d{}", scale.d),
+            &end_cfg,
+            &start_cfg,
+            &format!("apx/hop-bfs-d{}", scale.d),
         );
         for i in 0..=h {
-            for (hops, entry) in fstar.table[i].iter().enumerate().skip(1) {
+            for (hops, entry) in ends.table[i].iter().enumerate().skip(1) {
                 if let Some((k, suffix_k)) = *entry {
                     if k <= i {
                         continue;
@@ -81,20 +91,8 @@ pub fn compute(net: &mut Network<'_>, inst: &Instance<'_>, params: &Params) -> S
                 }
             }
         }
-        let bwd_cfg = HopBfsConfig {
-            zeta: set.hop_cap as usize,
-            objective: Objective::MinIndex,
-            delays: Some(&scale.delays),
-            aux: &aux_prefix,
-        };
-        let fstar = hop_constrained_bfs(
-            net,
-            inst,
-            &bwd_cfg,
-            &format!("apx/hop-bfs-start-d{}", scale.d),
-        );
         for i in 0..=h {
-            for (hops, entry) in fstar.table[i].iter().enumerate().skip(1) {
+            for (hops, entry) in starts.table[i].iter().enumerate().skip(1) {
                 if let Some((k, prefix_k)) = *entry {
                     if k >= i {
                         continue;

@@ -8,9 +8,9 @@
 //! the first scale where every edge is one hop, since every larger scale
 //! gives the same graph ([`rounding::ScaleSet`]). Running the
 //! *unweighted* hop-BFS of Lemma 4.2 on `G_d` (edge delays on the real
-//! network) costs `O(ζ(1+2/ε))` rounds per scale and over-estimates
-//! lengths in `[d/2, d]` by at most a factor `(1+ε)` (Observations
-//! 7.3/7.4).
+//! network), backwards and forwards side by side in one engine run,
+//! costs `O(ζ(1+2/ε))` rounds per scale and over-estimates lengths in
+//! `[d/2, d]` by at most a factor `(1+ε)` (Observations 7.3/7.4).
 //!
 //! Internally, all approximate lengths are *scaled rationals*: exact
 //! integers in units of `1/den` where `den = 2·ζ·eps_den` on both the

@@ -8,7 +8,8 @@
 //! [`congest::RunStats`] (rounds, messages, bits, cut bits, max message
 //! size) and identical outputs to the full-sweep reference schedule
 //! (`Network::set_full_sweep`). These tests drive all five
-//! communication primitives, the Lemma 4.2 hop-BFS, and *every public
+//! communication primitives, the Lemma 4.2 hop-BFS (one direction or
+//! both in one run, over unit or delayed edges), and *every public
 //! solver* — `unweighted`, `weighted`, `sisp`, `reachability`, and both
 //! baselines — across random, sparse/dense, and degree-skewed (star,
 //! two-hub, power-law) topologies, pinning end-to-end answers and the
@@ -105,7 +106,7 @@ proptest! {
             let (ra, rs) = both(&g, |net| {
                 let (tree, _) = build_bfs_tree(net, 0).unwrap();
                 let before = net.metrics().total;
-                let result = aggregate(net, &tree, op, &values);
+                let result = aggregate(net, &tree, op, &values).unwrap();
                 (result, diff(&net.metrics().total, &before))
             });
             prop_assert_eq!(ra, rs);
@@ -323,7 +324,7 @@ fn skewed_kernels_match_full_sweep_bitwise() {
         let values: Vec<Dist> = (0..n).map(|v| Dist::new((v as u64 * 37) % 251)).collect();
         schedule_invariant(&g, |net| {
             let (tree, _) = build_bfs_tree(net, 0).unwrap();
-            let result = aggregate(net, &tree, AggOp::Min, &values);
+            let result = aggregate(net, &tree, AggOp::Min, &values).unwrap();
             (result, net.metrics().total)
         });
     }
@@ -331,23 +332,43 @@ fn skewed_kernels_match_full_sweep_bitwise() {
 
 #[test]
 fn hop_bfs_matches_full_sweep_bitwise() {
-    use rpaths_core::short::hop_bfs::{hop_constrained_bfs, HopBfsConfig, Objective};
+    use rpaths_core::short::hop_bfs::{hop_bfs_pair, hop_constrained_bfs, HopBfsConfig, Objective};
     for (extra, seed) in [(30usize, 3u64), (400, 4)] {
         let (g, s, t) = planted_path_digraph(44, 12, extra, seed);
         let inst = rpaths_core::Instance::from_endpoints(&g, s, t).unwrap();
-        let aux: Vec<u64> = (0..=inst.hops())
-            .map(|j| inst.suffix[j].finite().unwrap())
+        let words =
+            |dists: &[Dist]| -> Vec<u64> { dists.iter().map(|d| d.finite().unwrap()).collect() };
+        let (suffix, prefix) = (words(&inst.suffix), words(&inst.prefix));
+        // Unit delays, then per-edge delays 0 to 5 drawn from the seed: 0
+        // disables an edge, and 2 or more takes the held-token path.
+        let drawn: Vec<u64> = (0..g.edge_count() as u64)
+            .map(|e| ((e ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % 6)
             .collect();
-        for objective in [Objective::MaxIndex, Objective::MinIndex] {
-            let cfg = HopBfsConfig {
+        for delays in [None, Some(drawn.as_slice())] {
+            let cfg = |objective| HopBfsConfig {
                 zeta: 14,
                 objective,
-                delays: None,
-                aux: &aux,
+                delays,
+                aux: match objective {
+                    Objective::MaxIndex => &suffix,
+                    Objective::MinIndex => &prefix,
+                },
             };
+            for objective in [Objective::MaxIndex, Objective::MinIndex] {
+                schedule_invariant(&g, |net| {
+                    let fstar = hop_constrained_bfs(net, &inst, &cfg(objective), "hop-bfs");
+                    (fstar.table, net.metrics().total)
+                });
+            }
             schedule_invariant(&g, |net| {
-                let fstar = hop_constrained_bfs(net, &inst, &cfg, "hop-bfs");
-                (fstar.table, net.metrics().total)
+                let (ends, starts) = hop_bfs_pair(
+                    net,
+                    &inst,
+                    &cfg(Objective::MaxIndex),
+                    &cfg(Objective::MinIndex),
+                    "hop-bfs-pair",
+                );
+                (ends.table, starts.table, net.metrics().total)
             });
         }
     }

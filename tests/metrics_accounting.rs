@@ -4,6 +4,7 @@
 
 use congest::{Metrics, Network};
 use graphkit::gen::{parallel_lane, planted_path_digraph};
+use rpaths_core::weighted::rounding::ScaleSet;
 use rpaths_core::{baseline, sisp, unweighted, weighted, Instance, Params};
 
 /// The names of a run's phases, in the order they ran.
@@ -53,21 +54,17 @@ fn theorem1_reports_its_documented_phases() {
     let msg_sum: u64 = m.phases.iter().map(|p| p.stats.messages).sum();
     assert_eq!(msg_sum, m.total.messages);
 
-    // Theorem 3: Theorem 1's first three phases, a rounded hop-BFS pair
-    // per scale d = 2, 4, 8, 16, the interval phases, a rounded
-    // multi-BFS per scale and direction, then Theorem 1's last six.
+    // Theorem 3: Theorem 1's first three phases, one run of the rounded
+    // hop-BFS pair per scale d = 2, 4, 8, 16, the interval phases, a
+    // rounded multi-BFS per scale and direction, then Theorem 1's last
+    // six: 26 phases.
     let theorem1 = phase_names(m);
     let (g, s, t) = parallel_lane(10, 3, 2);
     let inst = Instance::from_endpoints(&g, s, t).unwrap();
     let out = weighted::solve(&inst, &full(inst.n(), 4)).unwrap();
     let scales = [2, 4, 8, 16];
     let mut want: Vec<String> = theorem1[..3].iter().map(|p| p.to_string()).collect();
-    for d in scales {
-        want.extend([
-            format!("apx/hop-bfs-end-d{d}"),
-            format!("apx/hop-bfs-start-d{d}"),
-        ]);
-    }
+    want.extend(scales.map(|d| format!("apx/hop-bfs-d{d}")));
     let intervals = [
         "nearby-fwd",
         "nearby-bwd",
@@ -80,6 +77,7 @@ fn theorem1_reports_its_documented_phases() {
         want.extend(scales.map(|d| format!("apx-long/bfs-{dir}-d{d}")));
     }
     want.extend(theorem1[7..].iter().map(|p| p.to_string()));
+    assert_eq!(want.len(), 26);
     assert_eq!(phase_names(&out.metrics), want);
 }
 
@@ -133,23 +131,21 @@ fn weighted_solver_runs_one_bfs_pair_per_scale() {
     let mut params = Params::with_zeta(inst.n(), 4);
     params.landmark_prob = 1.0;
     let out = weighted::solve(&inst, &params).unwrap();
-    let ends = out
+    let pairs: Vec<_> = out
         .metrics
         .phases
         .iter()
-        .filter(|p| p.name.starts_with("apx/hop-bfs-end-d"))
-        .count();
-    let starts = out
-        .metrics
-        .phases
-        .iter()
-        .filter(|p| p.name.starts_with("apx/hop-bfs-start-d"))
-        .count();
-    assert_eq!(ends, starts, "one MaxIndex run per MinIndex run");
+        .filter(|p| p.name.starts_with("apx/hop-bfs-d"))
+        .collect();
     // Scales are d = 2, 4, ... up to the first where every edge is one
     // G_d hop: ζ = 4 and ε = 1/2 give den = 16, so on this unit-weight
     // instance d = 16 is the last of 4 scales, long before 2·Σw.
-    assert_eq!(ends, 4, "{ends} scales");
+    assert_eq!(pairs.len(), 4, "{} scales", pairs.len());
+    // The backward and the forward half share each run's rounds.
+    let hop_cap = ScaleSet::build(&g, &params, 4).hop_cap;
+    for p in pairs {
+        assert_eq!(p.stats.rounds, hop_cap + 1, "{}", p.name);
+    }
 }
 
 #[test]

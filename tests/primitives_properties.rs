@@ -1,6 +1,6 @@
-//! Property-based tests for the `congest` communication primitives:
-//! whatever the topology, the primitives must deliver exactly the right
-//! data within their claimed round bounds.
+//! Property-based tests for the `congest` communication primitives and
+//! the Lemma 4.2 hop-BFS: whatever the topology, the primitives must
+//! deliver exactly the right data within their claimed round bounds.
 
 use congest::aggregate::{aggregate, AggOp};
 use congest::bfs_tree::{build_bfs_tree, BfsTree};
@@ -9,9 +9,11 @@ use congest::multi_bfs::{default_budget, multi_source_bfs, MultiBfsConfig};
 use congest::pipeline::{diagonal_dp, prefix_sweep, Lane};
 use congest::{EngineError, FaultPlan, Metrics, Network, NodeCtx, Protocol, RunStats};
 use graphkit::alg::{bfs_hop_bounded, dijkstra};
-use graphkit::gen::random_digraph;
+use graphkit::gen::{planted_path_digraph, random_digraph};
 use graphkit::{DiGraph, Dist, GraphBuilder};
 use proptest::prelude::*;
+use rpaths_core::short::hop_bfs::{hop_bfs_pair, hop_constrained_bfs, HopBfsConfig, Objective};
+use rpaths_core::Instance;
 
 /// A traffic generator that records exactly what the engine delivers:
 /// every node sends on a pseudo-random subset of its ports each round
@@ -379,8 +381,69 @@ proptest! {
         ] {
             let mut net = Network::new(&g);
             let (tree, _) = build_bfs_tree(&mut net, seed as usize % n).unwrap();
-            prop_assert_eq!(aggregate(&mut net, &tree, op, &values), expect);
+            prop_assert_eq!(aggregate(&mut net, &tree, op, &values).unwrap(), expect);
         }
+    }
+
+    #[test]
+    fn hop_bfs_pair_equals_its_two_halves(
+        h in 2usize..14,
+        extra in 0usize..5,
+        seed in 0u64..500,
+        zeta in 1usize..16,
+        delayed in any::<bool>(),
+    ) {
+        // The backward and the forward half of a pair use opposite link
+        // directions, so one run of ζ + 1 rounds carries both, for the
+        // two single runs' messages and bits together. Every fate of a
+        // fault plan hashes (seed, round, link, direction), so under a
+        // delay plan each half's messages meet the same fates in both.
+        let n = 3 * h + 4;
+        let (g, s, t) = planted_path_digraph(n, h, extra * n, seed);
+        let inst = Instance::from_endpoints(&g, s, t).unwrap();
+        let delays: Vec<u64> = (0..g.edge_count() as u64)
+            .map(|e| ((e ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % 6)
+            .collect();
+        let words = |dists: &[Dist]| -> Vec<u64> {
+            dists.iter().map(|d| d.finite().unwrap()).collect()
+        };
+        let (suffix, prefix) = (words(&inst.suffix), words(&inst.prefix));
+        let end = HopBfsConfig {
+            zeta,
+            objective: Objective::MaxIndex,
+            delays: Some(&delays),
+            aux: &suffix,
+        };
+        let start = HopBfsConfig {
+            zeta,
+            objective: Objective::MinIndex,
+            delays: Some(&delays),
+            aux: &prefix,
+        };
+        let plan = delayed.then(|| FaultPlan::new(seed).delay_messages(0.35, 3));
+        let fresh = || {
+            let mut net = Network::new(&g);
+            net.set_fault_plan(plan.clone()).unwrap();
+            net
+        };
+        let mut net = fresh();
+        let alone_end = hop_constrained_bfs(&mut net, &inst, &end, "end");
+        let end_stats = net.metrics().total;
+        let mut net = fresh();
+        let alone_start = hop_constrained_bfs(&mut net, &inst, &start, "start");
+        let start_stats = net.metrics().total;
+        let mut net = fresh();
+        let (ends, starts) = hop_bfs_pair(&mut net, &inst, &end, &start, "pair");
+        let pair_stats = net.metrics().total;
+        prop_assert_eq!(ends.table, alone_end.table);
+        prop_assert_eq!(starts.table, alone_start.table);
+        let rounds = zeta as u64 + 1;
+        prop_assert_eq!(
+            (pair_stats.rounds, end_stats.rounds, start_stats.rounds),
+            (rounds, rounds, rounds)
+        );
+        prop_assert_eq!(pair_stats.messages, end_stats.messages + start_stats.messages);
+        prop_assert_eq!(pair_stats.bits, end_stats.bits + start_stats.bits);
     }
 
     #[test]
