@@ -25,7 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-use graphkit::alg::{replacement_lengths, undirected_diameter};
+use graphkit::alg::replacement_lengths;
 use graphkit::gen::{parallel_lane, planted_path_digraph, random_weighted_digraph};
 use graphkit::{DiGraph, NodeId};
 use rpaths_core::{weighted, Instance, Params, RPathsOutput, SolveError};
@@ -168,13 +168,12 @@ pub fn measure_weighted(n: usize, max_w: u64, seed: u64) -> Option<Row> {
     let correct = out
         .check_guarantee(&oracle, params.eps_num, params.eps_den)
         .is_ok();
-    let diameter = undirected_diameter(&graph).unwrap_or(0);
     Some(Row {
         algo: "theorem3".into(),
         family: format!("weighted(W={max_w})"),
         n,
         h: inst.hops(),
-        diameter,
+        diameter: inst.diameter,
         zeta: params.zeta,
         rounds: out.metrics.rounds(),
         messages: out.metrics.total.messages,

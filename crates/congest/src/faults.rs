@@ -199,12 +199,6 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Is edge `link` down in round `round`?
     #[inline]
     pub fn link_down(&self, link: EdgeId, round: u64) -> bool {

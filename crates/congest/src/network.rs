@@ -446,12 +446,6 @@ impl<'g> Network<'g> {
         self.graph.node_count()
     }
 
-    /// Configured per-message bandwidth in bits.
-    #[inline]
-    pub fn bandwidth(&self) -> u64 {
-        self.bandwidth
-    }
-
     /// The ports of node `v`.
     #[inline]
     pub fn ports(&self, v: NodeId) -> &[Port] {

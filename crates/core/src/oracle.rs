@@ -110,13 +110,6 @@ impl fmt::Display for Divergence {
     }
 }
 
-fn fmt_dist(d: Dist) -> String {
-    match d.finite() {
-        Some(v) => v.to_string(),
-        None => "∞".into(),
-    }
-}
-
 /// The exact replacement-length oracle for an instance (per path edge;
 /// `∞` where `t` is unreachable after the failure).
 pub fn oracle_replacements(inst: &Instance<'_>) -> Vec<Dist> {
@@ -143,9 +136,7 @@ pub fn check_instance(
     params: &Params,
     solver: FuzzSolver,
 ) -> Result<(), Divergence> {
-    let run = |f: &mut dyn FnMut(&mut congest::Network<'_>) -> Result<(), Divergence>| {
-        f(&mut congest::Network::new(inst.graph))
-    };
+    let mut net = congest::Network::new(inst.graph);
     let solver_err = |e: crate::SolveError| Divergence {
         check: format!("{solver} failed to solve"),
         index: None,
@@ -154,11 +145,11 @@ pub fn check_instance(
     };
     let oracle = oracle_replacements(inst);
     match solver {
-        FuzzSolver::Unweighted | FuzzSolver::Naive | FuzzSolver::Mr24 => run(&mut |net| {
+        FuzzSolver::Unweighted | FuzzSolver::Naive | FuzzSolver::Mr24 => {
             let got = match solver {
-                FuzzSolver::Unweighted => unweighted::solve_on(net, inst, params),
-                FuzzSolver::Naive => baseline::naive::solve_on(net, inst, params),
-                _ => baseline::mr24::solve_on(net, inst, params),
+                FuzzSolver::Unweighted => unweighted::solve_on(&mut net, inst, params),
+                FuzzSolver::Naive => baseline::naive::solve_on(&mut net, inst, params),
+                _ => baseline::mr24::solve_on(&mut net, inst, params),
             }
             .map_err(solver_err)?;
             for (i, (&g, &w)) in got.iter().zip(&oracle).enumerate() {
@@ -166,43 +157,45 @@ pub fn check_instance(
                     return Err(Divergence {
                         check: format!("{solver} vs replacement_lengths"),
                         index: Some(i),
-                        got: fmt_dist(g),
-                        want: fmt_dist(w),
+                        got: g.to_string(),
+                        want: w.to_string(),
                     });
                 }
             }
             Ok(())
-        }),
-        FuzzSolver::Weighted => run(&mut |net| {
-            let got = weighted::solve_on(net, inst, params).map_err(solver_err)?;
-            let got = weighted::ApxOutput {
-                scaled: got.scaled,
-                den: got.den,
-                metrics: congest::Metrics::default(),
+        }
+        FuzzSolver::Weighted => {
+            let got = weighted::solve_on(&mut net, inst, params).map_err(solver_err)?;
+            let miss = |index: Option<usize>, got: String| Divergence {
+                check: "weighted vs (1+ε) guarantee".into(),
+                index,
+                got,
+                want: format!("within (1+{}/{})·oracle", params.eps_num, params.eps_den),
             };
-            got.check_guarantee(&oracle, params.eps_num, params.eps_den)
-                .map_err(|e| Divergence {
-                    check: "weighted vs (1+ε) guarantee".into(),
-                    index: None,
-                    got: e,
-                    want: format!("within (1+{}/{})·oracle", params.eps_num, params.eps_den),
-                })
-        }),
-        FuzzSolver::Sisp => run(&mut |net| {
-            let got = sisp::solve_on(net, inst, params).map_err(solver_err)?;
+            if got.scaled.len() != oracle.len() {
+                return Err(miss(None, "length mismatch".into()));
+            }
+            for (i, (&x, &o)) in got.scaled.iter().zip(&oracle).enumerate() {
+                weighted::check_value(x, got.den, o, params.eps_num, params.eps_den)
+                    .map_err(|e| miss(Some(i), e))?;
+            }
+            Ok(())
+        }
+        FuzzSolver::Sisp => {
+            let got = sisp::solve_on(&mut net, inst, params).map_err(solver_err)?;
             let want = second_simple_shortest(inst.graph, &inst.path);
             if got != want {
                 return Err(Divergence {
                     check: "sisp vs second_simple_shortest".into(),
                     index: None,
-                    got: fmt_dist(got),
-                    want: fmt_dist(want),
+                    got: got.to_string(),
+                    want: want.to_string(),
                 });
             }
             Ok(())
-        }),
-        FuzzSolver::Reachability => run(&mut |net| {
-            let got = reachability::solve_on(net, inst, params).map_err(solver_err)?;
+        }
+        FuzzSolver::Reachability => {
+            let got = reachability::solve_on(&mut net, inst, params).map_err(solver_err)?;
             for (i, (&g, w)) in got
                 .iter()
                 .zip(oracle.iter().map(|d| d.is_finite()))
@@ -218,73 +211,44 @@ pub fn check_instance(
                 }
             }
             Ok(())
-        }),
-    }
-}
-
-/// Checks one batch answer against [`oracle_query`]: exact equality for
-/// `den = 1` answers, the exact-rational `(1+ε)` envelope otherwise.
-pub fn check_answer(
-    graph: &DiGraph,
-    q: &Query,
-    a: &Answer,
-    eps_num: u64,
-    eps_den: u64,
-    position: usize,
-) -> Result<(), Divergence> {
-    let want = oracle_query(graph, q);
-    let diverge = |got: String, want: String| Divergence {
-        check: "solve_batch vs filtered Dijkstra".into(),
-        index: Some(position),
-        got,
-        want,
-    };
-    match (a.scaled.finite(), want.finite()) {
-        (None, None) => Ok(()),
-        (Some(_), None) => Err(diverge(format!("{}/{}", a.scaled, a.den), "∞".into())),
-        (None, Some(w)) => Err(diverge("∞".into(), w.to_string())),
-        (Some(x), Some(w)) => {
-            let (x, w, den) = (x as u128, w as u128, a.den as u128);
-            // w ≤ x/den ≤ (1+ε)·w, exactly (den = 1 and ε ignored for
-            // exact answers only if callers pass eps 0/1 — exact solvers
-            // satisfy the envelope trivially at ε = 0).
-            if x < w * den {
-                return Err(diverge(format!("{x}/{den}"), format!("at least {w}")));
-            }
-            if x * eps_den as u128 > w * den * (eps_den as u128 + eps_num as u128) {
-                return Err(diverge(
-                    format!("{x}/{den}"),
-                    format!("at most (1+{eps_num}/{eps_den})·{w}"),
-                ));
-            }
-            Ok(())
         }
     }
 }
 
-/// Runs a batch through a fresh [`crate::SolverSession`] and checks
-/// every answer against [`oracle_query`].
-/// Exact sessions (unweighted graphs) are held to exact equality
-/// (ε = 0); weighted sessions to the `(1+ε)` envelope from `params`.
+/// Checks a batch's answers, in query order, against [`oracle_query`]
+/// in exact rational arithmetic. Answers on unweighted graphs (exact
+/// sessions) are held to exact equality (ε = 0); answers on weighted
+/// graphs to the `(1+ε)` envelope from `params`.
 ///
 /// # Errors
 ///
-/// The first [`Divergence`], including session failures.
-pub fn check_batch(graph: &DiGraph, params: &Params, queries: &[Query]) -> Result<(), Divergence> {
-    let mut session = crate::SolverSession::new(graph, params.clone());
-    let answers = session.solve_batch(queries).map_err(|e| Divergence {
-        check: "solve_batch failed".into(),
-        index: None,
-        got: e.to_string(),
-        want: "answers".into(),
-    })?;
+/// The first [`Divergence`].
+pub fn check_batch(
+    graph: &DiGraph,
+    params: &Params,
+    queries: &[Query],
+    answers: &[Answer],
+) -> Result<(), Divergence> {
     let (eps_num, eps_den) = if graph.is_unweighted() {
         (0, 1)
     } else {
         (params.eps_num, params.eps_den)
     };
-    for (i, (q, a)) in queries.iter().zip(&answers).enumerate() {
-        check_answer(graph, q, a, eps_num, eps_den, i)?;
+    let miss = |index: Option<usize>, got: String| Divergence {
+        check: "solve_batch vs filtered Dijkstra".into(),
+        index,
+        got,
+        want: format!("within (1+{eps_num}/{eps_den})·oracle"),
+    };
+    if answers.len() != queries.len() {
+        return Err(miss(
+            None,
+            format!("{} answers to {} queries", answers.len(), queries.len()),
+        ));
+    }
+    for (i, (q, a)) in queries.iter().zip(answers).enumerate() {
+        weighted::check_value(a.scaled, a.den, oracle_query(graph, q), eps_num, eps_den)
+            .map_err(|e| miss(Some(i), e))?;
     }
     Ok(())
 }
@@ -338,7 +302,17 @@ mod tests {
                 .find(|&e| !path.contains_edge(e))
                 .unwrap()
         }));
-        check_batch(&g, &params, &queries).unwrap();
+        let answers = crate::SolverSession::new(&g, params.clone())
+            .solve_batch(&queries)
+            .unwrap();
+        check_batch(&g, &params, &queries, &answers).unwrap();
+        // A wrong answer is caught at its position.
+        let mut wrong = answers;
+        wrong[0].scaled = wrong[0].scaled + 1;
+        assert_eq!(
+            check_batch(&g, &params, &queries, &wrong).map_err(|d| d.index),
+            Err(Some(0))
+        );
     }
 
     #[test]

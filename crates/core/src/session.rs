@@ -163,8 +163,6 @@ impl From<SolveError> for SessionError {
 pub struct SessionStats {
     /// Queries answered (across all batches).
     pub queries: u64,
-    /// Batches answered.
-    pub batches: u64,
     /// Cold solver runs actually executed (each covers every path edge
     /// of its instance, so this is the count the cache saves on).
     pub solver_runs: u64,
@@ -206,11 +204,6 @@ impl<'g> SolverSession<'g> {
             stats: SessionStats::default(),
             metrics: Metrics::default(),
         }
-    }
-
-    /// The bound graph.
-    pub fn graph(&self) -> &'g DiGraph {
-        self.graph
     }
 
     /// The bound graph's stable fingerprint, written into every
@@ -320,7 +313,6 @@ impl<'g> SolverSession<'g> {
         for q in queries {
             check_endpoints(self.graph, q.source, q.target)?;
         }
-        self.stats.batches += 1;
         self.stats.queries += queries.len() as u64;
         let params = self.params.clone();
         let solver = self.solver;

@@ -65,33 +65,45 @@ impl ApxOutput {
             return Err("length mismatch".into());
         }
         for (i, (&x, &o)) in self.scaled.iter().zip(oracle).enumerate() {
-            match (x.finite(), o.finite()) {
-                (None, None) => {}
-                (Some(_), None) => {
-                    return Err(format!("edge {i}: finite answer but oracle is ∞"));
-                }
-                (None, Some(_)) => {
-                    return Err(format!("edge {i}: ∞ answer but oracle is finite"));
-                }
-                (Some(x), Some(o)) => {
-                    // x/den >= o  <=>  x >= o*den
-                    let x = x as u128;
-                    let o = o as u128;
-                    let den = self.den as u128;
-                    if x < o * den {
-                        return Err(format!("edge {i}: answer below oracle"));
-                    }
-                    // x/den <= (1+ε)o  <=>  x*eps_den <= o*den*(eps_den+eps_num)
-                    if x * eps_den as u128 > o * den * (eps_den as u128 + eps_num as u128) {
-                        return Err(format!(
-                            "edge {i}: answer exceeds (1+ε)·oracle ({x}/{} vs {o})",
-                            self.den
-                        ));
-                    }
-                }
-            }
+            check_value(x, self.den, o, eps_num, eps_den).map_err(|e| format!("edge {i}: {e}"))?;
         }
         Ok(())
+    }
+}
+
+/// Checks one scaled value `x/den` against its exact oracle value in
+/// exact rational arithmetic: `∞` exactly where the oracle is `∞`, and
+/// otherwise `oracle ≤ x/den ≤ (1 + eps_num/eps_den)·oracle`. At
+/// `eps_num = 0` that is exact equality.
+///
+/// # Errors
+///
+/// What the value misses, e.g. `answer 13/2 below oracle 7`.
+pub(crate) fn check_value(
+    x: Dist,
+    den: u64,
+    oracle: Dist,
+    eps_num: u64,
+    eps_den: u64,
+) -> Result<(), String> {
+    match (x.finite(), oracle.finite()) {
+        (None, None) => Ok(()),
+        (Some(_), None) => Err(format!("answer {x}/{den} but oracle is ∞")),
+        (None, Some(_)) => Err(format!("∞ answer but oracle is {oracle}")),
+        (Some(xv), Some(o)) => {
+            let (xv, o, den) = (xv as u128, o as u128, den as u128);
+            // x/den >= o  <=>  x >= o*den
+            if xv < o * den {
+                return Err(format!("answer {x}/{den} below oracle {oracle}"));
+            }
+            // x/den <= (1+ε)o  <=>  x*eps_den <= o*den*(eps_den+eps_num)
+            if xv * eps_den as u128 > o * den * (eps_den as u128 + eps_num as u128) {
+                return Err(format!(
+                    "answer {x}/{den} exceeds (1+{eps_num}/{eps_den})·{oracle}"
+                ));
+            }
+            Ok(())
+        }
     }
 }
 

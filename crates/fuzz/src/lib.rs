@@ -5,8 +5,7 @@
 //! **topology family** (planted path, parallel lane, road grid, Octopus
 //! pods, layered DAG, metro ring, power law, weighted random) ×
 //! **solver** (every [`FuzzSolver`] surface, one-shot and
-//! `SolverSession::solve_batch`) × **fault plan** (none / transient /
-//! permanent) —
+//! `SolverSession::solve_batch`) × **fault plan** (none / permanent) —
 //!
 //! and holds every answer to the centralized `graphkit::alg` oracles
 //! through the [`rpaths_core::oracle`] adapters, plus a warm vs cold
@@ -43,7 +42,7 @@ use rand::{Rng, SeedableRng};
 use rpaths_core::fixture::{Fixture, FIXTURE_EXT};
 use rpaths_core::oracle::{self, Divergence, FuzzSolver};
 use rpaths_core::resilient::{self, Recovery};
-use rpaths_core::{Instance, Params, Query};
+use rpaths_core::{Answer, Instance, Params, Query, SolverSession};
 
 /// Sweep configuration (every knob the CLI exposes).
 #[derive(Clone, Debug)]
@@ -58,8 +57,6 @@ pub struct FuzzConfig {
     /// ([`rpaths_core::testhooks::set_flip_unweighted_merge`]) for this
     /// sweep, to validate the catch → minimize → fixture pipeline.
     pub inject_tiebreak: bool,
-    /// Minimize divergent cases before writing fixtures.
-    pub minimize: bool,
     /// Where divergence fixtures are written.
     pub out_dir: PathBuf,
 }
@@ -72,7 +69,6 @@ impl FuzzConfig {
             cases,
             max_n: 100_000,
             inject_tiebreak: false,
-            minimize: true,
             out_dir: PathBuf::from("tests/regressions"),
         }
     }
@@ -84,7 +80,6 @@ impl FuzzConfig {
             cases: 40,
             max_n: 4096,
             inject_tiebreak: false,
-            minimize: true,
             out_dir: PathBuf::from("tests/regressions"),
         }
     }
@@ -411,29 +406,19 @@ fn diverge(
 // Case execution
 // ---------------------------------------------------------------------
 
-struct CaseRun {
-    outcome: Result<(), Divergence>,
-    skip: Option<String>,
-    /// Repro parts for the minimizer, when the case can be replayed as
-    /// a fixture.
-    repro: Option<(DiGraph, NodeId, NodeId, Params)>,
+/// What one tier found; [`run_guarded`] turns it into a [`CaseOutcome`].
+enum CaseRun {
+    Pass,
+    Skip(String),
+    /// A check failed; the repro parts for the minimizer (graph, `s`,
+    /// `t`, params) ride along when the case can be replayed as a
+    /// fixture.
+    Diverged(Divergence, Option<Box<(DiGraph, NodeId, NodeId, Params)>>),
 }
 
 impl CaseRun {
-    fn pass() -> CaseRun {
-        CaseRun {
-            outcome: Ok(()),
-            skip: None,
-            repro: None,
-        }
-    }
-
     fn skip(reason: impl Into<String>) -> CaseRun {
-        CaseRun {
-            outcome: Ok(()),
-            skip: Some(reason.into()),
-            repro: None,
-        }
+        CaseRun::Skip(reason.into())
     }
 }
 
@@ -455,14 +440,24 @@ fn run_instance_diff(plan: &CasePlan) -> CaseRun {
         return CaseRun::skip("demand path under 2 hops");
     }
     if let Err(d) = oracle::check_instance(&inst, &params, plan.solver) {
-        drop(inst);
-        return CaseRun {
-            outcome: Err(d),
-            skip: None,
-            repro: Some((graph, s, t, params)),
-        };
+        return CaseRun::Diverged(d, Some(Box::new((graph, s, t, params))));
     }
-    CaseRun::pass()
+    CaseRun::Pass
+}
+
+/// Solves `queries` cold in `session` and holds every answer to the
+/// per-query oracle.
+fn checked_batch(
+    session: &mut SolverSession<'_>,
+    graph: &DiGraph,
+    params: &Params,
+    queries: &[Query],
+) -> Result<Vec<Answer>, Divergence> {
+    let answers = session
+        .solve_batch(queries)
+        .map_err(|e| diverge("solve_batch failed", e.to_string(), "answers"))?;
+    oracle::check_batch(graph, params, queries, &answers)?;
+    Ok(answers)
 }
 
 fn run_batch_diff(plan: &CasePlan) -> CaseRun {
@@ -479,8 +474,8 @@ fn run_batch_diff(plan: &CasePlan) -> CaseRun {
     // when the graph is small enough for the diameter oracle), and
     // off-path avoids (answered from the path alone at any size).
     let mut queries = vec![Query::intact(s, t)];
-    // Each on-path avoid is a full solver run (plus one for the
-    // warm/cold session); ramp the budget down with n.
+    // Each on-path avoid is a full solver run; ramp the budget down
+    // with n.
     let on_path_budget = match graph.node_count() {
         0..=256 => 3,
         257..=640 => 2,
@@ -498,34 +493,28 @@ fn run_batch_diff(plan: &CasePlan) -> CaseRun {
             queries.push(Query::avoiding(s, t, e));
         }
     }
-    if let Err(d) = oracle::check_batch(&graph, &params, &queries) {
-        return CaseRun {
-            outcome: Err(d),
-            skip: None,
-            repro: None,
-        };
-    }
-    // Warm vs cold: a second identical batch in one session must come
-    // back bit-identical from the cache.
-    let mut session = rpaths_core::SolverSession::new(&graph, params.clone());
-    let cold = session.solve_batch(&queries);
-    let warm = session.solve_batch(&queries);
-    match (cold, warm) {
-        (Ok(c), Ok(w)) if c == w => CaseRun::pass(),
-        (Ok(c), Ok(w)) => CaseRun {
-            outcome: Err(diverge(
+    // One session: its cold answers are held to the per-query oracle,
+    // then the same batch again must come back bit-identical from the
+    // cache.
+    let mut session = SolverSession::new(&graph, params.clone());
+    let cold = match checked_batch(&mut session, &graph, &params, &queries) {
+        Ok(cold) => cold,
+        Err(d) => return CaseRun::Diverged(d, None),
+    };
+    match session.solve_batch(&queries) {
+        Ok(warm) if warm == cold => CaseRun::Pass,
+        Ok(warm) => CaseRun::Diverged(
+            diverge(
                 "warm batch differs from cold batch",
-                format!("{w:?}"),
-                format!("{c:?}"),
-            )),
-            skip: None,
-            repro: None,
-        },
-        (e, _) => CaseRun {
-            outcome: Err(diverge("session batch failed", format!("{e:?}"), "answers")),
-            skip: None,
-            repro: None,
-        },
+                format!("{warm:?}"),
+                format!("{cold:?}"),
+            ),
+            None,
+        ),
+        Err(e) => CaseRun::Diverged(
+            diverge("warm solve_batch failed", e.to_string(), "answers"),
+            None,
+        ),
     }
 }
 
@@ -539,73 +528,34 @@ fn run_fault_tier(plan: &CasePlan) -> CaseRun {
         return CaseRun::skip("no reachable demand pair");
     };
     let params = params_for(graph.node_count(), &mut rng);
-    let plan_seed = rng.gen_range(0..u64::MAX / 2);
-    let transient = rng.gen_bool(0.5);
-    let fault_plan = if transient {
-        FaultPlan::new(plan_seed)
-            .drop_messages(unit_f64(&mut rng) * 0.04)
-            .delay_messages(unit_f64(&mut rng) * 0.06, rng.gen_range(1..=2))
-    } else {
-        let mut p = FaultPlan::new(plan_seed);
-        for _ in 0..rng.gen_range(1..=2) {
-            p = p.fail_link(rng.gen_range(0..graph.edge_count()), 0, None);
+    // Permanent faults only: with none, recovery solves the pristine
+    // instance and never attaches the plan to a network, so a transient
+    // plan would only re-check Theorem 1 against the oracle.
+    let mut fault_plan = FaultPlan::new(rng.gen_range(0..u64::MAX / 2));
+    for _ in 0..rng.gen_range(1..=2) {
+        fault_plan = fault_plan.fail_link(rng.gen_range(0..graph.edge_count()), 0, None);
+    }
+    if graph.node_count() > 4 && rng.gen_bool(0.4) {
+        let mut v = rng.gen_range(0..graph.node_count());
+        while v == s || v == t {
+            v = rng.gen_range(0..graph.node_count());
         }
-        if graph.node_count() > 4 && rng.gen_bool(0.4) {
-            let mut v = rng.gen_range(0..graph.node_count());
-            while v == s || v == t {
-                v = rng.gen_range(0..graph.node_count());
-            }
-            p = p.crash_node(v, 0, None);
-        }
-        p
-    };
-    let recovery = resilient::solve_with_recovery(&graph, s, t, &fault_plan, &params);
-    match recovery {
-        Ok(Recovery::Full { output }) => {
-            if !transient {
-                return CaseRun {
-                    outcome: Err(diverge(
-                        "permanent faults reported Full recovery",
-                        "Full",
-                        "Degraded",
-                    )),
-                    skip: None,
-                    repro: None,
-                };
-            }
-            // Transient faults leave the steady graph intact: answers
-            // must match the healthy oracle exactly.
-            let inst = match Instance::from_endpoints(&graph, s, t) {
-                Ok(i) => i,
-                Err(e) => return CaseRun::skip(format!("instance: {e}")),
-            };
-            let want = oracle::oracle_replacements(&inst);
-            if output != want {
-                return CaseRun {
-                    outcome: Err(diverge(
-                        "recovered transient answers vs oracle",
-                        format!("{output:?}"),
-                        format!("{want:?}"),
-                    )),
-                    skip: None,
-                    repro: None,
-                };
-            }
-            CaseRun::pass()
-        }
+        fault_plan = fault_plan.crash_node(v, 0, None);
+    }
+    match resilient::solve_with_recovery(&graph, s, t, &fault_plan, &params) {
         Ok(Recovery::Degraded(d)) => match check_degraded(&graph, s, t, &fault_plan, &d) {
-            Ok(()) => CaseRun::pass(),
-            Err(div) => CaseRun {
-                outcome: Err(div),
-                skip: None,
-                repro: None,
-            },
+            Ok(()) => CaseRun::Pass,
+            Err(div) => CaseRun::Diverged(div, None),
         },
-        Err(e) => CaseRun {
-            outcome: Err(diverge("recovery failed", e.to_string(), "an answer")),
-            skip: None,
-            repro: None,
-        },
+        Ok(Recovery::Full { .. }) => CaseRun::Diverged(
+            diverge(
+                "permanent faults reported Full recovery",
+                "Full",
+                "Degraded",
+            ),
+            None,
+        ),
+        Err(e) => CaseRun::Diverged(diverge("recovery failed", e.to_string(), "an answer"), None),
     }
 }
 
@@ -719,15 +669,14 @@ fn run_scale_tier(plan: &CasePlan) -> CaseRun {
         .iter()
         .all(|d| d.is_finite())
     {
-        return CaseRun {
-            outcome: Err(diverge(
+        return CaseRun::Diverged(
+            diverge(
                 format!("{} generator connectivity", plan.family.name()),
                 "disconnected graph",
                 "connected graph",
-            )),
-            skip: None,
-            repro: None,
-        };
+            ),
+            None,
+        );
     }
     let Some((s, t)) = endpoints(&graph, natural, &mut rng) else {
         return CaseRun::skip("no reachable demand pair");
@@ -746,75 +695,57 @@ fn run_scale_tier(plan: &CasePlan) -> CaseRun {
             queries.push(Query::avoiding(s, t, e));
         }
     }
-    if let Err(d) = oracle::check_batch(&graph, &params, &queries) {
-        return CaseRun {
-            outcome: Err(d),
-            skip: None,
-            repro: None,
-        };
+    match scale_checks(&graph, &params, s, &queries) {
+        Ok(()) => CaseRun::Pass,
+        Err(d) => CaseRun::Diverged(d, None),
     }
+}
+
+/// The scale tier's checks on a posed demand: one cold session batch
+/// vs the per-query oracle, the snapshot round trip, and the
+/// distributed BFS tree vs a centralized BFS.
+fn scale_checks(
+    graph: &DiGraph,
+    params: &Params,
+    s: NodeId,
+    queries: &[Query],
+) -> Result<(), Divergence> {
+    let mut session = SolverSession::new(graph, params.clone());
+    checked_batch(&mut session, graph, params, queries)?;
     // Snapshot round-trip: the store must reproduce the graph bit for
     // bit at any size.
-    let snap = rpaths_store::Snapshot::new(graph.clone());
-    let bytes = snap.encode();
-    match rpaths_store::Snapshot::decode(&bytes) {
-        Ok(loaded) => {
-            let back = loaded.into_snapshot();
-            if back.graph.fingerprint() != graph.fingerprint() {
-                return CaseRun {
-                    outcome: Err(diverge(
-                        "snapshot round-trip fingerprint",
-                        format!("{:#x}", back.graph.fingerprint()),
-                        format!("{:#x}", graph.fingerprint()),
-                    )),
-                    skip: None,
-                    repro: None,
-                };
-            }
-        }
-        Err(e) => {
-            return CaseRun {
-                outcome: Err(diverge("snapshot decode", e.to_string(), "a snapshot")),
-                skip: None,
-                repro: None,
-            }
-        }
+    let bytes = rpaths_store::Snapshot::new(graph.clone()).encode();
+    let back = rpaths_store::Snapshot::decode(&bytes)
+        .map_err(|e| diverge("snapshot decode", e.to_string(), "a snapshot"))?
+        .into_snapshot();
+    if back.graph.fingerprint() != graph.fingerprint() {
+        return Err(diverge(
+            "snapshot round-trip fingerprint",
+            format!("{:#x}", back.graph.fingerprint()),
+            format!("{:#x}", graph.fingerprint()),
+        ));
     }
     // Distributed BFS tree vs centralized BFS, where the engine is
     // still affordable on one host.
     if graph.node_count() <= 4096 {
-        let mut net = Network::new(&graph);
-        match build_bfs_tree(&mut net, s) {
-            Ok((tree, _)) => {
-                let want = undirected_bfs(&graph, s, |_| true);
-                for v in 0..graph.node_count() {
-                    if Some(tree.depth[v]) != want[v].finite() {
-                        return CaseRun {
-                            outcome: Err(diverge(
-                                "distributed BFS depth vs centralized BFS",
-                                format!("node {v}: {}", tree.depth[v]),
-                                format!("{:?}", want[v].finite()),
-                            )),
-                            skip: None,
-                            repro: None,
-                        };
-                    }
-                }
-            }
-            Err(e) => {
-                return CaseRun {
-                    outcome: Err(diverge(
-                        "distributed BFS on a connected graph",
-                        format!("{e:?}"),
-                        "a spanning tree",
-                    )),
-                    skip: None,
-                    repro: None,
-                }
-            }
+        let (tree, _) = build_bfs_tree(&mut Network::new(graph), s).map_err(|e| {
+            diverge(
+                "distributed BFS on a connected graph",
+                format!("{e:?}"),
+                "a spanning tree",
+            )
+        })?;
+        let want = undirected_bfs(graph, s, |_| true);
+        if let Some(v) = (0..graph.node_count()).find(|&v| Some(tree.depth[v]) != want[v].finite())
+        {
+            return Err(diverge(
+                "distributed BFS depth vs centralized BFS",
+                format!("node {v}: {}", tree.depth[v]),
+                format!("{:?}", want[v].finite()),
+            ));
         }
     }
-    CaseRun::pass()
+    Ok(())
 }
 
 /// Runs one planned case; `minimize` controls whether divergent repros
@@ -842,18 +773,14 @@ fn run_guarded(
             .map(|m| m.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
-        CaseRun {
-            outcome: Err(diverge("case panicked", message, "no panic")),
-            skip: None,
-            repro: None,
-        }
+        CaseRun::Diverged(diverge("case panicked", message, "no panic"), None)
     });
-    let n = plan.n;
-    match (run.outcome, run.skip) {
-        (Ok(()), None) => (CaseOutcome::Pass, n),
-        (Ok(()), Some(reason)) => (CaseOutcome::Skip(reason), 0),
-        (Err(divergence), _) => {
-            let fixture = run.repro.map(|(graph, s, t, params)| {
+    match run {
+        CaseRun::Pass => (CaseOutcome::Pass, plan.n),
+        CaseRun::Skip(reason) => (CaseOutcome::Skip(reason), 0),
+        CaseRun::Diverged(divergence, repro) => {
+            let fixture = repro.map(|repro| {
+                let (graph, s, t, params) = *repro;
                 Box::new(build_fixture(
                     plan,
                     graph,
@@ -869,7 +796,7 @@ fn run_guarded(
                     divergence,
                     fixture,
                 },
-                n,
+                plan.n,
             )
         }
     }
@@ -909,8 +836,8 @@ fn build_fixture(
     )
 }
 
-/// Runs the whole sweep, writing fixtures for divergent cases and
-/// logging one line per case through `log`.
+/// Runs the whole sweep, writing minimized fixtures for divergent cases
+/// and logging one line per case through `log`.
 pub fn run_sweep(cfg: &FuzzConfig, log: &mut dyn FnMut(&str)) -> SweepReport {
     if cfg.inject_tiebreak {
         rpaths_core::testhooks::set_flip_unweighted_merge(true);
@@ -918,7 +845,7 @@ pub fn run_sweep(cfg: &FuzzConfig, log: &mut dyn FnMut(&str)) -> SweepReport {
     let mut report = SweepReport::default();
     for index in 0..cfg.cases {
         let plan = plan_case(cfg, index);
-        let (outcome, n_used) = run_case(&plan, cfg.minimize);
+        let (outcome, n_used) = run_case(&plan, true);
         report.max_n_exercised = report.max_n_exercised.max(n_used);
         match outcome {
             CaseOutcome::Pass => {

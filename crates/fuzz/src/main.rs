@@ -30,28 +30,19 @@ OPTIONS:
     --max-n N              Cap the largest graph (default 100000)
     --out-dir PATH         Fixture output directory
                            (default tests/regressions)
-    --no-minimize          Write divergent repros unminimized
     --inject-tiebreak-bug  Flip the unweighted merge tie-break (test
                            hook) to validate the catch -> minimize ->
                            fixture pipeline
-    --quiet                Only print the final report
     -h, --help             This message
 ";
 
-struct Cli {
-    cfg: FuzzConfig,
-    quiet: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Cli, String> {
+fn parse_args(args: &[String]) -> Result<FuzzConfig, String> {
     let mut seed = 1u64;
     let mut cases: Option<usize> = None;
     let mut smoke = false;
     let mut max_n: Option<usize> = None;
     let mut out_dir: Option<PathBuf> = None;
-    let mut minimize = true;
     let mut inject = false;
-    let mut quiet = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -80,9 +71,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 )
             }
             "--out-dir" => out_dir = Some(PathBuf::from(value("--out-dir")?)),
-            "--no-minimize" => minimize = false,
             "--inject-tiebreak-bug" => inject = true,
-            "--quiet" => quiet = true,
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -104,14 +93,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if let Some(d) = out_dir {
         cfg.out_dir = d;
     }
-    cfg.minimize = minimize;
     cfg.inject_tiebreak = inject;
-    Ok(Cli { cfg, quiet })
+    Ok(cfg)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
+    let cfg = match parse_args(&args) {
         Ok(c) => c,
         Err(msg) => {
             if msg.is_empty() {
@@ -124,27 +112,17 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "rpaths-fuzz: seed={} cases={} max_n={}{}{}",
-        cli.cfg.seed,
-        cli.cfg.cases,
-        cli.cfg.max_n,
-        if cli.cfg.inject_tiebreak {
+        "rpaths-fuzz: seed={} cases={} max_n={}{}",
+        cfg.seed,
+        cfg.cases,
+        cfg.max_n,
+        if cfg.inject_tiebreak {
             " [INJECTED TIE-BREAK BUG]"
         } else {
             ""
         },
-        if cli.cfg.minimize {
-            ""
-        } else {
-            " [no minimize]"
-        },
     );
-    let quiet = cli.quiet;
-    let report = run_sweep(&cli.cfg, &mut |line| {
-        if !quiet {
-            println!("{line}");
-        }
-    });
+    let report = run_sweep(&cfg, &mut |line| println!("{line}"));
     println!(
         "sweep: {} passed, {} skipped, {} diverged; max n exercised = {}",
         report.passed, report.skipped, report.divergences, report.max_n_exercised

@@ -296,11 +296,6 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Grows the vertex set to at least `n` vertices.
-    pub fn ensure_nodes(&mut self, n: usize) {
-        self.n = self.n.max(n);
-    }
-
     /// Adds one fresh vertex and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         self.n += 1;
@@ -330,11 +325,6 @@ impl GraphBuilder {
     /// Adds `u -> v` and `v -> u` weight-1 edges, returning both ids.
     pub fn add_bidirectional(&mut self, u: NodeId, v: NodeId) -> (EdgeId, EdgeId) {
         (self.add_arc(u, v), self.add_arc(v, u))
-    }
-
-    /// Returns `true` when some edge `from -> to` already exists.
-    pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        self.edges.iter().any(|e| e.from == from && e.to == to)
     }
 
     /// Freezes the builder into an immutable [`DiGraph`].
@@ -499,10 +489,9 @@ mod tests {
         let mut b = GraphBuilder::new(0);
         let a = b.add_node();
         let c = b.add_node();
-        b.ensure_nodes(5);
         b.add_arc(a, c);
         let g = b.build();
-        assert_eq!(g.node_count(), 5);
+        assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1);
     }
 }

@@ -253,11 +253,6 @@ impl HardGraph {
         }
         side
     }
-
-    /// The number of bits Bob holds: `k²` orientations.
-    pub fn bob_bits(&self) -> usize {
-        self.k * self.k
-    }
 }
 
 /// Samples a uniformly random instance `(M, x)` — used by tests and the

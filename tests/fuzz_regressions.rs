@@ -98,7 +98,6 @@ fn injected_bug_is_caught_minimized_and_replays_red() {
         cases: 1,
         max_n: 600,
         inject_tiebreak: true,
-        minimize: true,
         out_dir: out_dir.clone(),
     };
     let report = run_sweep(&cfg, &mut |_| {});
