@@ -248,31 +248,6 @@ impl FaultPlan {
             .unwrap_or(0)
     }
 
-    /// The plan's steady state as a plan of its own: every *permanent*
-    /// fault active from round 0, with the probabilistic components
-    /// removed. This is what a diagnostic probe should run under when
-    /// asking "what does the network look like once the dust settles?".
-    pub fn steady(&self) -> FaultPlan {
-        let keep = |ivs: &[DownInterval]| {
-            ivs.iter()
-                .filter(|iv| iv.up_at.is_none())
-                .map(|iv| DownInterval {
-                    target: iv.target,
-                    down_at: 0,
-                    up_at: None,
-                })
-                .collect()
-        };
-        FaultPlan {
-            seed: self.seed,
-            links: keep(&self.links),
-            nodes: keep(&self.nodes),
-            drop_prob: 0.0,
-            delay_prob: 0.0,
-            max_delay: 0,
-        }
-    }
-
     /// The plan as seen from `delta` rounds into its timeline: every
     /// interval shifted earlier by `delta` (clamped at round 0),
     /// already-expired intervals removed. Lets a caller chain several
@@ -484,18 +459,17 @@ mod tests {
     }
 
     #[test]
-    fn horizon_and_steady_state() {
+    fn only_permanent_faults_outlast_the_horizon() {
         let plan = FaultPlan::new(0)
             .fail_link(1, 2, Some(8))
             .fail_link(3, 5, None)
             .crash_node(0, 1, Some(4))
+            .crash_node(2, 3, None)
             .drop_messages(0.1);
-        assert_eq!(plan.horizon(), 8);
-        let steady = plan.steady();
-        assert!(steady.link_down(3, 0), "permanent fault active from 0");
-        assert!(!steady.link_down(1, 3), "recovered fault removed");
-        assert!(!steady.node_down(0, 2), "recovered crash removed");
-        assert_eq!(steady.fate(0, 9, true), Fate::Deliver, "no randomness");
+        let horizon = plan.horizon();
+        assert_eq!(horizon, 8);
+        assert_eq!(plan.links_down_at(horizon), vec![3]);
+        assert_eq!(plan.nodes_down_at(horizon), vec![2]);
         assert_eq!(FaultPlan::new(0).horizon(), 0);
     }
 

@@ -2,22 +2,23 @@
 //! over the `rpaths-store` snapshot format.
 //!
 //! The store (`rpaths_store`) frames, checksums, and atomically writes
-//! sections but treats artifact bodies as opaque bytes. This module owns
-//! the one typed encoding the solvers persist: an entry of a
+//! keyed artifacts but treats their bodies as opaque bytes. This module
+//! owns the one typed encoding the solvers persist: an entry of a
 //! [`crate::session::SolverSession`]'s artifact cache — diameter,
-//! shortest path, or whole replacement answers — as one `TAG_CACHE`
-//! section ([`cache_artifact`] / [`cache_entry_from`]), prefixed with
-//! the graph fingerprint so a warm boot never imports artifacts of a
-//! different graph.
+//! shortest path, or whole replacement answers — as one artifact keyed
+//! `cache/…` ([`cache_artifact`] / [`cache_entry_from`]), its body
+//! prefixed with the graph fingerprint so a warm boot never imports
+//! artifacts of a different graph.
 //!
-//! The decoder validates structure (lengths, id ranges, shortest-path
-//! claims) against the graph in hand and returns [`ArtifactError`],
-//! never panics: a snapshot section that passed its checksum can still
-//! have been written by a buggy or hostile producer.
+//! The decoder trusts the body, not the key. It validates structure
+//! (lengths, entry codes, id ranges, shortest-path claims) against the
+//! graph in hand and returns [`ArtifactError`], never panics: a body that
+//! is not a cache entry, or a snapshot section that passed its checksum
+//! but was written by a buggy or hostile producer, is rejected.
 //!
 //! [`crate::SolverSession::save`] and [`crate::SolverSession::warm_boot`]
-//! are the file-level entry points. A corrupt cache section surfaces as
-//! `Loaded::Partial` from the store and costs only a colder cache: the
+//! are the file-level entry points. A corrupt cache section is one the
+//! store drops from its load, and costs only a colder cache: the
 //! session recomputes what was dropped, mirroring the degraded-answer
 //! contract of [`crate::resilient`].
 
@@ -26,7 +27,7 @@ use std::sync::Arc;
 
 use graphkit::alg::shortest_st_path;
 use graphkit::{DiGraph, Dist, EdgeId, NodeId, StPath};
-use rpaths_store::{Artifact, TAG_CACHE};
+use rpaths_store::Artifact;
 
 use crate::cache::{ArtifactKind, CacheValue, SolverKind};
 use crate::weighted::ScaledAnswers;
@@ -34,13 +35,6 @@ use crate::weighted::ScaledAnswers;
 /// Why a typed artifact body could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ArtifactError {
-    /// The artifact's section tag is not the kind the decoder reads.
-    WrongKind {
-        /// The tag the decoder expected.
-        expected: u32,
-        /// The tag the artifact carries.
-        found: u32,
-    },
     /// The body ended before the structure it promised.
     Truncated {
         /// Bytes the decoder needed.
@@ -55,12 +49,6 @@ pub enum ArtifactError {
 impl fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ArtifactError::WrongKind { expected, found } => {
-                write!(
-                    f,
-                    "artifact kind mismatch: expected tag {expected}, found {found}"
-                )
-            }
             ArtifactError::Truncated { expected, got } => {
                 write!(
                     f,
@@ -114,7 +102,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A decoded [`TAG_CACHE`] section: one entry of a
+/// A decoded cache artifact: one entry of a
 /// [`crate::cache::ArtifactCache`], ready to re-insert.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
@@ -133,7 +121,7 @@ const CACHE_PATH: u8 = 1;
 // unknown entry code, so such sections are skipped on import.
 const CACHE_REPLACEMENT: u8 = 3;
 
-/// Encodes one artifact-cache entry as a keyed [`TAG_CACHE`] artifact.
+/// Encodes one artifact-cache entry as a keyed artifact.
 ///
 /// The body opens with the graph fingerprint, then a one-byte entry
 /// code, then kind-specific parameters and payload. The key is
@@ -194,14 +182,10 @@ pub fn cache_artifact(fingerprint: u64, kind: &ArtifactKind, value: &CacheValue)
         // encoding such a pair would be a bug in the session.
         (kind, value) => unreachable!("mismatched cache entry: {kind:?} vs {value:?}"),
     };
-    Artifact {
-        kind: TAG_CACHE,
-        key,
-        body,
-    }
+    Artifact { key, body }
 }
 
-/// Decodes a [`TAG_CACHE`] artifact back into a cache entry, validating
+/// Decodes a cache artifact back into a cache entry, validating
 /// everything against `graph`: ids in range and paths re-proved
 /// shortest (including the *absence* of a path for negative entries).
 /// A checksum-valid but lying body is an [`ArtifactError`], never a
@@ -209,15 +193,9 @@ pub fn cache_artifact(fingerprint: u64, kind: &ArtifactKind, value: &CacheValue)
 ///
 /// # Errors
 ///
-/// [`ArtifactError::WrongKind`] for a non-cache artifact, otherwise any
-/// truncation/shape/invariant violation.
+/// Any truncation/shape/invariant violation, including a body that is
+/// not a cache entry at all.
 pub fn cache_entry_from(a: &Artifact, graph: &DiGraph) -> Result<CacheEntry, ArtifactError> {
-    if a.kind != TAG_CACHE {
-        return Err(ArtifactError::WrongKind {
-            expected: TAG_CACHE,
-            found: a.kind,
-        });
-    }
     let mut c = Cursor {
         bytes: &a.body,
         pos: 0,
@@ -348,7 +326,6 @@ pub fn cache_entry_from(a: &Artifact, graph: &DiGraph) -> Result<CacheEntry, Art
 mod tests {
     use super::*;
     use graphkit::gen::metro_ring;
-    use rpaths_store::TAG_BLOB;
 
     #[test]
     fn cache_entries_round_trip_every_kind() {
@@ -380,7 +357,7 @@ mod tests {
         ];
         for (kind, value) in entries {
             let a = cache_artifact(fp, &kind, &value);
-            assert_eq!(a.kind, TAG_CACHE);
+            assert!(a.key.starts_with("cache/"), "{}", a.key);
             let back = cache_entry_from(&a, &g).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
             assert_eq!(back.fingerprint, fp);
             assert_eq!(back.kind, kind);
@@ -470,12 +447,12 @@ mod tests {
                 Err(ArtifactError::Malformed(_))
             ));
         }
-        // Wrong section tag is WrongKind.
-        let mut a = good.clone();
-        a.kind = TAG_BLOB;
-        assert!(matches!(
-            cache_entry_from(&a, &g),
-            Err(ArtifactError::WrongKind { .. })
-        ));
+        // A body that is not a cache entry, such as a fixture's JSON
+        // document, is rejected.
+        let json = Artifact {
+            key: "fuzz/fixture".into(),
+            body: b"{\n  \"version\": 1\n}".to_vec(),
+        };
+        assert!(cache_entry_from(&json, &g).is_err());
     }
 }

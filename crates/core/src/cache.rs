@@ -8,8 +8,8 @@
 //! graph, so the kind alone names an entry; the graph's stable
 //! [`fingerprint`](graphkit::DiGraph::fingerprint) is written only into
 //! the persisted form. These entries are also the only solver artifacts
-//! that persist: `crate::artifacts` encodes each one as a `TAG_CACHE`
-//! snapshot section.
+//! that persist: `crate::artifacts` encodes each one as a snapshot
+//! artifact keyed `cache/…`.
 //!
 //! The cache is an ordered map plus counters, and it never evicts. A
 //! session adds one diameter, and per endpoint pair it is asked about

@@ -1,7 +1,7 @@
 //! Self-contained regression fixtures for the differential harness.
 //!
-//! A fixture is one `rpaths-store` snapshot holding the full graph (a
-//! checksummed `TAG_GRAPH` section) plus a `TAG_BLOB` JSON document
+//! A fixture is one `rpaths-store` snapshot holding the full graph plus
+//! one artifact, keyed [`FIXTURE_KEY`], whose body is a JSON document
 //! describing *one* differential check: which solver to run, with which
 //! [`Params`], on which `source → target` instance — and the replacement
 //! lengths the centralized oracle answered when the fixture was minted.
@@ -18,7 +18,7 @@ use std::fmt;
 use std::path::Path;
 
 use graphkit::{DiGraph, Dist};
-use rpaths_store::{Artifact, Snapshot, StoreError};
+use rpaths_store::{Artifact, Loaded, Snapshot, StoreError};
 use serde::{Deserialize, Serialize};
 
 use crate::oracle::{self, Divergence, FuzzSolver};
@@ -174,11 +174,14 @@ impl Fixture {
     /// [`StoreError::Io`] on filesystem failure.
     pub fn write(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
         let json = serde_json::to_string_pretty(&self.doc()).expect("fixture doc serializes");
-        let mut snapshot = Snapshot::new(self.graph.clone());
-        snapshot
-            .artifacts
-            .push(Artifact::blob(FIXTURE_KEY, json.into_bytes()));
-        snapshot.write(path)
+        Snapshot {
+            graph: self.graph.clone(),
+            artifacts: vec![Artifact {
+                key: FIXTURE_KEY.into(),
+                body: json.into_bytes(),
+            }],
+        }
+        .write(path)
     }
 
     /// Reads a fixture back. Degraded snapshots are rejected: a corrupt
@@ -190,14 +193,13 @@ impl Fixture {
     ///
     /// [`FixtureError::Store`] / [`FixtureError::Decode`].
     pub fn read(path: impl AsRef<Path>) -> Result<Fixture, FixtureError> {
-        let loaded = Snapshot::read(&path)?;
-        if loaded.is_partial() {
+        let Loaded { snapshot, dropped } = Snapshot::read(&path)?;
+        if !dropped.is_empty() {
             return Err(FixtureError::Decode(format!(
                 "snapshot is degraded ({} dropped sections)",
-                loaded.dropped().len()
+                dropped.len()
             )));
         }
-        let snapshot = loaded.into_snapshot();
         let blob = snapshot
             .artifacts
             .iter()

@@ -8,7 +8,8 @@
 //! the `rpaths-fuzz` harness, the regression-fixture replayer
 //! ([`crate::fixture`]), and ad-hoc differential tests all share.
 //!
-//! The checks are *semantic*, per solver contract:
+//! The checks are *semantic*, per solver contract, and every per-edge
+//! check first requires exactly one answer per path edge:
 //!
 //! - exact solvers (Theorem 1, naive, MR24) must equal
 //!   [`replacement_lengths`] bit for bit;
@@ -24,6 +25,7 @@ use graphkit::alg::{dijkstra, replacement_lengths, second_simple_shortest};
 use graphkit::{DiGraph, Dist};
 
 use crate::session::{Answer, Query};
+use crate::weighted::ScaledAnswers;
 use crate::{baseline, reachability, sisp, unweighted, weighted, Instance, Params};
 
 /// Every solver surface the differential harness can drive — a superset
@@ -144,43 +146,29 @@ pub fn check_instance(
         want: "an answer".into(),
     };
     let oracle = oracle_replacements(inst);
-    match solver {
-        FuzzSolver::Unweighted | FuzzSolver::Naive | FuzzSolver::Mr24 => {
-            let got = match solver {
-                FuzzSolver::Unweighted => unweighted::solve_on(&mut net, inst, params),
-                FuzzSolver::Naive => baseline::naive::solve_on(&mut net, inst, params),
-                _ => baseline::mr24::solve_on(&mut net, inst, params),
-            }
-            .map_err(solver_err)?;
-            for (i, (&g, &w)) in got.iter().zip(&oracle).enumerate() {
-                if g != w {
-                    return Err(Divergence {
-                        check: format!("{solver} vs replacement_lengths"),
-                        index: Some(i),
-                        got: g.to_string(),
-                        want: w.to_string(),
-                    });
-                }
-            }
-            Ok(())
-        }
-        FuzzSolver::Weighted => {
-            let got = weighted::solve_on(&mut net, inst, params).map_err(solver_err)?;
-            let miss = |index: Option<usize>, got: String| Divergence {
-                check: "weighted vs (1+ε) guarantee".into(),
-                index,
-                got,
-                want: format!("within (1+{}/{})·oracle", params.eps_num, params.eps_den),
-            };
-            if got.scaled.len() != oracle.len() {
-                return Err(miss(None, "length mismatch".into()));
-            }
-            for (i, (&x, &o)) in got.scaled.iter().zip(&oracle).enumerate() {
-                weighted::check_value(x, got.den, o, params.eps_num, params.eps_den)
-                    .map_err(|e| miss(Some(i), e))?;
-            }
-            Ok(())
-        }
+    let exact = |scaled| ScaledAnswers { scaled, den: 1 };
+    // Exact solvers are held to the (1+ε) check at ε = 0: equality.
+    let (check, got, (eps_num, eps_den)) = match solver {
+        FuzzSolver::Unweighted => (
+            "unweighted vs replacement_lengths",
+            unweighted::solve_on(&mut net, inst, params).map(exact),
+            (0, 1),
+        ),
+        FuzzSolver::Naive => (
+            "naive vs replacement_lengths",
+            baseline::naive::solve_on(&mut net, inst, params).map(exact),
+            (0, 1),
+        ),
+        FuzzSolver::Mr24 => (
+            "mr24 vs replacement_lengths",
+            baseline::mr24::solve_on(&mut net, inst, params).map(exact),
+            (0, 1),
+        ),
+        FuzzSolver::Weighted => (
+            "weighted vs (1+ε) guarantee",
+            weighted::solve_on(&mut net, inst, params),
+            (params.eps_num, params.eps_den),
+        ),
         FuzzSolver::Sisp => {
             let got = sisp::solve_on(&mut net, inst, params).map_err(solver_err)?;
             let want = second_simple_shortest(inst.graph, &inst.path);
@@ -192,27 +180,59 @@ pub fn check_instance(
                     want: want.to_string(),
                 });
             }
-            Ok(())
+            return Ok(());
         }
         FuzzSolver::Reachability => {
             let got = reachability::solve_on(&mut net, inst, params).map_err(solver_err)?;
-            for (i, (&g, w)) in got
-                .iter()
-                .zip(oracle.iter().map(|d| d.is_finite()))
-                .enumerate()
-            {
-                if g != w {
-                    return Err(Divergence {
-                        check: "reachability vs oracle finiteness".into(),
-                        index: Some(i),
-                        got: g.to_string(),
-                        want: w.to_string(),
-                    });
-                }
-            }
-            Ok(())
+            return compare_per_edge(
+                "reachability vs oracle finiteness",
+                &got,
+                &oracle,
+                |&g, o| {
+                    if g == o.is_finite() {
+                        Ok(())
+                    } else {
+                        Err((g.to_string(), o.is_finite().to_string()))
+                    }
+                },
+            );
         }
+    };
+    let got = got.map_err(solver_err)?;
+    let want = format!("within (1+{eps_num}/{eps_den})·oracle");
+    compare_per_edge(check, &got.scaled, &oracle, |&x, o| {
+        weighted::check_value(x, got.den, o, eps_num, eps_den).map_err(|e| (e, want.clone()))
+    })
+}
+
+/// The comparison every per-edge arm shares: one answer per path edge,
+/// each of which `check_one` accepts against the oracle's length or
+/// rejects with what it got and what it wanted.
+fn compare_per_edge<T>(
+    check: &str,
+    got: &[T],
+    oracle: &[Dist],
+    check_one: impl Fn(&T, Dist) -> Result<(), (String, String)>,
+) -> Result<(), Divergence> {
+    let miss = |index, (got, want)| Divergence {
+        check: check.into(),
+        index,
+        got,
+        want,
+    };
+    if got.len() != oracle.len() {
+        return Err(miss(
+            None,
+            (
+                format!("{} answers", got.len()),
+                format!("{}, one per path edge", oracle.len()),
+            ),
+        ));
     }
+    for (i, (g, &o)) in got.iter().zip(oracle).enumerate() {
+        check_one(g, o).map_err(|e| miss(Some(i), e))?;
+    }
+    Ok(())
 }
 
 /// Checks a batch's answers, in query order, against [`oracle_query`]
@@ -312,6 +332,30 @@ mod tests {
         assert_eq!(
             check_batch(&g, &params, &queries, &wrong).map_err(|d| d.index),
             Err(Some(0))
+        );
+    }
+
+    #[test]
+    fn answer_counts_are_checked_before_values() {
+        let oracle = [Dist::new(3), Dist::INF, Dist::new(5)];
+        let exact = |&x: &Dist, o: Dist| {
+            weighted::check_value(x, 1, o, 0, 1).map_err(|e| (e, "equal".to_string()))
+        };
+        compare_per_edge("exact", &oracle, &oracle, exact).unwrap();
+        // A short vector whose answers all agree still diverges.
+        assert_eq!(
+            compare_per_edge("exact", &oracle[..2], &oracle, exact),
+            Err(Divergence {
+                check: "exact".into(),
+                index: None,
+                got: "2 answers".into(),
+                want: "3, one per path edge".into(),
+            })
+        );
+        let wrong = [Dist::new(3), Dist::INF, Dist::new(6)];
+        assert_eq!(
+            compare_per_edge("exact", &wrong, &oracle, exact).map_err(|d| d.index),
+            Err(Some(2))
         );
     }
 

@@ -10,11 +10,10 @@
 //!
 //! [`solve_with_recovery`] closes that gap in three moves:
 //!
-//! 1. **Detect.** The steady state of a [`FaultPlan`] (faults that never
-//!    recover) is probed with a distributed BFS-tree build on a network
-//!    running [`FaultPlan::steady`]; a `Disconnected` witness is the
-//!    distributed evidence of a partition, cross-checked against a local
-//!    computation of the source's surviving component.
+//! 1. **Detect.** The steady state of a [`FaultPlan`] is what is down
+//!    at its horizon: exactly the faults that never recover. The
+//!    source's surviving component is computed locally from it; no
+//!    distributed probe runs, since nothing would read its result.
 //! 2. **Re-plan.** The solve is restricted to the source's surviving
 //!    component: crashed nodes and downed links are removed, surviving
 //!    nodes are remapped in ascending order (so the sub-solve is as
@@ -32,8 +31,7 @@
 //! not. Only an invalid plan or demand, a crashed source, or a failed
 //! solve are hard errors.
 
-use congest::bfs_tree::{build_bfs_tree, TreeError};
-use congest::{FaultPlan, FaultPlanError, Network};
+use congest::{FaultPlan, FaultPlanError};
 use graphkit::alg::undirected_bfs;
 use graphkit::{DiGraph, Dist, EdgeId, GraphBuilder, NodeId};
 
@@ -101,10 +99,10 @@ impl std::error::Error for RecoveryError {}
 /// Transient faults (link flaps and crashes that recover, probabilistic
 /// drop/delay) do not change the steady-state topology: the demand is
 /// solved as posed and returned as [`Recovery::Full`]. Permanent faults
-/// are detected with a distributed BFS-tree probe under
-/// [`FaultPlan::steady`], the demand is re-posed on the source's
-/// surviving component, and the result comes back as
-/// [`Recovery::Degraded`]. Either way the solver runs at most once.
+/// (those still active at [`FaultPlan::horizon`]) are planned away: the
+/// demand is re-posed on the source's surviving component, and the
+/// result comes back as [`Recovery::Degraded`]. Either way the solver
+/// runs at most once.
 ///
 /// # Errors
 ///
@@ -124,9 +122,9 @@ pub fn solve_with_recovery(
     plan.validate(graph.edge_count(), graph.node_count())
         .map_err(RecoveryError::FaultPlan)?;
     check_endpoints(graph, s, t).map_err(RecoveryError::Instance)?;
-    let steady = plan.steady();
+    // From the horizon on, exactly the permanent faults are active.
     let horizon = plan.horizon();
-    if steady.node_down(s, horizon) {
+    if plan.node_down(s, horizon) {
         return Err(RecoveryError::SourceDown);
     }
     let downed_links = plan.links_down_at(horizon);
@@ -140,23 +138,7 @@ pub fn solve_with_recovery(
         return Ok(Recovery::Full { output });
     }
 
-    // Distributed detection: a BFS-tree probe under the steady-state
-    // plan either spans (still connected) or returns the Disconnected
-    // witness. The local component computation below must agree — the
-    // probe is the distributed evidence, the local pass the ground
-    // truth we re-plan from.
-    let mut probe_net = Network::new(graph);
-    probe_net
-        .set_fault_plan(Some(steady))
-        .expect("the steady state keeps a subset of the validated plan's faults");
-    let probe = build_bfs_tree(&mut probe_net, s);
     let component = surviving_component(graph, s, &downed_links, &crashed);
-    match &probe {
-        Ok(_) => debug_assert_eq!(component.len(), graph.node_count()),
-        Err(TreeError::Disconnected { joined, .. }) => debug_assert_eq!(component.len(), *joined),
-        Err(_) => {}
-    }
-
     let mut in_comp = vec![false; graph.node_count()];
     for &v in &component {
         in_comp[v] = true;
@@ -231,6 +213,8 @@ fn surviving_component(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest::bfs_tree::{build_bfs_tree, TreeError};
+    use congest::Network;
     use graphkit::alg::replacement_lengths;
     use graphkit::gen::metro_ring;
 
@@ -307,6 +291,50 @@ mod tests {
         let plan = FaultPlan::new(11).crash_node(0, 0, None);
         let err = solve_with_recovery(&g, 0, 3, &plan, &params_for(&g)).unwrap_err();
         assert_eq!(err, RecoveryError::SourceDown);
+    }
+
+    #[test]
+    fn a_bfs_tree_under_the_permanent_faults_joins_the_survivors() {
+        // The distributed view of a steady state agrees with the local
+        // component recovery re-plans from: a BFS tree built under
+        // permanent faults joins exactly the nodes outside `unreachable`.
+        // Every fault here is down from round 0, so each plan is its own
+        // steady state.
+        let g = metro_ring(8);
+        for (plan, t) in [
+            // One span down: the ring stays connected.
+            (
+                FaultPlan::new(5)
+                    .fail_link(2, 0, None)
+                    .fail_link(3, 0, None),
+                4,
+            ),
+            // Two spans down: nodes 1..=4 are cut off.
+            (
+                FaultPlan::new(7)
+                    .fail_link(0, 0, None)
+                    .fail_link(1, 0, None)
+                    .fail_link(8, 0, None)
+                    .fail_link(9, 0, None),
+                4,
+            ),
+            // A crashed node.
+            (FaultPlan::new(9).crash_node(3, 0, None), 3),
+        ] {
+            let Recovery::Degraded(d) = solve_with_recovery(&g, 0, t, &plan, &params_for(&g))
+                .expect("a permanent fault degrades")
+            else {
+                panic!("a permanent fault must report as degraded");
+            };
+            let mut net = Network::new(&g);
+            net.set_fault_plan(Some(plan)).unwrap();
+            let joined = match build_bfs_tree(&mut net, 0) {
+                Ok(_) => g.node_count(),
+                Err(TreeError::Disconnected { joined, .. }) => joined,
+                Err(e) => panic!("the tree build failed: {e}"),
+            };
+            assert_eq!(joined, g.node_count() - d.unreachable.len());
+        }
     }
 
     #[test]

@@ -22,14 +22,13 @@
 //! [`SessionStats`], never in [`Metrics`].
 //!
 //! **Persistence.** The session cache is the only persisted solver
-//! artifact: [`SolverSession::save`] writes the graph plus one typed
-//! `TAG_CACHE` section per cache entry, in key order, as an
-//! `rpaths-store` snapshot (codec in [`crate::artifacts`]); each entry
-//! carries the graph's fingerprint. [`SolverSession::warm_boot`]
-//! reloads them, skipping (never failing on) entries that are corrupt,
-//! mis-fingerprinted, or shaped wrong — a damaged cache degrades to a
-//! cold one, mirroring the `Loaded::Partial` contract of the store
-//! itself.
+//! artifact: [`SolverSession::save`] writes the graph plus one artifact
+//! per cache entry, in key order, as an `rpaths-store` snapshot (codec
+//! in [`crate::artifacts`]); each entry carries the graph's
+//! fingerprint. [`SolverSession::warm_boot`] reloads them, skipping
+//! (never failing on) entries that are corrupt, mis-fingerprinted, or
+//! shaped wrong — a damaged cache degrades to a cold one, as the store
+//! itself drops damaged sections and keeps the graph.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -374,8 +373,8 @@ impl<'g> SolverSession<'g> {
     // Persistence
     // -----------------------------------------------------------------
 
-    /// Encodes every cache entry as a typed `TAG_CACHE` artifact, in
-    /// key order.
+    /// Encodes every cache entry as a typed cache artifact, in key
+    /// order.
     pub fn export_artifacts(&self) -> Vec<rpaths_store::Artifact> {
         self.cache
             .entries()
@@ -384,9 +383,9 @@ impl<'g> SolverSession<'g> {
     }
 
     /// Imports persisted cache artifacts, returning how many were
-    /// accepted. Entries that fail to decode, carry a different graph
-    /// fingerprint, or are not `TAG_CACHE` sections are skipped — a
-    /// damaged cache warms partially or not at all, it never errors.
+    /// accepted. Artifacts that are not cache entries, fail to decode,
+    /// or carry a different graph fingerprint are skipped — a damaged
+    /// cache warms partially or not at all, it never errors.
     pub fn import_artifacts(&mut self, artifacts: &[rpaths_store::Artifact]) -> usize {
         let mut imported = 0;
         for a in artifacts {
@@ -427,8 +426,8 @@ impl<'g> SolverSession<'g> {
     /// Only structural failures before the graph is recovered
     /// ([`StoreError`]); artifact corruption degrades to a colder cache.
     pub fn warm_boot(&mut self, path: impl AsRef<Path>) -> Result<usize, StoreError> {
-        let snapshot = Snapshot::read(path)?.into_snapshot();
-        if snapshot.graph.fingerprint() != self.fingerprint {
+        let snapshot = Snapshot::read(path)?.snapshot;
+        if snapshot.graph != *self.graph {
             return Ok(0);
         }
         Ok(self.import_artifacts(&snapshot.artifacts))

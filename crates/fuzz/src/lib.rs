@@ -717,7 +717,7 @@ fn scale_checks(
     let bytes = rpaths_store::Snapshot::new(graph.clone()).encode();
     let back = rpaths_store::Snapshot::decode(&bytes)
         .map_err(|e| diverge("snapshot decode", e.to_string(), "a snapshot"))?
-        .into_snapshot();
+        .snapshot;
     if back.graph.fingerprint() != graph.fingerprint() {
         return Err(diverge(
             "snapshot round-trip fingerprint",

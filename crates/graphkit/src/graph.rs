@@ -24,7 +24,8 @@ pub struct Edge {
 /// Adjacency is stored in CSR form in both directions, so iterating
 /// out-edges and in-edges of a vertex are both `O(degree)` with no
 /// allocation. Graphs are immutable after construction; build them with
-/// [`GraphBuilder`].
+/// [`GraphBuilder`]. Two graphs are equal when their vertex counts and
+/// edge lists are: the indexes are built from those alone.
 ///
 /// # Examples
 ///
@@ -42,7 +43,7 @@ pub struct Edge {
 /// assert_eq!(g.out_edges(0).count(), 2);
 /// assert_eq!(g.in_edges(2).count(), 2);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct DiGraph {
     n: usize,
     edges: Vec<Edge>,
@@ -55,7 +56,7 @@ pub struct DiGraph {
     unweighted: bool,
 }
 
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 struct Csr {
     offsets: Vec<u32>,
     items: Vec<u32>,
@@ -220,18 +221,26 @@ impl DiGraph {
     /// indexes are a deterministic function of those, so they are
     /// covered too.
     ///
-    /// The fingerprint is an FNV-1a hash of [`DiGraph::to_snapshot`], so
+    /// The fingerprint is an FNV-1a hash of the little-endian words
+    /// `n: u64`, `m: u64`, then per edge `from: u32`, `to: u32`,
+    /// `weight: u64` — the words a snapshot's graph section holds — so
     /// it is identical across processes, platforms, and snapshot round
-    /// trips — two graphs fingerprint equal iff their snapshots are
-    /// byte-identical. Artifact caches key on it to decide whether a
-    /// persisted artifact still describes the graph in hand.
+    /// trips. Artifact caches key on it to decide whether a persisted
+    /// artifact still describes the graph in hand.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for &b in &self.to_snapshot() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut hash = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(PRIME);
+            }
+        };
+        hash(&(self.n as u64).to_le_bytes());
+        hash(&(self.edges.len() as u64).to_le_bytes());
+        for e in &self.edges {
+            hash(&(e.from as u32).to_le_bytes());
+            hash(&(e.to as u32).to_le_bytes());
+            hash(&e.weight.to_le_bytes());
         }
         h
     }
@@ -273,8 +282,8 @@ impl fmt::Debug for DiGraph {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
-    pub(crate) n: usize,
-    pub(crate) edges: Vec<Edge>,
+    n: usize,
+    edges: Vec<Edge>,
 }
 
 impl GraphBuilder {
@@ -306,15 +315,38 @@ impl GraphBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range, if `from == to` (self loops
-    /// are meaningless for replacement paths), or if `weight == 0`
-    /// (weights must be positive integers, per the paper's model).
+    /// Panics with the rule the edge breaks (see
+    /// [`GraphBuilder::try_add_edge`]).
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, weight: u64) -> EdgeId {
-        assert!(from < self.n && to < self.n, "edge endpoint out of range");
-        assert_ne!(from, to, "self loops are not allowed");
-        assert!(weight > 0, "edge weights must be positive integers");
+        self.try_add_edge(from, to, weight)
+            .unwrap_or_else(|rule| panic!("{rule}"))
+    }
+
+    /// Adds a directed edge and returns its id, or the rule it breaks.
+    ///
+    /// # Errors
+    ///
+    /// An endpoint out of range, `from == to` (self loops are
+    /// meaningless for replacement paths), or `weight == 0` (weights
+    /// must be positive integers, per the paper's model); the builder
+    /// is left unchanged.
+    pub fn try_add_edge(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        weight: u64,
+    ) -> Result<EdgeId, &'static str> {
+        if from >= self.n || to >= self.n {
+            return Err("edge endpoint out of range");
+        }
+        if from == to {
+            return Err("self loops are not allowed");
+        }
+        if weight == 0 {
+            return Err("edge weights must be positive integers");
+        }
         self.edges.push(Edge { from, to, weight });
-        self.edges.len() - 1
+        Ok(self.edges.len() - 1)
     }
 
     /// Adds an unweighted (weight-1) directed edge.
@@ -455,13 +487,19 @@ mod tests {
     #[test]
     fn fingerprint_is_stable_and_sensitive() {
         let g = diamond();
-        // Stable: the same construction and a snapshot round trip agree.
-        assert_eq!(g.fingerprint(), diamond().fingerprint());
+        // Stable: persisted cache entries carry these values, so a change
+        // orphans every snapshot already written.
+        assert_eq!(g.fingerprint(), 0xf68e_a5f4_2347_9795);
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 3);
+        b.add_edge(1, 4, 1 << 40);
+        b.add_edge(0, 2, 7);
+        b.add_edge(2, 4, 2);
+        b.add_edge(3, 0, 9);
+        assert_eq!(b.build().fingerprint(), 0xb354_3864_9721_2976);
         assert_eq!(
-            DiGraph::from_snapshot(&g.to_snapshot())
-                .unwrap()
-                .fingerprint(),
-            g.fingerprint()
+            GraphBuilder::new(0).build().fingerprint(),
+            0x8820_1fb9_60ff_6465
         );
         // Sensitive: weights, edge order, and extra vertices all count.
         let mut b = GraphBuilder::new(4);

@@ -18,15 +18,12 @@
 //!   distances, undirected eccentricity/diameter) and the ground-truth
 //!   replacement-paths oracle used to validate every distributed
 //!   algorithm in the workspace.
-//! - a snapshot codec ([`DiGraph::to_snapshot`] /
-//!   [`DiGraph::from_snapshot`]): a defensive little-endian byte
-//!   encoding of a graph's vertex count and edge list, decoded through
-//!   [`GraphBuilder::build`] like every other graph, and used as the
-//!   graph section of the `rpaths-store` single-file snapshot format.
 //!
-//! Nothing in this crate knows about rounds or messages; the CONGEST
-//! simulation lives in the `congest` crate and the paper's algorithms in
-//! `rpaths-core`.
+//! Nothing in this crate knows about rounds, messages or bytes on disk;
+//! the CONGEST simulation lives in the `congest` crate, the paper's
+//! algorithms in `rpaths-core`, and the graph's byte codec in
+//! `rpaths-store`, which decodes through [`GraphBuilder::try_add_edge`]
+//! so the edge rules are stated once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,9 +33,7 @@ mod dist;
 pub mod gen;
 mod graph;
 mod path;
-mod snapshot;
 
 pub use dist::Dist;
 pub use graph::{DiGraph, Edge, EdgeId, GraphBuilder, NodeId};
 pub use path::{PathError, StPath};
-pub use snapshot::SnapshotError;

@@ -1,6 +1,7 @@
 //! Crash-safe single-file snapshot store: a versioned, checksummed
 //! binary format holding a graph (its vertex count and edge list) and
-//! solver artifacts, written atomically and loaded defensively.
+//! keyed artifacts, written atomically and loaded defensively. This
+//! crate owns the whole byte format, the graph payload included.
 //!
 //! # Byte layout
 //!
@@ -18,15 +19,23 @@
 //!          crc        u32       CRC32 of every preceding file byte
 //! ```
 //!
-//! Section tags: [`TAG_GRAPH`] (payload is
-//! `graphkit::DiGraph::to_snapshot`), [`TAG_BLOB`], and [`TAG_CACHE`]
-//! (artifact sections: a length-prefixed UTF-8 key, then a
-//! kind-specific body — the session-cache codec lives in
-//! `rpaths_core::artifacts`). Exactly one graph section is required;
-//! artifact sections are optional and ordered. Unknown tags are skipped
-//! on load. Version 1 files, whose graph payload also stored the CSR
-//! indexes (and which could hold the retired tags 2 and 3, raw distance
-//! arrays and BFS trees), are refused with
+//! Two section tags are live:
+//!
+//! - [`TAG_GRAPH`], exactly one: the graph as `n: u64`, `m: u64`, then
+//!   `m × { from: u32, to: u32, weight: u64 }`, `16 + 16·m` bytes. The
+//!   CSR indexes are not stored: the decoder adds the edges through
+//!   [`GraphBuilder::try_add_edge`] and builds, like every other graph,
+//!   so neighbor order survives every round trip and no payload decodes
+//!   to a graph its edges do not build.
+//! - [`TAG_ARTIFACT`], any number, in order: a keyed artifact, a
+//!   length-prefixed UTF-8 key and then an opaque body. The key names
+//!   what the body holds; the session-cache codec lives in
+//!   `rpaths_core::artifacts`.
+//!
+//! Tags 2, 3 and 5 are retired (raw distance arrays, BFS trees, and
+//! session-cache entries before they became plain artifacts) and skip
+//! on load like any tag this build does not know. Version 1 files,
+//! whose graph payload also stored the CSR indexes, are refused with
 //! [`StoreError::VersionUnsupported`].
 //!
 //! # Durability contract
@@ -41,14 +50,15 @@
 //!
 //! [`Snapshot::decode`] never panics on untrusted bytes. Corruption
 //! *before* the graph is recovered — bad magic, unsupported version, a
-//! graph section that fails its checksum, truncation inside the header
-//! or graph — is a fatal [`StoreError`]. Corruption *after* the graph
-//! is recovered degrades: the damaged artifact sections are dropped
-//! (with their [`StoreError`] attached) and the caller gets
-//! [`Loaded::Partial`] so it can recompute only what was lost,
-//! mirroring the `Recovery::Degraded` contract of the fault-recovery
-//! layer. Unknown section tags are skipped and reported for forward
-//! compatibility.
+//! graph section that fails its checksum or its validation (counts past
+//! the format's limits, an edge count the bytes cannot hold, an edge
+//! [`GraphBuilder::try_add_edge`] refuses, trailing bytes), truncation
+//! inside the header or graph — is a fatal [`StoreError`]. Corruption
+//! *after* the graph is recovered degrades: the damaged artifact
+//! sections are dropped and listed, with their [`StoreError`], in the
+//! [`Loaded`] result's `dropped` field, so the caller can recompute only
+//! what was lost, mirroring the `Recovery::Degraded` contract of the
+//! fault-recovery layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +68,7 @@ use std::fs::{self, File};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use graphkit::DiGraph;
+use graphkit::{DiGraph, GraphBuilder};
 
 /// File magic: the first 8 bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"RPATHSNP";
@@ -67,21 +77,20 @@ pub const VERSION: u32 = 2;
 /// Footer magic: the 4 bytes introducing the whole-file checksum.
 pub const FOOTER_MAGIC: [u8; 4] = *b"RPFT";
 
-/// Section tag: the graph payload (`DiGraph::to_snapshot` bytes).
+/// Section tag: the graph payload.
 pub const TAG_GRAPH: u32 = 1;
-/// Section tag: a keyed opaque-blob artifact (forward-compatible).
-pub const TAG_BLOB: u32 = 4;
-/// Section tag: one solver-session cache entry (see
-/// `rpaths_core::artifacts::cache_artifact`). The body opens with the
-/// graph fingerprint the entry was computed for; readers drop entries
-/// whose fingerprint does not match the graph in hand, and any
-/// corruption here degrades the load to [`Loaded::Partial`] (a cold
-/// cache), never a failed graph load.
-pub const TAG_CACHE: u32 = 5;
+/// Section tag: one keyed artifact. Any corruption here drops the
+/// artifact, never the graph.
+pub const TAG_ARTIFACT: u32 = 4;
 
 const HEADER_LEN: usize = 12;
 const SECTION_HDR_LEN: usize = 12;
 const FOOTER_LEN: usize = 8;
+
+/// Largest vertex count a graph payload may declare: `2^24`. Building
+/// an edgeless graph of that size takes a few hundred MiB; a larger
+/// count is refused before anything is allocated.
+const MAX_NODES: u64 = 1 << 24;
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3), vendored: no external checksum dependency.
@@ -223,31 +232,18 @@ impl From<io::Error> for StoreError {
 // Data model
 // ---------------------------------------------------------------------
 
-/// A keyed, typed artifact riding in the snapshot next to the graph.
+/// A keyed artifact riding in the snapshot next to the graph.
 ///
 /// The store frames and checksums artifacts but treats their bodies as
 /// opaque; the typed encode/decode for session-cache entries lives in
 /// `rpaths_core::artifacts`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Artifact {
-    /// Section tag this artifact is written under ([`TAG_BLOB`] or
-    /// [`TAG_CACHE`]).
-    pub kind: u32,
-    /// Caller-chosen identity, e.g. `"unweighted/replacement"`.
+    /// Caller-chosen identity naming what the body holds, e.g.
+    /// `"cache/…/diameter"` or `"fuzz/fixture"`.
     pub key: String,
-    /// Kind-specific body bytes.
+    /// The body bytes.
     pub body: Vec<u8>,
-}
-
-impl Artifact {
-    /// An opaque-blob artifact.
-    pub fn blob(key: impl Into<String>, body: Vec<u8>) -> Artifact {
-        Artifact {
-            kind: TAG_BLOB,
-            key: key.into(),
-            body,
-        }
-    }
 }
 
 /// Everything a snapshot file holds: the graph and its artifacts.
@@ -270,93 +266,43 @@ pub struct Dropped {
     pub error: StoreError,
 }
 
-/// The result of a successful-enough load.
+/// A load that recovered the graph.
 #[derive(Clone, Debug)]
-pub enum Loaded {
-    /// Every section decoded; the snapshot is exactly what was written.
-    Complete {
-        /// The decoded snapshot.
-        snapshot: Snapshot,
-        /// Tags of unknown sections that were skipped (forward
-        /// compatibility); empty for files this build wrote.
-        skipped_unknown: Vec<u32>,
-    },
-    /// The graph decoded but some artifact sections did not: callers
-    /// keep the graph and recompute only what `dropped` lost.
-    Partial {
-        /// The graph plus every artifact that survived.
-        recovered: Snapshot,
-        /// The sections that were lost, with their structured errors.
-        dropped: Vec<Dropped>,
-        /// Tags of unknown sections that were skipped.
-        skipped_unknown: Vec<u32>,
-    },
-}
-
-impl Loaded {
-    /// The recovered snapshot, complete or partial.
-    pub fn snapshot(&self) -> &Snapshot {
-        match self {
-            Loaded::Complete { snapshot, .. } => snapshot,
-            Loaded::Partial { recovered, .. } => recovered,
-        }
-    }
-
-    /// Consumes the load, keeping the recovered snapshot.
-    pub fn into_snapshot(self) -> Snapshot {
-        match self {
-            Loaded::Complete { snapshot, .. } => snapshot,
-            Loaded::Partial { recovered, .. } => recovered,
-        }
-    }
-
-    /// `true` when sections were dropped.
-    pub fn is_partial(&self) -> bool {
-        matches!(self, Loaded::Partial { .. })
-    }
-
-    /// The dropped sections (empty for [`Loaded::Complete`]).
-    pub fn dropped(&self) -> &[Dropped] {
-        match self {
-            Loaded::Complete { .. } => &[],
-            Loaded::Partial { dropped, .. } => dropped,
-        }
-    }
-
-    /// Unwraps a [`Loaded::Complete`] load.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the dropped-section list if the load was partial.
-    pub fn expect_complete(self, context: &str) -> Snapshot {
-        match self {
-            Loaded::Complete { snapshot, .. } => snapshot,
-            Loaded::Partial { dropped, .. } => {
-                panic!("{context}: load was partial, dropped {dropped:?}")
-            }
-        }
-    }
+pub struct Loaded {
+    /// The graph plus every artifact that decoded, in file order.
+    pub snapshot: Snapshot,
+    /// The sections that were lost, with their structured errors; empty
+    /// for a complete load. Callers keep the graph and recompute only
+    /// what these held.
+    pub dropped: Vec<Dropped>,
 }
 
 // ---------------------------------------------------------------------
 // Encode
 // ---------------------------------------------------------------------
 
-fn push_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+/// Appends one section: its tag, its length, the payload `write`
+/// appends, and the CRC over all three.
+fn push_section(out: &mut Vec<u8>, tag: u32, write: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 8]);
+    write(out);
+    let len = (out.len() - start - SECTION_HDR_LEN) as u64;
+    out[start + 4..start + SECTION_HDR_LEN].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-fn artifact_payload(a: &Artifact) -> Vec<u8> {
-    let mut p = Vec::with_capacity(4 + a.key.len() + a.body.len());
-    p.extend_from_slice(&(a.key.len() as u32).to_le_bytes());
-    p.extend_from_slice(a.key.as_bytes());
-    p.extend_from_slice(&a.body);
-    p
+/// Appends the graph payload: `n`, `m`, then every edge.
+fn push_graph(out: &mut Vec<u8>, graph: &DiGraph) {
+    out.extend_from_slice(&(graph.node_count() as u64).to_le_bytes());
+    out.extend_from_slice(&(graph.edge_count() as u64).to_le_bytes());
+    for (_, e) in graph.edges() {
+        out.extend_from_slice(&(e.from as u32).to_le_bytes());
+        out.extend_from_slice(&(e.to as u32).to_le_bytes());
+        out.extend_from_slice(&e.weight.to_le_bytes());
+    }
 }
 
 impl Snapshot {
@@ -373,13 +319,17 @@ impl Snapshot {
     /// Deterministic: the same snapshot always yields the same bytes,
     /// and `decode ∘ encode` round-trips bit-identically.
     pub fn encode(&self) -> Vec<u8> {
-        let graph_payload = self.graph.to_snapshot();
-        let mut out = Vec::with_capacity(HEADER_LEN + graph_payload.len() + 64);
+        let graph_len = 16 + 16 * self.graph.edge_count();
+        let mut out = Vec::with_capacity(HEADER_LEN + SECTION_HDR_LEN + graph_len + 64);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        push_section(&mut out, TAG_GRAPH, &graph_payload);
+        push_section(&mut out, TAG_GRAPH, |out| push_graph(out, &self.graph));
         for a in &self.artifacts {
-            push_section(&mut out, a.kind, &artifact_payload(a));
+            push_section(&mut out, TAG_ARTIFACT, |out| {
+                out.extend_from_slice(&(a.key.len() as u32).to_le_bytes());
+                out.extend_from_slice(a.key.as_bytes());
+                out.extend_from_slice(&a.body);
+            });
         }
         let crc = crc32(&out);
         out.extend_from_slice(&FOOTER_MAGIC);
@@ -396,7 +346,8 @@ impl Snapshot {
     /// section, a graph checksum or validation failure, a missing graph
     /// section, or trailing bytes after a valid footer. Damage confined
     /// to artifact sections (or a missing/invalid footer once the graph
-    /// is out) returns `Ok(Loaded::Partial { .. })` instead.
+    /// is out) lists the lost sections in [`Loaded`]'s `dropped` field
+    /// instead.
     pub fn decode(bytes: &[u8]) -> Result<Loaded, StoreError> {
         if bytes.len() < HEADER_LEN {
             return Err(StoreError::Truncated {
@@ -416,7 +367,6 @@ impl Snapshot {
         let mut graph: Option<DiGraph> = None;
         let mut artifacts: Vec<Artifact> = Vec::new();
         let mut dropped: Vec<Dropped> = Vec::new();
-        let mut skipped_unknown: Vec<u32> = Vec::new();
         let mut section = 0usize;
         let mut saw_footer = false;
 
@@ -510,24 +460,20 @@ impl Snapshot {
                             }
                         );
                     } else {
-                        match DiGraph::from_snapshot(payload) {
-                            Ok(g) => graph = Some(g),
-                            Err(e) => {
-                                return Err(StoreError::Malformed {
-                                    section,
-                                    detail: e.to_string(),
-                                })
-                            }
-                        }
+                        graph = Some(
+                            decode_graph(payload)
+                                .map_err(|detail| StoreError::Malformed { section, detail })?,
+                        );
                     }
                 }
-                TAG_BLOB | TAG_CACHE => match decode_artifact(tag, payload) {
+                TAG_ARTIFACT => match decode_artifact(payload) {
                     Ok(a) => artifacts.push(a),
                     Err(detail) => {
                         fail_or_drop!(tag, StoreError::Malformed { section, detail })
                     }
                 },
-                unknown => skipped_unknown.push(unknown),
+                // The retired tags 2, 3 and 5, or a tag from the future.
+                _ => {}
             }
             pos = frame_end;
             section += 1;
@@ -550,19 +496,10 @@ impl Snapshot {
                 },
             });
         }
-        let snapshot = Snapshot { graph, artifacts };
-        if dropped.is_empty() {
-            Ok(Loaded::Complete {
-                snapshot,
-                skipped_unknown,
-            })
-        } else {
-            Ok(Loaded::Partial {
-                recovered: snapshot,
-                dropped,
-                skipped_unknown,
-            })
-        }
+        Ok(Loaded {
+            snapshot: Snapshot { graph, artifacts },
+            dropped,
+        })
     }
 
     /// Atomically writes the snapshot to `path` (see [`atomic_write`]).
@@ -588,7 +525,51 @@ impl Snapshot {
     }
 }
 
-fn decode_artifact(kind: u32, payload: &[u8]) -> Result<Artifact, String> {
+/// Decodes a graph payload, checking the counts against the format's
+/// limits and the edge count against the bytes before anything is
+/// allocated for it; the `Err` is the [`StoreError::Malformed`] detail.
+fn decode_graph(payload: &[u8]) -> Result<DiGraph, String> {
+    let truncated = |expected: u64| {
+        format!(
+            "graph payload truncated: needed {expected} bytes, got {}",
+            payload.len()
+        )
+    };
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    if payload.len() < 16 {
+        return Err(truncated(16));
+    }
+    let (n, m) = (word(0), word(8));
+    // Endpoints are stored as u32, and the built indexes hold edge ids
+    // as u32. Vertices cost the build memory but the payload no bytes,
+    // so their count has a tighter limit of its own.
+    if n > MAX_NODES || m > u32::MAX as u64 {
+        return Err(format!(
+            "malformed graph payload: graph too large for the format: n = {n}, m = {m}"
+        ));
+    }
+    let end = 16 + 16 * m;
+    if (payload.len() as u64) < end {
+        return Err(truncated(end));
+    }
+    if payload.len() as u64 > end {
+        return Err(format!(
+            "graph payload has trailing bytes after offset {end}"
+        ));
+    }
+    let mut builder = GraphBuilder::new(n as usize);
+    for (i, e) in payload[16..].chunks_exact(16).enumerate() {
+        let from = u32::from_le_bytes(e[..4].try_into().unwrap()) as usize;
+        let to = u32::from_le_bytes(e[4..8].try_into().unwrap()) as usize;
+        let weight = u64::from_le_bytes(e[8..].try_into().unwrap());
+        builder.try_add_edge(from, to, weight).map_err(|rule| {
+            format!("malformed graph payload: edge {i} ({from} -> {to}, n = {n}): {rule}")
+        })?;
+    }
+    Ok(builder.build())
+}
+
+fn decode_artifact(payload: &[u8]) -> Result<Artifact, String> {
     if payload.len() < 4 {
         return Err(format!(
             "artifact payload too short ({} bytes)",
@@ -606,7 +587,6 @@ fn decode_artifact(kind: u32, payload: &[u8]) -> Result<Artifact, String> {
         .map_err(|e| format!("artifact key is not UTF-8: {e}"))?
         .to_string();
     Ok(Artifact {
-        kind,
         key,
         body: payload[4 + key_len..].to_vec(),
     })
@@ -660,17 +640,23 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphkit::gen::metro_ring;
+    use graphkit::gen::{metro_ring, power_law_digraph, random_weighted_digraph};
 
     fn sample() -> Snapshot {
         let mut s = Snapshot::new(metro_ring(6));
-        s.artifacts.push(Artifact::blob("alpha", vec![1, 2, 3]));
-        s.artifacts.push(Artifact {
-            kind: TAG_CACHE,
-            key: "beta".into(),
-            body: vec![9; 24],
-        });
+        for (key, body) in [("alpha", vec![1, 2, 3]), ("beta", vec![9; 24])] {
+            s.artifacts.push(Artifact {
+                key: key.into(),
+                body,
+            });
+        }
         s
+    }
+
+    fn graph_payload(g: &DiGraph) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_graph(&mut out, g);
+        out
     }
 
     #[test]
@@ -685,11 +671,63 @@ mod tests {
         let snap = sample();
         let bytes = snap.encode();
         let loaded = Snapshot::decode(&bytes).unwrap();
-        let back = loaded.expect_complete("round trip");
-        assert_eq!(back.artifacts, snap.artifacts);
-        assert_eq!(back.graph.to_snapshot(), snap.graph.to_snapshot());
+        assert!(loaded.dropped.is_empty());
+        assert_eq!(loaded.snapshot.artifacts, snap.artifacts);
+        assert_eq!(loaded.snapshot.graph, snap.graph);
         // Determinism: re-encoding reproduces the bytes exactly.
-        assert_eq!(back.encode(), bytes);
+        assert_eq!(loaded.snapshot.encode(), bytes);
+    }
+
+    #[test]
+    fn graph_payloads_round_trip_bit_identically() {
+        for g in [
+            metro_ring(9),
+            power_law_digraph(40, 3),
+            random_weighted_digraph(25, 60, 9, 7),
+            GraphBuilder::new(3).build(), // edgeless
+            GraphBuilder::new(0).build(), // empty
+        ] {
+            let payload = graph_payload(&g);
+            assert_eq!(payload.len(), 16 + 16 * g.edge_count());
+            let back = decode_graph(&payload).expect("decodes");
+            assert_eq!(graph_payload(&back), payload);
+            assert_eq!(back, g);
+            assert_eq!(back.fingerprint(), g.fingerprint());
+        }
+    }
+
+    #[test]
+    fn graph_payload_truncation_is_structured() {
+        let payload = graph_payload(&metro_ring(5));
+        for cut in 0..payload.len() {
+            let err = decode_graph(&payload[..cut]).expect_err("a prefix decoded");
+            assert!(err.contains("truncated"), "cut {cut}: {err}");
+        }
+    }
+
+    #[test]
+    fn graph_payloads_break_no_builder_rule() {
+        let payload = graph_payload(&metro_ring(4));
+        // Edge 0 rewritten to break one rule at a time.
+        for ((from, to, weight), rule) in [
+            ((0u32, 9u32, 1u64), "endpoint out of range"),
+            ((0, 0, 1), "self loops"),
+            ((0, 1, 0), "positive"),
+        ] {
+            let mut bad = payload.clone();
+            bad[16..20].copy_from_slice(&from.to_le_bytes());
+            bad[20..24].copy_from_slice(&to.to_le_bytes());
+            bad[24..32].copy_from_slice(&weight.to_le_bytes());
+            let err = decode_graph(&bad).expect_err("a broken edge decoded");
+            assert!(err.contains("edge 0") && err.contains(rule), "{err}");
+        }
+        // Sixteen bytes may not ask the builder for 2^24 + 1 vertices.
+        let mut huge = (MAX_NODES + 1).to_le_bytes().to_vec();
+        huge.extend_from_slice(&0u64.to_le_bytes());
+        assert!(decode_graph(&huge).unwrap_err().contains("too large"));
+        let mut trailing = payload;
+        trailing.push(0);
+        assert!(decode_graph(&trailing).unwrap_err().contains("trailing"));
     }
 
     #[test]
@@ -719,42 +757,31 @@ mod tests {
         let mut bytes = snap.encode();
         // Rebuild with an extra unknown section before the footer.
         bytes.truncate(bytes.len() - FOOTER_LEN);
-        push_section(&mut bytes, 0xbeef, b"from the future");
+        push_section(&mut bytes, 0xbeef, |out| {
+            out.extend_from_slice(b"from the future")
+        });
         let crc = crc32(&bytes);
         bytes.extend_from_slice(&FOOTER_MAGIC);
         bytes.extend_from_slice(&crc.to_le_bytes());
-        match Snapshot::decode(&bytes).unwrap() {
-            Loaded::Complete {
-                snapshot,
-                skipped_unknown,
-            } => {
-                assert_eq!(skipped_unknown, vec![0xbeef]);
-                assert_eq!(snapshot.artifacts.len(), 2);
-            }
-            other => panic!("expected Complete, got {other:?}"),
-        }
+        let loaded = Snapshot::decode(&bytes).unwrap();
+        assert!(loaded.dropped.is_empty(), "{:?}", loaded.dropped);
+        assert_eq!(loaded.snapshot.artifacts, snap.artifacts);
     }
 
     #[test]
     fn corrupt_artifact_degrades_but_keeps_graph() {
         let snap = sample();
-        let graph_bytes = snap.graph.to_snapshot();
         let mut bytes = snap.encode();
         // Flip a byte near the end: inside the last artifact's payload.
         let idx = bytes.len() - FOOTER_LEN - 10;
         bytes[idx] ^= 0xff;
-        match Snapshot::decode(&bytes).unwrap() {
-            Loaded::Partial {
-                recovered, dropped, ..
-            } => {
-                assert_eq!(recovered.graph.to_snapshot(), graph_bytes);
-                assert!(dropped
-                    .iter()
-                    .any(|d| matches!(d.error, StoreError::SectionChecksum { .. })
-                        || matches!(d.error, StoreError::FooterChecksum)));
-            }
-            other => panic!("expected Partial, got {other:?}"),
-        }
+        let loaded = Snapshot::decode(&bytes).unwrap();
+        assert_eq!(loaded.snapshot.graph, snap.graph);
+        assert!(loaded
+            .dropped
+            .iter()
+            .any(|d| matches!(d.error, StoreError::SectionChecksum { .. })
+                || matches!(d.error, StoreError::FooterChecksum)));
     }
 
     #[test]
@@ -819,8 +846,9 @@ mod tests {
         let path = dir.join("snap.bin");
         let snap = sample();
         snap.write(&path).unwrap();
-        let back = Snapshot::read(&path).unwrap().expect_complete("file");
-        assert_eq!(back.encode(), snap.encode());
+        let loaded = Snapshot::read(&path).unwrap();
+        assert!(loaded.dropped.is_empty());
+        assert_eq!(loaded.snapshot.encode(), snap.encode());
         let _ = fs::remove_dir_all(&dir);
     }
 }

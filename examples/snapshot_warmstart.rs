@@ -72,22 +72,17 @@ fn main() {
         .expect("the cache holds replacement answers");
     bytes[idx] ^= 0xff;
     std::fs::write(&path, &bytes).expect("rewrite corrupted");
-    match Snapshot::read(&path).expect("read corrupted") {
-        Loaded::Partial {
-            recovered, dropped, ..
-        } => {
-            println!(
-                "corrupted snapshot: graph still loads ({} nodes) with {} of {entries} cache \
-                 entries; {} section(s) dropped:",
-                recovered.graph.node_count(),
-                recovered.artifacts.len(),
-                dropped.len()
-            );
-            for d in &dropped {
-                println!("  section {} (tag {}): {}", d.section, d.tag, d.error);
-            }
-        }
-        other => panic!("expected a partial load, got {other:?}"),
+    let Loaded { snapshot, dropped } = Snapshot::read(&path).expect("read corrupted");
+    assert!(!dropped.is_empty(), "the flipped section must be dropped");
+    println!(
+        "corrupted snapshot: graph still loads ({} nodes) with {} of {entries} cache \
+         entries; {} section(s) dropped:",
+        snapshot.graph.node_count(),
+        snapshot.artifacts.len(),
+        dropped.len()
+    );
+    for d in &dropped {
+        println!("  section {} (tag {}): {}", d.section, d.tag, d.error);
     }
 
     // A colder warm boot recomputes only the dropped entry.

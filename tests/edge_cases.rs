@@ -382,9 +382,9 @@ fn avoiding_a_bridge_disconnects_the_demand() {
 #[test]
 fn out_of_range_fault_plans_are_typed_errors() {
     // A plan naming a link or node the graph does not have is rejected
-    // before any work, whether its faults are all transient (the
-    // recovery layer never attaches such a plan to a network) or
-    // include permanent ones (probed under the steady state).
+    // before any work, whether its faults are all transient or include
+    // permanent ones: the recovery layer attaches no plan to a network,
+    // so no engine check would catch it later.
     use rpaths_core::resilient::{solve_with_recovery, RecoveryError};
     let g = graphkit::gen::metro_ring(8);
     let (m, n) = (g.edge_count(), g.node_count());

@@ -10,7 +10,8 @@
 //! - a snapshot-persisted cache warm-boots with **zero** recomputed
 //!   artifacts (no solver runs, no rounds) for repeated queries;
 //! - corruption of persisted cache sections degrades to a cold cache,
-//!   never a failed load or a wrong answer;
+//!   never a failed load or a wrong answer, and cache sections saved
+//!   under the retired tag 5 load as nothing, so the cache starts cold;
 //! - an imported cached diameter, even a wrong one, changes no answer.
 
 use std::path::PathBuf;
@@ -24,6 +25,7 @@ use rpaths_core::{
     unweighted, weighted, ArtifactCache, ArtifactKind, CacheValue, Instance, Params, Query,
     SolverKind, SolverSession,
 };
+use rpaths_store::{crc32, Snapshot, FOOTER_MAGIC, TAG_ARTIFACT};
 
 fn unweighted_case() -> (graphkit::DiGraph, usize, usize, Params) {
     let (g, s, t) = planted_path_digraph(40, 12, 100, 7);
@@ -207,6 +209,70 @@ fn corrupt_cache_sections_degrade_to_cold_never_fail() {
     // the corruption cost it.
     let again = rebooted.solve_batch(&queries).unwrap();
     assert_eq!(again, answers);
+}
+
+/// `bytes` with every artifact section retagged 5, the tag cache
+/// entries were saved under before they became plain artifacts, and the
+/// section and footer CRCs recomputed.
+fn with_retired_cache_tag(bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..12].to_vec();
+    let mut pos = 12;
+    while bytes[pos..pos + 4] != FOOTER_MAGIC {
+        let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        let start = out.len();
+        let tag = if tag == TAG_ARTIFACT { 5 } else { tag };
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.extend_from_slice(&bytes[pos + 4..pos + 12 + len]);
+        let crc = crc32(&out[start..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        pos += 12 + len + 4;
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&FOOTER_MAGIC);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+#[test]
+fn cache_sections_under_the_retired_tag_load_cold() {
+    let (g, s, t, params) = unweighted_case();
+    let inst = Instance::from_endpoints(&g, s, t).unwrap();
+    let queries: Vec<Query> = inst
+        .path
+        .edges()
+        .iter()
+        .map(|&e| Query::avoiding(s, t, e))
+        .collect();
+
+    let dir = TempDir::new("retired");
+    let path = dir.0.join("retired.snap");
+    let mut session = SolverSession::new(&g, params.clone());
+    let answers = session.solve_batch(&queries).unwrap();
+    session.save(&path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    let retired = with_retired_cache_tag(&saved);
+    assert_eq!(retired.len(), saved.len());
+    assert_ne!(retired, saved, "the session saved cache sections");
+    std::fs::write(&path, &retired).unwrap();
+
+    // The file loads whole: the graph, nothing dropped, no artifact.
+    let loaded = Snapshot::read(&path).unwrap();
+    assert!(loaded.dropped.is_empty(), "{:?}", loaded.dropped);
+    assert!(loaded.snapshot.artifacts.is_empty());
+    assert_eq!(loaded.snapshot.graph, g);
+
+    // A session warm-boots nothing from it and answers the batch cold,
+    // exactly as the oracle does.
+    let mut rebooted = SolverSession::new(&g, params);
+    assert_eq!(rebooted.warm_boot(&path).unwrap(), 0);
+    let again = rebooted.solve_batch(&queries).unwrap();
+    assert_eq!(again, answers);
+    assert_eq!(rebooted.stats().solver_runs, 1);
+    let oracle = replacement_lengths(&g, &inst.path);
+    for (i, (a, want)) in again.iter().zip(&oracle).enumerate() {
+        assert_eq!((a.scaled, a.den), (*want, 1), "edge {i}");
+    }
 }
 
 #[test]

@@ -6,13 +6,14 @@
 //!
 //! - Every single-byte flip is *detected* — CRC32 catches all of them —
 //!   so a mutated file either fails with a structured [`StoreError`] or
-//!   degrades to [`Loaded::Partial`] with the graph bit-identical to
-//!   the original. `Ok(Complete)` on a flipped byte would mean silent
-//!   corruption and fails the suite.
+//!   loads the original graph and lists a dropped section. A load with
+//!   nothing dropped after a flipped byte would mean silent corruption
+//!   and fails the suite.
 //! - Every truncation, at section boundaries and everywhere else, is a
-//!   structured error or a partial load; never a panic.
-//! - Unknown section tags are skipped (forward compatibility), and
-//!   corruption in an *artifact* section never takes the graph with it.
+//!   structured error or a load with a dropped section; never a panic.
+//! - Unknown and retired section tags are skipped (forward
+//!   compatibility), and corruption in an *artifact* section never takes
+//!   the graph with it.
 //! - A graph payload that passes its checksum but lies about itself (an
 //!   edge count it has no bytes for, the CSR indexes a version-1 payload
 //!   stored after its edges) is a structured error, never an abort or a
@@ -22,26 +23,25 @@
 
 use graphkit::alg::shortest_st_path;
 use graphkit::gen::{metro_ring, random_digraph};
-use graphkit::{DiGraph, GraphBuilder, SnapshotError};
+use graphkit::{DiGraph, GraphBuilder};
 use rpaths_core::artifacts::cache_artifact;
 use rpaths_core::{unweighted, ArtifactKind, CacheValue, Instance, Params};
 use rpaths_store::{
-    crc32, Artifact, Loaded, Snapshot, StoreError, FOOTER_MAGIC, MAGIC, TAG_GRAPH, VERSION,
+    crc32, Artifact, Snapshot, StoreError, FOOTER_MAGIC, MAGIC, TAG_GRAPH, VERSION,
 };
 use std::sync::Arc;
 
-/// A representative snapshot: a real graph plus session-cache and blob
-/// artifacts, so flips land in every section type the format has
-/// (graph, [`TAG_CACHE`], blob).
-fn sample() -> (Vec<u8>, Vec<u8>) {
+/// A representative snapshot and its graph: a real graph plus
+/// session-cache artifacts and a free-form one among them, so flips land
+/// in every kind of section the format has.
+fn sample() -> (Vec<u8>, DiGraph) {
     let g = random_digraph(24, 60, 9);
     let fp = g.fingerprint();
-    let graph_bytes = g.to_snapshot();
     let path = shortest_st_path(&g, 0, 5);
-    let mut snap = Snapshot::new(g);
+    let mut snap = Snapshot::new(g.clone());
     // Three persisted session-cache entries, as SolverSession::save
     // writes them: a shortest path, a cheap scalar, and a full
-    // replacement-answers vector, with a blob among them.
+    // replacement-answers vector, with a free-form artifact among them.
     snap.artifacts.push(cache_artifact(
         fp,
         &ArtifactKind::Path {
@@ -50,8 +50,10 @@ fn sample() -> (Vec<u8>, Vec<u8>) {
         },
         &CacheValue::Path(path),
     ));
-    snap.artifacts
-        .push(Artifact::blob("notes", b"free-form payload".to_vec()));
+    snap.artifacts.push(Artifact {
+        key: "notes".into(),
+        body: b"free-form payload".to_vec(),
+    });
     snap.artifacts.push(cache_artifact(
         fp,
         &ArtifactKind::Diameter,
@@ -71,77 +73,60 @@ fn sample() -> (Vec<u8>, Vec<u8>) {
             den: 1,
         })),
     ));
-    (snap.encode(), graph_bytes)
+    (snap.encode(), g)
 }
 
 /// The only acceptable outcomes for a mutated file: a structured error,
-/// or a load whose graph is bit-identical to the original.
-fn assert_detected(bytes: &[u8], graph_bytes: &[u8], what: &str) {
-    match Snapshot::decode(bytes) {
-        Err(_) => {}
-        Ok(loaded) => {
-            assert_eq!(
-                loaded.snapshot().graph.to_snapshot(),
-                graph_bytes,
-                "{what}: graph silently corrupted"
-            );
-            assert!(
-                loaded.is_partial()
-                    || !loaded.dropped().is_empty()
-                    || bytes_reencode(&loaded, bytes),
-                "{what}: mutation accepted as a complete, unchanged load"
-            );
-        }
+/// or a load of the original graph that reports what it dropped.
+fn assert_detected(bytes: &[u8], graph: &DiGraph, what: &str) {
+    if let Ok(loaded) = Snapshot::decode(bytes) {
+        assert_eq!(
+            loaded.snapshot.graph, *graph,
+            "{what}: graph silently corrupted"
+        );
+        // Re-encoding to the input would mean the mutation hit a bit the
+        // format does not cover — there are none, but the check keeps the
+        // assertion honest.
+        assert!(
+            !loaded.dropped.is_empty() || loaded.snapshot.encode() == bytes,
+            "{what}: mutation accepted as a complete, unchanged load"
+        );
     }
-}
-
-/// Whether a load re-encodes to the input bytes (i.e. the mutation was
-/// in a bit the format legitimately does not cover — there are none,
-/// but the check keeps the assertion honest).
-fn bytes_reencode(loaded: &Loaded, bytes: &[u8]) -> bool {
-    loaded.snapshot().encode() == bytes
 }
 
 #[test]
 fn every_single_byte_flip_is_detected() {
-    let (bytes, graph_bytes) = sample();
+    let (bytes, graph) = sample();
     for pattern in [0xffu8, 0x01] {
         for i in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[i] ^= pattern;
-            assert_detected(
-                &mutated,
-                &graph_bytes,
-                &format!("flip {i} ^ {pattern:#04x}"),
-            );
+            assert_detected(&mutated, &graph, &format!("flip {i} ^ {pattern:#04x}"));
         }
     }
 }
 
 #[test]
 fn every_truncation_is_structured() {
-    let (bytes, graph_bytes) = sample();
+    let (bytes, graph) = sample();
     for cut in 0..bytes.len() {
-        let mutated = &bytes[..cut];
-        match Snapshot::decode(mutated) {
-            Err(_) => {}
-            Ok(loaded) => {
-                // A truncated file can never be complete: the footer is
-                // gone.
-                assert!(loaded.is_partial(), "cut {cut}: truncation loaded Complete");
-                assert_eq!(
-                    loaded.snapshot().graph.to_snapshot(),
-                    graph_bytes,
-                    "cut {cut}: graph corrupted by truncation"
-                );
-            }
+        if let Ok(loaded) = Snapshot::decode(&bytes[..cut]) {
+            // A truncated file can never be complete: the footer is gone.
+            assert!(
+                !loaded.dropped.is_empty(),
+                "cut {cut}: truncation loaded complete"
+            );
+            assert_eq!(
+                loaded.snapshot.graph, graph,
+                "cut {cut}: graph corrupted by truncation"
+            );
         }
     }
 }
 
 #[test]
 fn corrupting_each_artifact_drops_only_artifacts() {
-    let (bytes, graph_bytes) = sample();
+    let (bytes, graph) = sample();
     // Walk the real section boundaries and flip one payload byte inside
     // each non-graph section.
     let mut pos = 12; // header
@@ -152,18 +137,13 @@ fn corrupting_each_artifact_drops_only_artifacts() {
         if section > 0 && len > 0 {
             let mut mutated = bytes.clone();
             mutated[payload + len / 2] ^= 0xff;
-            match Snapshot::decode(&mutated) {
-                Ok(Loaded::Partial {
-                    recovered, dropped, ..
-                }) => {
-                    assert_eq!(recovered.graph.to_snapshot(), graph_bytes);
-                    assert!(
-                        dropped.iter().any(|d| d.section == section),
-                        "section {section} not reported dropped"
-                    );
-                }
-                other => panic!("section {section}: expected Partial, got {other:?}"),
-            }
+            let loaded = Snapshot::decode(&mutated)
+                .unwrap_or_else(|e| panic!("section {section}: the graph was lost: {e}"));
+            assert_eq!(loaded.snapshot.graph, graph);
+            assert!(
+                loaded.dropped.iter().any(|d| d.section == section),
+                "section {section} not reported dropped"
+            );
         }
         pos = payload + len + 4;
         section += 1;
@@ -174,9 +154,9 @@ fn corrupting_each_artifact_drops_only_artifacts() {
 #[test]
 fn corrupt_cache_sections_degrade_to_partial_cold_cache() {
     // The session-cache acceptance criterion at the store layer:
-    // corrupting a persisted cache section must yield `Loaded::Partial`
-    // with the graph bit-identical — a cold cache, never a failed load.
-    let (bytes, graph_bytes) = sample();
+    // corrupting a persisted cache section must drop that section and
+    // keep the graph bit-identical — a cold cache, never a failed load.
+    let (bytes, graph) = sample();
     // Every cache artifact key starts with "cache/"; flipping a byte of
     // that marker breaks exactly that section's CRC.
     let positions: Vec<usize> = bytes
@@ -189,31 +169,28 @@ fn corrupt_cache_sections_degrade_to_partial_cold_cache() {
     for pos in positions {
         let mut mutated = bytes.clone();
         mutated[pos] ^= 0xff;
-        match Snapshot::decode(&mutated) {
-            Ok(Loaded::Partial {
-                recovered, dropped, ..
-            }) => {
-                assert_eq!(
-                    recovered.graph.to_snapshot(),
-                    graph_bytes,
-                    "graph must survive cache corruption"
-                );
-                assert!(!dropped.is_empty(), "the bad cache section is reported");
-            }
-            other => panic!("cache flip at {pos}: expected Partial, got {other:?}"),
-        }
+        let loaded = Snapshot::decode(&mutated)
+            .unwrap_or_else(|e| panic!("cache flip at {pos}: the graph was lost: {e}"));
+        assert_eq!(
+            loaded.snapshot.graph, graph,
+            "graph must survive cache corruption"
+        );
+        assert!(
+            !loaded.dropped.is_empty(),
+            "the bad cache section is reported"
+        );
     }
 }
 
 #[test]
 fn unknown_sections_round_past_known_ones() {
-    let (bytes, graph_bytes) = sample();
+    let (bytes, graph) = sample();
     let mut pos = 12;
     let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
     pos += 12 + len + 4; // end of graph section
-                         // Tags 2 and 3 held raw distance arrays and BFS trees in older
-                         // files; they now skip like any tag from the future.
-    for tag in [2u32, 3, 0x7001] {
+                         // Tags 2, 3 and 5 held raw distance arrays, BFS trees and session-cache
+                         // entries in older files; they skip like any tag from the future.
+    for tag in [2u32, 3, 5, 0x7001] {
         // Splice the unknown section between graph and the first
         // artifact, rebuilding the footer.
         let mut spliced = bytes[..pos].to_vec();
@@ -229,17 +206,10 @@ fn unknown_sections_round_past_known_ones() {
         let crc = crc32(&spliced);
         spliced.extend_from_slice(b"RPFT");
         spliced.extend_from_slice(&crc.to_le_bytes());
-        match Snapshot::decode(&spliced) {
-            Ok(Loaded::Complete {
-                snapshot,
-                skipped_unknown,
-            }) => {
-                assert_eq!(skipped_unknown, vec![tag]);
-                assert_eq!(snapshot.graph.to_snapshot(), graph_bytes);
-                assert_eq!(snapshot.artifacts.len(), 4);
-            }
-            other => panic!("tag {tag}: expected Complete with a skip, got {other:?}"),
-        }
+        let loaded = Snapshot::decode(&spliced).unwrap_or_else(|e| panic!("tag {tag}: {e}"));
+        assert!(loaded.dropped.is_empty(), "tag {tag}: {:?}", loaded.dropped);
+        assert_eq!(loaded.snapshot.graph, graph);
+        assert_eq!(loaded.snapshot.artifacts.len(), 4);
     }
 }
 
@@ -290,18 +260,15 @@ fn edge_count_past_the_payload_is_truncated() {
     let mut payload = 4u64.to_le_bytes().to_vec();
     payload.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
     assert_eq!(
-        DiGraph::from_snapshot(&payload).unwrap_err(),
-        SnapshotError::Truncated {
-            expected: 16 + 16 * u32::MAX as usize,
-            got: 16,
+        Snapshot::decode(&file_with_graph_payload(&payload)).unwrap_err(),
+        StoreError::Malformed {
+            section: 0,
+            detail: format!(
+                "graph payload truncated: needed {} bytes, got 16",
+                16 + 16 * u64::from(u32::MAX)
+            ),
         }
     );
-    match Snapshot::decode(&file_with_graph_payload(&payload)) {
-        Err(StoreError::Malformed { section: 0, detail }) => {
-            assert!(detail.contains("truncated"), "{detail}")
-        }
-        other => panic!("expected a Malformed graph section, got {other:?}"),
-    }
 }
 
 #[test]
@@ -315,8 +282,17 @@ fn a_payload_decodes_to_the_graph_its_edges_build() {
     b.add_arc(0, 1);
     b.add_arc(1, 2);
     let g = b.build();
-    let canonical = g.to_snapshot();
-    assert_eq!(canonical.len(), 16 + 16 * g.edge_count());
+    // The canonical payload: n, m, then (from: u32, to: u32, weight: u64)
+    // per edge, 16 + 16·m bytes.
+    let mut canonical = Vec::new();
+    for w in [3u64, 3] {
+        canonical.extend_from_slice(&w.to_le_bytes());
+    }
+    for (from, to) in [(0u32, 1u32), (0, 1), (1, 2)] {
+        canonical.extend_from_slice(&from.to_le_bytes());
+        canonical.extend_from_slice(&to.to_le_bytes());
+        canonical.extend_from_slice(&1u64.to_le_bytes());
+    }
     assert_eq!(
         file_with_graph_payload(&canonical),
         Snapshot::new(g.clone()).encode()
@@ -333,14 +309,15 @@ fn a_payload_decodes_to_the_graph_its_edges_build() {
     legacy.extend_from_slice(&4u64.to_le_bytes());
     csr(&mut legacy, [0, 1, 3, 4], &[1, 2, 0, 1]); // undirected index
     assert_eq!(
-        DiGraph::from_snapshot(&legacy).unwrap_err(),
-        SnapshotError::TrailingBytes { after: 64 }
+        Snapshot::decode(&file_with_graph_payload(&legacy)).unwrap_err(),
+        StoreError::Malformed {
+            section: 0,
+            detail: "graph payload has trailing bytes after offset 64".into(),
+        }
     );
-    assert!(matches!(
-        Snapshot::decode(&file_with_graph_payload(&legacy)),
-        Err(StoreError::Malformed { section: 0, .. })
-    ));
-    let back = DiGraph::from_snapshot(&canonical).expect("canonical payload");
+    let loaded = Snapshot::decode(&file_with_graph_payload(&canonical)).expect("canonical");
+    let back = loaded.snapshot.graph;
+    assert_eq!(back, g);
     assert_eq!(back.fingerprint(), g.fingerprint());
     assert_eq!(back.out_edges(0).collect::<Vec<_>>(), [0, 1]);
     assert_eq!(shortest_st_path(&back, 0, 2).unwrap().edges(), [0, 2]);
@@ -355,11 +332,9 @@ fn snapshot_graph_drives_identical_solves() {
         (metro_ring(10), 0usize, 5usize),
         (random_digraph(30, 90, 4), 0, 17),
     ] {
-        let bytes = Snapshot::new(g.clone()).encode();
-        let reloaded = Snapshot::decode(&bytes)
-            .expect("decode")
-            .expect_complete("parity")
-            .graph;
+        let loaded = Snapshot::decode(&Snapshot::new(g.clone()).encode()).expect("decode");
+        assert!(loaded.dropped.is_empty(), "{:?}", loaded.dropped);
+        let reloaded = loaded.snapshot.graph;
         let solve = |g: &DiGraph| {
             let inst = Instance::from_endpoints(g, s, t).expect("connected");
             let params = Params::for_instance(&inst);
