@@ -20,7 +20,13 @@
 //!   recovery wrapper must see through, plus one real degradation.
 //!
 //! Every scenario runs `rpaths_core::resilient::solve_with_recovery`
-//! and a live detection probe; outcomes land in `CAMPAIGN_faults.json`
+//! and a live detection probe. The probe retries a failed BFS-tree
+//! build, up to 8 probes, but a failed probe that started at or after
+//! the plan's horizon ends it: that probe ran on the steady state, and
+//! every retry would repeat it exactly. A k-failure plan's faults are
+//! all permanent from round 0, so its probe runs once.
+//!
+//! Outcomes land in `CAMPAIGN_faults.json`
 //! in the working directory (written via the store's temp-file +
 //! atomic-rename helper, so a crash mid-write never leaves a torn
 //! report). Run from the repository root, that is the committed report.
@@ -102,7 +108,9 @@ struct ScenarioRecord {
     outcome: String,
     /// Nodes severed from the source (0 when connected).
     unreachable: usize,
-    /// Detection probes until a spanning BFS tree built (live plan).
+    /// Detection probes run under the live plan: until a spanning BFS
+    /// tree built, a probe on the steady state failed, or 8 probes
+    /// failed.
     probes: u32,
     /// Total rounds those probes consumed.
     probe_rounds: u64,
@@ -146,7 +154,11 @@ struct Scenario {
 
 /// Retries a distributed BFS-tree build under the *live* plan until it
 /// spans, re-anchoring the plan to the rounds already consumed before
-/// each retry. Returns `(probes, rounds, spanned)`.
+/// each retry. A probe that started at or after the plan's horizon ran
+/// on the steady state (only the permanent faults, active from its
+/// round 0, with the same drop fates), which every later retry would
+/// repeat exactly, so a failed one ends the probing. Returns
+/// `(probes, rounds, spanned)`.
 fn probe_until_spanning(
     g: &DiGraph,
     plan: &FaultPlan,
@@ -157,15 +169,17 @@ fn probe_until_spanning(
     net.set_fault_plan(Some(plan.clone()))
         .expect("campaign plans only target the topology's own spans");
     let mut probes = 0;
+    let mut start = 0;
     loop {
         probes += 1;
         if build_bfs_tree(&mut net, s).is_ok() {
             return (probes, net.metrics().rounds(), true);
         }
-        if probes >= max_probes {
+        if probes >= max_probes || start >= plan.horizon() {
             return (probes, net.metrics().rounds(), false);
         }
-        net.set_fault_plan(Some(plan.shifted(net.metrics().rounds())))
+        start = net.metrics().rounds();
+        net.set_fault_plan(Some(plan.shifted(start)))
             .expect("a shifted plan keeps the original's targets");
     }
 }

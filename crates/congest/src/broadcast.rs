@@ -37,12 +37,10 @@
 //! Only the root keeps the stream: the kept items, `O(M)`. A node holds
 //! the items its children sent and it has not yet merged, so all `M`
 //! items sit somewhere in the tree at any time. Every other node whose
-//! subtree holds a reader relays the kept stream, holding a FIFO of items
-//! received from its parent but not yet sent to its children, and a count
-//! of the items it has received. A relay forwards one item per round and,
-//! without faults, receives at most one per round, so its FIFO holds
-//! `O(1)` items; under a delay [`FaultPlan`](crate::FaultPlan) it holds at
-//! most the items that were in flight towards it.
+//! subtree holds a reader relays the kept stream: its parent sends it at
+//! most one kept item per round, and it sends each on to its children in
+//! the round it arrives, so it holds no kept item, only a count of the
+//! items it has received.
 //!
 //! # Budget
 //!
@@ -123,8 +121,7 @@ impl<T: Clone + Ord> Merge<T> {
             }
             Sorted::Down(_) => unreachable!("downcasts come from the parent"),
         };
-        // A delay can reorder a child's messages, so its bit may arrive
-        // after its later ones.
+        // Only the child's first upcast carries its bit.
         f.reach = f.reach.or(*reach);
     }
 
@@ -186,14 +183,12 @@ enum Role<T, K> {
         stream: Vec<T>,
     },
     /// Every other node: whether it reads the stream, the reach bit it
-    /// sent up with its first upcast (once sent), kept items received from
-    /// the parent and not yet sent to the children (in arrival order), how
-    /// many it has received, and whether it has told its parent that its
-    /// subtree is done.
+    /// sent up with its first upcast (once sent), how many kept items it
+    /// has received from the parent, and whether it has told its parent
+    /// that its subtree is done.
     Relay {
         reader: bool,
         reach: Option<bool>,
-        queue: VecDeque<T>,
         received: usize,
         reported: bool,
     },
@@ -253,7 +248,6 @@ impl<'t, T: Ord, F, K> SortedProtocol<'t, T, F, K> {
                     Role::Relay {
                         reader: readers(v),
                         reach: None,
-                        queue: VecDeque::new(),
                         received: 0,
                         reported: false,
                     }
@@ -293,15 +287,12 @@ where
 
     fn step_node(&self, node: &mut SortedNode<T, K>, ctx: &mut NodeCtx<'_, Sorted<T>>) {
         let SortedNode { up, down } = node;
+        // The parent sends at most one kept item per round.
+        let mut arrived = None;
         for (port, msg) in ctx.inbox() {
             match (msg, &mut *down) {
-                (
-                    Sorted::Down(t),
-                    Role::Relay {
-                        queue, received, ..
-                    },
-                ) => {
-                    queue.push_back(t.clone());
+                (Sorted::Down(t), Role::Relay { received, .. }) => {
+                    arrived = Some(t.clone());
                     *received += 1;
                 }
                 (Sorted::Down(_), Role::Root { .. }) => unreachable!("the root has no parent"),
@@ -326,16 +317,14 @@ where
             Role::Relay {
                 reader,
                 reach,
-                queue,
                 reported,
                 ..
             } => {
                 // Move the smallest item left in the subtree up, one per
                 // round; the last one (or a bare `Done`) tells the parent
-                // this subtree is finished. An item a delay held back past
-                // that report still goes up, out of order. The first
-                // upcast carries the reach bit; `ready` and `drained` have
-                // waited for every child's.
+                // this subtree is finished. The first upcast carries the
+                // reach bit; `ready` and `drained` have waited for every
+                // child's.
                 let pp = self.tree.parent_port[ctx.node].expect("a relay has a parent");
                 let item = up.pop_smallest();
                 let finished = !*reported && up.drained();
@@ -349,15 +338,9 @@ where
                     (None, true) => ctx.send(pp, Sorted::Done(bit)),
                     (None, false) => {}
                 }
-                // One kept item per round goes on to the children, even
-                // when a delayed item arrived alongside an on-time one:
-                // the queue keeps each child link at one message per
-                // round.
-                let item = queue.pop_front();
-                if !queue.is_empty() {
-                    ctx.wake();
-                }
-                item
+                // A kept item goes on to the children in the round it
+                // arrives.
+                arrived
             }
         };
         // Kept items go only into the subtrees that hold a reader.
@@ -386,9 +369,7 @@ where
                 | Role::Relay {
                     reach: Some(false), ..
                 } => true,
-                Role::Relay {
-                    queue, received, ..
-                } => queue.is_empty() && *received == stream.len(),
+                Role::Relay { received, .. } => *received == stream.len(),
             })
     }
 }
@@ -404,11 +385,12 @@ where
 /// still sending has shown its next item, and the last item (or one bare
 /// message) tells the parent that the subtree is finished. The root
 /// offers one item per round to `keep`, the smallest left anywhere, so
-/// `keep` sees every item exactly once and in ascending order (without
-/// faults; a delay can make an item arrive late). The items `keep`
-/// accepts go down the tree at once, one per round, into the subtrees
-/// that hold a reader, and only they cross the downcast links; `|_| true`
-/// for both `keep` and `readers` broadcasts every item to every node.
+/// `keep` sees every item exactly once and in ascending order (an item a
+/// fault plan drops never reaches it, and the run then ends with an
+/// error). The items `keep` accepts go down the tree at once, one per
+/// round, into the subtrees that hold a reader, and only they cross the
+/// downcast links; `|_| true` for both `keep` and `readers` broadcasts
+/// every item to every node.
 ///
 /// Returns the root's stream — the kept items, in the order `keep`
 /// accepted them — plus the run statistics. Without faults the run takes
@@ -448,78 +430,4 @@ pub fn broadcast<T: Clone + Ord>(
         unreachable!("the tree root holds the stream")
     };
     Ok((stream, stats))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bfs_tree::build_bfs_tree;
-    use crate::FaultPlan;
-    use graphkit::gen::random_digraph;
-    use std::cell::Cell;
-
-    /// A keep-all broadcast, instrumented to record the most kept items
-    /// any relay held unsent at the end of its step.
-    struct Probe<'t> {
-        inner: Inner<'t>,
-        max_backlog: Cell<usize>,
-    }
-
-    type KeepAll = fn(&u64) -> bool;
-    type Inner<'t> = SortedProtocol<'t, u64, fn(&u64) -> u64, KeepAll>;
-
-    impl Protocol for Probe<'_> {
-        type Msg = Sorted<u64>;
-        type Node = SortedNode<u64, KeepAll>;
-
-        fn msg_bits(&self, msg: &Sorted<u64>) -> u64 {
-            self.inner.msg_bits(msg)
-        }
-
-        fn step_node(&self, node: &mut Self::Node, ctx: &mut NodeCtx<'_, Sorted<u64>>) {
-            self.inner.step_node(node, ctx);
-            if let Role::Relay { queue, .. } = &node.down {
-                self.max_backlog
-                    .set(self.max_backlog.get().max(queue.len()));
-            }
-        }
-
-        fn idle(&self, nodes: &[Self::Node]) -> bool {
-            self.inner.idle(nodes)
-        }
-    }
-
-    /// Broadcasts two items from every node under `plan` and returns the
-    /// largest relay backlog seen after any step.
-    fn max_relay_backlog(plan: Option<FaultPlan>) -> usize {
-        let g = random_digraph(40, 80, 5);
-        let mut net = Network::new(&g);
-        let (tree, _) = build_bfs_tree(&mut net, 3).unwrap();
-        net.set_fault_plan(plan).unwrap();
-        let items: Vec<Vec<u64>> = (0..40).map(|v| vec![v, 100 + v]).collect();
-        let (inner, mut nodes): (Inner<'_>, _) =
-            SortedProtocol::new(&tree, items, |_| 16, |_| true, |_| true);
-        let probe = Probe {
-            inner,
-            max_backlog: Cell::new(0),
-        };
-        net.run_until_quiet("probe", &probe, &mut nodes, 4 * (80 + tree.height) + 16)
-            .expect("probe quiesces");
-        probe.max_backlog.get()
-    }
-
-    #[test]
-    fn relays_hold_no_backlog_without_faults() {
-        // A relay receives at most one kept item per round from its
-        // parent and forwards one in the same step.
-        assert_eq!(max_relay_backlog(None), 0);
-    }
-
-    #[test]
-    fn relay_backlog_is_bounded_by_the_delay() {
-        // Items sent in the last `max_delay + 1` rounds can land together,
-        // so a relay ends a step at most `max_delay` items behind.
-        let backlog = max_relay_backlog(Some(FaultPlan::new(9).delay_messages(0.35, 3)));
-        assert!((1..=3).contains(&backlog), "backlog {backlog}");
-    }
 }

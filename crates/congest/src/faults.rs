@@ -1,11 +1,13 @@
 //! Deterministic fault injection for the round engine.
 //!
 //! A [`FaultPlan`] describes *when the network misbehaves*: timed link
-//! failures and recoveries, node crashes and restarts, and per-message
-//! probabilistic drop/delay. The engine applies the plan at **commit
-//! time** — the moment a round's staged sends become next-round inboxes
-//! — so a protocol never observes *how* faults were evaluated, only
-//! which messages arrived.
+//! failures and recoveries, node crashes and restarts, and random
+//! per-message drops. The engine applies the plan at **commit time** —
+//! the moment a round's staged sends become next-round inboxes — so a
+//! protocol never observes *how* faults were evaluated, only which
+//! messages arrived. A plan only ever removes messages: every message
+//! it lets through arrives in the round after it was sent, like every
+//! message of a run without a plan.
 //!
 //! # Fault model
 //!
@@ -24,22 +26,11 @@
 //!   message is dropped with probability `p`, decided by a hash of
 //!   `(seed, round, link, direction)` — *message identity*, never draw
 //!   order — so the decision is independent of scheduling
-//!   ([`FaultStats::dropped_random`]).
-//! - **Random delay** ([`FaultPlan::delay_messages`]): each surviving
-//!   message is instead held for `1..=max_delay` extra rounds (again
-//!   hash-decided) and delivered at the start of its due round's commit,
-//!   *before* that round's fresh sends, so delayed messages keep a
-//!   deterministic inbox position. Delayed messages bypass the CONGEST
-//!   occupancy re-check at their due round (they already passed it when
-//!   sent; the wire, not the sender, is holding them), and their
-//!   bits/messages are charged to [`crate::RunStats`] at actual
-//!   delivery. A drive that ends on an exact round budget silently
-//!   strands undelivered in-flight messages; compare
-//!   [`FaultStats::delayed`] with [`FaultStats::delivered_late`].
+//!   ([`FaultPlan::drops`], [`FaultStats::dropped_random`]).
 //!
-//! Fates are sealed when a message is *sent*: a link failing or a node
-//! crashing while a delayed message is in flight does not retroactively
-//! destroy it.
+//! A message is checked in that order of precedence: a crashed endpoint,
+//! then a downed link, then the random drop; the first that applies
+//! drops it and is the one counted.
 //!
 //! # Determinism contract
 //!
@@ -58,9 +49,8 @@
 //!
 //! The engine has one commit path. It takes the drive's fault state as
 //! an optional hook: without a plan the hook is `None` and costs a
-//! branch per message; with one, each fresh send that passed the
-//! CONGEST checks is handed to the plan, and messages whose delay ends
-//! this round are moved in front of the round's fresh sends. A plan
+//! branch per message; with one, each send that passed the CONGEST
+//! checks is handed to the plan, which delivers or drops it. A plan
 //! that never fires therefore yields exactly the [`crate::Metrics`] of
 //! a run without one.
 
@@ -87,17 +77,6 @@ impl DownInterval {
     fn covers(&self, round: u64) -> bool {
         round >= self.down_at && self.up_at.is_none_or(|up| round < up)
     }
-}
-
-/// The fate of one committed message under a [`FaultPlan`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fate {
-    /// Delivered normally this round.
-    Deliver,
-    /// Dropped by the random-drop probability.
-    Drop,
-    /// Held for this many extra rounds (`>= 1`), then delivered.
-    Delay(u64),
 }
 
 /// A deterministic, seeded schedule of network faults.
@@ -127,13 +106,10 @@ pub struct FaultPlan {
     links: Vec<DownInterval>,
     nodes: Vec<DownInterval>,
     drop_prob: f64,
-    delay_prob: f64,
-    max_delay: u64,
 }
 
 impl FaultPlan {
-    /// A plan with no faults yet; `seed` drives all probabilistic
-    /// decisions.
+    /// A plan with no faults yet; `seed` drives the random drops.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -177,25 +153,7 @@ impl FaultPlan {
     /// with probability `prob`.
     pub fn drop_messages(mut self, prob: f64) -> FaultPlan {
         assert!((0.0..=1.0).contains(&prob), "drop probability in [0, 1]");
-        assert!(
-            prob + self.delay_prob <= 1.0,
-            "drop + delay probability must not exceed 1"
-        );
         self.drop_prob = prob;
-        self
-    }
-
-    /// Delays each message that survives the drop roll with probability
-    /// `prob`, holding it for `1..=max_delay` extra rounds.
-    pub fn delay_messages(mut self, prob: f64, max_delay: u64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&prob), "delay probability in [0, 1]");
-        assert!(
-            prob + self.drop_prob <= 1.0,
-            "drop + delay probability must not exceed 1"
-        );
-        assert!(max_delay >= 1, "max_delay must be at least 1 round");
-        self.delay_prob = prob;
-        self.max_delay = max_delay;
         self
     }
 
@@ -269,32 +227,23 @@ impl FaultPlan {
             links: shift(&self.links),
             nodes: shift(&self.nodes),
             drop_prob: self.drop_prob,
-            delay_prob: self.delay_prob,
-            max_delay: self.max_delay,
         }
     }
 
-    /// The probabilistic fate of a message committed in `round` on
-    /// direction `outgoing` of `link`, assuming link and endpoints are
+    /// Whether the random drop takes a message committed in `round` on
+    /// direction `outgoing` of `link`, the link and its endpoints being
     /// healthy. Pure in `(seed, round, link, outgoing)`: the CONGEST
     /// constraint makes that tuple a unique message identity, so the
     /// decision never depends on evaluation order.
-    pub fn fate(&self, round: u64, link: EdgeId, outgoing: bool) -> Fate {
-        if self.drop_prob <= 0.0 && self.delay_prob <= 0.0 {
-            return Fate::Deliver;
+    pub fn drops(&self, round: u64, link: EdgeId, outgoing: bool) -> bool {
+        if self.drop_prob <= 0.0 {
+            return false;
         }
         let key = ((link as u64) << 1) | u64::from(outgoing);
         let h = mix(self.seed, round, key);
         // 53 uniform mantissa bits -> u in [0, 1).
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.drop_prob {
-            return Fate::Drop;
-        }
-        if u < self.drop_prob + self.delay_prob {
-            let extra = 1 + mix(self.seed ^ DELAY_STREAM, round, key) % self.max_delay.max(1);
-            return Fate::Delay(extra);
-        }
-        Fate::Deliver
+        u < self.drop_prob
     }
 
     /// Checks that every fault targets an element of a graph with
@@ -362,10 +311,6 @@ impl std::fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// Separates the delay-length hash stream from the drop/delay decision
-/// stream (an arbitrary odd constant).
-const DELAY_STREAM: u64 = 0x6c62_272e_07bb_0143;
-
 /// SplitMix64-style finalizer over `(seed, round, key)`. The per-message
 /// luck function: high-quality 64-bit avalanche, no state, no order
 /// dependence.
@@ -420,31 +365,22 @@ mod tests {
     }
 
     #[test]
-    fn fate_is_a_pure_function() {
-        let plan = FaultPlan::new(123)
-            .drop_messages(0.4)
-            .delay_messages(0.3, 5);
+    fn drops_is_a_pure_function() {
+        let plan = FaultPlan::new(123).drop_messages(0.4);
         for round in 0..50 {
             for link in 0..20 {
                 for dir in [false, true] {
-                    let a = plan.fate(round, link, dir);
-                    let b = plan.fate(round, link, dir);
-                    assert_eq!(a, b);
-                    if let Fate::Delay(d) = a {
-                        assert!((1..=5).contains(&d));
-                    }
+                    assert_eq!(plan.drops(round, link, dir), plan.drops(round, link, dir));
                 }
             }
         }
     }
 
     #[test]
-    fn fate_frequencies_track_probabilities() {
+    fn drop_frequency_tracks_the_probability() {
         let plan = FaultPlan::new(7).drop_messages(0.5);
         let trials = 2000;
-        let drops = (0..trials)
-            .filter(|&r| plan.fate(r, 0, true) == Fate::Drop)
-            .count();
+        let drops = (0..trials).filter(|&r| plan.drops(r, 0, true)).count();
         // 0.5 ± generous slack; the point is "roughly half", not
         // statistical rigor.
         assert!((700..1300).contains(&drops), "drops = {drops}");
@@ -454,7 +390,7 @@ mod tests {
     fn different_seeds_give_different_luck() {
         let a = FaultPlan::new(1).drop_messages(0.5);
         let b = FaultPlan::new(2).drop_messages(0.5);
-        let diverges = (0..200).any(|r| a.fate(r, 3, true) != b.fate(r, 3, true));
+        let diverges = (0..200).any(|r| a.drops(r, 3, true) != b.drops(r, 3, true));
         assert!(diverges);
     }
 

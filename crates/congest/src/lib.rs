@@ -38,8 +38,8 @@
 //!   a node is stepped only when it is in round 0, received a message
 //!   this round, or re-armed itself with [`NodeCtx::wake`] in the
 //!   previous round; senders implicitly arm their receivers. Protocols
-//!   with self-driven work (send queues, delayed deliveries, systolic
-//!   round schedules) call `wake` to stay scheduled, and every protocol
+//!   with self-driven work (send queues, held items, systolic round
+//!   schedules) call `wake` to stay scheduled, and every protocol
 //!   must be sweep-agnostic (the activation contract on [`Protocol`]).
 //!   [`Network::set_full_sweep`] selects the reference schedule instead,
 //!   which steps every node every round. On traffic-dense rounds the
@@ -71,10 +71,12 @@
 //!
 //! The invariant extends to *misbehaving* networks: a seeded
 //! [`FaultPlan`] ([`faults`]) attaches timed link failures, node
-//! crashes, and probabilistic message drop/delay to a [`Network`]
+//! crashes, and random message drops to a [`Network`]
 //! ([`Network::set_fault_plan`], which rejects a plan naming elements
 //! outside the graph with a [`FaultPlanError`]). The plan is applied at
-//! commit time. Every per-message decision hashes `(seed, round, link,
+//! commit time and only ever drops messages: the rounds stay
+//! synchronous, and whatever it lets through arrives in the round after
+//! it was sent. Every per-message decision hashes `(seed, round, link,
 //! direction)` — message identity, not draw order — so a fixed plan
 //! yields bit-identical delivery, [`RunStats`], and [`FaultStats`]
 //! under either schedule; [`FaultStats`] is *included* in [`Metrics`]
@@ -110,6 +112,6 @@ pub mod multi_bfs;
 mod network;
 pub mod pipeline;
 
-pub use faults::{Fate, FaultPlan, FaultPlanError};
+pub use faults::{FaultPlan, FaultPlanError};
 pub use metrics::{CacheStats, DispatchStats, FaultStats, Metrics, PhaseStats, RunStats};
 pub use network::{word_bits, EngineError, Network, NodeCtx, Port, Protocol, Side};

@@ -122,13 +122,7 @@ pub struct FaultStats {
     pub dropped_node_down: u64,
     /// Messages dropped by the plan's per-message drop probability.
     pub dropped_random: u64,
-    /// Messages taken off the wire for late delivery.
-    pub delayed: u64,
-    /// Delayed messages that were eventually delivered (a drive that
-    /// ends on an exact round budget may strand the difference
-    /// in flight).
-    pub delivered_late: u64,
-    /// Rounds in which at least one fault event occurred.
+    /// Rounds in which the plan dropped at least one message.
     pub faulty_rounds: u64,
 }
 
@@ -138,13 +132,10 @@ impl FaultStats {
         self.dropped_link_down += other.dropped_link_down;
         self.dropped_node_down += other.dropped_node_down;
         self.dropped_random += other.dropped_random;
-        self.delayed += other.delayed;
-        self.delivered_late += other.delivered_late;
         self.faulty_rounds += other.faulty_rounds;
     }
 
-    /// Total messages lost to any cause (late deliveries are not
-    /// losses).
+    /// Total messages lost to any cause.
     pub fn total_dropped(&self) -> u64 {
         self.dropped_link_down + self.dropped_node_down + self.dropped_random
     }

@@ -17,9 +17,10 @@
 //!
 //! Every round is one pass of a single driver: step the scheduled nodes
 //! in ascending id order, then commit — enforce CONGEST, let the
-//! attached [`FaultPlan`] (if any) seal each message's fate, charge
-//! [`RunStats`], and counting-sort the delivered messages into the next
-//! round's inboxes.
+//! attached [`FaultPlan`] (if any) drop messages, charge [`RunStats`],
+//! and counting-sort the delivered messages into the next round's
+//! inboxes. There is one delivery rule: a message sent in round `r` is
+//! in its receiver's inbox in round `r + 1`, or, under a plan, nowhere.
 //!
 //! Both optimizations are pure wall-clock savings: the delivered
 //! messages, their per-destination order, and all [`RunStats`]
@@ -30,7 +31,7 @@ use std::fmt;
 
 use graphkit::{DiGraph, EdgeId, NodeId};
 
-use crate::faults::{Fate, FaultPlan, FaultPlanError};
+use crate::faults::{FaultPlan, FaultPlanError};
 use crate::metrics::{FaultStats, Metrics, RunStats};
 
 /// Number of bits needed to write `x` in binary (`0 -> 1` bit).
@@ -80,8 +81,8 @@ pub enum EngineError {
     /// without rerunning: a protocol that is *still making progress*
     /// (nonzero `last_active`/`last_messages`) merely needs a larger
     /// budget, while one that exhausted the budget in silence is
-    /// livelocked on [`Protocol::idle`] or stranded in-flight (delayed)
-    /// traffic under a fault plan.
+    /// livelocked on [`Protocol::idle`], for instance waiting for a
+    /// message a fault plan dropped.
     RoundLimitExceeded {
         /// The configured budget.
         max_rounds: u64,
@@ -89,8 +90,7 @@ pub enum EngineError {
         rounds: u64,
         /// Nodes stepped in the final round.
         last_active: u64,
-        /// Messages delivered or still in flight after the final
-        /// round's commit.
+        /// Messages delivered by the final round's commit.
         last_messages: u64,
     },
 }
@@ -107,8 +107,8 @@ impl fmt::Display for EngineError {
                 write!(
                     f,
                     "protocol still active after {rounds} of {max_rounds} budgeted rounds \
-                     ({last_active} nodes stepped and {last_messages} messages delivered or \
-                     in flight in the final round)"
+                     ({last_active} nodes stepped and {last_messages} messages delivered in \
+                     the final round)"
                 )
             }
         }
@@ -119,7 +119,7 @@ impl std::error::Error for EngineError {}
 
 /// A staged send: `(sender, port index at the sender, message)`. The
 /// message is an `Option` so the commit can move it into the delivery
-/// arena (or the delay queue) without cloning.
+/// arena without cloning, and mark a dropped one.
 type Staged<M> = (NodeId, u32, Option<M>);
 
 /// A node's view of one round: its inbox from the previous round and an
@@ -170,10 +170,12 @@ impl<'a, M> NodeCtx<'a, M> {
     /// message (the explicit arm of the activation contract; see
     /// [`Protocol`]).
     ///
-    /// Use it for self-driven work: pending send queues, held/delayed
-    /// messages, or systolic schedules that fire on round numbers rather
-    /// than on receipt. A no-op under the full-sweep reference schedule
-    /// ([`Network::set_full_sweep`]), which steps every node anyway.
+    /// Use it for self-driven work: pending send queues, messages the
+    /// protocol itself holds back (the hop delays of
+    /// [`crate::multi_bfs`]), or systolic schedules that fire on round
+    /// numbers rather than on receipt. A no-op under the full-sweep
+    /// reference schedule ([`Network::set_full_sweep`]), which steps
+    /// every node anyway.
     #[inline]
     pub fn wake(&mut self) {
         *self.woke = true;
@@ -223,9 +225,10 @@ pub trait Protocol {
     /// `node` (that node's state slot), send messages.
     fn step_node(&self, node: &mut Self::Node, ctx: &mut NodeCtx<'_, Self::Msg>);
 
-    /// `false` while the protocol has internal pending work even though no
-    /// messages are in flight (e.g. delayed deliveries or staggered
-    /// starts). Quiescence requires `idle` *and* an empty network.
+    /// `false` while the protocol has internal pending work even though
+    /// the round just committed delivered no message (e.g. held items or
+    /// staggered starts). Quiescence requires `idle` *and* a round that
+    /// delivered nothing.
     fn idle(&self, _nodes: &[Self::Node]) -> bool {
         true
     }
@@ -502,8 +505,9 @@ impl<'g> Network<'g> {
         out.stats
     }
 
-    /// Runs `proto` over the node slots `nodes` until quiescence (no
-    /// messages in flight and `proto.idle(nodes)`), up to `max_rounds`.
+    /// Runs `proto` over the node slots `nodes` until quiescence (a round
+    /// that delivered no message, and `proto.idle(nodes)`), up to
+    /// `max_rounds`.
     ///
     /// # Errors
     ///
@@ -557,7 +561,7 @@ impl<'g> Network<'g> {
         let edge_ports = &self.edge_ports;
         let cut = self.cut.as_deref();
         let bandwidth = self.bandwidth;
-        let mut faults: Option<FaultRun<'_, P::Msg>> = self.fault_plan.as_ref().map(FaultRun::new);
+        let mut faults = self.fault_plan.as_ref().map(FaultRun::new);
         let sc = &mut self.scratch;
         sc.active.clear();
         sc.next_active.clear();
@@ -680,7 +684,7 @@ struct DriveOutcome {
     quiesced: bool,
     /// Nodes stepped in the final executed round.
     last_active: u64,
-    /// Messages delivered or left in flight by the final round's commit.
+    /// Messages delivered by the final round's commit.
     last_sent: u64,
     faults: FaultStats,
 }
@@ -696,87 +700,54 @@ impl DriveOutcome {
     }
 }
 
-/// Per-drive fault-injection state: the plan, the in-flight delayed
-/// messages, and the drive's [`FaultStats`].
-struct FaultRun<'p, M> {
+/// Per-drive fault-injection state: the plan and the drive's
+/// [`FaultStats`].
+struct FaultRun<'p> {
     plan: &'p FaultPlan,
-    /// In-flight delayed messages as `(due round, send)`, in send order.
-    /// Fates are sealed at send time, so due entries are always
-    /// delivered.
-    delayed: Vec<(u64, Staged<M>)>,
     stats: FaultStats,
 }
 
-impl<'p, M> FaultRun<'p, M> {
-    fn new(plan: &'p FaultPlan) -> FaultRun<'p, M> {
+impl<'p> FaultRun<'p> {
+    fn new(plan: &'p FaultPlan) -> FaultRun<'p> {
         FaultRun {
             plan,
-            delayed: Vec::new(),
             stats: FaultStats::default(),
         }
     }
 
-    /// Moves the messages due in `round` to the front of `staging`, in
-    /// send order, and returns how many there are. They have been on the
-    /// wire longest; the fixed position keeps inbox order deterministic.
-    fn prepend_due(&mut self, round: u64, staging: &mut Vec<Staged<M>>) -> usize {
-        let before = staging.len();
-        staging.splice(
-            0..0,
-            self.delayed
-                .extract_if(.., |(due, _)| *due == round)
-                .map(|(_, send)| send),
-        );
-        let due = staging.len() - before;
-        self.stats.delivered_late += due as u64;
-        due
-    }
-
-    /// Seals the fate of a fresh send in `round` over `port`: `true`
-    /// delivers it now; otherwise the message is taken out of `send` and
-    /// dropped (an endpoint crashed, the link is down, or bad luck,
-    /// checked in that order) or moved to the delay queue.
-    fn admit(&mut self, round: u64, port: Port, send: &mut Staged<M>) -> bool {
+    /// Whether the plan lets `sender`'s message in `round` over `port`
+    /// through. A message it drops (an endpoint crashed, the link is down,
+    /// or the random drop, checked in that order) is counted.
+    fn admit(&mut self, round: u64, sender: NodeId, port: Port) -> bool {
         let plan = self.plan;
-        let counter = if plan.node_down(send.0, round) || plan.node_down(port.peer, round) {
+        let counter = if plan.node_down(sender, round) || plan.node_down(port.peer, round) {
             &mut self.stats.dropped_node_down
         } else if plan.link_down(port.link, round) {
             &mut self.stats.dropped_link_down
+        } else if plan.drops(round, port.link, port.outgoing) {
+            &mut self.stats.dropped_random
         } else {
-            match plan.fate(round, port.link, port.outgoing) {
-                Fate::Deliver => return true,
-                Fate::Drop => &mut self.stats.dropped_random,
-                Fate::Delay(extra) => {
-                    let delayed = (send.0, send.1, send.2.take());
-                    self.delayed.push((round + extra, delayed));
-                    &mut self.stats.delayed
-                }
-            }
+            return true;
         };
         *counter += 1;
-        send.2 = None;
         false
     }
 }
 
 /// The commit step of a round: enforce CONGEST, let the fault plan (if
-/// any) seal each message's fate, charge [`RunStats`], and counting-sort
-/// the delivered messages by destination into the next round's arena.
+/// any) drop messages, charge [`RunStats`], and counting-sort the
+/// delivered messages by destination into the next round's arena.
 ///
-/// Every fresh send passes the occupancy and bandwidth checks before the
-/// plan sees it — faults never excuse a protocol bug. Messages whose
-/// delay ends this round are delivered ahead of the fresh sends, skip
-/// the occupancy check (the wire, not a sender, holds them), and are
-/// charged at delivery. Without a plan the hook costs a branch per
-/// message.
+/// Every send passes the occupancy and bandwidth checks before the plan
+/// sees it — faults never excuse a protocol bug. Without a plan the hook
+/// costs a branch per message.
 ///
-/// Returns the messages delivered plus those still in flight, so a
-/// network with pending delayed traffic never looks quiescent.
+/// Returns the number of messages delivered.
 #[allow(clippy::too_many_arguments)]
 fn commit_round<M>(
     sc: &mut EngineScratch,
     stats: &mut RunStats,
-    mut faults: Option<&mut FaultRun<'_, M>>,
+    mut faults: Option<&mut FaultRun<'_>>,
     staging: &mut Vec<Staged<M>>,
     arena: &mut Vec<(u32, M)>,
     ports: &[Vec<Port>],
@@ -791,38 +762,33 @@ fn commit_round<M>(
     sc.touched.clear();
     sc.dests.clear();
     sc.recv_ports.clear();
-    let due = match faults.as_deref_mut() {
-        Some(fr) => fr.prepend_due(round, staging),
-        None => 0,
-    };
     let mut skipped = 0;
-    for (i, send) in staging.iter_mut().enumerate() {
+    for send in staging.iter_mut() {
         let (sender, port_idx) = (send.0, send.1);
         let port = ports[sender][port_idx as usize];
         let bits = bits_of(send.2.as_ref().expect("staged message present"));
-        if i >= due {
-            let dir = 2 * port.link + usize::from(!port.outgoing);
-            assert_ne!(
-                sc.occupied[dir],
-                g,
-                "CONGEST violation: two messages on link {} direction {} in round {} \
-                 (sender {})",
-                port.link,
-                usize::from(!port.outgoing),
-                round,
-                sender
-            );
-            sc.occupied[dir] = g;
-            assert!(
-                bits <= bandwidth,
-                "CONGEST violation: {bits}-bit message exceeds bandwidth {bandwidth} \
-                 (sender {sender})",
-            );
-            if let Some(fr) = faults.as_deref_mut() {
-                if !fr.admit(round, port, send) {
-                    skipped += 1;
-                    continue;
-                }
+        let dir = 2 * port.link + usize::from(!port.outgoing);
+        assert_ne!(
+            sc.occupied[dir],
+            g,
+            "CONGEST violation: two messages on link {} direction {} in round {} \
+             (sender {})",
+            port.link,
+            usize::from(!port.outgoing),
+            round,
+            sender
+        );
+        sc.occupied[dir] = g;
+        assert!(
+            bits <= bandwidth,
+            "CONGEST violation: {bits}-bit message exceeds bandwidth {bandwidth} \
+             (sender {sender})",
+        );
+        if let Some(fr) = faults.as_deref_mut() {
+            if !fr.admit(round, sender, port) {
+                send.2 = None;
+                skipped += 1;
+                continue;
             }
         }
         stats.messages += 1;
@@ -853,10 +819,11 @@ fn commit_round<M>(
             sc.next_active.push(dest as u32);
         }
     }
-    if skipped > 0 {
-        // Only a plan skips messages; keep the delivered ones, in order,
-        // so arena indices line up with `dests`.
+    if let Some(fr) = faults.filter(|_| skipped > 0) {
+        // Keep the delivered messages, in order, so arena indices line
+        // up with `dests`.
         staging.retain(|send| send.2.is_some());
+        fr.stats.faulty_rounds += 1;
     }
     // CSR offsets for the next round's inboxes, then the stable
     // counting-sort permutation (arena slot -> delivery index).
@@ -887,15 +854,7 @@ fn commit_round<M>(
     }));
     let delivered = staging.len();
     staging.clear();
-    match faults {
-        None => delivered as u64,
-        Some(fr) => {
-            if due + skipped > 0 {
-                fr.stats.faulty_rounds += 1;
-            }
-            (delivered + fr.delayed.len()) as u64
-        }
-    }
+    delivered as u64
 }
 
 #[cfg(test)]

@@ -96,8 +96,8 @@ impl std::error::Error for RecoveryError {}
 /// Solves the `(s, t)` replacement-paths demand on `graph` under the
 /// *permanent* faults of `plan`, degrading instead of dying.
 ///
-/// Transient faults (link flaps and crashes that recover, probabilistic
-/// drop/delay) do not change the steady-state topology: the demand is
+/// Transient faults (link flaps and crashes that recover, random
+/// message drops) do not change the steady-state topology: the demand is
 /// solved as posed and returned as [`Recovery::Full`]. Permanent faults
 /// (those still active at [`FaultPlan::horizon`]) are planned away: the
 /// demand is re-posed on the source's surviving component, and the

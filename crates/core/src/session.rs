@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use congest::{Metrics, Network};
 use graphkit::alg::{shortest_st_path, undirected_diameter};
-use graphkit::{DiGraph, Dist, EdgeId, NodeId, StPath};
+use graphkit::{fnv1a, DiGraph, Dist, EdgeId, NodeId, StPath};
 use rpaths_store::{Snapshot, StoreError};
 
 use crate::artifacts::{cache_artifact, cache_entry_from};
@@ -457,36 +457,25 @@ fn path_edge_index(path: &StPath, e: EdgeId) -> Option<usize> {
     path.edges().iter().position(|&pe| pe == e)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
 /// Stable fingerprint of every [`Params`] field that can change a
-/// solver's answers or round profile.
+/// solver's answers or round profile: [`fnv1a`] over their
+/// little-endian `u64` words.
 pub fn params_fingerprint(p: &Params) -> u64 {
-    fnv64([
+    let words = [
         p.zeta as u64,
         p.landmark_prob.to_bits(),
         p.seed,
         p.eps_num,
         p.eps_den,
         p.budget_factor,
-    ])
+    ];
+    fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
 }
 
-/// Stable fingerprint of a path's exact edge sequence.
+/// Stable fingerprint of a path's exact edge sequence: [`fnv1a`] over
+/// the edge ids as little-endian `u64` words.
 pub fn path_fingerprint(path: &StPath) -> u64 {
-    fnv64(path.edges().iter().map(|&e| e as u64))
+    fnv1a(path.edges().iter().flat_map(|&e| (e as u64).to_le_bytes()))
 }
 
 #[cfg(test)]
@@ -557,6 +546,15 @@ mod tests {
         let (g, s, t) = parallel_lane(6, 2, 1);
         let p = shortest_st_path(&g, s, t).unwrap();
         assert_eq!(path_fingerprint(&p), path_fingerprint(&p));
+        // Stable: persisted cache entries carry these values, as they
+        // carry the graph fingerprints graphkit pins, so a change
+        // orphans every cache already saved.
+        assert_eq!(
+            params_fingerprint(&Params::for_n(100)),
+            0x8c5c_ecfd_b0b1_3146
+        );
+        assert_eq!(p.edges(), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(path_fingerprint(&p), 0x0703_461c_0702_5044);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of cases to plan.
     pub cases: usize,
-    /// Largest graph any case may use.
+    /// Largest graph any case may use; at least [`MIN_MAX_N`].
     pub max_n: usize,
     /// Enable the deliberate solver defect
     /// ([`rpaths_core::testhooks::set_flip_unweighted_merge`]) for this
@@ -84,6 +84,12 @@ impl FuzzConfig {
         }
     }
 }
+
+/// The smallest `max_n` a sweep plans within: the scale tier's floor.
+/// Below it the scale tier (and below 64 the batch tier) plans graphs
+/// larger than the cap, and below 16 the instance and fault tiers have
+/// no size to draw.
+pub const MIN_MAX_N: usize = 256;
 
 /// The topology families the planner samples.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -336,7 +342,7 @@ pub fn plan_case(cfg: &FuzzConfig, index: usize) -> CasePlan {
             if (index / 10).is_multiple_of(3) {
                 cfg.max_n
             } else {
-                let lo = (cfg.max_n / 64).max(256) as f64;
+                let lo = (cfg.max_n / 64).max(MIN_MAX_N) as f64;
                 let hi = cfg.max_n as f64;
                 (lo * (hi / lo).powf(unit_f64(&mut rng))) as usize
             }

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rpaths_fuzz::{run_sweep, FuzzConfig};
+use rpaths_fuzz::{run_sweep, FuzzConfig, MIN_MAX_N};
 
 const USAGE: &str = "\
 rpaths-fuzz: seeded ground-truth differential fuzzing
@@ -27,7 +27,8 @@ OPTIONS:
     --cases N              Cases to run (default 200; smoke profile: 40)
     --smoke                CI smoke profile: n <= 4096, 40 cases,
                            seconds-scale
-    --max-n N              Cap the largest graph (default 100000)
+    --max-n N              Cap the largest graph (default 100000; at
+                           least 256, the scale tier's floor)
     --out-dir PATH         Fixture output directory
                            (default tests/regressions)
     --inject-tiebreak-bug  Flip the unweighted merge tie-break (test
@@ -88,6 +89,11 @@ fn parse_args(args: &[String]) -> Result<FuzzConfig, String> {
         }
     }
     if let Some(m) = max_n {
+        if m < MIN_MAX_N {
+            return Err(format!(
+                "--max-n {m} is below {MIN_MAX_N}, the scale tier's floor"
+            ));
+        }
         cfg.max_n = m;
     }
     if let Some(d) = out_dir {
@@ -134,5 +140,24 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn max_n_below_the_scale_floor_is_a_usage_error() {
+        for small in ["0", "10", "15", "100", "255"] {
+            let err = parse_args(&args(&["--max-n", small])).unwrap_err();
+            assert!(err.contains("scale tier's floor"), "{small}: {err}");
+        }
+        let cfg = parse_args(&args(&["--smoke", "--max-n", "256"])).unwrap();
+        assert_eq!(cfg.max_n, MIN_MAX_N);
     }
 }

@@ -221,28 +221,22 @@ impl DiGraph {
     /// indexes are a deterministic function of those, so they are
     /// covered too.
     ///
-    /// The fingerprint is an FNV-1a hash of the little-endian words
+    /// The fingerprint is the [`fnv1a`] hash of the little-endian words
     /// `n: u64`, `m: u64`, then per edge `from: u32`, `to: u32`,
     /// `weight: u64` — the words a snapshot's graph section holds — so
     /// it is identical across processes, platforms, and snapshot round
     /// trips. Artifact caches key on it to decide whether a persisted
     /// artifact still describes the graph in hand.
     pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut hash = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
-        hash(&(self.n as u64).to_le_bytes());
-        hash(&(self.edges.len() as u64).to_le_bytes());
-        for e in &self.edges {
-            hash(&(e.from as u32).to_le_bytes());
-            hash(&(e.to as u32).to_le_bytes());
-            hash(&e.weight.to_le_bytes());
-        }
-        h
+        let counts = [self.n as u64, self.edges.len() as u64];
+        let edges = self.edges.iter().flat_map(|e| {
+            let mut words = [0u8; 16];
+            words[..4].copy_from_slice(&(e.from as u32).to_le_bytes());
+            words[4..8].copy_from_slice(&(e.to as u32).to_le_bytes());
+            words[8..].copy_from_slice(&e.weight.to_le_bytes());
+            words
+        });
+        fnv1a(counts.into_iter().flat_map(u64::to_le_bytes).chain(edges))
     }
 
     /// Sum of all edge weights, or `None` when it does not fit `u64`.
@@ -256,6 +250,19 @@ impl DiGraph {
     pub fn max_weight(&self) -> u64 {
         self.edges.iter().map(|e| e.weight).max().unwrap_or(0)
     }
+}
+
+/// The 64-bit FNV-1a hash of `bytes`, one byte at a time.
+///
+/// Every persisted fingerprint is this hash: [`DiGraph::fingerprint`]
+/// and the session layer's parameter and path fingerprints. Persisted
+/// cache entries carry their values, so it must never change.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes
+        .into_iter()
+        .fold(OFFSET, |h, b| (h ^ u64::from(b)).wrapping_mul(PRIME))
 }
 
 impl fmt::Debug for DiGraph {
@@ -482,6 +489,13 @@ mod tests {
     fn rejects_zero_weight() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 0);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -35,5 +35,5 @@ mod graph;
 mod path;
 
 pub use dist::Dist;
-pub use graph::{DiGraph, Edge, EdgeId, GraphBuilder, NodeId};
+pub use graph::{fnv1a, DiGraph, Edge, EdgeId, GraphBuilder, NodeId};
 pub use path::{PathError, StPath};

@@ -452,14 +452,6 @@ fn baselines_under_message_drops_end_with_the_engine_error() {
     }
 }
 
-#[test]
-#[should_panic(expected = "drop + delay probability must not exceed 1")]
-fn drop_after_delay_is_bounded_too() {
-    // The bound holds in either call order: past it, a plan would
-    // silently delay far fewer messages than it asks for.
-    let _ = FaultPlan::new(7).delay_messages(0.5, 2).drop_messages(0.9);
-}
-
 /// An endpoint id past the last node of the lane the tests below build.
 const FAR: usize = 10_000;
 
